@@ -1,4 +1,4 @@
-"""CHSH correlation functions, Bell-parameter evaluation and optimization.
+"""CHSH correlation functions, Bell-parameter evaluation and its maximum.
 
 Analyzer directions live on the Bloch sphere as (Theta, Phi); the
 corresponding polarization-analyzer angle is theta = Theta/2.  The
@@ -14,6 +14,12 @@ P = Tr(rho O1 x O2); |S| <= 2 for local realism and <= 2 sqrt(2) always.
 S is returned *signed* everywhere in this module so that the trace and
 counts-based evaluations agree exactly; report abs(S) when comparing
 against the classical bound.
+
+The maximum |S| over all directions and the settings that reach it come
+in closed form from the singular value decomposition of the correlation
+matrix t_ij = Tr(rho sigma_i x sigma_j) (``chsh_optimize``); the
+eigenvalue route of ``chsh_max_from_correlation_matrix`` is kept as an
+independent check of the value.
 """
 
 from __future__ import annotations
@@ -23,9 +29,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import ConvergenceError, InputFormatError
+from .errors import InputFormatError
 from .states import check_density_matrix
 
 TSIRELSON_BOUND = 2 * math.sqrt(2)
@@ -128,8 +133,8 @@ def chsh_max_from_correlation_matrix(rho: np.ndarray) -> float:
     """Certified maximum |S| over all settings: 2 sqrt(t1^2 + t2^2).
 
     t1^2, t2^2 are the two largest eigenvalues of T^T T with T the
-    correlation matrix.  Used as the independent oracle for the
-    numerical optimizer.
+    correlation matrix.  Used as the independent oracle for
+    ``chsh_optimize``.
     """
     t = correlation_matrix(check_density_matrix(rho))
     eigs = np.sort(np.linalg.eigvalsh(t.T @ t))[::-1]
@@ -160,94 +165,34 @@ def chsh_optimal_family(p: float, b_diag: float | None = None) -> tuple[float, C
     return TSIRELSON_BOUND * p, settings
 
 
-def _chsh_from_vectors(t: np.ndarray, x: np.ndarray) -> float:
-    u1, u1p, v2, v2p = (_unit_vector(x[2 * k], x[2 * k + 1]) for k in range(4))
-    return float(u1 @ t @ (v2 - v2p) + u1p @ t @ (v2 + v2p))
-
-
-def _neg_s_squared(x: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
-    # S and its analytic gradient over the 8 angles; minimize -S^2.
-    us = []
-    dth = []
-    dph = []
-    for k in range(4):
-        theta, phi = x[2 * k], x[2 * k + 1]
-        st, ct = math.sin(theta), math.cos(theta)
-        sp, cp = math.sin(phi), math.cos(phi)
-        us.append(np.array([st * cp, st * sp, ct]))
-        dth.append(np.array([ct * cp, ct * sp, -st]))
-        dph.append(np.array([-st * sp, st * cp, 0.0]))
-    u1, u1p, v2, v2p = us
-    w1 = t @ (v2 - v2p)
-    w1p = t @ (v2 + v2p)
-    s = float(u1 @ w1 + u1p @ w1p)
-    y = (u1 + u1p) @ t
-    ym = (u1 - u1p) @ t
-    ds = np.array(
-        [
-            dth[0] @ w1,
-            dph[0] @ w1,
-            dth[1] @ w1p,
-            dph[1] @ w1p,
-            y @ dth[2],
-            y @ dph[2],
-            -(ym @ dth[3]),
-            -(ym @ dph[3]),
-        ]
-    )
-    return -s * s, -2 * s * ds
-
-
 def chsh_optimize(
     rho: np.ndarray, n_starts: int = 32, seed: int = 0
 ) -> tuple[float, ChshSettings]:
-    """Numerically maximize |S| over all 8 analyzer angles.
+    """Maximum |S| over all analyzer directions and settings that reach it.
 
-    Multi-start quasi-Newton search with analytic gradients; the number
-    of seeded random starts is ``n_starts`` (at least 8).  Returns
-    (max |S|, extremal settings).  Raises ConvergenceError if no start
-    converges or the best stationary point has a non-vanishing gradient.
+    Closed form of Horodecki, Horodecki and Horodecki, Phys. Lett. A 200,
+    340 (1995): with the correlation matrix T = U diag(s1, s2, s3) V^T,
+    the settings a1' = u1, a1 = u2 and a2, a2' = cos t v1 +- sin t v2 with
+    t = atan2(s2, s1) give S = 2 sqrt(s1^2 + s2^2), the maximum.
+    ``n_starts`` and ``seed`` are accepted for compatibility and have no
+    effect.  Returns (max |S|, extremal settings).
     """
-    rho = check_density_matrix(rho)
-    t = correlation_matrix(rho)
-    rng = np.random.default_rng(seed)
-    n_starts = max(8, int(n_starts))
-    best = None
-    n_ok = 0
-    for _ in range(n_starts):
-        x0 = np.empty(8)
-        x0[0::2] = rng.uniform(0.0, math.pi, 4)
-        x0[1::2] = rng.uniform(-math.pi, math.pi, 4)
-        res = minimize(
-            _neg_s_squared,
-            x0,
-            args=(t,),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12},
-        )
-        if res.success:
-            n_ok += 1
-        if best is None or res.fun < best.fun:
-            best = res
-    if n_ok == 0:
-        raise ConvergenceError(
-            f"CHSH optimizer failed to converge in {n_starts} restarts"
-        )
-    grad_norm = float(np.max(np.abs(best.jac)))
-    s_max = math.sqrt(max(0.0, -best.fun))
-    if s_max > 1e-9 and grad_norm > 1e-5:
-        raise ConvergenceError(
-            f"CHSH optimizer gradient {grad_norm:.2e} not stationary at best point"
-        )
-    x = best.x
+    u, sv, vt = np.linalg.svd(correlation_matrix(check_density_matrix(rho)))
+    angle = math.atan2(sv[1], sv[0])
+    a2 = math.cos(angle) * vt[0] + math.sin(angle) * vt[1]
+    a2p = math.cos(angle) * vt[0] - math.sin(angle) * vt[1]
     settings = ChshSettings(
-        a1=BlochSetting(x[0], x[1]),
-        a1p=BlochSetting(x[2], x[3]),
-        a2=BlochSetting(x[4], x[5]),
-        a2p=BlochSetting(x[6], x[7]),
+        a1=_setting_from_vector(u[:, 1]),
+        a1p=_setting_from_vector(u[:, 0]),
+        a2=_setting_from_vector(a2),
+        a2p=_setting_from_vector(a2p),
     )
-    return s_max, settings
+    return 2 * math.hypot(sv[0], sv[1]), settings
+
+
+def _setting_from_vector(v: np.ndarray) -> BlochSetting:
+    x, y, z = v
+    return BlochSetting(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +379,15 @@ def counts_from_csv(path) -> CountsTable:
         if len(parts) != 3:
             raise InputFormatError(f"{path}:{i}: expected 3 fields, got {len(parts)}")
         try:
-            t1 = float(parts[0])
-            t2 = float(parts[1])
-            n = float(parts[2])
-            if n.is_integer():
-                n = int(n)
+            t1, t2, n = (float(v) for v in parts)
         except ValueError as exc:
             raise InputFormatError(f"{path}:{i}: {exc}")
+        if not all(map(math.isfinite, (t1, t2, n))):
+            raise InputFormatError(f"{path}:{i}: non-finite value in {line.strip()!r}")
         if n < 0:
-            raise InputFormatError(f"{path}:{i}: negative counts {n}")
-        entries[(angle_label(math.radians(t1)), angle_label(math.radians(t2)))] = n
+            raise InputFormatError(f"{path}:{i}: negative counts {n:g}")
+        key = (angle_label(math.radians(t1)), angle_label(math.radians(t2)))
+        if key in entries:
+            raise InputFormatError(f"{path}:{i}: duplicate setting {key}")
+        entries[key] = int(n) if n.is_integer() else n
     return CountsTable(entries, duration)

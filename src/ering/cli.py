@@ -10,7 +10,7 @@ output files, and each file-writing run leaves a ``*.manifest.json``
 recording the command line, config snapshot, seed, version and outputs.
 
 Exit codes: 0 success, 1 domain error, 2 input-format error,
-3 convergence failure.
+3 maximum-likelihood reconstruction failed to converge.
 """
 
 from __future__ import annotations
@@ -91,8 +91,12 @@ from .tomography import (
 CONFIG_ENV_VAR = "ERING_CONFIG"
 
 
+def _config_path(args) -> str | None:
+    return getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
+
+
 def _load_base_config(args) -> SourceConfig:
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
+    path = _config_path(args)
     config = load_config(path) if path else SourceConfig()
     overrides = {}
     for item in getattr(args, "set", None) or []:
@@ -173,7 +177,7 @@ def cmd_state(args) -> int:
     rho, family, p = _build_state(args)
     check_density_matrix(rho)
     separable, negativity = is_separable_ppt(rho)
-    s_max, _ = chsh_optimize(rho, seed=args.seed)
+    s_max, _ = chsh_optimize(rho)
     report = {
         "state": density_matrix_to_dict(rho),
         "tangle": tangle(rho),
@@ -275,7 +279,7 @@ def _fig_tomo_point(item):
 def cmd_figure(args) -> int:
     t0 = time.monotonic()
     config = _load_base_config(args)
-    if args.id in (2, 4, 12) and args.config is None and not args.set:
+    if args.id in (2, 4, 12) and not _config_path(args) and not args.set:
         # measured-visibility default for the Bell-test figures
         config = config_with_overrides(config, {"visibility": 0.94})
     out_dir = Path(args.out_dir)
@@ -287,6 +291,8 @@ def cmd_figure(args) -> int:
         args.duration = 180.0 if args.id == 12 else 1.0
     if args.duration <= 0:
         raise ValueError("--duration must be positive")
+    if args.counts_per_point < 0:
+        raise ValueError("--counts-per-point must be nonnegative")
 
     if args.id == 2:
         grid = np.arange(45.0, 135.0 + 1e-9, 2.5)
@@ -383,7 +389,7 @@ def cmd_tomo_reconstruct(args) -> int:
     }
     if physical:
         rho_checked = check_density_matrix(rho)
-        s_max, _ = chsh_optimize(rho_checked, seed=args.seed)
+        s_max, _ = chsh_optimize(rho_checked)
         report.update(
             tangle=tangle(rho_checked),
             linear_entropy=linear_entropy(rho_checked),
@@ -480,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="formula",
         help="werner/mems only: build from the closed form or from the sector-patchwork recipe",
     )
-    p_state.add_argument("--seed", type=int, default=0, help="seed for the CHSH optimizer starts")
     p_state.add_argument("--out", help="also write the JSON report to this file")
     p_state.set_defaults(func=cmd_state)
 

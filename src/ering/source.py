@@ -92,6 +92,9 @@ class SourceConfig:
     visibility: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in (
             "pump_wavelength",
             "wavelength",
@@ -147,12 +150,7 @@ def config_to_dict(config: SourceConfig) -> dict:
 
 
 def config_from_dict(values: dict) -> SourceConfig:
-    kwargs = {}
-    for key, value in values.items():
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        kwargs[CONFIG_KEYS[key]] = float(value)
-    return SourceConfig(**kwargs)
+    return config_with_overrides(SourceConfig(), values)
 
 
 def load_config(path) -> SourceConfig:

@@ -123,6 +123,8 @@ class TomoData:
         self.counts = np.asarray(self.counts, dtype=float)
         if len(self.settings) != len(self.counts):
             raise ValueError("settings and counts must have the same length")
+        if not np.all(np.isfinite(self.counts)):
+            raise InputFormatError("counts must be finite")
         if np.any(self.counts < 0):
             raise ValueError("counts must be nonnegative")
 
@@ -364,6 +366,8 @@ def tomo_data_from_csv(path) -> TomoData:
             n = float(parts[3])
         except ValueError as exc:
             raise InputFormatError(f"{path}:{i}: {exc}")
+        if not math.isfinite(n):
+            raise InputFormatError(f"{path}:{i}: non-finite counts {parts[3].strip()!r}")
         if n < 0:
             raise InputFormatError(f"{path}:{i}: negative counts {n}")
         try:

@@ -1,8 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import minimize
 
 from ering.bell import (
     AnglePlan,
@@ -214,6 +217,92 @@ def test_chsh_optimize_stationary(rng):
         assert abs(deriv) <= 1e-4
 
 
+# Independent variational leg: multi-start L-BFGS over the 8 Bloch angles,
+# on a correlation matrix assembled from correlation() along x, y, z.
+
+_AXES = (
+    BlochSetting(math.pi / 2, 0.0),
+    BlochSetting(math.pi / 2, math.pi / 2),
+    BlochSetting(0.0, 0.0),
+)
+
+
+def correlation_matrix_from_axes(rho):
+    return np.array([[correlation(rho, si, sj) for sj in _AXES] for si in _AXES])
+
+
+def _neg_s_squared(x, t):
+    # S and its analytic gradient over the 8 angles; minimize -S^2
+    us, dth, dph = [], [], []
+    for k in range(4):
+        st_, ct = math.sin(x[2 * k]), math.cos(x[2 * k])
+        sp, cp = math.sin(x[2 * k + 1]), math.cos(x[2 * k + 1])
+        us.append(np.array([st_ * cp, st_ * sp, ct]))
+        dth.append(np.array([ct * cp, ct * sp, -st_]))
+        dph.append(np.array([-st_ * sp, st_ * cp, 0.0]))
+    u1, u1p, v2, v2p = us
+    w1 = t @ (v2 - v2p)
+    w1p = t @ (v2 + v2p)
+    s = float(u1 @ w1 + u1p @ w1p)
+    y = (u1 + u1p) @ t
+    ym = (u1 - u1p) @ t
+    ds = np.array(
+        [
+            dth[0] @ w1,
+            dph[0] @ w1,
+            dth[1] @ w1p,
+            dph[1] @ w1p,
+            y @ dth[2],
+            y @ dph[2],
+            -(ym @ dth[3]),
+            -(ym @ dph[3]),
+        ]
+    )
+    return -s * s, -2 * s * ds
+
+
+def variational_chsh_max(t, n_starts=32, seed=0):
+    """Best |S| of a seeded multi-start L-BFGS search over the 8 angles."""
+    rng = np.random.default_rng(seed)
+    best = math.inf
+    for _ in range(n_starts):
+        x0 = np.empty(8)
+        x0[0::2] = rng.uniform(0.0, math.pi, 4)
+        x0[1::2] = rng.uniform(-math.pi, math.pi, 4)
+        res = minimize(
+            _neg_s_squared,
+            x0,
+            args=(t,),
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12},
+        )
+        best = min(best, res.fun)
+    return math.sqrt(max(0.0, -best))
+
+
+def test_chsh_optimize_matches_variational_search(rng):
+    for i in range(25):
+        rho = random_density_matrix(rng)
+        s_var = variational_chsh_max(correlation_matrix_from_axes(rho), seed=i)
+        s_max, _ = chsh_optimize(rho)
+        assert s_max == pytest.approx(s_var, abs=1e-8)
+
+
+def test_chsh_optimize_settings_reach_oracle():
+    # the criterion-10 corpus, the family grids and the corner states
+    rng = np.random.default_rng(20240001)
+    states = [random_density_matrix(rng) for _ in range(1000)]
+    states += [werner(p) for p in np.linspace(0, 1, 51)]
+    states += [mems(p) for p in np.linspace(1 / 3, 1, 51)]
+    hh = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    states += [np.eye(4, dtype=complex) / 4, projector(singlet()), hh]
+    for rho in states:
+        s_max, settings = chsh_optimize(rho)
+        assert abs(s_max - chsh_max_from_correlation_matrix(rho)) <= 1e-12
+        assert abs(abs(chsh(rho, settings)) - s_max) <= 1e-12
+
+
 def test_tsirelson_never_exceeded(rng):
     for _ in range(200):
         rho = random_density_matrix(rng)
@@ -315,3 +404,49 @@ def test_joint_detection_probability_singlet():
     rho = projector(singlet())
     assert joint_detection_probability(rho, 0.3, 0.3) == pytest.approx(0.0, abs=1e-12)
     assert joint_detection_probability(rho, 0.0, math.pi / 2) == pytest.approx(0.5)
+
+
+def test_counts_csv_rejects_duplicate_setting(tmp_path):
+    bad = tmp_path / "dup.csv"
+    # 180 degrees is the same polarizer setting as 0
+    bad.write_text("theta1_deg,theta2_deg,counts\n0,22.5,12\n180,22.5,40\n")
+    with pytest.raises(InputFormatError, match="dup.csv:3: duplicate"):
+        counts_from_csv(bad)
+
+
+_DEGREES = st.integers(0, 1799).map(lambda k: k / 10)
+
+
+@given(
+    entries=st.dictionaries(
+        st.tuples(_DEGREES, _DEGREES), st.integers(0, 10**12), min_size=1, max_size=20
+    ),
+    duration=st.integers(1, 10**7).map(lambda k: k / 100),
+)
+def test_counts_csv_write_read_identity(entries, duration):
+    table = CountsTable(
+        {(angle_label(math.radians(a)), angle_label(math.radians(b))): n for (a, b), n in entries.items()},
+        duration,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.csv"
+        counts_to_csv(table, path)
+        loaded = counts_from_csv(path)
+    assert loaded.entries == table.entries
+    assert loaded.duration == table.duration
+
+
+@given(
+    counts=st.lists(st.integers(0, 10**6), min_size=1, max_size=16),
+    bad_row=st.integers(0, 15),
+    value=st.sampled_from(["nan", "NaN", "inf", "+inf", "-inf", "Infinity", "1e999"]),
+)
+def test_counts_csv_never_accepts_non_finite(counts, bad_row, value):
+    rows = [f"0,{10 * k},{n}" for k, n in enumerate(counts)]
+    k = bad_row % len(rows)
+    rows[k] = f"0,{10 * k},{value}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.csv"
+        path.write_text("theta1_deg,theta2_deg,counts\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputFormatError, match=f"counts.csv:{k + 2}: non-finite"):
+            counts_from_csv(path)

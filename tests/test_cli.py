@@ -136,6 +136,43 @@ def test_config_env_var(tmp_path, capsys, monkeypatch):
     assert manifest["config"]["visibility"] == 0.5
 
 
+def test_config_env_var_suppresses_figure_visibility_default(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"visibility": 1.0}))
+    monkeypatch.setenv("ERING_CONFIG", str(cfg))
+    args = ["figure", "12", "--seed", "1", "--duration", "2", "--jobs", "1"]
+    assert run_cli(*args, "--out-dir", str(tmp_path)) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "fig12.manifest.json").read_text())
+    assert manifest["config"]["visibility"] == 1.0
+
+
+def test_figure_visibility_default_without_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ERING_CONFIG", raising=False)
+    args = ["figure", "12", "--seed", "1", "--duration", "2", "--jobs", "1"]
+    assert run_cli(*args, "--out-dir", str(tmp_path)) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "fig12.manifest.json").read_text())
+    assert manifest["config"]["visibility"] == 0.94
+
+
+def test_non_finite_config_value_exit_1(capsys):
+    assert run_cli("source", "--set", "pair_rate=nan") == 1
+    assert "pair_rate must be finite" in capsys.readouterr().err
+
+
+def test_negative_counts_per_point_exit_1(tmp_path, capsys):
+    args = ["figure", "3", "--seed", "1", "--out-dir", str(tmp_path)]
+    assert run_cli(*args, "--counts-per-point", "-5") == 1
+    assert "counts-per-point" in capsys.readouterr().err
+
+
+def test_state_has_no_seed_flag():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("state", "werner", "--p", "0.5", "--seed", "1")
+    assert exc.value.code == 2
+
+
 def test_tomo_round_trip(tmp_path, capsys):
     data_csv = tmp_path / "tomo.csv"
     target = tmp_path / "target.json"
@@ -185,6 +222,33 @@ def test_tomo_reconstruct_malformed_exit_2(tmp_path, capsys):
     assert run_cli("tomo", "reconstruct", "--data", str(bad), "--seed", "0") == 2
     err = capsys.readouterr().err
     assert "bad.csv:2" in err
+
+
+def test_tomo_reconstruct_non_finite_counts_exit_2(tmp_path, capsys):
+    data = exact_tomography_counts(werner(0.5), 1e4)
+    path = tmp_path / "nan.csv"
+    tomo_data_to_csv(data, path)
+    lines = path.read_text().splitlines()
+    lines[2] = "0,H,H,nan"
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli("tomo", "reconstruct", "--data", str(path), "--seed", "0") == 2
+    assert "nan.csv:3" in capsys.readouterr().err
+
+
+def test_bell_eval_duplicate_row_exit_2(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    assert (
+        run_cli(
+            "bell", "simulate", "--family", "singlet", "--duration", "16", "--seed", "5",
+            "--out", str(counts),
+        )
+        == 0
+    )
+    capsys.readouterr()
+    with open(counts, "a") as fh:
+        fh.write("0,22.5,1\n")
+    assert run_cli("bell", "eval", "--counts", str(counts)) == 2
+    assert "duplicate" in capsys.readouterr().err
 
 
 def test_tomo_reconstruct_missing_file_exit_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -58,6 +59,20 @@ def test_config_validation():
         SourceConfig(detector_qe=1.5)
     with pytest.raises(ValueError):
         SourceConfig(visibility=-0.1)
+
+
+def test_config_rejects_non_finite():
+    for name in (f.name for f in fields(SourceConfig)):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SourceConfig(**{name: value})
+
+
+def test_config_from_dict_applies_keys_over_defaults():
+    cfg = config_from_dict({"alpha": math.radians(1.4), "pair_rate": "3e5"})
+    assert cfg == config_with_overrides(CFG, {"alpha": math.radians(1.4), "pair_rate": 3e5})
+    with pytest.raises(ValueError, match="pair_rate must be finite"):
+        config_from_dict({"pair_rate": "nan"})
 
 
 def test_config_file_round_trip(tmp_path):

@@ -1,7 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ering.errors import InputFormatError
 from ering.sampling import random_density_matrix
@@ -214,3 +217,47 @@ def test_tomo_csv_parse_errors(tmp_path):
     path.write_text("nope\n")
     with pytest.raises(InputFormatError, match="header"):
         tomo_data_from_csv(path)
+
+
+def test_tomo_data_rejects_non_finite_counts():
+    counts = np.full(16, 10.0)
+    counts[3] = np.nan
+    with pytest.raises(InputFormatError, match="finite"):
+        TomoData(standard_settings(), counts, 40.0)
+
+
+_LABELS = st.sampled_from(["H", "V", "D", "A", "L", "R"])
+
+
+@given(
+    rows=st.lists(
+        st.tuples(_LABELS, _LABELS, st.floats(0, 1e9, allow_nan=False)), min_size=1, max_size=20
+    ),
+    flux=st.integers(0, 10**9),
+)
+def test_tomo_csv_write_read_identity(rows, flux):
+    # repeated settings are legitimate in tomography data and must survive
+    data = TomoData([TomoSetting(a, b) for a, b, _ in rows], [n for *_, n in rows], float(flux))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tomo.csv"
+        tomo_data_to_csv(data, path)
+        loaded = tomo_data_from_csv(path)
+    assert loaded.settings == data.settings
+    assert np.array_equal(loaded.counts, data.counts)
+    assert loaded.total_flux_estimate == data.total_flux_estimate
+
+
+@given(
+    counts=st.lists(st.integers(0, 10**6), min_size=1, max_size=16),
+    bad_row=st.integers(0, 15),
+    value=st.sampled_from(["nan", "NaN", "inf", "+inf", "-inf", "Infinity", "1e999"]),
+)
+def test_tomo_csv_never_accepts_non_finite(counts, bad_row, value):
+    rows = [f"{k},H,V,{n}" for k, n in enumerate(counts)]
+    k = bad_row % len(rows)
+    rows[k] = f"{k},H,H,{value}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tomo.csv"
+        path.write_text("setting_index,proj1,proj2,counts\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputFormatError, match=f"tomo.csv:{k + 2}: non-finite"):
+            tomo_data_from_csv(path)
