@@ -287,6 +287,8 @@ class CountsTable:
         return self.entries[key]
 
     def set(self, theta1: float, theta2: float, counts: float) -> None:
+        if not math.isfinite(counts):
+            raise ValueError(f"counts must be finite, got {counts}")
         if counts < 0:
             raise ValueError("counts must be nonnegative")
         self.entries[(angle_label(theta1), angle_label(theta2))] = counts
@@ -365,6 +367,10 @@ def counts_from_csv(path) -> CountsTable:
                     duration = float(parts[1])
                 except ValueError:
                     raise InputFormatError(f"{path}:{i + 1}: bad duration {parts[1]!r}")
+                if not (math.isfinite(duration) and duration > 0):
+                    raise InputFormatError(
+                        f"{path}:{i + 1}: duration must be finite and positive, got {parts[1]!r}"
+                    )
             body_start = i + 1
         else:
             break

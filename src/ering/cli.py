@@ -9,14 +9,14 @@ with the same arguments, config and seed reproduces byte-identical
 output files, and each file-writing run leaves a ``*.manifest.json``
 recording the command line, config snapshot, seed, version and outputs.
 
-Exit codes: 0 success, 1 domain error, 2 input-format error,
-3 maximum-likelihood reconstruction failed to converge.
+Exit codes: 0 success, 1 domain error (including informationally
+incomplete tomography settings), 2 input-format error, 3 no rank of the
+maximum-likelihood reconstruction passed its optimality certificate.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -125,13 +125,6 @@ def _write_manifest(out_path: Path, args_list, config, seed, outputs, t0) -> Pat
     path = out_path.with_suffix(".manifest.json")
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     return path
-
-
-def _run_grid(worker, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [worker(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, items))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -270,7 +263,7 @@ def _fig_tomo_point(item):
     family, p, counts, config, seed = item
     rho = werner(p) if family == WERNER else mems(p)
     data = simulate_tomography(rho, counts, seed)
-    rec = ml_reconstruct(data, seed=_derived_seed(seed, 1))
+    rec = ml_reconstruct(data)
     s_l = linear_entropy(rec)
     t = tangle(rec)
     return s_l, t, family, p, tangle_curve(family, min(1.0, s_l))
@@ -286,7 +279,6 @@ def cmd_figure(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"fig{args.id}.csv"
     seed = args.seed
-    jobs = args.jobs
     if args.duration is None:
         args.duration = 180.0 if args.id == 12 else 1.0
     if args.duration <= 0:
@@ -300,7 +292,7 @@ def cmd_figure(args) -> int:
             (t1, 45.0, args.duration, config, _derived_seed(seed, i))
             for i, t1 in enumerate(grid)
         ]
-        rows = _run_grid(_fig2_point, items, jobs)
+        rows = [_fig2_point(item) for item in items]
         _write_csv(out_path, ["theta1_deg", "coincidences"], rows)
     elif args.id == 3:
         xs = np.linspace(-100e-6, 100e-6, 101)
@@ -317,7 +309,7 @@ def cmd_figure(args) -> int:
         items = [
             (r, args.duration, config, _derived_seed(seed, i)) for i, r in enumerate(grid)
         ]
-        rows = _run_grid(_fig4_point, items, jobs)
+        rows = [_fig4_point(item) for item in items]
         _write_csv(out_path, ["r_mm", "visibility", "rate_hz"], rows)
     elif args.id in (8, 11):
         family = WERNER if args.id == 8 else MEMS
@@ -326,7 +318,7 @@ def cmd_figure(args) -> int:
             (family, p, args.counts_per_setting, config, _derived_seed(seed, i))
             for i, p in enumerate(grid)
         ]
-        rows = _run_grid(_fig_tomo_point, items, jobs)
+        rows = [_fig_tomo_point(item) for item in items]
         _write_csv(out_path, ["S_L", "T", "family", "p", "T_curve"], rows)
     elif args.id == 12:
         grid = np.linspace(0.05, 1.0, 20)
@@ -334,7 +326,7 @@ def cmd_figure(args) -> int:
             (p, args.duration, config, _derived_seed(seed, i))
             for i, p in enumerate(grid)
         ]
-        rows = _run_grid(_fig12_point, items, jobs)
+        rows = [_fig12_point(item) for item in items]
         _write_csv(out_path, ["p", "abs_S", "sigma_S"], rows)
     else:
         raise ValueError(f"unknown figure id {args.id}; valid ids: 2, 3, 4, 8, 11, 12")
@@ -517,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument(
         "--jobs",
         type=int,
-        default=os.cpu_count() or 1,
-        help="parallel grid workers (results are written in grid order regardless)",
+        default=1,
+        help="accepted for compatibility; has no effect (grid points run serially)",
     )
     p_fig.add_argument(
         "--duration",
@@ -555,7 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = tomo_sub.add_parser("reconstruct", help="reconstruct a state from counts")
     p_rec.add_argument("--data", required=True, help="counts CSV from 'tomo simulate'")
     p_rec.add_argument("--method", choices=["ml", "linear"], default="ml")
-    p_rec.add_argument("--seed", type=int, required=True, help="optimizer start seed")
+    p_rec.add_argument(
+        "--seed", type=int, required=True, help="recorded in the manifest; the ML solve is deterministic"
+    )
     p_rec.add_argument("--target", help="density-matrix JSON to compare against")
     p_rec.add_argument("--out", help="write the JSON report here")
     p_rec.set_defaults(func=cmd_tomo_reconstruct)

@@ -11,22 +11,35 @@ or a general elliptical projector ``E(Theta,Phi)`` with ket
 cos(Theta/2)|H> + e^{i Phi} sin(Theta/2)|V> (Bloch angles, radians).
 
 Reconstruction is offered two ways: exact linear inversion of the
-design matrix (fast, but unphysical under noise) and maximum-likelihood
-fitting over the Cholesky-style factorization rho = T T^dag / Tr(T T^dag),
-which is positive by construction.  The unnormalized factor doubles as
-the joint flux estimate, so the Poisson likelihood needs no separate
-normalization parameter.
+design matrix (fast, but unphysical under noise) and the maximum-likelihood
+state of James et al., PRA 64, 052312 (2001), over the Cholesky-style
+factorization rho = T T^dag / Tr(T T^dag), which is positive by
+construction.  The unnormalized factor doubles as the joint flux estimate,
+so the Poisson likelihood needs no separate normalization parameter.
+
+The likelihood is convex in M = T T^dag, and each mean count
+mu_k = Tr(M P_k) is a quadratic form t^T Q_k t in the 16 real parameters
+t of T.  One damped Newton solve with the exact Hessian starts from the
+positivity-repaired linear estimate; with 16 settings a positive
+definite linear estimate already fits the counts exactly, and the solve
+ends at once.
+An optimum on the rank boundary of the positive cone is finished by
+Newton on a 4 x r factor, r = 1..4, and the first r whose result passes
+the KKT certificate  lambda_min(sum_k (1 - n_k/mu_k) P_k) >= -tol  is
+returned: by convexity it is the global optimum.  The per-settings tables
+(projectors, design matrix and its rank, the Q_k) are built once per
+settings tuple and cached read-only.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConvergenceError, InputFormatError
 from .states import check_density_matrix, repair_density_matrix
@@ -91,20 +104,71 @@ _PAULI1 = [
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 ]
-_PAULI_PAIR = [np.kron(a, b) for a in _PAULI1 for b in _PAULI1]
+_PAULI_PAIR = np.array([np.kron(a, b) for a in _PAULI1 for b in _PAULI1])
+
+
+def _trapezoid_basis(rank: int) -> np.ndarray:
+    """Real-coefficient basis of the 4 x rank lower-trapezoidal factors.
+
+    The real diagonal comes first, then the real and imaginary parts below
+    it, column by column: 8 rank - rank^2 elements, so a positive matrix of
+    that rank has exactly one such factor with a positive diagonal.
+    """
+    slots = [(j, j, 1) for j in range(rank)]
+    slots += [(i, j, c) for j in range(rank) for i in range(j + 1, 4) for c in (1, 1j)]
+    basis = np.zeros((len(slots), 4, rank), dtype=complex)
+    for k, (i, j, c) in enumerate(slots):
+        basis[k, i, j] = c
+    return basis
+
+
+_TRAPEZOID_BASES = {rank: _trapezoid_basis(rank) for rank in range(1, 5)}
+_CHOLESKY_BASIS = _TRAPEZOID_BASES[4]  # the 16 parameters of T
+
+
+def _quadratic_forms(projectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Q[k] with Tr(A A^dag P_k) = x^T Q[k] x for the factor A = sum_j x_j basis[j]."""
+    return np.einsum("iab,jcb,kca->kij", basis, basis.conj(), projectors).real
+
+
+@dataclass(frozen=True)
+class _SettingsTable:
+    """Everything reconstruction needs from a settings list; arrays are read-only."""
+
+    projectors: np.ndarray  # (K, 4, 4)
+    design: np.ndarray  # (K, 16), see design_matrix
+    rank: int  # of the design matrix
+    quadratic_forms: np.ndarray  # (K, 16, 16) over the Cholesky parameters
+
+
+@functools.lru_cache(maxsize=64)
+def _table_for_labels(labels: tuple[tuple[str, str], ...]) -> _SettingsTable:
+    projectors = np.array([TomoSetting(a, b).pair_projector() for a, b in labels])
+    projectors = projectors.reshape(len(labels), 4, 4)
+    design = 0.25 * np.einsum("kab,jba->kj", projectors, _PAULI_PAIR).real
+    table = _SettingsTable(
+        projectors,
+        design,
+        int(np.linalg.matrix_rank(design)),
+        _quadratic_forms(projectors, _CHOLESKY_BASIS),
+    )
+    for array in (table.projectors, table.design, table.quadratic_forms):
+        array.setflags(write=False)
+    return table
+
+
+def _settings_table(settings: list[TomoSetting]) -> _SettingsTable:
+    return _table_for_labels(tuple((s.proj1, s.proj2) for s in settings))
 
 
 def design_matrix(settings: list[TomoSetting]) -> np.ndarray:
     """Real matrix mapping two-qubit Pauli components to setting probabilities.
 
     Row k is Tr(P_k sigma_i x sigma_j)/4 over the 16 Pauli pairs; full
-    column rank 16 means the settings are informationally complete.
+    column rank 16 means the settings are informationally complete.  The
+    array is cached per settings tuple and read-only.
     """
-    rows = []
-    for setting in settings:
-        p = setting.pair_projector()
-        rows.append([0.25 * np.trace(p @ g).real for g in _PAULI_PAIR])
-    return np.array(rows)
+    return _settings_table(settings).design
 
 
 def design_condition_number(settings: list[TomoSetting]) -> float:
@@ -186,6 +250,9 @@ def _flux_estimate(data: TomoData) -> float:
     raise ValueError("cannot estimate flux: no complete basis group and no estimate")
 
 
+_RANK_DEFICIENT = "design matrix is rank deficient; settings are not complete"
+
+
 def linear_reconstruct(data: TomoData) -> np.ndarray:
     """Linear inversion of the design matrix.
 
@@ -193,15 +260,15 @@ def linear_reconstruct(data: TomoData) -> np.ndarray:
     frequencies exactly; under Poisson noise it may have negative
     eigenvalues (check before treating it as a state).
     """
-    m = design_matrix(data.settings)
-    if np.linalg.matrix_rank(m) < 16:
-        raise ValueError("design matrix is rank deficient; settings are not complete")
+    table = _settings_table(data.settings)
+    if table.rank < 16:
+        raise ValueError(_RANK_DEFICIENT)
     probs = data.counts / _flux_estimate(data)
-    if m.shape[0] == 16:
-        s = np.linalg.solve(m, probs)
+    if len(probs) == 16:
+        s = np.linalg.solve(table.design, probs)
     else:
-        s, *_ = np.linalg.lstsq(m, probs, rcond=None)
-    rho = sum(si * gi for si, gi in zip(s, _PAULI_PAIR)) / 4
+        s, *_ = np.linalg.lstsq(table.design, probs, rcond=None)
+    rho = np.einsum("j,jab->ab", s, _PAULI_PAIR) / 4
     rho = (rho + rho.conj().T) / 2
     trace = np.trace(rho).real
     if trace <= 0:
@@ -209,91 +276,143 @@ def linear_reconstruct(data: TomoData) -> np.ndarray:
     return rho / trace
 
 
-_LOWER_SLOTS = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+_FULL_RANK_STEPS = 30  # Newton steps over T before the rank-boundary finish
+_BOUNDARY_STEPS = 50  # Newton steps per rank of the finish
+_DECREMENT_TOL = 1e-10  # Newton decrement g^T H^-1 g, in log-likelihood units
+_KKT_TOL = 1e-8  # allowed negative eigenvalue of the likelihood gradient
 
 
-def _factor_from_params(t: np.ndarray) -> np.ndarray:
-    factor = np.zeros((4, 4), dtype=complex)
-    factor[np.diag_indices(4)] = t[:4]
-    for i, (r, c) in enumerate(_LOWER_SLOTS):
-        factor[r, c] = t[4 + 2 * i] + 1j * t[5 + 2 * i]
-    return factor
+def _gram(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    factor = np.tensordot(x, basis, 1)
+    return factor @ factor.conj().T
 
 
-def _params_from_factor(factor: np.ndarray) -> np.ndarray:
-    t = np.zeros(16)
-    t[:4] = np.diag(factor).real
-    for i, (r, c) in enumerate(_LOWER_SLOTS):
-        t[4 + 2 * i] = factor[r, c].real
-        t[5 + 2 * i] = factor[r, c].imag
-    return t
+def _deviance(x: np.ndarray, quad: np.ndarray, counts: np.ndarray, pos: np.ndarray) -> float:
+    """Poisson deviance sum_k mu_k - n_k - n_k log(mu_k / n_k).
+
+    This is the negative log-likelihood up to a constant, measured from the
+    exact fit so that its rounding stays far below the Newton tolerance.
+    """
+    mu = (quad @ x) @ x
+    if np.any(mu[pos] <= 0):
+        return math.inf
+    return float(np.sum(mu - counts) - counts[pos] @ np.log(mu[pos] / counts[pos]))
 
 
-def _neg_log_likelihood(t: np.ndarray, counts: np.ndarray, projs: np.ndarray):
-    factor = _factor_from_params(t)
-    m = factor @ factor.conj().T
-    mu = np.einsum("ij,kji->k", m, projs).real
-    mu_safe = np.clip(mu, 1e-12, None)
-    nll = float(np.sum(mu) - np.sum(np.where(counts > 0, counts * np.log(mu_safe), 0.0)))
-    coeff = np.where(counts > 0, counts / mu_safe, 0.0) - 1.0
-    a = np.einsum("k,kij->ij", coeff, projs)
-    w = a @ factor
-    grad = np.zeros(16)
-    grad[:4] = 2 * np.diag(w).real
-    for i, (r, c) in enumerate(_LOWER_SLOTS):
-        grad[4 + 2 * i] = 2 * w[r, c].real
-        grad[5 + 2 * i] = 2 * w[r, c].imag
-    return nll, -grad
+def _newton(
+    x: np.ndarray, quad: np.ndarray, counts: np.ndarray, max_steps: int
+) -> tuple[np.ndarray, bool]:
+    """Damped (Levenberg-Marquardt) Newton on the deviance of mu_k = x^T Q_k x.
+
+    The Hessian is exact: 2 sum_k (1 - n_k/mu_k) Q_k + J^T diag(n/mu^2) J
+    with J_k = 2 Q_k x.  Converged means a positive definite Hessian and a
+    Newton decrement below _DECREMENT_TOL; the last Newton step is then
+    taken unless it leaves the domain (a zero mean where counts are seen).
+    Below that tolerance its gain is at the rounding level of the deviance,
+    so it is not tested for descent.
+    """
+    pos = counts > 0
+    f = _deviance(x, quad, counts, pos)
+    damping = 0.0
+    for _ in range(max_steps):
+        qx = quad @ x
+        mu = qx @ x
+        ratio = np.divide(counts, mu, out=np.zeros_like(mu), where=pos)
+        curvature = np.divide(ratio, mu, out=np.zeros_like(mu), where=pos)
+        grad = 2 * (1 - ratio) @ qx
+        hess = 2 * np.tensordot(1 - ratio, quad, 1) + 4 * qx.T @ (curvature[:, None] * qx)
+        evals, evecs = np.linalg.eigh(hess)
+        g = evecs.T @ grad
+        if evals[0] > 0 and g @ (g / evals) <= _DECREMENT_TOL:
+            final = x - evecs @ (g / evals)
+            return (x if _deviance(final, quad, counts, pos) == math.inf else final), True
+        scale = np.abs(evals).max()
+        # the smallest shift that makes the damped Hessian positive definite
+        shift = max(0.0, -evals[0]) + 1e-12 * scale
+        while True:
+            step = -evecs @ (g / (evals + shift + damping * scale))
+            f_new = _deviance(x + step, quad, counts, pos)
+            if f_new <= f:
+                break
+            damping = max(2 * damping, 1e-6)
+            if damping > 1e12:
+                return x, False
+        x, f = x + step, f_new
+        damping /= 4
+    return x, False
 
 
-def ml_reconstruct(
-    data: TomoData, seed: int = 0, n_starts: int = 3, max_iter: int = 500
-) -> np.ndarray:
+def _kkt_certified(m: np.ndarray, projectors: np.ndarray, counts: np.ndarray) -> bool:
+    """Whether the likelihood gradient G = sum_k (1 - n_k/mu_k) P_k at m is >= 0.
+
+    At a stationary point of a factor of m (G m = 0), G >= 0 (within
+    _KKT_TOL) is the KKT condition of the convex problem over m >= 0, so m
+    is the global optimum.
+    """
+    mu = np.einsum("ab,kba->k", m, projectors).real
+    weights = 1 - np.divide(counts, mu, out=np.zeros_like(mu), where=counts > 0)
+    gradient = np.tensordot(weights, projectors, 1)
+    return bool(np.linalg.eigvalsh(gradient)[0] >= -_KKT_TOL)
+
+
+def _rank_boundary_finish(m: np.ndarray, projectors: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Newton on a 4 x r factor spanned by the top-r eigenvectors of m, r = 1..4.
+
+    In the eigenbasis the lower-trapezoidal factor starts at the square roots
+    of the r largest eigenvalues, far from the degenerate zero pivots that
+    stall the full factor at a rank-deficient optimum.  Returns the first
+    certified result.
+    """
+    eigs, vecs = np.linalg.eigh(m)
+    eigs, vecs = eigs[::-1], vecs[:, ::-1]
+    for rank in range(1, 5):
+        basis = vecs @ _TRAPEZOID_BASES[rank]
+        x = np.zeros(len(basis))
+        x[:rank] = np.sqrt(np.maximum(eigs[:rank], 1e-9 * eigs[0]))
+        x, converged = _newton(x, _quadratic_forms(projectors, basis), counts, _BOUNDARY_STEPS)
+        m_rank = _gram(x, basis)
+        if converged and _kkt_certified(m_rank, projectors, counts):
+            return m_rank
+    raise ConvergenceError("no rank of the likelihood optimum passed the KKT certificate")
+
+
+def ml_reconstruct(data: TomoData, seed: int = 0) -> np.ndarray:
     """Maximum-likelihood density matrix for a tomography data set.
 
-    Maximizes the Poisson likelihood of the counts over the positive
-    factorization rho_tilde = T T^dag (T lower triangular, 16 real
-    parameters; its trace is the joint flux estimate).  Starts from the
-    positivity-repaired linear estimate plus seeded perturbations and
-    keeps the best optimum.  The result always satisfies every
-    density-matrix invariant.
+    Minimizes the Poisson negative log-likelihood sum_k mu_k - n_k log mu_k,
+    mu_k = Tr(T T^dag P_k) (T lower triangular, 16 real parameters; its
+    trace is the joint flux estimate), by one damped Newton solve from the
+    positivity-repaired linear estimate, finished on the rank boundary when
+    needed (see the module docstring).  The solve is deterministic; ``seed``
+    is accepted for compatibility and has no effect.  The result always
+    satisfies every density-matrix invariant.
+
+    Raises ValueError for informationally incomplete settings or all-zero
+    counts, and ConvergenceError when no rank passes the KKT certificate.
     """
-    projs = np.array([s.pair_projector() for s in data.settings])
-    counts = np.asarray(data.counts, dtype=float)
+    table = _settings_table(data.settings)
+    if table.rank < 16:
+        raise ValueError(_RANK_DEFICIENT)
+    counts = data.counts
+    if not counts.any():
+        raise ValueError("all counts are zero; there is no likelihood to maximize")
     flux = _flux_estimate(data)
     try:
         rho_init = repair_density_matrix(linear_reconstruct(data))
     except ValueError:
+        # complete settings whose linear estimate has trace <= 0
         rho_init = np.eye(4, dtype=complex) / 4
-    # tiny diagonal lift keeps the Cholesky factorization defined at the
-    # boundary without visibly moving the start
-    m0 = flux * (rho_init + 1e-12 * np.eye(4)) / (1 + 4e-12)
-    t0 = _params_from_factor(np.linalg.cholesky(m0))
-    rng = np.random.default_rng(seed)
-    scale = np.linalg.norm(t0)
-    best = None
-    n_ok = 0
-    for start in range(max(1, n_starts)):
-        x0 = t0 if start == 0 else t0 + rng.normal(0, 0.05 * scale, 16)
-        res = minimize(
-            _neg_log_likelihood,
-            x0,
-            args=(counts, projs),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": max_iter, "ftol": 1e-14},
-        )
-        if res.success:
-            n_ok += 1
-        if best is None or res.fun < best.fun:
-            best = res
-    if n_ok == 0:
-        raise ConvergenceError(
-            f"likelihood optimizer failed to converge in {n_starts} starts"
-        )
-    factor = _factor_from_params(best.x)
-    rho = factor @ factor.conj().T
-    rho = (rho + rho.conj().T) / 2
+    try:
+        tri = np.linalg.cholesky(flux * rho_init)
+    except np.linalg.LinAlgError:
+        # a tiny diagonal lift keeps the factor defined on the boundary
+        tri = np.linalg.cholesky(flux * (rho_init + 1e-12 * np.eye(4)))
+    x = np.tensordot(_CHOLESKY_BASIS.conj(), tri, 2).real
+    x, converged = _newton(x, table.quadratic_forms, counts, _FULL_RANK_STEPS)
+    m = _gram(x, _CHOLESKY_BASIS)
+    if not (converged and _kkt_certified(m, table.projectors, counts)):
+        m = _rank_boundary_finish(m, table.projectors, counts)
+    rho = (m + m.conj().T) / 2
     return rho / np.trace(rho).real
 
 

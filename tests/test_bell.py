@@ -414,6 +414,21 @@ def test_counts_csv_rejects_duplicate_setting(tmp_path):
         counts_from_csv(bad)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2.5"])
+def test_counts_csv_rejects_bad_duration(tmp_path, value):
+    bad = tmp_path / "dur.csv"
+    bad.write_text(f"# run\n# duration_s {value}\ntheta1_deg,theta2_deg,counts\n0,22.5,12\n")
+    with pytest.raises(InputFormatError, match="dur.csv:2: duration"):
+        counts_from_csv(bad)
+
+
+def test_counts_table_set_rejects_nan():
+    table = CountsTable()
+    with pytest.raises(ValueError, match="finite"):
+        table.set(0.0, 0.3, float("nan"))
+    assert table.entries == {}
+
+
 _DEGREES = st.integers(0, 1799).map(lambda k: k / 10)
 
 

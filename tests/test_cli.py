@@ -235,6 +235,23 @@ def test_tomo_reconstruct_non_finite_counts_exit_2(tmp_path, capsys):
     assert "nan.csv:3" in capsys.readouterr().err
 
 
+def test_tomo_reconstruct_incomplete_settings_exit_1(tmp_path, capsys):
+    path = tmp_path / "one_row.csv"
+    path.write_text("# total_flux_estimate 20\nsetting_index,proj1,proj2,counts\n0,H,H,5\n")
+    for method in ("ml", "linear"):
+        assert run_cli("tomo", "reconstruct", "--data", str(path), "--seed", "0", "--method", method) == 1
+        assert "not complete" in capsys.readouterr().err
+
+
+def test_tomo_reconstruct_singlet_converges(tmp_path, capsys):
+    # exit 3 on this file before the Newton solve
+    data = tmp_path / "singlet.csv"
+    args = ["--family", "singlet", "--counts", "40000", "--seed", "1", "--out", str(data)]
+    assert run_cli("tomo", "simulate", *args) == 0
+    assert run_cli("tomo", "reconstruct", "--data", str(data), "--seed", "0") == 0
+    capsys.readouterr()
+
+
 def test_bell_eval_duplicate_row_exit_2(tmp_path, capsys):
     counts = tmp_path / "counts.csv"
     assert (
@@ -306,3 +323,9 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert "ering" in out.stdout
+
+
+def test_import_loads_no_scipy():
+    code = "import ering, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

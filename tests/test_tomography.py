@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import minimize
 
 from ering.errors import InputFormatError
 from ering.sampling import random_density_matrix
@@ -13,6 +14,7 @@ from ering.states import (
     check_density_matrix,
     mems,
     projector,
+    repair_density_matrix,
     singlet,
     werner,
 )
@@ -141,8 +143,7 @@ def test_ml_deterministic():
 
 def test_ml_beats_projected_linear_start():
     # optimum likelihood must not be worse than the repaired linear start
-    from ering.states import repair_density_matrix
-    from ering.tomography import _flux_estimate, expected_probabilities
+    from ering.tomography import _flux_estimate
 
     data = simulate_tomography(projector(singlet()), 200, seed=4)
     rec = ml_reconstruct(data, seed=0)
@@ -166,6 +167,148 @@ def test_round_trip_median_infidelity_at_1e5():
             rec = ml_reconstruct(data, seed=seed)
             infids.append(1 - fidelity(rec, rho))
         assert np.median(infids) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Independent leg for ml_reconstruct: multi-start L-BFGS-B over the Cholesky
+# parameters, the solver ml_reconstruct used before its Newton solve.
+# ---------------------------------------------------------------------------
+
+_LOWER_SLOTS = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+
+
+def _factor_from_params(t):
+    factor = np.zeros((4, 4), dtype=complex)
+    factor[np.diag_indices(4)] = t[:4]
+    for i, (r, c) in enumerate(_LOWER_SLOTS):
+        factor[r, c] = t[4 + 2 * i] + 1j * t[5 + 2 * i]
+    return factor
+
+
+def _params_from_factor(factor):
+    t = np.zeros(16)
+    t[:4] = np.diag(factor).real
+    for i, (r, c) in enumerate(_LOWER_SLOTS):
+        t[4 + 2 * i] = factor[r, c].real
+        t[5 + 2 * i] = factor[r, c].imag
+    return t
+
+
+def _neg_log_likelihood(t, counts, projs):
+    factor = _factor_from_params(t)
+    m = factor @ factor.conj().T
+    mu = np.einsum("ij,kji->k", m, projs).real
+    mu_safe = np.clip(mu, 1e-12, None)
+    nll = float(np.sum(mu) - np.sum(np.where(counts > 0, counts * np.log(mu_safe), 0.0)))
+    coeff = np.where(counts > 0, counts / mu_safe, 0.0) - 1.0
+    w = np.einsum("k,kij->ij", coeff, projs) @ factor
+    grad = np.zeros(16)
+    grad[:4] = 2 * np.diag(w).real
+    for i, (r, c) in enumerate(_LOWER_SLOTS):
+        grad[4 + 2 * i] = 2 * w[r, c].real
+        grad[5 + 2 * i] = 2 * w[r, c].imag
+    return nll, -grad
+
+
+def lbfgs_ml_oracle(data, n_starts=3, seed=0):
+    """Best of n_starts L-BFGS-B runs from the repaired linear estimate and
+    seeded perturbations of it; the failure flags are ignored, the best
+    likelihood wins."""
+    projs = np.array([s.pair_projector() for s in data.settings])
+    counts = np.asarray(data.counts, dtype=float)
+    flux = float(counts[:4].sum())
+    rho_init = repair_density_matrix(linear_reconstruct(data))
+    t0 = _params_from_factor(np.linalg.cholesky(flux * (rho_init + 1e-12 * np.eye(4)) / (1 + 4e-12)))
+    rng = np.random.default_rng(seed)
+    best = None
+    for start in range(n_starts):
+        x0 = t0 if start == 0 else t0 + rng.normal(0, 0.05 * np.linalg.norm(t0), 16)
+        res = minimize(
+            _neg_log_likelihood, x0, args=(counts, projs), jac=True, method="L-BFGS-B",
+            options={"maxiter": 500, "ftol": 1e-14},
+        )
+        if best is None or res.fun < best.fun:
+            best = res
+    factor = _factor_from_params(best.x)
+    rho = factor @ factor.conj().T
+    return rho / np.trace(rho).real
+
+
+def profile_nll(rho, data):
+    """Poisson NLL of the counts under rho with the flux at its optimum
+    N = sum n / sum p (log n! dropped)."""
+    p = expected_probabilities(rho, data.settings)
+    n = data.counts
+    pos = n > 0
+    return float(n.sum() - n[pos] @ np.log(n.sum() / p.sum() * p[pos]))
+
+
+def kkt_residuals(rho, data):
+    """(lambda_min(G), max |G rho|) for the likelihood gradient
+    G = sum_k (1 - n_k/mu_k) P_k at the optimal flux: rho is the global ML
+    state exactly when G >= 0 and G rho = 0."""
+    p = expected_probabilities(rho, data.settings)
+    mu = data.counts.sum() / p.sum() * p
+    weights = 1 - np.divide(data.counts, mu, out=np.zeros_like(mu), where=data.counts > 0)
+    g = sum(w * s.pair_projector() for w, s in zip(weights, data.settings))
+    return float(np.linalg.eigvalsh(g)[0]), float(np.abs(g @ rho).max())
+
+
+_HH = projector(np.array([1, 0, 0, 0], dtype=complex))
+ORACLE_CORPUS = (
+    [(f"werner({p:.2f})", werner(p), 1) for p in np.linspace(0.05, 0.85, 5)]
+    + [(f"mems({p:.2f})", mems(p), 2) for p in np.linspace(0.05, 0.85, 5)]
+    + [(f"werner({p})", werner(p), 2) for p in (0.9, 0.99, 0.995, 0.999, 0.9999)]
+    + [("HH", _HH, 4)]
+    + [("singlet", projector(singlet()), seed) for seed in (1, 15, 21)]
+)
+
+
+@pytest.mark.parametrize(
+    "rho,seed", [case[1:] for case in ORACLE_CORPUS], ids=[c[0] for c in ORACLE_CORPUS]
+)
+def test_ml_matches_lbfgs_oracle_and_kkt(rho, seed):
+    data = simulate_tomography(rho, 40_000, seed=seed)
+    rec = ml_reconstruct(data, seed=0)
+    check_density_matrix(rec)
+    assert profile_nll(rec, data) <= profile_nll(lbfgs_ml_oracle(data), data) + 1e-8
+    lam_min, slack = kkt_residuals(rec, data)
+    assert lam_min >= -1e-8
+    assert slack <= 1e-8
+
+
+def test_ml_equals_linear_on_exact_interior_counts():
+    # a positive definite linear estimate of exact counts is already the optimum
+    for rho in (werner(0.47), mems(0.3)):
+        data = exact_tomography_counts(rho, 4e4)
+        assert np.abs(ml_reconstruct(data) - linear_reconstruct(data)).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 15, 21])
+def test_ml_converges_on_singlet_data(seed):
+    # seeds on which the former three-start L-BFGS raised ConvergenceError
+    data = simulate_tomography(projector(singlet()), 40_000, seed=seed)
+    assert fidelity(ml_reconstruct(data), projector(singlet())) > 0.99
+
+
+def test_ml_rejects_incomplete_settings():
+    data = TomoData([TomoSetting("H", "H")], [5.0], 20.0)
+    with pytest.raises(ValueError, match="not complete"):
+        ml_reconstruct(data)
+    with pytest.raises(ValueError, match="not complete"):
+        linear_reconstruct(data)
+
+
+def test_ml_rejects_all_zero_counts():
+    with pytest.raises(ValueError, match="zero"):
+        ml_reconstruct(TomoData(standard_settings(), np.zeros(16), 100.0))
+
+
+def test_design_matrix_is_cached_read_only():
+    m = design_matrix(standard_settings())
+    assert m is design_matrix(standard_settings())
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
 
 
 def test_fidelity_basics(rng):
