@@ -98,7 +98,10 @@ def observable(setting: BlochSetting) -> np.ndarray:
 
 def correlation(rho: np.ndarray, s1: BlochSetting, s2: BlochSetting) -> float:
     """Correlation function P = Tr(rho O1 x O2), real, in [-1, 1]."""
-    rho = check_density_matrix(rho)
+    return _correlation(check_density_matrix(rho), s1, s2)
+
+
+def _correlation(rho: np.ndarray, s1: BlochSetting, s2: BlochSetting) -> float:
     value = np.trace(rho @ np.kron(observable(s1), observable(s2)))
     if abs(value.imag) > 1e-10:
         raise ValueError(f"correlation has imaginary part {value.imag:.3e}")
@@ -117,12 +120,13 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
 
 
 def chsh(rho: np.ndarray, settings: ChshSettings) -> float:
-    """Signed CHSH parameter S for a state and four analyzer directions."""
+    """Signed CHSH parameter S: the state is validated once, then four correlations."""
+    rho = check_density_matrix(rho)
     s = (
-        correlation(rho, settings.a1, settings.a2)
-        - correlation(rho, settings.a1, settings.a2p)
-        + correlation(rho, settings.a1p, settings.a2)
-        + correlation(rho, settings.a1p, settings.a2p)
+        _correlation(rho, settings.a1, settings.a2)
+        - _correlation(rho, settings.a1, settings.a2p)
+        + _correlation(rho, settings.a1p, settings.a2)
+        + _correlation(rho, settings.a1p, settings.a2p)
     )
     if abs(s) > TSIRELSON_BOUND + 1e-9:
         raise ValueError(f"CHSH value {s} exceeds the quantum bound 2*sqrt(2)")
@@ -201,17 +205,17 @@ def _setting_from_vector(v: np.ndarray) -> BlochSetting:
 # ---------------------------------------------------------------------------
 
 
-def polarizer_ket(theta: float) -> np.ndarray:
-    """Single-photon linear polarization ket (cos theta, sin theta)."""
-    return np.array([math.cos(theta), math.sin(theta)], dtype=complex)
+def polarizer_kets(theta) -> np.ndarray:
+    """Linear polarization kets (cos theta, sin theta), shape ``theta.shape + (2,)``."""
+    return np.stack((np.cos(theta), np.sin(theta)), axis=-1)
 
 
-def joint_detection_probability(rho: np.ndarray, theta1: float, theta2: float) -> float:
-    """Tr(rho P_theta1 x P_theta2) for linear analyzers on both arms."""
-    k1 = polarizer_ket(theta1)
-    k2 = polarizer_ket(theta2)
-    pair = np.kron(k1, k2)
-    return float(np.real(pair.conj() @ np.asarray(rho, dtype=complex) @ pair))
+def joint_detection_probability(rho: np.ndarray, theta1, theta2):
+    """Tr(rho P_theta1 x P_theta2) for linear analyzers; broadcasts, scalar angles give a float."""
+    k1, k2 = polarizer_kets(theta1), polarizer_kets(theta2)
+    rho = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2).real  # the kets are real
+    p = np.einsum("...a,...b,abcd,...c,...d->...", k1, k2, rho, k1, k2)
+    return float(p) if np.ndim(p) == 0 else p
 
 
 def angle_label(theta: float) -> str:

@@ -8,6 +8,7 @@ Every stochastic subcommand requires an explicit ``--seed``; rerunning
 with the same arguments, config and seed reproduces byte-identical
 output files, and each file-writing run leaves a ``*.manifest.json``
 recording the command line, config snapshot, seed, version and outputs.
+``tomo reconstruct`` is deterministic; its optional ``--seed`` is only recorded.
 
 Exit codes: 0 success, 1 domain error (including informationally
 incomplete tomography settings), 2 input-format error, 3 no rank of the
@@ -369,7 +370,7 @@ def cmd_tomo_reconstruct(args) -> int:
     if args.method == "linear":
         rho = linear_reconstruct(data)
     else:
-        rho = ml_reconstruct(data, seed=args.seed)
+        rho = ml_reconstruct(data)
     min_eig = float(np.linalg.eigvalsh(rho).min())
     physical = min_eig >= -1e-10
     report = {
@@ -548,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--data", required=True, help="counts CSV from 'tomo simulate'")
     p_rec.add_argument("--method", choices=["ml", "linear"], default="ml")
     p_rec.add_argument(
-        "--seed", type=int, required=True, help="recorded in the manifest; the ML solve is deterministic"
+        "--seed", type=int, help="optional, recorded in the manifest; the ML solve is deterministic"
     )
     p_rec.add_argument("--target", help="density-matrix JSON to compare against")
     p_rec.add_argument("--out", help="write the JSON report here")

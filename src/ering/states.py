@@ -35,13 +35,15 @@ WEIGHT_SUM_ATOL = 1e-9
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate a 4x4 density matrix and return it as a complex array.
 
-    Raises ValueError if the matrix is not 4x4, not Hermitian within
-    1e-12, not unit trace within 1e-12, or has an eigenvalue below -1e-10.
+    Raises ValueError unless the matrix is 4x4, finite, Hermitian and of unit
+    trace within 1e-12, with no eigenvalue below -1e-10.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-    if not np.allclose(rho, rho.conj().T, atol=HERMITIAN_ATOL, rtol=0):
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
+    if np.abs(rho - rho.conj().T).max() > HERMITIAN_ATOL:
         raise ValueError("density matrix is not Hermitian within 1e-12")
     if abs(np.trace(rho) - 1.0) > TRACE_ATOL:
         raise ValueError(f"density matrix trace {np.trace(rho):.3e} is not 1 within 1e-12")

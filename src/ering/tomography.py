@@ -194,10 +194,8 @@ class TomoData:
 
 
 def expected_probabilities(rho: np.ndarray, settings: list[TomoSetting]) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    return np.array(
-        [np.trace(rho @ s.pair_projector()).real for s in settings]
-    )
+    """Tr(rho P_k) for every setting, against the cached pair projectors."""
+    return np.einsum("kab,ba->k", _settings_table(settings).projectors, rho).real
 
 
 def simulate_tomography(

@@ -303,6 +303,28 @@ def test_chsh_optimize_settings_reach_oracle():
         assert abs(abs(chsh(rho, settings)) - s_max) <= 1e-12
 
 
+def test_chsh_equals_sum_of_four_correlations(rng):
+    for _ in range(50):
+        rho = random_density_matrix(rng)
+        a1, a1p, a2, a2p = (
+            BlochSetting(*rng.uniform(-math.pi, math.pi, 2)) for _ in range(4)
+        )
+        expected = (
+            correlation(rho, a1, a2)
+            - correlation(rho, a1, a2p)
+            + correlation(rho, a1p, a2)
+            + correlation(rho, a1p, a2p)
+        )
+        assert chsh(rho, ChshSettings(a1, a1p, a2, a2p)) == expected
+
+
+def test_chsh_validates_the_state():
+    bad = werner(0.8).copy()
+    bad[0, 1] = 0.1
+    with pytest.raises(ValueError, match="Hermitian"):
+        chsh(bad, STANDARD_PLAN.bloch_settings())
+
+
 def test_tsirelson_never_exceeded(rng):
     for _ in range(200):
         rho = random_density_matrix(rng)

@@ -200,6 +200,26 @@ def test_tomo_round_trip(tmp_path, capsys):
     assert (tmp_path / "report.manifest.json").exists()
 
 
+def test_tomo_reconstruct_seed_is_optional(tmp_path, capsys):
+    data_csv = tmp_path / "tomo.csv"
+    assert (
+        run_cli(
+            "tomo", "simulate", "--family", "mems", "--p", "0.6",
+            "--counts", "10000", "--seed", "4", "--out", str(data_csv),
+        )
+        == 0
+    )
+    with_seed, without_seed = tmp_path / "with.json", tmp_path / "without.json"
+    assert run_cli("tomo", "reconstruct", "--data", str(data_csv), "--seed", "0",
+                   "--out", str(with_seed)) == 0
+    assert run_cli("tomo", "reconstruct", "--data", str(data_csv), "--out", str(without_seed)) == 0
+    capsys.readouterr()
+    assert without_seed.read_text() == with_seed.read_text()
+    manifest = json.loads((tmp_path / "without.manifest.json").read_text())
+    assert manifest["master_seed"] is None
+    assert json.loads((tmp_path / "with.manifest.json").read_text())["master_seed"] == 0
+
+
 def test_tomo_reconstruct_exact_counts(tmp_path, capsys):
     data = exact_tomography_counts(mems(0.77), 1e5)
     path = tmp_path / "exact.csv"

@@ -5,7 +5,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ering.bell import STANDARD_PLAN, chsh_from_counts, correlation_from_counts
+from ering.bell import (
+    STANDARD_PLAN,
+    angle_label,
+    chsh_from_counts,
+    correlation_from_counts,
+    joint_detection_probability,
+)
 from ering.sampling import random_density_matrix
 from ering.source import (
     COHERENCE_TIME_SCALE,
@@ -31,6 +37,7 @@ from ering.source import (
     sector_area,
     simulate_bell_test,
     simulate_coincidences,
+    singles_rate,
     synthesize,
     werner_partition,
 )
@@ -361,6 +368,130 @@ def test_simulate_bell_test_splits_duration():
     assert len(table.entries) == 16
     s, sigma = chsh_from_counts(table, plan)
     assert abs(s) == pytest.approx(2 * math.sqrt(2) * CFG.visibility, abs=5 * sigma)
+
+
+# ---------------------------------------------------------------------------
+# per-setting oracle for the batched coincidence kernel: one ket, one
+# kron/outer projector and one trace per joint setting
+# ---------------------------------------------------------------------------
+
+
+def oracle_polarizer_ket(theta):
+    return np.array([math.cos(theta), math.sin(theta)], dtype=complex)
+
+
+def oracle_analyzer_projector(theta):
+    ket = oracle_polarizer_ket(theta)
+    return np.outer(ket, ket.conj())
+
+
+def oracle_joint_probability(rho, theta1, theta2):
+    op = np.kron(oracle_analyzer_projector(theta1), oracle_analyzer_projector(theta2))
+    return float(np.real(np.trace(rho @ op)))
+
+
+def oracle_singles_rate(rho, theta, arm, config):
+    proj = oracle_analyzer_projector(theta)
+    op = np.kron(proj, np.eye(2)) if arm == 1 else np.kron(np.eye(2), proj)
+    marginal = float(np.real(np.trace(rho @ op)))
+    arm_transmission = math.sqrt(config.transmission)
+    return config.pair_rate * config.detector_qe * arm_transmission * marginal + config.dark_rate
+
+
+def oracle_coincidence_rate(rho, theta1, theta2, config):
+    signal = detected_pair_rate(config) * oracle_joint_probability(rho, theta1, theta2)
+    accidental = (
+        oracle_singles_rate(rho, theta1, 1, config)
+        * oracle_singles_rate(rho, theta2, 2, config)
+        * config.coincidence_window
+    )
+    return signal + accidental
+
+
+def random_config(rng):
+    return SourceConfig(
+        dark_rate=float(rng.uniform(0.0, 500.0)),
+        coincidence_window=float(rng.uniform(0.0, 50e-9)),
+        visibility=float(rng.uniform(0.0, 1.0)),
+    )
+
+
+def test_batched_rates_match_per_setting_oracle(rng):
+    for _ in range(100):
+        rho = random_density_matrix(rng)
+        cfg = random_config(rng)
+        theta1, theta2 = rng.uniform(-4.0, 4.0, (2, int(rng.integers(1, 40))))
+        rates = expected_coincidence_rate(rho, theta1, theta2, cfg)
+        singles1 = singles_rate(rho, theta1, 1, cfg)
+        singles2 = singles_rate(rho, theta2, 2, cfg)
+        probs = joint_detection_probability(rho, theta1, theta2)
+        for k, (t1, t2) in enumerate(zip(theta1, theta2)):
+            assert rates[k] == pytest.approx(oracle_coincidence_rate(rho, t1, t2, cfg), rel=1e-13)
+            assert singles1[k] == pytest.approx(oracle_singles_rate(rho, t1, 1, cfg), rel=1e-13)
+            assert singles2[k] == pytest.approx(oracle_singles_rate(rho, t2, 2, cfg), rel=1e-13)
+            assert probs[k] == pytest.approx(oracle_joint_probability(rho, t1, t2), rel=1e-13)
+
+
+def test_batched_rates_broadcast_one_fixed_analyzer(rng):
+    rho = random_density_matrix(rng)
+    theta1 = rng.uniform(0.0, math.pi, 7)
+    rates = expected_coincidence_rate(rho, theta1, 0.4, CFG)
+    assert rates.shape == (7,)
+    for rate, t1 in zip(rates, theta1):
+        assert rate == pytest.approx(oracle_coincidence_rate(rho, t1, 0.4, CFG), rel=1e-13)
+
+
+def test_batched_tables_match_per_setting_poisson_draws(rng):
+    for seed in range(40):
+        rho = random_density_matrix(rng)
+        cfg = random_config(rng)
+        plan = [(float(a), float(b)) for a, b in rng.uniform(-4.0, 4.0, (16, 2))]
+        duration = float(rng.uniform(0.1, 100.0))
+        table = simulate_coincidences(rho, plan, duration, cfg, seed)
+        rho_v = apply_effective_visibility(rho, cfg.visibility)
+        draws = np.random.default_rng(seed)
+        expected = {
+            (angle_label(t1), angle_label(t2)): int(
+                draws.poisson(oracle_coincidence_rate(rho_v, t1, t2, cfg) * duration)
+            )
+            for t1, t2 in plan
+        }
+        assert table.entries == expected
+        assert list(table.entries) == list(expected)
+
+
+def test_scalar_rate_calls_return_float():
+    rho = werner(0.8)
+    assert type(expected_coincidence_rate(rho, 0.1, 0.2, CFG)) is float
+    assert type(singles_rate(rho, 0.1, 1, CFG)) is float
+    assert type(singles_rate(rho, 0.1, 2, CFG)) is float
+    assert type(joint_detection_probability(rho, 0.1, 0.2)) is float
+
+
+def test_simulate_coincidences_rejects_repeated_setting():
+    rho = projector(singlet())
+    with pytest.raises(ValueError, match="repeats"):
+        simulate_coincidences(rho, [(0.0, 0.0), (math.pi, 0.0)], 1.0, SourceConfig(), 1)
+    with pytest.raises(ValueError, match="repeats"):
+        simulate_coincidences(rho, [(0.1, 0.2), (0.3, 0.4), (0.1, 0.2)], 1.0, SourceConfig(), 1)
+
+
+@pytest.mark.parametrize("arm", [0, 3, 7, -1])
+def test_singles_rate_rejects_unknown_arm(arm):
+    with pytest.raises(ValueError, match="arm"):
+        singles_rate(werner(0.8), 0.1, arm, CFG)
+
+
+def test_noiseless_null_settings_count_zero():
+    # rates that vanish exactly can round below zero; they must count 0, not raise
+    grid = np.linspace(0.0, 3.0, 50)
+    cases = [
+        (projector(singlet()), [(t, t) for t in grid]),
+        (projector(bell_state("phi", 0.0)), [(t, t + math.pi / 2) for t in grid]),
+    ]
+    for rho, plan in cases:
+        table = simulate_coincidences(rho, plan, 1.0, CLEAN_CFG, seed=1)
+        assert set(table.entries.values()) == {0}
 
 
 # ---------------------------------------------------------------------------

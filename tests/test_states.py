@@ -255,6 +255,21 @@ def test_check_density_matrix_rejects_bad_input():
     assert not is_physical(bad_psd)
 
 
+def test_check_density_matrix_hermitian_tolerance():
+    good = werner(0.5)
+    for eps, accepted in ((5e-13, True), (2e-12, False)):
+        for entry in ((0, 1), (2, 3)):
+            rho = good.copy()
+            rho[entry] += eps * 1j  # |rho - rho^dag| reaches eps at (i, j) and (j, i)
+            assert is_physical(rho) == accepted
+    for value in (np.nan, np.inf, -np.inf, complex(0, np.inf)):
+        for entry in ((0, 0), (0, 1), (3, 2)):
+            rho = good.copy()
+            rho[entry] = value
+            with pytest.raises(ValueError):
+                check_density_matrix(rho)
+
+
 def test_repair_density_matrix_clips_and_renormalizes():
     dirty = np.diag([0.7, 0.4, -0.1, 0.0]).astype(complex)
     repaired = states.repair_density_matrix(dirty)
