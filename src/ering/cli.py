@@ -332,7 +332,7 @@ def cmd_figure(args) -> int:
     else:
         raise ValueError(f"unknown figure id {args.id}; valid ids: 2, 3, 4, 8, 11, 12")
 
-    manifest = _write_manifest(out_path, sys.argv[1:], config, seed, [out_path], t0)
+    manifest = _write_manifest(out_path, args.argv, config, seed, [out_path], t0)
     print(f"wrote {out_path} and {manifest}")
     return 0
 
@@ -359,7 +359,7 @@ def cmd_tomo_simulate(args) -> int:
     if args.target_out:
         save_density_matrix(rho, args.target_out)
         outputs.append(Path(args.target_out))
-    _write_manifest(out, sys.argv[1:], None, args.seed, outputs, t0)
+    _write_manifest(out, args.argv, None, args.seed, outputs, t0)
     print(f"wrote {out}")
     return 0
 
@@ -397,7 +397,7 @@ def cmd_tomo_reconstruct(args) -> int:
     if args.out:
         out = Path(args.out)
         out.write_text(text + "\n")
-        _write_manifest(out, sys.argv[1:], None, args.seed, [out], t0)
+        _write_manifest(out, args.argv, None, args.seed, [out], t0)
     return 0
 
 
@@ -428,7 +428,7 @@ def cmd_bell_simulate(args) -> int:
     table, _ = simulate_bell_test(rho, args.duration, config, args.seed, plan)
     out = Path(args.out)
     counts_to_csv(table, out)
-    _write_manifest(out, sys.argv[1:], config, args.seed, [out], t0)
+    _write_manifest(out, args.argv, config, args.seed, [out], t0)
     print(f"wrote {out}")
     return 0
 
@@ -591,8 +591,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = argv  # recorded in manifests
     try:
         return args.func(args)
     except InputFormatError as exc:

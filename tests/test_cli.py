@@ -76,6 +76,15 @@ def test_figure3_deterministic(tmp_path, capsys):
     assert "config" in manifest and "wall_clock_s" in manifest
 
 
+def test_manifest_records_main_argv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["x", "--unrelated", "x"])
+    argv = ["figure", "3", "--seed", "1", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "fig3.manifest.json").read_text())
+    assert manifest["command"] == ["ering", *argv]
+
+
 def test_figure12_parallel_matches_serial(tmp_path, capsys):
     d1, d2 = tmp_path / "serial", tmp_path / "par"
     args = ["figure", "12", "--seed", "9", "--duration", "2"]
