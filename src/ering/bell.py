@@ -24,12 +24,12 @@ independent check of the value.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import csvfile
 from .errors import InputFormatError
 from .states import check_density_matrix
 
@@ -268,6 +268,9 @@ class AnglePlan:
 STANDARD_PLAN = AnglePlan(0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
 
 
+_COUNTS_HEADER = ["theta1_deg", "theta2_deg", "counts"]
+
+
 def _orthogonal_combos(t1: float, t2: float) -> list[tuple[float, float]]:
     h = math.pi / 2
     return [(t1, t2), (t1 + h, t2 + h), (t1, t2 + h), (t1 + h, t2)]
@@ -296,12 +299,6 @@ class CountsTable:
         if counts < 0:
             raise ValueError("counts must be nonnegative")
         self.entries[(angle_label(theta1), angle_label(theta2))] = counts
-
-    def scaled(self, factor: float) -> "CountsTable":
-        """New table with every count multiplied by ``factor``."""
-        return CountsTable(
-            {k: v * factor for k, v in self.entries.items()}, self.duration
-        )
 
 
 def correlation_from_counts(counts: CountsTable, theta1: float, theta2: float) -> tuple[float, float]:
@@ -348,56 +345,21 @@ def expected_counts(
 
 def counts_to_csv(counts: CountsTable, path) -> None:
     """Write ``theta1_deg,theta2_deg,counts`` rows, one per joint setting."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# duration_s {counts.duration:.10g}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["theta1_deg", "theta2_deg", "counts"])
-        for (l1, l2), n in sorted(counts.entries.items()):
-            writer.writerow([l1, l2, int(n) if float(n).is_integer() else f"{n:.10g}"])
+    rows = [
+        (l1, l2, int(n) if float(n).is_integer() else float(n))
+        for (l1, l2), n in sorted(counts.entries.items())
+    ]
+    csvfile.write(path, _COUNTS_HEADER, rows, {"duration_s": counts.duration})
 
 
 def counts_from_csv(path) -> CountsTable:
     """Parse a counts CSV; raises InputFormatError with the offending line."""
-    entries: dict[tuple[str, str], int] = {}
-    duration = 1.0
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    body_start = 0
-    for i, line in enumerate(lines):
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "duration_s":
-                try:
-                    duration = float(parts[1])
-                except ValueError:
-                    raise InputFormatError(f"{path}:{i + 1}: bad duration {parts[1]!r}")
-                if not (math.isfinite(duration) and duration > 0):
-                    raise InputFormatError(
-                        f"{path}:{i + 1}: duration must be finite and positive, got {parts[1]!r}"
-                    )
-            body_start = i + 1
-        else:
-            break
-    if body_start >= len(lines) or lines[body_start].strip() != "theta1_deg,theta2_deg,counts":
-        raise InputFormatError(
-            f"{path}:{body_start + 1}: expected header 'theta1_deg,theta2_deg,counts'"
-        )
-    for i, line in enumerate(lines[body_start + 1 :], start=body_start + 2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise InputFormatError(f"{path}:{i}: expected 3 fields, got {len(parts)}")
-        try:
-            t1, t2, n = (float(v) for v in parts)
-        except ValueError as exc:
-            raise InputFormatError(f"{path}:{i}: {exc}")
-        if not all(map(math.isfinite, (t1, t2, n))):
-            raise InputFormatError(f"{path}:{i}: non-finite value in {line.strip()!r}")
-        if n < 0:
-            raise InputFormatError(f"{path}:{i}: negative counts {n:g}")
-        key = (angle_label(math.radians(t1)), angle_label(math.radians(t2)))
+    comments, rows = csvfile.read(path, _COUNTS_HEADER, {"duration_s": 1.0})
+    entries: dict[tuple[str, str], float] = {}
+    for where, (t1, t2, n) in rows:
+        key = tuple(angle_label(math.radians(csvfile.number(where, t, "angle"))) for t in (t1, t2))
+        n = csvfile.count(where, n)
         if key in entries:
-            raise InputFormatError(f"{path}:{i}: duplicate setting {key}")
+            raise InputFormatError(f"{where}: duplicate setting {key}")
         entries[key] = int(n) if n.is_integer() else n
-    return CountsTable(entries, duration)
+    return CountsTable(entries, comments["duration_s"])

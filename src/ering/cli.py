@@ -10,9 +10,15 @@ output files, and each file-writing run leaves a ``*.manifest.json``
 recording the command line, config snapshot, seed, version and outputs.
 ``tomo reconstruct`` is deterministic; its optional ``--seed`` is only recorded.
 
+Every ``--family`` value of every subcommand is built by the one registry
+``STATES``; ``state --via patchwork`` builds werner and mems only.  All
+CSV files share the layout of ``ering.csvfile``.
+
 Exit codes: 0 success, 1 domain error (including informationally
-incomplete tomography settings), 2 input-format error, 3 no rank of the
-maximum-likelihood reconstruction passed its optimality certificate.
+incomplete tomography settings), 2 usage or input-format error (a
+non-finite float flag, ``--family file`` without ``--state``, a malformed
+CSV or density-matrix file), 3 no rank of the maximum-likelihood
+reconstruction passed its optimality certificate.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, csvfile
 from .bell import (
     AnglePlan,
     STANDARD_PLAN,
@@ -84,7 +90,6 @@ from .tomography import (
     linear_reconstruct,
     ml_reconstruct,
     simulate_tomography,
-    standard_settings,
     tomo_data_from_csv,
     tomo_data_to_csv,
 )
@@ -105,71 +110,66 @@ def _load_base_config(args) -> SourceConfig:
         if not _:
             raise InputFormatError(f"--set expects key=value, got {item!r}")
         overrides[key] = value
-    if overrides:
-        config = config_with_overrides(config, overrides)
-    return config
+    return config_with_overrides(config, overrides)
 
 
 def _derived_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([master, index]).generate_state(1)[0])
 
 
-def _write_manifest(out_path: Path, args_list, config, seed, outputs, t0) -> Path:
+def _write_manifest(args, config, outputs: list[Path], t0) -> Path:
+    """Record the run next to its first output."""
     manifest = {
-        "command": ["ering", *args_list],
+        "command": ["ering", *args.argv],
         "config": config_to_dict(config) if config is not None else None,
-        "master_seed": seed,
+        "master_seed": args.seed,
         "version": __version__,
         "outputs": [str(p) for p in outputs],
         "wall_clock_s": round(time.monotonic() - t0, 3),
     }
-    path = out_path.with_suffix(".manifest.json")
+    path = outputs[0].with_suffix(".manifest.json")
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     return path
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _print_report(report: dict, out) -> None:
+    text = json.dumps(report, indent=2)
+    print(text)
+    if out:
+        Path(out).write_text(text + "\n")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
+def finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and infinities are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
-# ---------------------------------------------------------------------------
-# state
-# ---------------------------------------------------------------------------
+#: Every --family value of every subcommand -> the state built from the flags.
+STATES = {
+    WERNER: lambda args: werner(args.p),
+    MEMS: lambda args: mems(args.p),
+    "bell": lambda args: projector(bell_state(args.kind, args.phi)),
+    "singlet": lambda args: projector(singlet()),
+    "nonmax": lambda args: projector(nonmax_state(math.radians(args.theta_p))),
+    "tuned": lambda args: tune_entanglement(args.fidelity, args.a),
+    "file": lambda args: load_density_matrix(args.state),
+}
+
+#: The families that ``state --via patchwork`` builds from sector weights.
+PATCHWORK = {WERNER: werner_partition, MEMS: mems_partition}
 
 
-def _build_state(args) -> tuple[np.ndarray, str | None, float | None]:
-    via_patchwork = getattr(args, "via", "formula") == "patchwork"
-    if args.family == "werner":
-        if via_patchwork:
-            return synthesize(werner_partition(args.p), math.pi), WERNER, args.p
-        return werner(args.p), WERNER, args.p
-    if args.family == "mems":
-        if via_patchwork:
-            return synthesize(mems_partition(args.p), math.pi), MEMS, args.p
-        return mems(args.p), MEMS, args.p
-    if args.family == "bell":
-        return projector(bell_state(args.kind, args.phi)), None, None
-    if args.family == "singlet":
-        return projector(singlet()), None, None
-    if args.family == "nonmax":
-        return projector(nonmax_state(math.radians(args.theta_p))), None, None
-    if args.family == "tuned":
-        return tune_entanglement(args.fidelity, args.a), None, None
-    raise ValueError(f"unknown family {args.family!r}")
+def _build_state(args) -> np.ndarray:
+    if getattr(args, "via", "formula") == "patchwork":
+        return synthesize(PATCHWORK[args.family](args.p), math.pi)
+    return STATES[args.family](args)
 
 
 def cmd_state(args) -> int:
-    rho, family, p = _build_state(args)
-    check_density_matrix(rho)
+    rho = check_density_matrix(_build_state(args))
     separable, negativity = is_separable_ppt(rho)
     s_max, _ = chsh_optimize(rho)
     report = {
@@ -181,14 +181,11 @@ def cmd_state(args) -> int:
         "separable": separable,
         "s_max_abs": s_max,
     }
-    if family is not None:
-        cls = classify(family, p)
+    if args.family in (WERNER, MEMS):
+        cls = classify(args.family, args.p)
         report["region"] = cls.region.value
         report["s_l_interval"] = list(cls.s_l_interval)
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
+    _print_report(report, args.out)
     return 0
 
 
@@ -213,29 +210,18 @@ def cmd_source(args) -> int:
             "phi_rad": geom.phi,
             "visibility": displacement_visibility(args.displacement_um * 1e-6, config),
         }
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
+    _print_report(report, args.out)
     return 0
 
 
-# ---------------------------------------------------------------------------
-# figure
-# ---------------------------------------------------------------------------
-
-
-def _fig2_point(item):
-    theta1_deg, theta2_deg, duration, config, seed = item
+def _fig2_point(theta1_deg, duration, config, seed):
+    setting = (math.radians(theta1_deg), math.radians(45.0))
     rho = projector(bell_state("phi", math.pi))
-    table = simulate_coincidences(
-        rho, [(math.radians(theta1_deg), math.radians(theta2_deg))], duration, config, seed
-    )
-    return theta1_deg, table.get(math.radians(theta1_deg), math.radians(theta2_deg))
+    table = simulate_coincidences(rho, [setting], duration, config, seed)
+    return theta1_deg, table.get(*setting)
 
 
-def _fig4_point(item):
-    r, duration, config, seed = item
+def _fig4_point(r, duration, config, seed):
     full = sector_area(config.mask_diameter, config)
     fraction = sector_area(r, config) / full
     scaled = config_with_overrides(config, {"pair_rate": config.pair_rate * fraction})
@@ -253,16 +239,14 @@ def _fig4_point(item):
     return r * 1e3, visibility, n_max / duration
 
 
-def _fig12_point(item):
-    p, duration, config, seed = item
+def _fig12_point(p, duration, config, seed):
     table, plan = simulate_bell_test(werner(p), duration, config, seed)
     s, sigma = chsh_from_counts(table, plan)
     return p, abs(s), sigma
 
 
-def _fig_tomo_point(item):
-    family, p, counts, config, seed = item
-    rho = werner(p) if family == WERNER else mems(p)
+def _fig_tomo_point(family, p, counts, seed):
+    rho = STATES[family](argparse.Namespace(p=p))
     data = simulate_tomography(rho, counts, seed)
     rec = ml_reconstruct(data)
     s_l = linear_entropy(rec)
@@ -279,7 +263,6 @@ def cmd_figure(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"fig{args.id}.csv"
-    seed = args.seed
     if args.duration is None:
         args.duration = 180.0 if args.id == 12 else 1.0
     if args.duration <= 0:
@@ -289,78 +272,60 @@ def cmd_figure(args) -> int:
 
     if args.id == 2:
         grid = np.arange(45.0, 135.0 + 1e-9, 2.5)
-        items = [
-            (t1, 45.0, args.duration, config, _derived_seed(seed, i))
+        rows = [
+            _fig2_point(t1, args.duration, config, seed=_derived_seed(args.seed, i))
             for i, t1 in enumerate(grid)
         ]
-        rows = [_fig2_point(item) for item in items]
-        _write_csv(out_path, ["theta1_deg", "coincidences"], rows)
+        csvfile.write(out_path, ["theta1_deg", "coincidences"], rows)
     elif args.id == 3:
         xs = np.linspace(-100e-6, 100e-6, 101)
         curve = ou_mandel_scan(args.phi, xs, config)
         rows = []
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(args.seed)
         for x, c in curve:
             if args.counts_per_point > 0:
                 c = rng.poisson(args.counts_per_point * c) / args.counts_per_point
             rows.append((x * 1e6, c))
-        _write_csv(out_path, ["x_um", "normalized_coincidence"], rows)
+        csvfile.write(out_path, ["x_um", "normalized_coincidence"], rows)
     elif args.id == 4:
         grid = np.linspace(0.5e-3, config.mask_diameter, 20)
-        items = [
-            (r, args.duration, config, _derived_seed(seed, i)) for i, r in enumerate(grid)
+        rows = [
+            _fig4_point(r, args.duration, config, seed=_derived_seed(args.seed, i))
+            for i, r in enumerate(grid)
         ]
-        rows = [_fig4_point(item) for item in items]
-        _write_csv(out_path, ["r_mm", "visibility", "rate_hz"], rows)
+        csvfile.write(out_path, ["r_mm", "visibility", "rate_hz"], rows)
     elif args.id in (8, 11):
         family = WERNER if args.id == 8 else MEMS
         grid = np.linspace(0.05, 0.95, 13)
-        items = [
-            (family, p, args.counts_per_setting, config, _derived_seed(seed, i))
+        rows = [
+            _fig_tomo_point(family, p, args.counts_per_setting, seed=_derived_seed(args.seed, i))
             for i, p in enumerate(grid)
         ]
-        rows = [_fig_tomo_point(item) for item in items]
-        _write_csv(out_path, ["S_L", "T", "family", "p", "T_curve"], rows)
-    elif args.id == 12:
+        csvfile.write(out_path, ["S_L", "T", "family", "p", "T_curve"], rows)
+    else:  # 12; argparse admits no other id
         grid = np.linspace(0.05, 1.0, 20)
-        items = [
-            (p, args.duration, config, _derived_seed(seed, i))
+        rows = [
+            _fig12_point(p, args.duration, config, seed=_derived_seed(args.seed, i))
             for i, p in enumerate(grid)
         ]
-        rows = [_fig12_point(item) for item in items]
-        _write_csv(out_path, ["p", "abs_S", "sigma_S"], rows)
-    else:
-        raise ValueError(f"unknown figure id {args.id}; valid ids: 2, 3, 4, 8, 11, 12")
+        csvfile.write(out_path, ["p", "abs_S", "sigma_S"], rows)
 
-    manifest = _write_manifest(out_path, args.argv, config, seed, [out_path], t0)
+    manifest = _write_manifest(args, config, [out_path], t0)
     print(f"wrote {out_path} and {manifest}")
     return 0
 
 
-# ---------------------------------------------------------------------------
-# tomo
-# ---------------------------------------------------------------------------
-
-
 def cmd_tomo_simulate(args) -> int:
     t0 = time.monotonic()
-    if args.family == "werner":
-        rho = werner(args.p)
-    elif args.family == "mems":
-        rho = mems(args.p)
-    elif args.family == "singlet":
-        rho = projector(singlet())
-    else:
-        rho = load_density_matrix(args.state)
+    rho = _build_state(args)
     data = simulate_tomography(rho, args.counts, args.seed)
-    out = Path(args.out)
-    tomo_data_to_csv(data, out)
-    outputs = [out]
+    outputs = [Path(args.out)]
+    tomo_data_to_csv(data, args.out)
     if args.target_out:
         save_density_matrix(rho, args.target_out)
         outputs.append(Path(args.target_out))
-    _write_manifest(out, args.argv, None, args.seed, outputs, t0)
-    print(f"wrote {out}")
+    _write_manifest(args, None, outputs, t0)
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -392,44 +357,27 @@ def cmd_tomo_reconstruct(args) -> int:
         target = check_density_matrix(load_density_matrix(args.target))
         if physical:
             report["fidelity_to_target"] = fidelity(rho, target)
-    text = json.dumps(report, indent=2)
-    print(text)
+    _print_report(report, args.out)
     if args.out:
-        out = Path(args.out)
-        out.write_text(text + "\n")
-        _write_manifest(out, args.argv, None, args.seed, [out], t0)
+        _write_manifest(args, None, [Path(args.out)], t0)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# bell
-# ---------------------------------------------------------------------------
 
 
 def _plan_from_args(args) -> AnglePlan:
     if args.angles is None:
         return STANDARD_PLAN
-    t1, t1p, t2, t2p = (math.radians(a) for a in args.angles)
-    return AnglePlan(t1, t1p, t2, t2p)
+    return AnglePlan(*(math.radians(a) for a in args.angles))
 
 
 def cmd_bell_simulate(args) -> int:
     t0 = time.monotonic()
     config = _load_base_config(args)
-    if args.family == "werner":
-        rho = werner(args.p)
-    elif args.family == "mems":
-        rho = mems(args.p)
-    elif args.family == "singlet":
-        rho = projector(singlet())
-    else:
-        rho = load_density_matrix(args.state)
+    rho = _build_state(args)
     plan = _plan_from_args(args)
     table, _ = simulate_bell_test(rho, args.duration, config, args.seed, plan)
-    out = Path(args.out)
-    counts_to_csv(table, out)
-    _write_manifest(out, args.argv, config, args.seed, [out], t0)
-    print(f"wrote {out}")
+    counts_to_csv(table, args.out)
+    _write_manifest(args, config, [Path(args.out)], t0)
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -445,11 +393,6 @@ def cmd_bell_eval(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ering",
@@ -458,6 +401,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ering {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    config_flags = argparse.ArgumentParser(add_help=False)
+    config_flags.add_argument("--config", help="JSON source-config file (or $ERING_CONFIG)")
+    config_flags.add_argument(
+        "--set",
+        action="append",
+        metavar="KEY=VALUE",
+        help="override one config key (file notation, e.g. alpha=0.0506)",
+    )
+    angle_flags = argparse.ArgumentParser(add_help=False)
+    angle_flags.add_argument(
+        "--angles",
+        type=finite_float,
+        nargs=4,
+        metavar=("T1", "T1P", "T2", "T2P"),
+        help="base polarizer angles in degrees (default 0 45 22.5 67.5)",
+    )
 
     p_state = sub.add_parser(
         "state", help="build a state family member and print its measures"
@@ -465,14 +424,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_state.add_argument(
         "family", choices=["werner", "mems", "bell", "singlet", "nonmax", "tuned"]
     )
-    p_state.add_argument("--p", type=float, default=1.0, help="singlet weight in [0, 1]")
+    p_state.add_argument("--p", type=finite_float, default=1.0, help="singlet weight in [0, 1]")
     p_state.add_argument("--kind", choices=["phi", "psi"], default="phi")
-    p_state.add_argument("--phi", type=float, default=0.0, help="pair phase in radians")
+    p_state.add_argument("--phi", type=finite_float, default=0.0, help="pair phase in radians")
     p_state.add_argument(
-        "--theta-p", type=float, default=0.0, help="pump waveplate angle in degrees [0, 45]"
+        "--theta-p", type=finite_float, default=0.0, help="pump waveplate angle in degrees [0, 45]"
     )
-    p_state.add_argument("--fidelity", type=float, default=1.0, help="singlet fidelity in [1/4, 1]")
-    p_state.add_argument("--a", type=float, default=0.5, help="eigenvector weight in [1/2, 1]")
+    p_state.add_argument(
+        "--fidelity", type=finite_float, default=1.0, help="singlet fidelity in [1/4, 1]"
+    )
+    p_state.add_argument(
+        "--a", type=finite_float, default=0.5, help="eigenvector weight in [1/2, 1]"
+    )
     p_state.add_argument(
         "--via",
         choices=["formula", "patchwork"],
@@ -483,43 +446,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_state.set_defaults(func=cmd_state)
 
     p_src = sub.add_parser(
-        "source", help="geometry and rate report for a source configuration"
+        "source", parents=[config_flags], help="geometry and rate report for a source configuration"
     )
-    p_src.add_argument("--config", help="JSON source-config file (or $ERING_CONFIG)")
-    p_src.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_src.add_argument(
         "--displacement-um",
-        type=float,
+        type=finite_float,
         default=None,
         help="mirror displacement in micrometers: adds the ray-traced pair phase and visibility",
     )
     p_src.add_argument("--out", help="also write the JSON report to this file")
     p_src.set_defaults(func=cmd_source)
 
-    p_fig = sub.add_parser("figure", help="regenerate the data behind a figure as CSV")
+    p_fig = sub.add_parser(
+        "figure", parents=[config_flags], help="regenerate the data behind a figure as CSV"
+    )
     p_fig.add_argument("id", type=int, choices=[2, 3, 4, 8, 11, 12])
     p_fig.add_argument("--seed", type=int, required=True, help="master seed (required)")
     p_fig.add_argument("--out-dir", default="figures", help="output directory")
-    p_fig.add_argument("--config", help="JSON source-config file (or $ERING_CONFIG)")
-    p_fig.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override one config key (file notation, e.g. alpha=0.0506)",
-    )
-    p_fig.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for compatibility; has no effect (grid points run serially)",
-    )
     p_fig.add_argument(
         "--duration",
-        type=float,
+        type=finite_float,
         default=None,
-        help="seconds per grid point (figs 2, 4: default 1) or total seconds per run (fig 12: default 180)",
+        help="seconds per grid point (figs 2, 4: default 1) "
+        "or total seconds per run (fig 12: default 180)",
     )
-    p_fig.add_argument("--phi", type=float, default=0.0, help="pair phase in radians (fig 3)")
+    p_fig.add_argument(
+        "--phi", type=finite_float, default=0.0, help="pair phase in radians (fig 3)"
+    )
     p_fig.add_argument(
         "--counts-per-point",
         type=int,
@@ -538,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     tomo_sub = p_tomo.add_subparsers(dest="tomo_command", required=True)
     p_sim = tomo_sub.add_parser("simulate", help="write simulated 16-setting counts")
     p_sim.add_argument("--family", choices=["werner", "mems", "singlet", "file"], required=True)
-    p_sim.add_argument("--p", type=float, default=1.0, help="singlet weight in [0, 1]")
+    p_sim.add_argument("--p", type=finite_float, default=1.0, help="singlet weight in [0, 1]")
     p_sim.add_argument("--state", help="density-matrix JSON (with --family file)")
     p_sim.add_argument("--counts", type=int, default=10000, help="mean counts per setting")
     p_sim.add_argument("--seed", type=int, required=True)
@@ -557,34 +510,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bell = sub.add_parser("bell", help="simulate or evaluate a CHSH coincidence run")
     bell_sub = p_bell.add_subparsers(dest="bell_command", required=True)
-    p_bsim = bell_sub.add_parser("simulate", help="write a simulated 16-setting counts CSV")
+    p_bsim = bell_sub.add_parser(
+        "simulate",
+        parents=[angle_flags, config_flags],
+        help="write a simulated 16-setting counts CSV",
+    )
     p_bsim.add_argument("--family", choices=["werner", "mems", "singlet", "file"], required=True)
-    p_bsim.add_argument("--p", type=float, default=1.0)
+    p_bsim.add_argument("--p", type=finite_float, default=1.0)
     p_bsim.add_argument("--state", help="density-matrix JSON (with --family file)")
     p_bsim.add_argument(
-        "--duration", type=float, default=180.0, help="total seconds, split over the 16 settings"
+        "--duration",
+        type=finite_float,
+        default=180.0,
+        help="total seconds, split over the 16 settings",
     )
-    p_bsim.add_argument(
-        "--angles",
-        type=float,
-        nargs=4,
-        metavar=("T1", "T1P", "T2", "T2P"),
-        help="base polarizer angles in degrees (default 0 45 22.5 67.5)",
-    )
-    p_bsim.add_argument("--config", help="JSON source-config file (or $ERING_CONFIG)")
-    p_bsim.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_bsim.add_argument("--seed", type=int, required=True)
     p_bsim.add_argument("--out", required=True)
     p_bsim.set_defaults(func=cmd_bell_simulate)
-    p_beval = bell_sub.add_parser("eval", help="CHSH parameter and Poisson error from counts")
-    p_beval.add_argument("--counts", required=True, help="counts CSV")
-    p_beval.add_argument(
-        "--angles",
-        type=float,
-        nargs=4,
-        metavar=("T1", "T1P", "T2", "T2P"),
-        help="base polarizer angles in degrees (default 0 45 22.5 67.5)",
+    p_beval = bell_sub.add_parser(
+        "eval", parents=[angle_flags], help="CHSH parameter and Poisson error from counts"
     )
+    p_beval.add_argument("--counts", required=True, help="counts CSV")
     p_beval.set_defaults(func=cmd_bell_eval)
 
     return parser
@@ -595,16 +541,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = argv  # recorded in manifests
+    if getattr(args, "family", None) == "file" and not args.state:
+        parser.error("--family file needs --state")
+    if getattr(args, "via", "formula") == "patchwork" and args.family not in PATCHWORK:
+        parser.error("--via patchwork builds werner and mems only")
     try:
         return args.func(args)
-    except InputFormatError as exc:
+    except (InputFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: bad JSON input: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,0 +1,79 @@
+"""The one CSV layout of every data file the package reads or writes.
+
+Optional ``# key value`` comment lines, a header row, then one row per
+record; every line ends in ``\\n``.  Read errors name ``path:line``.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+
+from .errors import InputFormatError
+
+
+def write(path, header: list[str], rows, comments: dict | None = None, digits: int = 10) -> None:
+    """Write a file; float cells get ``digits`` significant digits, comment values 10."""
+    with open(path, "w", newline="") as fh:
+        for key, value in (comments or {}).items():
+            fh.write(f"# {key} {value:.10g}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.{digits}g}" if isinstance(v, float) else v for v in row])
+
+
+def read(path, header: list[str], comments: dict[str, float]) -> tuple[dict[str, float], list]:
+    """The comment values and the nonblank rows, as ``(path:line, stripped fields)`` pairs.
+
+    ``comments`` maps the keys read to their defaults.  A value in the file
+    must be finite and positive, or equal its default (0 stands for unknown).
+    """
+    values = dict(comments)
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    start = 0
+    while start < len(lines) and lines[start].startswith("#"):
+        parts = lines[start][1:].split()
+        start += 1
+        if len(parts) == 2 and parts[0] in comments:
+            key, text = parts
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not (math.isfinite(value) and (value > 0 or value == comments[key])):
+                raise InputFormatError(
+                    f"{path}:{start}: {key} must be finite and positive, got {text!r}"
+                )
+            values[key] = value
+    reader = csv.reader(lines[start:])
+    if [f.strip() for f in next(reader, [])] != header:
+        raise InputFormatError(f"{path}:{start + 1}: expected header {','.join(header)!r}")
+    rows = []
+    for fields in reader:
+        where = f"{path}:{start + reader.line_num}"
+        if len(fields) > 1 or "".join(fields).strip():
+            if len(fields) != len(header):
+                raise InputFormatError(f"{where}: expected {len(header)} fields, got {len(fields)}")
+            rows.append((where, [f.strip() for f in fields]))
+    return values, rows
+
+
+def number(where: str, text: str, what: str) -> float:
+    """``text`` as a finite float, else an InputFormatError at ``where``."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise InputFormatError(f"{where}: {exc}") from None
+    if not math.isfinite(value):
+        raise InputFormatError(f"{where}: non-finite {what} {text!r}")
+    return value
+
+
+def count(where: str, text: str) -> float:
+    """``text`` as a finite, nonnegative count."""
+    value = number(where, text, "counts")
+    if value < 0:
+        raise InputFormatError(f"{where}: negative counts {value:g}")
+    return value

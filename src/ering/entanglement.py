@@ -9,7 +9,6 @@ classification of both families.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -124,10 +123,11 @@ def classify(family: str, p: float) -> NonlocalityClass:
 
     Werner: CHSH violation for p > 1/sqrt(2) (S_L < 1/2), nonseparable
     without violation for 1/3 < p <= 1/sqrt(2) (1/2 <= S_L < 8/9),
-    separable and local for p <= 1/3 (S_L >= 8/9).  MEMS have no
-    separable region: violation for p > 1/sqrt(2) (S_L < 0.552...),
-    nonseparable without violation otherwise.  Both thresholds are
-    strict: p = 1/sqrt(2) does not violate.
+    separable and local for p <= 1/3 (S_L >= 8/9).  MEMS: violation for
+    p > 1/sqrt(2) (S_L < 0.552...), nonseparable without violation for
+    0 < p <= 1/sqrt(2); only mems(0) = diag(1/3, 1/3, 1/3, 0) is separable,
+    at the single point S_L = 8/9.  Both violation thresholds are strict:
+    p = 1/sqrt(2) does not violate.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
@@ -151,6 +151,10 @@ def classify(family: str, p: float) -> NonlocalityClass:
             return NonlocalityClass(
                 MEMS, Region.VIOLATES_LOCAL_REALISM, (0.0, S_L_CHSH_BOUNDARY_MEMS)
             )
+        if p == 0.0:
+            return NonlocalityClass(
+                MEMS, Region.SEPARABLE_LOCAL, (S_L_WERNER_SEPARABLE, S_L_WERNER_SEPARABLE)
+            )
         return NonlocalityClass(
             MEMS,
             Region.NONSEPARABLE_NO_CHSH_VIOLATION,
@@ -158,23 +162,3 @@ def classify(family: str, p: float) -> NonlocalityClass:
         )
     raise ValueError(f"family must be {WERNER!r} or {MEMS!r}, got {family!r}")
 
-
-@dataclass(frozen=True)
-class EntropyPoint:
-    """One point of a tangle-vs-linear-entropy series."""
-
-    linear_entropy: float
-    tangle: float
-    family: str
-    p: float
-
-
-def entropy_points_to_csv(points: list[EntropyPoint], path) -> None:
-    """Write an (S_L, T) series with header ``S_L,T,family,p``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["S_L", "T", "family", "p"])
-        for pt in points:
-            writer.writerow(
-                [f"{pt.linear_entropy:.12g}", f"{pt.tangle:.12g}", pt.family, f"{pt.p:.12g}"]
-            )

@@ -163,12 +163,6 @@ def load_config(path) -> SourceConfig:
         return config_from_dict(json.load(fh))
 
 
-def save_config(config: SourceConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=2)
-        fh.write("\n")
-
-
 def config_with_overrides(config: SourceConfig, overrides: dict) -> SourceConfig:
     """Apply file-key overrides ({"alpha": 0.02, ...}) to a config."""
     kwargs = {}

@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 
+from .errors import InputFormatError
+
 BASIS = ("HH", "HV", "VH", "VV")
 
 HERMITIAN_ATOL = 1e-12
@@ -51,15 +53,6 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     if eigs.min() < PSD_EIGENVALUE_FLOOR:
         raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
     return rho
-
-
-def is_physical(rho: np.ndarray) -> bool:
-    """True iff ``rho`` passes all density-matrix invariants."""
-    try:
-        check_density_matrix(rho)
-    except ValueError:
-        return False
-    return True
 
 
 def repair_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -135,13 +128,6 @@ def nonmax_state(theta_p: float) -> np.ndarray:
     gamma = math.cos(2 * theta_p) ** 2
     norm = math.sqrt(1 + gamma**2)
     return np.array([gamma / norm, 0, 0, 1 / norm], dtype=complex)
-
-
-def entanglement_ratio(theta_p: float) -> float:
-    """The amplitude ratio gamma = cos^2(2 theta_p) of ``nonmax_state``."""
-    if not 0.0 <= theta_p <= math.pi / 4 + 1e-15:
-        raise ValueError(f"theta_p must be in [0, pi/4], got {theta_p}")
-    return math.cos(2 * theta_p) ** 2
 
 
 def werner(p: float) -> np.ndarray:
@@ -264,12 +250,21 @@ def density_matrix_to_dict(rho: np.ndarray) -> dict:
 
 
 def density_matrix_from_dict(obj: dict) -> np.ndarray:
-    if list(obj.get("basis", [])) != list(BASIS):
-        raise ValueError(f"unexpected basis {obj.get('basis')}, want {list(BASIS)}")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    """Inverse of ``density_matrix_to_dict``; a malformed object is an InputFormatError."""
+    if not isinstance(obj, dict):
+        raise InputFormatError(f"expected a JSON object, got {type(obj).__name__}")
+    if obj.get("basis") != list(BASIS):
+        raise InputFormatError(f"unexpected basis {obj.get('basis')}, want {list(BASIS)}")
+    try:
+        re, im = (np.array(obj[key], dtype=float) for key in ("re", "im"))
+    except KeyError as exc:
+        raise InputFormatError(f"missing {exc.args[0]!r}") from None
+    except (TypeError, ValueError):
+        raise InputFormatError("re and im entries must be numbers") from None
     if re.shape != (4, 4) or im.shape != (4, 4):
-        raise ValueError("re and im must both be 4x4 arrays")
+        raise InputFormatError("re and im must both be 4x4 arrays")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise InputFormatError("re and im entries must be finite numbers")
     return re + 1j * im
 
 
@@ -281,4 +276,7 @@ def save_density_matrix(rho: np.ndarray, path) -> None:
 
 def load_density_matrix(path) -> np.ndarray:
     with open(path) as fh:
-        return density_matrix_from_dict(json.load(fh))
+        try:
+            return density_matrix_from_dict(json.load(fh))
+        except InputFormatError as exc:
+            raise InputFormatError(f"{path}: {exc}") from None

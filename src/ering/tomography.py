@@ -33,7 +33,6 @@ settings tuple and cached read-only.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import re
@@ -41,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import csvfile
 from .errors import ConvergenceError, InputFormatError
 from .states import check_density_matrix, repair_density_matrix
 
@@ -431,67 +431,30 @@ def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return min(1.0, max(0.0, value))
 
 
-# ---------------------------------------------------------------------------
-# File formats
-# ---------------------------------------------------------------------------
+_TOMO_HEADER = ["setting_index", "proj1", "proj2", "counts"]
 
 
 def tomo_data_to_csv(data: TomoData, path) -> None:
     """Write ``setting_index,proj1,proj2,counts`` rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# total_flux_estimate {data.total_flux_estimate:.10g}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["setting_index", "proj1", "proj2", "counts"])
-        for i, (setting, n) in enumerate(zip(data.settings, data.counts)):
-            value = int(n) if float(n).is_integer() else f"{n:.17g}"
-            writer.writerow([i, setting.proj1, setting.proj2, value])
+    rows = [
+        (i, setting.proj1, setting.proj2, int(n) if float(n).is_integer() else float(n))
+        for i, (setting, n) in enumerate(zip(data.settings, data.counts))
+    ]
+    comments = {"total_flux_estimate": data.total_flux_estimate}
+    csvfile.write(path, _TOMO_HEADER, rows, comments, digits=17)
 
 
 def tomo_data_from_csv(path) -> TomoData:
     """Parse a tomography CSV; raises InputFormatError with line numbers."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    flux = 0.0
-    body_start = 0
-    for i, line in enumerate(lines):
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "total_flux_estimate":
-                try:
-                    flux = float(parts[1])
-                except ValueError:
-                    raise InputFormatError(f"{path}:{i + 1}: bad flux {parts[1]!r}")
-            body_start = i + 1
-        else:
-            break
-    if (
-        body_start >= len(lines)
-        or lines[body_start].strip() != "setting_index,proj1,proj2,counts"
-    ):
-        raise InputFormatError(
-            f"{path}:{body_start + 1}: expected header 'setting_index,proj1,proj2,counts'"
-        )
+    comments, rows = csvfile.read(path, _TOMO_HEADER, {"total_flux_estimate": 0.0})
     settings = []
     counts = []
-    for i, line in enumerate(lines[body_start + 1 :], start=body_start + 2):
-        if not line.strip():
-            continue
-        parts = next(csv.reader([line]))
-        if len(parts) != 4:
-            raise InputFormatError(f"{path}:{i}: expected 4 fields, got {len(parts)}")
+    for where, (_, proj1, proj2, n) in rows:
+        counts.append(csvfile.count(where, n))
         try:
-            n = float(parts[3])
+            projector_ket(proj1)
+            projector_ket(proj2)
         except ValueError as exc:
-            raise InputFormatError(f"{path}:{i}: {exc}")
-        if not math.isfinite(n):
-            raise InputFormatError(f"{path}:{i}: non-finite counts {parts[3].strip()!r}")
-        if n < 0:
-            raise InputFormatError(f"{path}:{i}: negative counts {n}")
-        try:
-            projector_ket(parts[1].strip())
-            projector_ket(parts[2].strip())
-        except ValueError as exc:
-            raise InputFormatError(f"{path}:{i}: {exc}")
-        settings.append(TomoSetting(parts[1].strip(), parts[2].strip()))
-        counts.append(n)
-    return TomoData(settings, np.array(counts), flux)
+            raise InputFormatError(f"{where}: {exc}")
+        settings.append(TomoSetting(proj1, proj2))
+    return TomoData(settings, np.array(counts), comments["total_flux_estimate"])

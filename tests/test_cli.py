@@ -85,11 +85,11 @@ def test_manifest_records_main_argv(tmp_path, capsys, monkeypatch):
     assert manifest["command"] == ["ering", *argv]
 
 
-def test_figure12_parallel_matches_serial(tmp_path, capsys):
-    d1, d2 = tmp_path / "serial", tmp_path / "par"
+def test_figure12_deterministic(tmp_path, capsys):
+    d1, d2 = tmp_path / "a", tmp_path / "b"
     args = ["figure", "12", "--seed", "9", "--duration", "2"]
-    assert run_cli(*args, "--out-dir", str(d1), "--jobs", "1") == 0
-    assert run_cli(*args, "--out-dir", str(d2), "--jobs", "4") == 0
+    assert run_cli(*args, "--out-dir", str(d1)) == 0
+    assert run_cli(*args, "--out-dir", str(d2)) == 0
     capsys.readouterr()
     assert (d1 / "fig12.csv").read_bytes() == (d2 / "fig12.csv").read_bytes()
     rows = (d1 / "fig12.csv").read_text().splitlines()
@@ -149,7 +149,7 @@ def test_config_env_var_suppresses_figure_visibility_default(tmp_path, capsys, m
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"visibility": 1.0}))
     monkeypatch.setenv("ERING_CONFIG", str(cfg))
-    args = ["figure", "12", "--seed", "1", "--duration", "2", "--jobs", "1"]
+    args = ["figure", "12", "--seed", "1", "--duration", "2"]
     assert run_cli(*args, "--out-dir", str(tmp_path)) == 0
     capsys.readouterr()
     manifest = json.loads((tmp_path / "fig12.manifest.json").read_text())
@@ -158,7 +158,7 @@ def test_config_env_var_suppresses_figure_visibility_default(tmp_path, capsys, m
 
 def test_figure_visibility_default_without_config(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("ERING_CONFIG", raising=False)
-    args = ["figure", "12", "--seed", "1", "--duration", "2", "--jobs", "1"]
+    args = ["figure", "12", "--seed", "1", "--duration", "2"]
     assert run_cli(*args, "--out-dir", str(tmp_path)) == 0
     capsys.readouterr()
     manifest = json.loads((tmp_path / "fig12.manifest.json").read_text())
@@ -176,10 +176,93 @@ def test_negative_counts_per_point_exit_1(tmp_path, capsys):
     assert "counts-per-point" in capsys.readouterr().err
 
 
-def test_state_has_no_seed_flag():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("state", "werner", "--p", "0.5", "--seed", "1"),
+        ("figure", "3", "--seed", "1", "--jobs", "1"),
+        ("tomo", "simulate", "--family", "file", "--seed", "1", "--out", "x.csv"),
+        ("bell", "simulate", "--family", "file", "--seed", "1", "--out", "x.csv"),
+        ("state", "bell", "--via", "patchwork"),
+        ("state", "singlet", "--via", "patchwork"),
+        ("state", "nonmax", "--via", "patchwork"),
+        ("state", "tuned", "--via", "patchwork"),
+    ],
+)
+def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        run_cli("state", "werner", "--p", "0.5", "--seed", "1")
+        run_cli(*argv)
     assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("state", "werner", "--p", "nan"),
+        ("state", "tuned", "--fidelity", "inf"),
+        ("source", "--displacement-um", "nan"),
+        ("figure", "3", "--seed", "1", "--phi", "nan"),
+        ("figure", "12", "--seed", "1", "--duration", "nan"),
+        ("tomo", "simulate", "--family", "werner", "--p", "inf", "--seed", "1", "--out", "x.csv"),
+        ("bell", "simulate", "--family", "singlet", "--duration", "nan", "--seed", "1",
+         "--out", "x.csv"),
+        ("bell", "eval", "--counts", "x.csv", "--angles", "0", "45", "nan", "67.5"),
+    ],
+)
+def test_non_finite_float_flag_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "JSON object"),
+        ('{"basis": ["HH", "HV", "VH", "VV"], "re": [[0.25, 0, 0, 0]], "im": []}', "4x4"),
+        ('{"basis": ["HH", "HV", "VH", "VV"], "re": ' + json.dumps(np.eye(4).tolist()) + "}",
+         "missing 'im'"),
+        ('{"basis": ["HH", "HV", "VH", "VV"], "re": [[0.25, "x", 0, 0]], "im": []}', "numbers"),
+        ('{"basis": ["HH", "HV", "VH", "VV"], "re": ' + json.dumps(np.eye(4).tolist())
+         + ', "im": ' + json.dumps(np.full((4, 4), np.nan).tolist()) + "}", "finite"),
+        ('{"basis": ["VV"], "re": [], "im": []}', "basis"),
+    ],
+)
+def test_malformed_density_matrix_json_exit_2(text, message, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(text)
+    argv = ["bell", "simulate", "--family", "file", "--state", str(state), "--seed", "1",
+            "--out", str(tmp_path / "c.csv")]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"{state}: " in err and message in err
+    data = tmp_path / "tomo.csv"
+    tomo_data_to_csv(exact_tomography_counts(werner(0.5), 1e4), data)
+    assert run_cli("tomo", "reconstruct", "--data", str(data), "--target", str(state)) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-5", "x"])
+def test_tomo_reconstruct_bad_flux_header_exit_2(value, tmp_path, capsys):
+    path = tmp_path / "flux.csv"
+    tomo_data_to_csv(exact_tomography_counts(werner(0.5), 1e4), path)
+    lines = path.read_text().splitlines()
+    lines[0] = f"# total_flux_estimate {value}"
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli("tomo", "reconstruct", "--data", str(path)) == 2
+    assert "flux.csv:1: " in capsys.readouterr().err
+
+
+def test_state_mems_zero_is_separable(capsys):
+    assert run_cli("state", "mems", "--p", "0") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["separable"] is True
+    assert report["region"] == "separable_local"
 
 
 def test_tomo_round_trip(tmp_path, capsys):

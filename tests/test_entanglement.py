@@ -9,8 +9,6 @@ from ering.entanglement import (
     WERNER,
     classify,
     concurrence,
-    entropy_points_to_csv,
-    EntropyPoint,
     is_separable_ppt,
     linear_entropy,
     partial_transpose,
@@ -142,8 +140,19 @@ def test_classify_boundary_is_strict():
 
 
 def test_classify_mems_has_no_separable_region():
-    for p in np.linspace(0, 1, 101):
+    for p in np.linspace(0, 1, 101)[1:]:
         assert classify(MEMS, p).region is not Region.SEPARABLE_LOCAL
+
+
+def test_classify_mems_at_zero_is_separable():
+    # mems(0) = diag(1/3, 1/3, 1/3, 0): separable by tangle and by PPT
+    rho = mems(0.0)
+    assert tangle(rho) == pytest.approx(0.0, abs=1e-12)
+    assert is_separable_ppt(rho)[0]
+    cls = classify(MEMS, 0.0)
+    assert cls.region is Region.SEPARABLE_LOCAL
+    assert cls.s_l_interval == (8 / 9, 8 / 9)
+    assert linear_entropy(rho) == pytest.approx(8 / 9, abs=1e-12)
 
 
 def test_classify_mems_interval():
@@ -157,19 +166,3 @@ def test_classify_range_errors():
         classify(WERNER, 1.2)
     with pytest.raises(ValueError):
         classify("other", 0.5)
-
-
-def test_entropy_points_csv(tmp_path):
-    points = [
-        EntropyPoint(linear_entropy(werner(p)), tangle(werner(p)), WERNER, p)
-        for p in (0.27, 0.47, 0.82)
-    ]
-    path = tmp_path / "points.csv"
-    entropy_points_to_csv(points, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "S_L,T,family,p"
-    assert len(lines) == 4
-    s_l, t, family, p = lines[1].split(",")
-    assert family == WERNER
-    assert float(s_l) == pytest.approx(1 - 0.27**2)
-    assert float(t) == pytest.approx(tangle(werner(0.27)))

@@ -33,7 +33,6 @@ from ering.source import (
     ou_mandel_scan,
     phase_from_displacement,
     ring_diameter,
-    save_config,
     sector_area,
     simulate_bell_test,
     simulate_coincidences,
@@ -84,7 +83,7 @@ def test_config_from_dict_applies_keys_over_defaults():
 
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "source.json"
-    save_config(MEMS_CFG, path)
+    path.write_text(json.dumps(config_to_dict(MEMS_CFG), indent=2) + "\n")
     loaded = load_config(path)
     assert loaded == MEMS_CFG
     keys = set(json.loads(path.read_text()))

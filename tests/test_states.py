@@ -12,7 +12,6 @@ from ering.states import (
     check_density_matrix,
     density_matrix_from_dict,
     density_matrix_to_dict,
-    is_physical,
     mems,
     mems_weight,
     mix,
@@ -70,7 +69,7 @@ def test_nonmax_norm_and_monotone_ratio():
     for t in thetas:
         psi = nonmax_state(t)
         assert abs(np.vdot(psi, psi).real - 1) < 1e-12
-        ratios.append(states.entanglement_ratio(t))
+        ratios.append(abs(psi[0] / psi[3]))
     assert all(a >= b - 1e-15 for a, b in zip(ratios, ratios[1:]))
 
 
@@ -252,7 +251,6 @@ def test_check_density_matrix_rejects_bad_input():
     bad_psd = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
     with pytest.raises(ValueError):
         check_density_matrix(bad_psd)
-    assert not is_physical(bad_psd)
 
 
 def test_check_density_matrix_hermitian_tolerance():
@@ -261,7 +259,11 @@ def test_check_density_matrix_hermitian_tolerance():
         for entry in ((0, 1), (2, 3)):
             rho = good.copy()
             rho[entry] += eps * 1j  # |rho - rho^dag| reaches eps at (i, j) and (j, i)
-            assert is_physical(rho) == accepted
+            if accepted:
+                check_density_matrix(rho)
+            else:
+                with pytest.raises(ValueError, match="Hermitian"):
+                    check_density_matrix(rho)
     for value in (np.nan, np.inf, -np.inf, complex(0, np.inf)):
         for entry in ((0, 0), (0, 1), (3, 2)):
             rho = good.copy()
