@@ -357,7 +357,9 @@ def counts_from_csv(path) -> CountsTable:
     comments, rows = csvfile.read(path, _COUNTS_HEADER, {"duration_s": 1.0})
     entries: dict[tuple[str, str], float] = {}
     for where, (t1, t2, n) in rows:
-        key = tuple(angle_label(math.radians(csvfile.number(where, t, "angle"))) for t in (t1, t2))
+        t1 = csvfile.number(where, t1, "angle")
+        t2 = csvfile.number(where, t2, "angle")
+        key = (angle_label(math.radians(t1)), angle_label(math.radians(t2)))
         n = csvfile.count(where, n)
         if key in entries:
             raise InputFormatError(f"{where}: duplicate setting {key}")

@@ -320,12 +320,12 @@ def cmd_tomo_simulate(args) -> int:
     rho = _build_state(args)
     data = simulate_tomography(rho, args.counts, args.seed)
     outputs = [Path(args.out)]
-    tomo_data_to_csv(data, args.out)
+    tomo_data_to_csv(data, outputs[0])
     if args.target_out:
         save_density_matrix(rho, args.target_out)
         outputs.append(Path(args.target_out))
     _write_manifest(args, None, outputs, t0)
-    print(f"wrote {args.out}")
+    print(f"wrote {outputs[0]}")
     return 0
 
 
@@ -372,12 +372,12 @@ def _plan_from_args(args) -> AnglePlan:
 def cmd_bell_simulate(args) -> int:
     t0 = time.monotonic()
     config = _load_base_config(args)
-    rho = _build_state(args)
     plan = _plan_from_args(args)
-    table, _ = simulate_bell_test(rho, args.duration, config, args.seed, plan)
-    counts_to_csv(table, args.out)
-    _write_manifest(args, config, [Path(args.out)], t0)
-    print(f"wrote {args.out}")
+    table, _ = simulate_bell_test(_build_state(args), args.duration, config, args.seed, plan)
+    out = Path(args.out)
+    counts_to_csv(table, out)
+    _write_manifest(args, config, [out], t0)
+    print(f"wrote {out}")
     return 0
 
 

@@ -261,10 +261,8 @@ def density_matrix_from_dict(obj: dict) -> np.ndarray:
         raise InputFormatError(f"missing {exc.args[0]!r}") from None
     except (TypeError, ValueError):
         raise InputFormatError("re and im entries must be numbers") from None
-    if re.shape != (4, 4) or im.shape != (4, 4):
-        raise InputFormatError("re and im must both be 4x4 arrays")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise InputFormatError("re and im entries must be finite numbers")
+    if re.shape != (4, 4) or im.shape != (4, 4) or not np.isfinite([re, im]).all():
+        raise InputFormatError("re and im must both be 4x4 arrays of finite numbers")
     return re + 1j * im
 
 

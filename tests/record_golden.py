@@ -47,7 +47,8 @@ COMMANDS = (
     ("tomo_sim_werner",
      "tomo simulate --family werner --p 0.47 --counts 40000 --seed 3 --out tomo_w.csv "
      "--target-out target_w.json"),
-    ("tomo_sim_mems", "tomo simulate --family mems --p 0.6 --counts 10000 --seed 4 --out tomo_m.csv"),
+    ("tomo_sim_mems",
+     "tomo simulate --family mems --p 0.6 --counts 10000 --seed 4 --out tomo_m.csv"),
     ("tomo_sim_singlet", "tomo simulate --family singlet --counts 40000 --seed 1 --out tomo_s.csv"),
     ("tomo_sim_file",
      "tomo simulate --family file --state target_w.json --counts 20000 --seed 5 "
@@ -56,8 +57,10 @@ COMMANDS = (
      "tomo reconstruct --data tomo_w.csv --seed 0 --target target_w.json --out report_w.json"),
     ("tomo_rec_linear", "tomo reconstruct --data tomo_m.csv --method linear"),
     ("tomo_rec_singlet", "tomo reconstruct --data tomo_s.csv"),
-    ("tomo_rec_file", "tomo reconstruct --data tomo_f.csv --target target_f.json --out report_f.json"),
-    ("bell_sim_singlet", "bell simulate --family singlet --duration 180 --seed 5 --out counts_s.csv"),
+    ("tomo_rec_file",
+     "tomo reconstruct --data tomo_f.csv --target target_f.json --out report_f.json"),
+    ("bell_sim_singlet",
+     "bell simulate --family singlet --duration 180 --seed 5 --out counts_s.csv"),
     ("bell_sim_werner",
      "bell simulate --family werner --p 0.904 --duration 180 --seed 5 --set visibility=1.0 "
      "--out counts_w.csv"),
