@@ -176,10 +176,15 @@ def test_negative_counts_per_point_exit_1(tmp_path, capsys):
     assert "counts-per-point" in capsys.readouterr().err
 
 
+def test_state_has_no_seed_flag():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("state", "werner", "--p", "0.5", "--seed", "1")
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ("state", "werner", "--p", "0.5", "--seed", "1"),
         ("figure", "3", "--seed", "1", "--jobs", "1"),
         ("tomo", "simulate", "--family", "file", "--seed", "1", "--out", "x.csv"),
         ("bell", "simulate", "--family", "file", "--seed", "1", "--out", "x.csv"),
