@@ -37,7 +37,6 @@ from .bell import (
     chsh_optimal_family,
     chsh_optimize,
     correlation,
-    observable,
 )
 from .source import (
     SectorPartition,

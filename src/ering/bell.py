@@ -1,25 +1,25 @@
 """CHSH correlation functions, Bell-parameter evaluation and its maximum.
 
-Analyzer directions live on the Bloch sphere as (Theta, Phi); the
-corresponding polarization-analyzer angle is theta = Theta/2.  The
-dichotomic observable of a direction is
+Analyzer directions live on the Bloch sphere as (Theta, Phi) with unit
+vector u(Theta, Phi); the corresponding polarization-analyzer angle is
+theta = Theta/2.  Every correlation comes from one 3x3 correlation matrix
+t_ij = Tr(rho sigma_i x sigma_j), i, j in (x, y, z): the dichotomic
+observable of a direction is u . sigma, so
 
-    O(Theta, Phi) = [[cos Theta,              e^{-i Phi} sin Theta],
-                     [e^{i Phi} sin Theta,   -cos Theta          ]]
+    P(u1, u2) = Tr(rho (u1 . sigma) x (u2 . sigma)) = u1^T T u2.
 
-which equals u . sigma for the unit vector u(Theta, Phi).  The CHSH
-combination is S = P(a1,a2) - P(a1,a2') + P(a1',a2) + P(a1',a2') with
-P = Tr(rho O1 x O2); |S| <= 2 for local realism and <= 2 sqrt(2) always.
+The CHSH combination is S = P(a1,a2) - P(a1,a2') + P(a1',a2) + P(a1',a2');
+|S| <= 2 for local realism and <= 2 sqrt(2) always.
 
 S is returned *signed* everywhere in this module so that the trace and
 counts-based evaluations agree exactly; report abs(S) when comparing
 against the classical bound.
 
 The maximum |S| over all directions and the settings that reach it come
-in closed form from the singular value decomposition of the correlation
-matrix t_ij = Tr(rho sigma_i x sigma_j) (``chsh_optimize``); the
-eigenvalue route of ``chsh_max_from_correlation_matrix`` is kept as an
-independent check of the value.
+in closed form from the singular value decomposition of T
+(``chsh_optimize``); the eigenvalue route of
+``chsh_max_from_correlation_matrix`` is kept as an independent check of
+the value.
 """
 
 from __future__ import annotations
@@ -31,15 +31,12 @@ import numpy as np
 
 from . import csvfile
 from .errors import InputFormatError
-from .states import check_density_matrix
+from .states import PAULI_PAIRS, check_density_matrix
 
 TSIRELSON_BOUND = 2 * math.sqrt(2)
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+# sigma_i x sigma_j for i, j in (x, y, z), row-major: the nine products of T
+_XYZ_PAIRS = PAULI_PAIRS.reshape(4, 4, 4, 4)[1:, 1:].reshape(9, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -85,48 +82,33 @@ class ChshSettings:
     a2p: BlochSetting
 
 
-def observable(setting: BlochSetting) -> np.ndarray:
-    """2x2 Hermitian, traceless, unit-square observable of a direction."""
-    t, f = setting.theta, setting.phi
-    return np.array(
-        [
-            [math.cos(t), np.exp(-1j * f) * math.sin(t)],
-            [np.exp(1j * f) * math.sin(t), -math.cos(t)],
-        ]
-    )
-
-
 def correlation(rho: np.ndarray, s1: BlochSetting, s2: BlochSetting) -> float:
-    """Correlation function P = Tr(rho O1 x O2), real, in [-1, 1]."""
-    return _correlation(check_density_matrix(rho), s1, s2)
+    """Correlation function P = u1^T T u2 = Tr(rho (u1 . sigma) x (u2 . sigma)), in [-1, 1]."""
+    return _correlation(correlation_matrix(check_density_matrix(rho)), s1, s2)
 
 
-def _correlation(rho: np.ndarray, s1: BlochSetting, s2: BlochSetting) -> float:
-    value = np.trace(rho @ np.kron(observable(s1), observable(s2)))
-    if abs(value.imag) > 1e-10:
-        raise ValueError(f"correlation has imaginary part {value.imag:.3e}")
-    return float(value.real)
+def _correlation(t: np.ndarray, s1: BlochSetting, s2: BlochSetting) -> float:
+    return float(s1.unit_vector() @ t @ s2.unit_vector())
 
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
-    """3x3 real matrix t_ij = Tr(rho sigma_i x sigma_j)."""
+    """3x3 real matrix t_ij = Tr(rho sigma_i x sigma_j).
+
+    Each trace is summed over the diagonal of rho sigma_i x sigma_j in row
+    order, the same rounding as ``np.trace`` of the matrix product.
+    """
     rho = np.asarray(rho, dtype=complex)
-    return np.array(
-        [
-            [np.trace(rho @ np.kron(si, sj)).real for sj in _PAULI]
-            for si in _PAULI
-        ]
-    )
+    return np.einsum("ab,kba->ka", rho, _XYZ_PAIRS).sum(-1).real.reshape(3, 3)
 
 
 def chsh(rho: np.ndarray, settings: ChshSettings) -> float:
-    """Signed CHSH parameter S: the state is validated once, then four correlations."""
-    rho = check_density_matrix(rho)
+    """Signed CHSH parameter S: the state is validated once, then four correlations of one T."""
+    t = correlation_matrix(check_density_matrix(rho))
     s = (
-        _correlation(rho, settings.a1, settings.a2)
-        - _correlation(rho, settings.a1, settings.a2p)
-        + _correlation(rho, settings.a1p, settings.a2)
-        + _correlation(rho, settings.a1p, settings.a2p)
+        _correlation(t, settings.a1, settings.a2)
+        - _correlation(t, settings.a1, settings.a2p)
+        + _correlation(t, settings.a1p, settings.a2)
+        + _correlation(t, settings.a1p, settings.a2p)
     )
     if abs(s) > TSIRELSON_BOUND + 1e-9:
         raise ValueError(f"CHSH value {s} exceeds the quantum bound 2*sqrt(2)")
@@ -169,17 +151,14 @@ def chsh_optimal_family(p: float, b_diag: float | None = None) -> tuple[float, C
     return TSIRELSON_BOUND * p, settings
 
 
-def chsh_optimize(
-    rho: np.ndarray, n_starts: int = 32, seed: int = 0
-) -> tuple[float, ChshSettings]:
+def chsh_optimize(rho: np.ndarray) -> tuple[float, ChshSettings]:
     """Maximum |S| over all analyzer directions and settings that reach it.
 
     Closed form of Horodecki, Horodecki and Horodecki, Phys. Lett. A 200,
     340 (1995): with the correlation matrix T = U diag(s1, s2, s3) V^T,
     the settings a1' = u1, a1 = u2 and a2, a2' = cos t v1 +- sin t v2 with
     t = atan2(s2, s1) give S = 2 sqrt(s1^2 + s2^2), the maximum.
-    ``n_starts`` and ``seed`` are accepted for compatibility and have no
-    effect.  Returns (max |S|, extremal settings).
+    Returns (max |S|, extremal settings).
     """
     u, sv, vt = np.linalg.svd(correlation_matrix(check_density_matrix(rho)))
     angle = math.atan2(sv[1], sv[0])

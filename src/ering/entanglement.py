@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import check_density_matrix
+from .states import PAULI_PAIRS, check_density_matrix
 
 WERNER = "werner"
 MEMS = "mems"
 
-_SIGMA_Y_PAIR = np.kron(
-    np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])
-)
+_SIGMA_Y_PAIR = PAULI_PAIRS[10]  # sigma_y x sigma_y
 
 S_L_WERNER_SEPARABLE = 8 / 9
 S_L_CHSH_BOUNDARY_WERNER = 0.5

@@ -40,6 +40,7 @@ import numpy as np
 
 from .bell import STANDARD_PLAN, AnglePlan, CountsTable, angle_label, polarizer_kets
 from .bell import joint_detection_probability
+from .errors import InputFormatError
 from .states import bell_state, check_density_matrix, mems_weight, projector
 
 SPEED_OF_LIGHT = 299792458.0
@@ -160,16 +161,29 @@ def config_from_dict(values: dict) -> SourceConfig:
 
 def load_config(path) -> SourceConfig:
     with open(path) as fh:
-        return config_from_dict(json.load(fh))
+        values = json.load(fh)
+    try:
+        return config_from_dict(values)
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
 
 
 def config_with_overrides(config: SourceConfig, overrides: dict) -> SourceConfig:
-    """Apply file-key overrides ({"alpha": 0.02, ...}) to a config."""
+    """Apply file-key overrides ({"alpha": 0.02, ...}) to a config.
+
+    A non-object, an unknown key or a value that is not a number is an
+    InputFormatError; a non-finite number is a ValueError of the config.
+    """
+    if not isinstance(overrides, dict):
+        raise InputFormatError(f"expected a JSON object, got {type(overrides).__name__}")
     kwargs = {}
     for key, value in overrides.items():
         if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        kwargs[CONFIG_KEYS[key]] = float(value)
+            raise InputFormatError(f"unknown config key {key!r}")
+        try:
+            kwargs[CONFIG_KEYS[key]] = float(value)
+        except (TypeError, ValueError):
+            raise InputFormatError(f"config key {key!r} needs a number, got {value!r}") from None
     return replace(config, **kwargs)
 
 

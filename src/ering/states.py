@@ -34,6 +34,18 @@ PSD_EIGENVALUE_FLOOR = -1e-10
 WEIGHT_SUM_ATOL = 1e-9
 
 
+def _pauli_pairs() -> np.ndarray:
+    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    pairs = np.array([np.kron(a, b) for a in paulis for b in paulis])
+    pairs.setflags(write=False)
+    return pairs
+
+
+#: The 16 two-qubit Pauli products sigma_i x sigma_j, i, j in (I, X, Y, Z),
+#: at index 4 i + j in the basis above; read-only.
+PAULI_PAIRS = _pauli_pairs()
+
+
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate a 4x4 density matrix and return it as a complex array.
 

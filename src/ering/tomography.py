@@ -42,7 +42,7 @@ import numpy as np
 
 from . import csvfile
 from .errors import ConvergenceError, InputFormatError
-from .states import check_density_matrix, repair_density_matrix
+from .states import PAULI_PAIRS, check_density_matrix, repair_density_matrix
 
 _KETS = {
     "H": np.array([1, 0], dtype=complex),
@@ -98,15 +98,6 @@ def standard_settings() -> list[TomoSetting]:
     return [TomoSetting(a, b) for a, b in _STANDARD_ORDER]
 
 
-_PAULI1 = [
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-]
-_PAULI_PAIR = np.array([np.kron(a, b) for a in _PAULI1 for b in _PAULI1])
-
-
 def _trapezoid_basis(rank: int) -> np.ndarray:
     """Real-coefficient basis of the 4 x rank lower-trapezoidal factors.
 
@@ -145,7 +136,7 @@ class _SettingsTable:
 def _table_for_labels(labels: tuple[tuple[str, str], ...]) -> _SettingsTable:
     projectors = np.array([TomoSetting(a, b).pair_projector() for a, b in labels])
     projectors = projectors.reshape(len(labels), 4, 4)
-    design = 0.25 * np.einsum("kab,jba->kj", projectors, _PAULI_PAIR).real
+    design = 0.25 * np.einsum("kab,jba->kj", projectors, PAULI_PAIRS).real
     table = _SettingsTable(
         projectors,
         design,
@@ -266,7 +257,7 @@ def linear_reconstruct(data: TomoData) -> np.ndarray:
         s = np.linalg.solve(table.design, probs)
     else:
         s, *_ = np.linalg.lstsq(table.design, probs, rcond=None)
-    rho = np.einsum("j,jab->ab", s, _PAULI_PAIR) / 4
+    rho = np.einsum("j,jab->ab", s, PAULI_PAIRS) / 4
     rho = (rho + rho.conj().T) / 2
     trace = np.trace(rho).real
     if trace <= 0:

@@ -85,7 +85,7 @@ def test_criterion_3_variational_chsh_optimum():
     for build, grid in grids:
         for p in grid:
             rho = build(p)
-            s_num, _ = chsh_optimize(rho, seed=101)
+            s_num, _ = chsh_optimize(rho)
             s_closed = chsh_optimal_family(p)[0]
             s_oracle = chsh_max_from_correlation_matrix(rho)
             worst = max(worst, abs(s_num - s_closed), abs(s_num - s_oracle))
@@ -94,7 +94,7 @@ def test_criterion_3_variational_chsh_optimum():
             assert abs(s_num - s_oracle) < 1e-6
             assert (s_num > 2 + 1e-9) == (p > 1 / SQ2)
     # strict threshold: p = 1/sqrt(2) itself does not violate
-    s_at_threshold, _ = chsh_optimize(werner(1 / SQ2), seed=102)
+    s_at_threshold, _ = chsh_optimize(werner(1 / SQ2))
     assert s_at_threshold <= 2 + 1e-9
     boundary = mems(1 / SQ2)
     s_l, t = linear_entropy(boundary), tangle(boundary)
@@ -266,12 +266,12 @@ def test_criterion_10_oracle_triangle():
     t0 = time.monotonic()
     rng = np.random.default_rng(20240001)
     worst = 0.0
-    for i in range(1000):
+    for _ in range(1000):
         rho = random_density_matrix(rng)
         entangled = tangle(rho) > 1e-12
         separable, _ = is_separable_ppt(rho)
         assert entangled == (not separable)
-        s_num, _ = chsh_optimize(rho, n_starts=8, seed=i)
+        s_num, _ = chsh_optimize(rho)
         dev = abs(s_num - chsh_max_from_correlation_matrix(rho))
         worst = max(worst, dev)
         assert dev < 1e-6

@@ -23,8 +23,8 @@ from ering.bell import (
     counts_from_csv,
     counts_to_csv,
     expected_counts,
+    correlation_matrix,
     joint_detection_probability,
-    observable,
 )
 from ering.errors import InputFormatError
 from ering.sampling import random_density_matrix
@@ -42,6 +42,56 @@ def random_family_state(rng):
     rho = np.diag([a, b, b, rest - a]).astype(complex)
     rho[1, 2] = rho[2, 1] = -p / 2
     return rho, p, b
+
+
+# Independent trace leg: the observable O(Theta, Phi) of a direction as a
+# 2x2 matrix and P = Tr(rho O1 x O2) by an explicit Kronecker product.
+
+
+def observable(setting: BlochSetting) -> np.ndarray:
+    """2x2 Hermitian, traceless, unit-square observable of a direction."""
+    t, f = setting.theta, setting.phi
+    return np.array(
+        [
+            [math.cos(t), np.exp(-1j * f) * math.sin(t)],
+            [np.exp(1j * f) * math.sin(t), -math.cos(t)],
+        ]
+    )
+
+
+def kron_correlation(rho, s1, s2):
+    return float(np.trace(rho @ np.kron(observable(s1), observable(s2))).real)
+
+
+def kron_chsh(rho, settings):
+    return (
+        kron_correlation(rho, settings.a1, settings.a2)
+        - kron_correlation(rho, settings.a1, settings.a2p)
+        + kron_correlation(rho, settings.a1p, settings.a2)
+        + kron_correlation(rho, settings.a1p, settings.a2p)
+    )
+
+
+_PAULI_XYZ = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def kron_correlation_matrix(rho):
+    """t_ij = Tr(rho sigma_i x sigma_j), one trace of a Kronecker product each."""
+    rho = np.asarray(rho, dtype=complex)
+    return np.array(
+        [[np.trace(rho @ np.kron(si, sj)).real for sj in _PAULI_XYZ] for si in _PAULI_XYZ]
+    )
+
+
+def oracle_states(rng, n):
+    states = [random_density_matrix(rng) for _ in range(n)]
+    states += [werner(p) for p in np.linspace(0, 1, 51)]
+    states += [mems(p) for p in np.linspace(0, 1, 51)]
+    return states
 
 
 def test_observable_pauli_limits():
@@ -161,21 +211,21 @@ def test_chsh_optimal_family_validation():
 
 
 def test_chsh_optimize_singlet():
-    s_max, settings = chsh_optimize(projector(singlet()), seed=1)
+    s_max, settings = chsh_optimize(projector(singlet()))
     assert s_max == pytest.approx(2 * SQ2, abs=1e-9)
     assert abs(chsh(projector(singlet()), settings)) == pytest.approx(s_max, abs=1e-9)
 
 
 def test_chsh_optimize_werner_and_mems():
-    s_max, _ = chsh_optimize(werner(0.6), seed=2)
+    s_max, _ = chsh_optimize(werner(0.6))
     assert s_max == pytest.approx(2 * SQ2 * 0.6, abs=1e-6)
-    s_max, _ = chsh_optimize(mems(0.8), seed=2)
+    s_max, _ = chsh_optimize(mems(0.8))
     assert s_max == pytest.approx(2 * SQ2 * 0.8, abs=1e-6)
 
 
 def test_chsh_optimize_beats_random_settings(rng):
     rho = random_density_matrix(rng)
-    s_max, _ = chsh_optimize(rho, seed=3)
+    s_max, _ = chsh_optimize(rho)
     for _ in range(10_000):
         settings = ChshSettings(
             *(BlochSetting(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi)) for _ in range(4))
@@ -186,14 +236,14 @@ def test_chsh_optimize_beats_random_settings(rng):
 def test_chsh_optimize_matches_oracle_random(rng):
     for _ in range(25):
         rho = random_density_matrix(rng)
-        s_max, _ = chsh_optimize(rho, seed=4)
+        s_max, _ = chsh_optimize(rho)
         assert s_max == pytest.approx(chsh_max_from_correlation_matrix(rho), abs=1e-6)
 
 
 def test_chsh_optimize_stationary(rng):
     # central finite differences at the optimum must vanish
     rho = werner(0.8)
-    _, settings = chsh_optimize(rho, seed=5)
+    _, settings = chsh_optimize(rho)
     x = []
     for s in (settings.a1, settings.a1p, settings.a2, settings.a2p):
         x.extend([s.theta, s.phi])
@@ -218,7 +268,7 @@ def test_chsh_optimize_stationary(rng):
 
 
 # Independent variational leg: multi-start L-BFGS over the 8 Bloch angles,
-# on a correlation matrix assembled from correlation() along x, y, z.
+# on a correlation matrix assembled from the Kronecker-trace oracle along x, y, z.
 
 _AXES = (
     BlochSetting(math.pi / 2, 0.0),
@@ -228,7 +278,7 @@ _AXES = (
 
 
 def correlation_matrix_from_axes(rho):
-    return np.array([[correlation(rho, si, sj) for sj in _AXES] for si in _AXES])
+    return np.array([[kron_correlation(rho, si, sj) for sj in _AXES] for si in _AXES])
 
 
 def _neg_s_squared(x, t):
@@ -318,6 +368,24 @@ def test_chsh_equals_sum_of_four_correlations(rng):
         assert chsh(rho, ChshSettings(a1, a1p, a2, a2p)) == expected
 
 
+def test_correlation_matrix_is_bitwise_the_kron_loop():
+    rng = np.random.default_rng(20240007)
+    for rho in oracle_states(rng, 1000):
+        assert np.array_equal(correlation_matrix(rho), kron_correlation_matrix(rho))
+
+
+def test_correlation_and_chsh_match_kron_oracle():
+    rng = np.random.default_rng(20240008)
+    for rho in oracle_states(rng, 300):
+        a1, a1p, a2, a2p = (
+            BlochSetting(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
+            for _ in range(4)
+        )
+        settings = ChshSettings(a1, a1p, a2, a2p)
+        assert abs(correlation(rho, a1, a2) - kron_correlation(rho, a1, a2)) <= 1e-12
+        assert abs(chsh(rho, settings) - kron_chsh(rho, settings)) <= 1e-12
+
+
 def test_chsh_validates_the_state():
     bad = werner(0.8).copy()
     bad[0, 1] = 0.1
@@ -328,7 +396,7 @@ def test_chsh_validates_the_state():
 def test_tsirelson_never_exceeded(rng):
     for _ in range(200):
         rho = random_density_matrix(rng)
-        s_max, _ = chsh_optimize(rho, n_starts=8, seed=6)
+        s_max, _ = chsh_optimize(rho)
         assert s_max <= 2 * SQ2 + 1e-9
 
 

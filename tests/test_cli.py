@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,17 @@ from ering.states import density_matrix_from_dict, mems, projector, singlet, wer
 from ering.tomography import exact_tomography_counts, tomo_data_to_csv
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports ering from this checkout's ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def test_state_werner_report(capsys):
@@ -252,6 +263,29 @@ def test_malformed_density_matrix_json_exit_2(text, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, overrides, message",
+    [
+        ("[1, 2]", [], "expected a JSON object, got list"),
+        ('{"alpha": null}', [], "'alpha' needs a number, got None"),
+        ('{"alpha": [1]}', [], "'alpha' needs a number, got [1]"),
+        ('{"bogus": 1}', [], "unknown config key 'bogus'"),
+        (None, ["--set", "alpha=abc"], "'alpha' needs a number, got 'abc'"),
+    ],
+)
+def test_malformed_config_exit_2(text, overrides, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ERING_CONFIG", raising=False)
+    config = tmp_path / "c.json"
+    argv = ["source", *overrides]
+    if text is not None:
+        config.write_text(text)
+        argv += ["--config", str(config)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert (f"{config}: " in err) == (text is not None)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-5", "x"])
 def test_tomo_reconstruct_bad_flux_header_exit_2(value, tmp_path, capsys):
     path = tmp_path / "flux.csv"
@@ -435,14 +469,12 @@ def test_source_rejects_bad_displacement(capsys):
 
 
 def test_console_script_installed():
-    out = subprocess.run(
-        [sys.executable, "-m", "ering", "--version"], capture_output=True, text=True
-    )
+    out = run_python("-m", "ering", "--version")
     assert out.returncode == 0
     assert "ering" in out.stdout
 
 
 def test_import_loads_no_scipy():
     code = "import ering, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
