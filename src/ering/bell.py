@@ -24,6 +24,7 @@ the value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -197,6 +198,11 @@ def joint_detection_probability(rho: np.ndarray, theta1, theta2):
     return float(p) if np.ndim(p) == 0 else p
 
 
+#: Distinct angles whose label ``angle_label`` remembers; a Bell run uses a handful.
+_ANGLE_LABEL_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_ANGLE_LABEL_CACHE_SIZE)
 def angle_label(theta: float) -> str:
     """Canonical degree label of a polarizer angle (period 180 degrees)."""
     deg = round(math.degrees(theta), 9) % 180.0

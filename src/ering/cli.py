@@ -109,7 +109,10 @@ def _load_base_config(args) -> SourceConfig:
         key, _, value = item.partition("=")
         if not _:
             raise InputFormatError(f"--set expects key=value, got {item!r}")
-        overrides[key] = value
+        try:
+            overrides[key] = float(value)
+        except ValueError:
+            raise InputFormatError(f"config key {key!r} needs a number, got {value!r}") from None
     return config_with_overrides(config, overrides)
 
 
@@ -549,9 +552,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InputFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON input: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -161,18 +161,20 @@ def config_from_dict(values: dict) -> SourceConfig:
 
 def load_config(path) -> SourceConfig:
     with open(path) as fh:
-        values = json.load(fh)
-    try:
-        return config_from_dict(values)
-    except InputFormatError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
+        try:
+            return config_from_dict(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(f"{path}: bad JSON: {exc}") from None
+        except InputFormatError as exc:
+            raise InputFormatError(f"{path}: {exc}") from None
 
 
 def config_with_overrides(config: SourceConfig, overrides: dict) -> SourceConfig:
     """Apply file-key overrides ({"alpha": 0.02, ...}) to a config.
 
-    A non-object, an unknown key or a value that is not a number is an
-    InputFormatError; a non-finite number is a ValueError of the config.
+    A non-object, an unknown key or a value that is not a real number (an
+    int or a float, not a bool or a string) is an InputFormatError; a
+    non-finite number is a ValueError of the config.
     """
     if not isinstance(overrides, dict):
         raise InputFormatError(f"expected a JSON object, got {type(overrides).__name__}")
@@ -180,10 +182,12 @@ def config_with_overrides(config: SourceConfig, overrides: dict) -> SourceConfig
     for key, value in overrides.items():
         if key not in CONFIG_KEYS:
             raise InputFormatError(f"unknown config key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputFormatError(f"config key {key!r} needs a number, got {value!r}")
         try:
             kwargs[CONFIG_KEYS[key]] = float(value)
-        except (TypeError, ValueError):
-            raise InputFormatError(f"config key {key!r} needs a number, got {value!r}") from None
+        except OverflowError:
+            raise ValueError(f"{CONFIG_KEYS[key]} must be finite") from None
     return replace(config, **kwargs)
 
 

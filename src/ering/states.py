@@ -19,6 +19,7 @@ rotated by a nonlocal unitary that trades entanglement for the parameter
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -50,11 +51,28 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate a 4x4 density matrix and return it as a complex array.
 
     Raises ValueError unless the matrix is 4x4, finite, Hermitian and of unit
-    trace within 1e-12, with no eigenvalue below -1e-10.
+    trace within 1e-12, with no eigenvalue below -1e-10.  A passing verdict
+    is cached by the matrix's bytes, so checking the same content again is a
+    lookup; a changed matrix has new bytes and is checked afresh, and an
+    invalid one is never cached, so it raises on every call.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
+    _check_entries(rho.tobytes())
+    return rho
+
+
+#: Distinct valid matrices whose verdict ``check_density_matrix`` remembers.
+#: The repeats are the same matrix passing through the several measures of
+#: one analysis, so a few recent matrices are enough.
+_VERDICT_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_VERDICT_CACHE_SIZE)
+def _check_entries(data: bytes) -> None:
+    """The content checks of ``check_density_matrix`` on a 4x4 complex matrix's bytes."""
+    rho = np.frombuffer(data, dtype=complex).reshape(4, 4)
     if not np.isfinite(rho).all():
         raise ValueError("density matrix has non-finite entries")
     if np.abs(rho - rho.conj().T).max() > HERMITIAN_ATOL:
@@ -64,7 +82,6 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     eigs = np.linalg.eigvalsh(rho)
     if eigs.min() < PSD_EIGENVALUE_FLOOR:
         raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
-    return rho
 
 
 def repair_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -288,5 +305,7 @@ def load_density_matrix(path) -> np.ndarray:
     with open(path) as fh:
         try:
             return density_matrix_from_dict(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(f"{path}: bad JSON: {exc}") from None
         except InputFormatError as exc:
             raise InputFormatError(f"{path}: {exc}") from None

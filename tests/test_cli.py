@@ -247,6 +247,7 @@ def test_non_finite_float_flag_exit_2(argv, tmp_path, monkeypatch, capsys):
         ('{"basis": ["HH", "HV", "VH", "VV"], "re": ' + json.dumps(np.eye(4).tolist())
          + ', "im": ' + json.dumps(np.full((4, 4), np.nan).tolist()) + "}", "finite"),
         ('{"basis": ["VV"], "re": [], "im": []}', "basis"),
+        ('{"basis": ["HH", "HV", "VH", "VV"], "re": [[0.25, 0', "bad JSON: Expecting"),
     ],
 )
 def test_malformed_density_matrix_json_exit_2(text, message, tmp_path, capsys):
@@ -271,6 +272,9 @@ def test_malformed_density_matrix_json_exit_2(text, message, tmp_path, capsys):
         ('{"alpha": [1]}', [], "'alpha' needs a number, got [1]"),
         ('{"bogus": 1}', [], "unknown config key 'bogus'"),
         (None, ["--set", "alpha=abc"], "'alpha' needs a number, got 'abc'"),
+        ('{"visibility": true}', [], "'visibility' needs a number, got True"),
+        ('{"alpha": "0.05"}', [], "'alpha' needs a number, got '0.05'"),
+        ('{"alpha": 0.05', [], "bad JSON: Expecting"),
     ],
 )
 def test_malformed_config_exit_2(text, overrides, message, tmp_path, monkeypatch, capsys):

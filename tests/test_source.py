@@ -12,6 +12,7 @@ from ering.bell import (
     correlation_from_counts,
     joint_detection_probability,
 )
+from ering.errors import InputFormatError
 from ering.sampling import random_density_matrix
 from ering.source import (
     COHERENCE_TIME_SCALE,
@@ -75,10 +76,15 @@ def test_config_rejects_non_finite():
 
 
 def test_config_from_dict_applies_keys_over_defaults():
-    cfg = config_from_dict({"alpha": math.radians(1.4), "pair_rate": "3e5"})
+    cfg = config_from_dict({"alpha": math.radians(1.4), "pair_rate": 300000})
     assert cfg == config_with_overrides(CFG, {"alpha": math.radians(1.4), "pair_rate": 3e5})
     with pytest.raises(ValueError, match="pair_rate must be finite"):
-        config_from_dict({"pair_rate": "nan"})
+        config_from_dict({"pair_rate": math.nan})
+    with pytest.raises(ValueError, match="pair_rate must be finite"):
+        config_from_dict({"pair_rate": 10**400})
+    for value in ("3e5", True):
+        with pytest.raises(InputFormatError, match="'pair_rate' needs a number"):
+            config_from_dict({"pair_rate": value})
 
 
 def test_config_file_round_trip(tmp_path):

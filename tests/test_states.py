@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from ering import states
 from ering.entanglement import is_separable_ppt, tangle
+from ering.sampling import random_density_matrix
 from ering.states import (
     bell_state,
     check_density_matrix,
@@ -270,6 +271,69 @@ def test_check_density_matrix_hermitian_tolerance():
             rho[entry] = value
             with pytest.raises(ValueError):
                 check_density_matrix(rho)
+
+
+def _verdict(check, rho):
+    """None if ``check`` accepts ``rho``, else the message of its ValueError."""
+    try:
+        check(rho)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_density_matrix_rechecks_a_matrix_changed_after_passing():
+    rho = werner(0.5)
+    assert check_density_matrix(rho) is rho
+    rho[0, 1] = 0.1
+    with pytest.raises(ValueError, match="Hermitian"):
+        check_density_matrix(rho)
+
+
+def _verdict_corpus(seed):
+    """Seeded valid and invalid 4x4 matrices, each kind near its threshold."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(200):
+        rho = random_density_matrix(rng, perturbation=rng.uniform(0.05, 0.5))
+        out.append(rho)
+        zeros = werner(rng.uniform(0, 1))
+        zeros[zeros == 0] = complex(-0.0, -0.0)
+        zeros.imag[np.diag_indices(4)] = -0.0
+        out.append(zeros)
+        skew = rho.copy()
+        i, j = rng.choice(4, size=2, replace=False)
+        skew[i, j] += 10.0 ** rng.uniform(-13, -2) * np.exp(2j * np.pi * rng.uniform())
+        out.append(skew)
+        out.append(rho * (1 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-13, -2)))
+        u, v = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0].T
+        out.append(rho + rng.uniform(0, 0.5) * (np.outer(u, u.conj()) - np.outer(v, v.conj())))
+        broken = rho.copy()
+        broken[tuple(rng.integers(4, size=2))] = rng.choice([np.nan, np.inf, complex(0, -np.inf)])
+        out.append(broken)
+    return out + [m.T for m in out[:: 7]]
+
+
+def test_cached_verdicts_match_the_uncached_checks():
+    oracle = states._check_entries.__wrapped__
+    corpus = _verdict_corpus(5)
+    assert len(corpus) >= 1000 and not corpus[-1].flags.c_contiguous
+    states._check_entries.cache_clear()
+    expected = [_verdict(oracle, np.array(m, dtype=complex, order="C").tobytes()) for m in corpus]
+    assert None in expected
+    for kind in ("non-finite", "Hermitian", "trace", "negative"):
+        assert any(v and kind in v for v in expected), kind
+    # Each matrix twice in a row: first on a cache that has not seen it, then warm.
+    got = [(_verdict(check_density_matrix, m), _verdict(check_density_matrix, m)) for m in corpus]
+    assert got == [(v, v) for v in expected]
+    assert states._check_entries.cache_info().hits >= expected.count(None)
+
+
+def test_invalid_matrix_raises_on_every_call():
+    bad = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="negative eigenvalue -1.000e-01"):
+            check_density_matrix(bad)
 
 
 def test_repair_density_matrix_clips_and_renormalizes():
