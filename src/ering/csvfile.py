@@ -28,10 +28,14 @@ def read(path, header: list[str], comments: dict[str, float]) -> tuple[dict[str,
 
     ``comments`` maps the keys read to their defaults.  A value in the file
     must be finite and positive, or equal its default (0 stands for unknown).
+    The file must be UTF-8 text.
     """
     values = dict(comments)
-    with open(path, newline="") as fh:
-        lines = fh.readlines()
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     start = 0
     while start < len(lines) and lines[start].startswith("#"):
         parts = lines[start][1:].split()

@@ -160,11 +160,13 @@ def config_from_dict(values: dict) -> SourceConfig:
 
 
 def load_config(path) -> SourceConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return config_from_dict(json.load(fh))
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"{path}: bad JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except InputFormatError as exc:
             raise InputFormatError(f"{path}: {exc}") from None
 

@@ -10,25 +10,29 @@ the standard polarization alphabet
 or a general elliptical projector ``E(Theta,Phi)`` with ket
 cos(Theta/2)|H> + e^{i Phi} sin(Theta/2)|V> (Bloch angles, radians).
 
-Reconstruction is offered two ways: exact linear inversion of the
-design matrix (fast, but unphysical under noise) and the maximum-likelihood
-state of James et al., PRA 64, 052312 (2001), over the Cholesky-style
+Reconstruction is offered two ways: linear inversion of the design matrix
+(fast, but unphysical under noise) and the maximum-likelihood state of
+James et al., PRA 64, 052312 (2001), over the Cholesky-style
 factorization rho = T T^dag / Tr(T T^dag), which is positive by
 construction.  The unnormalized factor doubles as the joint flux estimate,
-so the Poisson likelihood needs no separate normalization parameter.
+so the Poisson likelihood needs no separate normalization parameter, and
+neither method reads the ``total_flux_estimate`` of the data: it is
+informational.
 
 The likelihood is convex in M = T T^dag, and each mean count
 mu_k = Tr(M P_k) is a quadratic form t^T Q_k t in the 16 real parameters
-t of T.  One damped Newton solve with the exact Hessian starts from the
-positivity-repaired linear estimate; with 16 settings a positive
-definite linear estimate already fits the counts exactly, and the solve
-ends at once.
+t of T.  The solve starts from the linear estimate rho_0 (repaired to be
+positive) at the data's own scale M = rho_0 sum_k n_k / sum_k Tr(rho_0 P_k),
+the likelihood-optimal flux for that shape.  With exactly 16 settings a
+positive definite linear estimate fits every count (mu_k = n_k) and is
+returned as soon as the certificate below accepts it.  Otherwise one
+damped Newton solve with the exact Hessian runs from that start.
 An optimum on the rank boundary of the positive cone is finished by
 Newton on a 4 x r factor, r = 1..4, and the first r whose result passes
 the KKT certificate  lambda_min(sum_k (1 - n_k/mu_k) P_k) >= -tol  is
 returned: by convexity it is the global optimum.  The per-settings tables
-(projectors, design matrix and its rank, the Q_k) are built once per
-settings tuple and cached read-only.
+(projectors, design matrix, its rank and pseudo-inverse, the Q_k) are
+built once per settings tuple and cached read-only.
 """
 
 from __future__ import annotations
@@ -118,8 +122,18 @@ _CHOLESKY_BASIS = _TRAPEZOID_BASES[4]  # the 16 parameters of T
 
 
 def _quadratic_forms(projectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Q[k] with Tr(A A^dag P_k) = x^T Q[k] x for the factor A = sum_j x_j basis[j]."""
-    return np.einsum("iab,jcb,kca->kij", basis, basis.conj(), projectors).real
+    """Q[k] with Tr(A A^dag P_k) = x^T Q[k] x for the factor A = sum_j x_j basis[j].
+
+    Q[k, i, j] = Re sum_{a,b} basis[i, a, b] (P_k^T conj(basis[j]))[a, b]: one
+    matmul maps every conjugated basis factor through every P_k^T, a second
+    contracts the result with the flattened basis.
+    """
+    n, _, rank = basis.shape
+    k = len(projectors)
+    columns = basis.conj().transpose(1, 0, 2).reshape(4, n * rank)  # [c, (j, b)]
+    mapped = (projectors.transpose(0, 2, 1) @ columns).reshape(k, 4, n, rank)  # [k, a, j, b]
+    mapped = mapped.transpose(0, 2, 1, 3).reshape(k, n, 4 * rank)  # [k, j, (a, b)]
+    return (basis.reshape(n, 4 * rank) @ mapped.transpose(0, 2, 1)).real
 
 
 @dataclass(frozen=True)
@@ -129,6 +143,7 @@ class _SettingsTable:
     projectors: np.ndarray  # (K, 4, 4)
     design: np.ndarray  # (K, 16), see design_matrix
     rank: int  # of the design matrix
+    inverse: np.ndarray  # (16, K) pseudo-inverse of the design: least squares when K > 16
     quadratic_forms: np.ndarray  # (K, 16, 16) over the Cholesky parameters
 
 
@@ -141,9 +156,10 @@ def _table_for_labels(labels: tuple[tuple[str, str], ...]) -> _SettingsTable:
         projectors,
         design,
         int(np.linalg.matrix_rank(design)),
+        np.linalg.pinv(design),
         _quadratic_forms(projectors, _CHOLESKY_BASIS),
     )
-    for array in (table.projectors, table.design, table.quadratic_forms):
+    for array in (table.projectors, table.design, table.inverse, table.quadratic_forms):
         array.setflags(write=False)
     return table
 
@@ -168,7 +184,11 @@ def design_condition_number(settings: list[TomoSetting]) -> float:
 
 @dataclass
 class TomoData:
-    """Counts of one tomography run."""
+    """Counts of one tomography run.
+
+    ``total_flux_estimate`` is the recorded incident flux per setting (0 for
+    unknown); it is informational, and no reconstruction reads it.
+    """
 
     settings: list[TomoSetting]
     counts: np.ndarray
@@ -225,20 +245,6 @@ def exact_tomography_counts(
     return TomoData(settings, counts_per_setting * probs, float(counts_per_setting))
 
 
-def _flux_estimate(data: TomoData) -> float:
-    labels = [(s.proj1, s.proj2) for s in data.settings]
-    basis_group = {("H", "H"), ("H", "V"), ("V", "H"), ("V", "V")}
-    if basis_group.issubset(set(labels)):
-        flux = sum(
-            data.counts[i] for i, lab in enumerate(labels) if lab in basis_group
-        )
-        if flux > 0:
-            return float(flux)
-    if data.total_flux_estimate > 0:
-        return float(data.total_flux_estimate)
-    raise ValueError("cannot estimate flux: no complete basis group and no estimate")
-
-
 _RANK_DEFICIENT = "design matrix is rank deficient; settings are not complete"
 
 
@@ -246,18 +252,15 @@ def linear_reconstruct(data: TomoData) -> np.ndarray:
     """Linear inversion of the design matrix.
 
     Returns a Hermitian, unit-trace matrix that reproduces the measured
-    frequencies exactly; under Poisson noise it may have negative
-    eigenvalues (check before treating it as a state).
+    frequencies exactly (in the least-squares sense for more than 16
+    settings); under Poisson noise it may have negative eigenvalues (check
+    before treating it as a state).  The flux cancels in the trace
+    normalization, so ``total_flux_estimate`` is not read.
     """
     table = _settings_table(data.settings)
     if table.rank < 16:
         raise ValueError(_RANK_DEFICIENT)
-    probs = data.counts / _flux_estimate(data)
-    if len(probs) == 16:
-        s = np.linalg.solve(table.design, probs)
-    else:
-        s, *_ = np.linalg.lstsq(table.design, probs, rcond=None)
-    rho = np.einsum("j,jab->ab", s, PAULI_PAIRS) / 4
+    rho = ((table.inverse @ data.counts) @ PAULI_PAIRS.reshape(16, 16)).reshape(4, 4) / 4
     rho = (rho + rho.conj().T) / 2
     trace = np.trace(rho).real
     if trace <= 0:
@@ -272,17 +275,17 @@ _KKT_TOL = 1e-8  # allowed negative eigenvalue of the likelihood gradient
 
 
 def _gram(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    factor = np.tensordot(x, basis, 1)
+    factor = (x @ basis.reshape(len(basis), -1)).reshape(4, -1)
     return factor @ factor.conj().T
 
 
-def _deviance(x: np.ndarray, quad: np.ndarray, counts: np.ndarray, pos: np.ndarray) -> float:
-    """Poisson deviance sum_k mu_k - n_k - n_k log(mu_k / n_k).
+def _deviance(x: np.ndarray, flat: np.ndarray, counts: np.ndarray, pos: np.ndarray) -> float:
+    """Poisson deviance sum_k mu_k - n_k - n_k log(mu_k / n_k), flat = Q.reshape(K, n^2).
 
     This is the negative log-likelihood up to a constant, measured from the
     exact fit so that its rounding stays far below the Newton tolerance.
     """
-    mu = (quad @ x) @ x
+    mu = flat @ np.outer(x, x).ravel()
     if np.any(mu[pos] <= 0):
         return math.inf
     return float(np.sum(mu - counts) - counts[pos] @ np.log(mu[pos] / counts[pos]))
@@ -298,10 +301,13 @@ def _newton(
     Newton decrement below _DECREMENT_TOL; the last Newton step is then
     taken unless it leaves the domain (a zero mean where counts are seen).
     Below that tolerance its gain is at the rounding level of the deviance,
-    so it is not tested for descent.
+    so it is not tested for descent.  The damping grows tenfold on a
+    rejected step and halves on an accepted one.
     """
     pos = counts > 0
-    f = _deviance(x, quad, counts, pos)
+    n = len(x)
+    flat = quad.reshape(len(quad), n * n)
+    f = _deviance(x, flat, counts, pos)
     damping = 0.0
     for _ in range(max_steps):
         qx = quad @ x
@@ -309,25 +315,25 @@ def _newton(
         ratio = np.divide(counts, mu, out=np.zeros_like(mu), where=pos)
         curvature = np.divide(ratio, mu, out=np.zeros_like(mu), where=pos)
         grad = 2 * (1 - ratio) @ qx
-        hess = 2 * np.tensordot(1 - ratio, quad, 1) + 4 * qx.T @ (curvature[:, None] * qx)
+        hess = 2 * ((1 - ratio) @ flat).reshape(n, n) + 4 * qx.T @ (curvature[:, None] * qx)
         evals, evecs = np.linalg.eigh(hess)
         g = evecs.T @ grad
         if evals[0] > 0 and g @ (g / evals) <= _DECREMENT_TOL:
             final = x - evecs @ (g / evals)
-            return (x if _deviance(final, quad, counts, pos) == math.inf else final), True
+            return (x if _deviance(final, flat, counts, pos) == math.inf else final), True
         scale = np.abs(evals).max()
         # the smallest shift that makes the damped Hessian positive definite
         shift = max(0.0, -evals[0]) + 1e-12 * scale
         while True:
             step = -evecs @ (g / (evals + shift + damping * scale))
-            f_new = _deviance(x + step, quad, counts, pos)
+            f_new = _deviance(x + step, flat, counts, pos)
             if f_new <= f:
                 break
-            damping = max(2 * damping, 1e-6)
+            damping = max(10 * damping, 1e-6)
             if damping > 1e12:
                 return x, False
         x, f = x + step, f_new
-        damping /= 4
+        damping /= 2
     return x, False
 
 
@@ -338,9 +344,10 @@ def _kkt_certified(m: np.ndarray, projectors: np.ndarray, counts: np.ndarray) ->
     _KKT_TOL) is the KKT condition of the convex problem over m >= 0, so m
     is the global optimum.
     """
-    mu = np.einsum("ab,kba->k", m, projectors).real
+    flat = projectors.reshape(len(projectors), 16)
+    mu = (flat @ m.T.ravel()).real
     weights = 1 - np.divide(counts, mu, out=np.zeros_like(mu), where=counts > 0)
-    gradient = np.tensordot(weights, projectors, 1)
+    gradient = (weights @ flat).reshape(4, 4)
     return bool(np.linalg.eigvalsh(gradient)[0] >= -_KKT_TOL)
 
 
@@ -371,10 +378,13 @@ def ml_reconstruct(data: TomoData, seed: int = 0) -> np.ndarray:
     Minimizes the Poisson negative log-likelihood sum_k mu_k - n_k log mu_k,
     mu_k = Tr(T T^dag P_k) (T lower triangular, 16 real parameters; its
     trace is the joint flux estimate), by one damped Newton solve from the
-    positivity-repaired linear estimate, finished on the rank boundary when
-    needed (see the module docstring).  The solve is deterministic; ``seed``
-    is accepted for compatibility and has no effect.  The result always
-    satisfies every density-matrix invariant.
+    positivity-repaired linear estimate at the data's own flux scale,
+    finished on the rank boundary when needed (see the module docstring).
+    With exactly 16 settings a positive definite linear estimate fits every
+    count and is returned once certified.
+    The solve is deterministic and reads neither ``seed`` (accepted for
+    compatibility) nor ``total_flux_estimate``.  The result always satisfies
+    every density-matrix invariant.
 
     Raises ValueError for informationally incomplete settings or all-zero
     counts, and ConvergenceError when no rank passes the KKT certificate.
@@ -385,12 +395,20 @@ def ml_reconstruct(data: TomoData, seed: int = 0) -> np.ndarray:
     counts = data.counts
     if not counts.any():
         raise ValueError("all counts are zero; there is no likelihood to maximize")
-    flux = _flux_estimate(data)
     try:
-        rho_init = repair_density_matrix(linear_reconstruct(data))
+        rho_init = linear_reconstruct(data)
     except ValueError:
         # complete settings whose linear estimate has trace <= 0
         rho_init = np.eye(4, dtype=complex) / 4
+    positive = np.linalg.eigvalsh(rho_init)[0] > 0
+    if not positive:
+        rho_init = repair_density_matrix(rho_init)
+    # the likelihood-optimal flux for this shape: sum_k mu_k = sum_k n_k
+    flux = counts.sum() / np.einsum("kab,ba->", table.projectors, rho_init).real
+    # a square design fits every count (mu_k = n_k), so a positive estimate is the optimum
+    exact_fit = positive and len(counts) == 16
+    if exact_fit and _kkt_certified(flux * rho_init, table.projectors, counts):
+        return rho_init
     try:
         tri = np.linalg.cholesky(flux * rho_init)
     except np.linalg.LinAlgError:

@@ -9,6 +9,11 @@ its argv, exit code, stdout and the text of every file it created or
 changed.  ``tests/test_golden.py`` replays the same commands in process and
 requires every byte to match.  Manifests are stored without their
 ``wall_clock_s`` entry, the one value that differs between runs.
+
+Before writing, it prints a drift report against the golden it replaces:
+per command, a changed exit code, a changed set of files, any change of
+the non-numeric text, and the largest absolute change of the numbers in
+its stdout and files.
 """
 
 from __future__ import annotations
@@ -91,6 +96,51 @@ def changed_files(before: dict[str, str], after: dict[str, str]) -> dict[str, st
     return {k: v for k, v in after.items() if before.get(k) != v}
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def number_drift(old: str, new: str) -> float | None:
+    """Largest |new - old| over the numbers of two texts; None if the rest of the text differs."""
+    if _NUMBER.split(old) != _NUMBER.split(new):
+        return None
+    pairs = zip(_NUMBER.findall(old), _NUMBER.findall(new))
+    return max((abs(float(b) - float(a)) for a, b in pairs), default=0.0)
+
+
+def drift_report(old: list[dict], new: list[dict]) -> list[str]:
+    """One line per command whose recorded exit code, files, text or numbers changed."""
+    before = {entry["name"]: entry for entry in old}
+    lines = []
+    for entry in new:
+        name = entry["name"]
+        was = before.pop(name, None)
+        if was is None:
+            lines.append(f"{name}: new command")
+            continue
+        changes = []
+        for key in ("argv", "exit"):
+            if was[key] != entry[key]:
+                changes.append(f"{key} {was[key]} -> {entry[key]}")
+        if was["files"].keys() != entry["files"].keys():
+            changes.append(f"files {sorted(was['files'])} -> {sorted(entry['files'])}")
+        texts = {"stdout": (was["stdout"], entry["stdout"])}
+        for path in sorted(was["files"].keys() & entry["files"].keys()):
+            texts[path] = (was["files"][path], entry["files"][path])
+        worst = 0.0
+        for label, (a, b) in texts.items():
+            delta = number_drift(a, b)
+            if delta is None:
+                changes.append(f"{label}: text changed")
+            else:
+                worst = max(worst, delta)
+        if worst:
+            changes.append(f"max |delta| {worst:.1e}")
+        if changes:
+            lines.append(f"{name}: " + "; ".join(changes))
+    lines += [f"{name}: command removed" for name in before]
+    return lines
+
+
 def record() -> list[dict]:
     env = {k: v for k, v in os.environ.items() if k != "ERING_CONFIG"}
     env["PYTHONPATH"] = str(SRC)
@@ -118,6 +168,10 @@ def record() -> list[dict]:
 
 
 if __name__ == "__main__":
+    results = record()
+    if GOLDEN.exists():
+        report = drift_report(json.loads(GOLDEN.read_text()), results)
+        print("\n".join(report) if report else f"no drift against {GOLDEN}")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(record(), indent=1) + "\n")
+    GOLDEN.write_text(json.dumps(results, indent=1) + "\n")
     print(f"wrote {GOLDEN}")

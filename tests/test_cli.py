@@ -290,6 +290,35 @@ def test_malformed_config_exit_2(text, overrides, message, tmp_path, monkeypatch
     assert (f"{config}: " in err) == (text is not None)
 
 
+_NOT_UTF8 = b"\xff\xfe{"
+
+
+def test_non_utf8_config_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ERING_CONFIG", raising=False)
+    config = tmp_path / "bin.json"
+    config.write_bytes(_NOT_UTF8)
+    assert run_cli("source", "--config", str(config)) == 2
+    assert f"{config}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_non_utf8_state_exit_2(tmp_path, capsys):
+    state = tmp_path / "bin.json"
+    state.write_bytes(_NOT_UTF8)
+    argv = ["bell", "simulate", "--family", "file", "--state", str(state), "--seed", "1",
+            "--out", str(tmp_path / "c.csv")]
+    assert run_cli(*argv) == 2
+    assert f"{state}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [("tomo", "reconstruct", "--data"), ("bell", "eval", "--counts")])
+def test_non_utf8_csv_exit_2(command, tmp_path, capsys):
+    # the first lines are valid; the bad byte sits in a later row
+    path = tmp_path / "bin.csv"
+    path.write_bytes(b"# duration_s 1\ntheta1_deg,theta2_deg,counts\n0,0,5\n" + _NOT_UTF8 + b"\n")
+    assert run_cli(*command, str(path)) == 2
+    assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-5", "x"])
 def test_tomo_reconstruct_bad_flux_header_exit_2(value, tmp_path, capsys):
     path = tmp_path / "flux.csv"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import minimize
 
+from ering import tomography
 from ering.errors import InputFormatError
 from ering.sampling import random_density_matrix
 from ering.states import (
@@ -143,12 +144,10 @@ def test_ml_deterministic():
 
 def test_ml_beats_projected_linear_start():
     # optimum likelihood must not be worse than the repaired linear start
-    from ering.tomography import _flux_estimate
-
     data = simulate_tomography(projector(singlet()), 200, seed=4)
     rec = ml_reconstruct(data, seed=0)
     start = repair_density_matrix(linear_reconstruct(data))
-    flux = _flux_estimate(data)
+    flux = data.counts[:4].sum()  # HH, HV, VV, VH form a complete basis
 
     def loglike(rho):
         mu = np.clip(flux * expected_probabilities(rho, data.settings), 1e-12, None)
@@ -282,6 +281,85 @@ def test_ml_equals_linear_on_exact_interior_counts():
     for rho in (werner(0.47), mems(0.3)):
         data = exact_tomography_counts(rho, 4e4)
         assert np.abs(ml_reconstruct(data) - linear_reconstruct(data)).max() < 1e-12
+
+
+def einsum_quadratic_forms(projectors, basis):
+    """Q[k, i, j] = Re Tr(basis[i] basis[j]^dag P_k) as one three-operand einsum."""
+    return np.einsum("iab,jcb,kca->kij", basis, basis.conj(), projectors).real
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_quadratic_forms_match_einsum_oracle(rank, rng):
+    projectors = np.array([s.pair_projector() for s in standard_settings()])
+    for _ in range(3):
+        unitary, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        basis = unitary @ tomography._TRAPEZOID_BASES[rank]
+        got = tomography._quadratic_forms(projectors, basis)
+        assert np.abs(got - einsum_quadratic_forms(projectors, basis)).max() < 1e-13
+
+
+def _count_newton_calls(monkeypatch):
+    calls = []
+    newton = tomography._newton
+
+    def counted(*args):
+        calls.append(1)
+        return newton(*args)
+
+    monkeypatch.setattr(tomography, "_newton", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p,seed", [(0.27, 1), (0.47, 2), (0.6, 3)])
+def test_ml_returns_positive_linear_estimate_on_square_data(p, seed, monkeypatch):
+    # 16 settings and a positive definite linear estimate: every count is fit
+    # exactly, so the certified estimate is returned without a Newton step
+    data = simulate_tomography(werner(p), 40_000, seed=seed)
+    linear = linear_reconstruct(data)
+    assert np.linalg.eigvalsh(linear)[0] > 0
+    calls = _count_newton_calls(monkeypatch)
+    rec = ml_reconstruct(data)
+    assert not calls
+    assert np.abs(rec - linear).max() < 1e-12
+    assert profile_nll(rec, data) <= profile_nll(lbfgs_ml_oracle(data), data) + 1e-8
+
+
+_BASIS_PAIRS = [("H", "V"), ("D", "A"), ("L", "R")]
+_OVERCOMPLETE = [  # 36 settings, HH HV VH VV first
+    TomoSetting(a, b) for b1 in _BASIS_PAIRS for b2 in _BASIS_PAIRS for a in b1 for b in b2
+]
+
+
+def test_ml_overcomplete_positive_estimate_runs_newton(monkeypatch):
+    # least squares does not fit 36 counts exactly, so the solve still runs
+    data = simulate_tomography(werner(0.47), 40_000, seed=1, settings=_OVERCOMPLETE)
+    assert np.linalg.eigvalsh(linear_reconstruct(data))[0] > 0
+    calls = _count_newton_calls(monkeypatch)
+    rec = ml_reconstruct(data)
+    assert calls
+    assert profile_nll(rec, data) <= profile_nll(lbfgs_ml_oracle(data), data) + 1e-8
+    lam_min, slack = kkt_residuals(rec, data)
+    assert lam_min >= -1e-8
+    assert slack <= 1e-8
+
+
+_NO_HV_GROUP = [  # informationally complete, without the HH/HV/VH/VV group
+    TomoSetting(a, b)
+    for a in ("D", "L", "E(1,0.3)", "E(2,1.7)")
+    for b in ("D", "L", "E(1,0.3)", "E(2,1.7)")
+]
+
+
+@pytest.mark.parametrize("seed, positive", [(1, True), (2, False), (3, False)])
+def test_ml_ignores_flux_header(seed, positive):
+    # the start is scaled by the counts, not by the header; a linear estimate
+    # that is not positive sends the solve through Newton from that start
+    data = simulate_tomography(werner(0.7), 40_000, seed=seed, settings=_NO_HV_GROUP)
+    assert (np.linalg.eigvalsh(linear_reconstruct(data))[0] > 0) == positive
+    want = ml_reconstruct(data)
+    for factor in (0.1, 0.5, 10, 100):
+        header = TomoData(data.settings, data.counts, factor * data.total_flux_estimate)
+        assert np.abs(ml_reconstruct(header) - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("seed", [1, 15, 21])
