@@ -37,6 +37,7 @@ from . import __version__, csvfile
 from .bell import (
     AnglePlan,
     STANDARD_PLAN,
+    angle_label,
     chsh_from_counts,
     chsh_optimize,
     counts_from_csv,
@@ -387,6 +388,12 @@ def cmd_bell_simulate(args) -> int:
 def cmd_bell_eval(args) -> int:
     table = counts_from_csv(args.counts)
     plan = _plan_from_args(args)
+    for t1, t2 in plan.all_settings():
+        l1, l2 = angle_label(t1), angle_label(t2)
+        if (l1, l2) not in table.entries:
+            raise InputFormatError(
+                f"{args.counts}: no row for the joint setting theta1 = {l1} deg, theta2 = {l2} deg"
+            )
     s, sigma = chsh_from_counts(table, plan)
     violation = (abs(s) - 2) / sigma if sigma > 0 else float("nan")
     print(f"S = {s:.6f}")

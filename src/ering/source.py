@@ -77,6 +77,12 @@ class SourceConfig:
     0.07 cm annular mask, 2e5 generated pairs per second, 65 % detector
     quantum efficiency, 50 /s dark counts and a 6 nm filter giving a
     140 fs coherence time.
+
+    ``pump_wavelength`` (``lambda_pump``) and ``coherence_time``
+    (``tau_coh``) are recorded only: they are validated and echoed in
+    reports and manifests, but no computation reads them.  The coherence
+    time used is ``coherence_time_from_bandwidth``, from
+    ``filter_bandwidth``.
     """
 
     pump_wavelength: float = 363.8e-9
@@ -530,9 +536,11 @@ def ou_mandel_scan(
 ) -> list[tuple[float, float]]:
     """Normalized coincidence rate versus beam-splitter position x.
 
-    C(x) = 1 - V cos(phi) exp(-(x/sigma)^2) with sigma = c * tau_coh / 2
-    (the factor 2 because moving the splitter by x changes the path
-    difference by 2x).  phi = 0 gives a dip, phi = pi a peak and
+    C(x) = 1 - V cos(phi) exp(-(x/sigma)^2) with sigma = c * tau / 2, where
+    tau = coherence_time_from_bandwidth(config) is set by the filter
+    bandwidth (the config's ``coherence_time`` is not read), and the factor
+    2 is there because moving the splitter by x changes the path
+    difference by 2x.  phi = 0 gives a dip, phi = pi a peak and
     phi = pi/2 a flat trace; far from x = 0 the rate is 1 for any phi.
     """
     if not 0 <= visibility <= 1:

@@ -12,27 +12,29 @@ cos(Theta/2)|H> + e^{i Phi} sin(Theta/2)|V> (Bloch angles, radians).
 
 Reconstruction is offered two ways: linear inversion of the design matrix
 (fast, but unphysical under noise) and the maximum-likelihood state of
-James et al., PRA 64, 052312 (2001), over the Cholesky-style
-factorization rho = T T^dag / Tr(T T^dag), which is positive by
-construction.  The unnormalized factor doubles as the joint flux estimate,
-so the Poisson likelihood needs no separate normalization parameter, and
-neither method reads the ``total_flux_estimate`` of the data: it is
-informational.
+James et al., PRA 64, 052312 (2001), over the factorization
+rho = T T^dag / Tr(T T^dag), which is positive by construction.  The
+unnormalized factor doubles as the joint flux estimate, so the Poisson
+likelihood needs no separate normalization parameter, and neither method
+reads the ``total_flux_estimate`` of the data: it is informational.
 
 The likelihood is convex in M = T T^dag, and each mean count
-mu_k = Tr(M P_k) is a quadratic form t^T Q_k t in the 16 real parameters
-t of T.  The solve starts from the linear estimate rho_0 (repaired to be
-positive) at the data's own scale M = rho_0 sum_k n_k / sum_k Tr(rho_0 P_k),
-the likelihood-optimal flux for that shape.  With exactly 16 settings a
-positive definite linear estimate fits every count (mu_k = n_k) and is
-returned as soon as the certificate below accepts it.  Otherwise one
-damped Newton solve with the exact Hessian runs from that start.
-An optimum on the rank boundary of the positive cone is finished by
-Newton on a 4 x r factor, r = 1..4, and the first r whose result passes
-the KKT certificate  lambda_min(sum_k (1 - n_k/mu_k) P_k) >= -tol  is
-returned: by convexity it is the global optimum.  The per-settings tables
-(projectors, design matrix, its rank and pseudo-inverse, the Q_k) are
-built once per settings tuple and cached read-only.
+mu_k = Tr(M P_k) is a quadratic form x^T Q_k x in the real parameters x
+of T.  Every fit is one damped Newton solve with the exact Hessian over a
+4 x r lower-trapezoidal T in the eigenbasis of a starting M, started at
+the square roots of its r largest eigenvalues.  The first start is the
+linear estimate rho_0 (repaired to be positive) at the data's own scale
+M_0 = rho_0 sum_k n_k / sum_k Tr(rho_0 P_k), the likelihood-optimal flux
+for that shape.  With exactly 16 settings a positive definite linear
+estimate fits every count (mu_k = n_k) and is returned as soon as the
+certificate below accepts it.  Otherwise the solve runs at r = 4 from M_0.
+A result is accepted only if it passes the KKT certificate
+lambda_min(sum_k (1 - n_k/mu_k) P_k) >= -tol: by convexity it is then the
+global optimum.  An optimum on the rank boundary of the positive cone can
+fail it at r = 4; the solve then runs at r = 1..4 from the r = 4 result,
+and the first certified one is returned.  The per-settings tables
+(projectors, design matrix, its rank and pseudo-inverse) are built once per
+settings tuple and cached read-only.
 """
 
 from __future__ import annotations
@@ -118,7 +120,6 @@ def _trapezoid_basis(rank: int) -> np.ndarray:
 
 
 _TRAPEZOID_BASES = {rank: _trapezoid_basis(rank) for rank in range(1, 5)}
-_CHOLESKY_BASIS = _TRAPEZOID_BASES[4]  # the 16 parameters of T
 
 
 def _quadratic_forms(projectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -144,7 +145,6 @@ class _SettingsTable:
     design: np.ndarray  # (K, 16), see design_matrix
     rank: int  # of the design matrix
     inverse: np.ndarray  # (16, K) pseudo-inverse of the design: least squares when K > 16
-    quadratic_forms: np.ndarray  # (K, 16, 16) over the Cholesky parameters
 
 
 @functools.lru_cache(maxsize=64)
@@ -152,14 +152,9 @@ def _table_for_labels(labels: tuple[tuple[str, str], ...]) -> _SettingsTable:
     projectors = np.array([TomoSetting(a, b).pair_projector() for a, b in labels])
     projectors = projectors.reshape(len(labels), 4, 4)
     design = 0.25 * np.einsum("kab,jba->kj", projectors, PAULI_PAIRS).real
-    table = _SettingsTable(
-        projectors,
-        design,
-        int(np.linalg.matrix_rank(design)),
-        np.linalg.pinv(design),
-        _quadratic_forms(projectors, _CHOLESKY_BASIS),
-    )
-    for array in (table.projectors, table.design, table.inverse, table.quadratic_forms):
+    rank = int(np.linalg.matrix_rank(design))
+    table = _SettingsTable(projectors, design, rank, np.linalg.pinv(design))
+    for array in (table.projectors, table.design, table.inverse):
         array.setflags(write=False)
     return table
 
@@ -268,7 +263,7 @@ def linear_reconstruct(data: TomoData) -> np.ndarray:
     return rho / trace
 
 
-_FULL_RANK_STEPS = 30  # Newton steps over T before the rank-boundary finish
+_FULL_RANK_STEPS = 30  # Newton steps at rank 4 before the rank-boundary finish
 _BOUNDARY_STEPS = 50  # Newton steps per rank of the finish
 _DECREMENT_TOL = 1e-10  # Newton decrement g^T H^-1 g, in log-likelihood units
 _KKT_TOL = 1e-8  # allowed negative eigenvalue of the likelihood gradient
@@ -351,35 +346,35 @@ def _kkt_certified(m: np.ndarray, projectors: np.ndarray, counts: np.ndarray) ->
     return bool(np.linalg.eigvalsh(gradient)[0] >= -_KKT_TOL)
 
 
-def _rank_boundary_finish(m: np.ndarray, projectors: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Newton on a 4 x r factor spanned by the top-r eigenvectors of m, r = 1..4.
+def _factor_solve(
+    m: np.ndarray, projectors: np.ndarray, counts: np.ndarray, rank: int, steps: int
+) -> tuple[np.ndarray, bool]:
+    """Newton on a 4 x rank factor spanned by the top-rank eigenvectors of m.
 
     In the eigenbasis the lower-trapezoidal factor starts at the square roots
-    of the r largest eigenvalues, far from the degenerate zero pivots that
-    stall the full factor at a rank-deficient optimum.  Returns the first
-    certified result.
+    of the rank largest eigenvalues, far from the degenerate zero pivots that
+    stall a fixed-basis factor near a rank-deficient optimum.  Returns the
+    Gram matrix of the result and whether it passed the KKT certificate.
     """
     eigs, vecs = np.linalg.eigh(m)
     eigs, vecs = eigs[::-1], vecs[:, ::-1]
-    for rank in range(1, 5):
-        basis = vecs @ _TRAPEZOID_BASES[rank]
-        x = np.zeros(len(basis))
-        x[:rank] = np.sqrt(np.maximum(eigs[:rank], 1e-9 * eigs[0]))
-        x, converged = _newton(x, _quadratic_forms(projectors, basis), counts, _BOUNDARY_STEPS)
-        m_rank = _gram(x, basis)
-        if converged and _kkt_certified(m_rank, projectors, counts):
-            return m_rank
-    raise ConvergenceError("no rank of the likelihood optimum passed the KKT certificate")
+    basis = vecs @ _TRAPEZOID_BASES[rank]
+    x = np.zeros(len(basis))
+    x[:rank] = np.sqrt(np.maximum(eigs[:rank], 1e-9 * eigs[0]))
+    x, converged = _newton(x, _quadratic_forms(projectors, basis), counts, steps)
+    m_rank = _gram(x, basis)
+    return m_rank, converged and _kkt_certified(m_rank, projectors, counts)
 
 
 def ml_reconstruct(data: TomoData, seed: int = 0) -> np.ndarray:
     """Maximum-likelihood density matrix for a tomography data set.
 
     Minimizes the Poisson negative log-likelihood sum_k mu_k - n_k log mu_k,
-    mu_k = Tr(T T^dag P_k) (T lower triangular, 16 real parameters; its
-    trace is the joint flux estimate), by one damped Newton solve from the
-    positivity-repaired linear estimate at the data's own flux scale,
-    finished on the rank boundary when needed (see the module docstring).
+    mu_k = Tr(T T^dag P_k) (T a 4 x r lower-trapezoidal factor in an
+    eigenbasis; its trace is the joint flux estimate), by one damped Newton
+    solve at rank 4 from the positivity-repaired linear estimate at the
+    data's own flux scale, then, when that is not certified, at ranks 1..4
+    from its result (see the module docstring).
     With exactly 16 settings a positive definite linear estimate fits every
     count and is returned once certified.
     The solve is deterministic and reads neither ``seed`` (accepted for
@@ -409,16 +404,14 @@ def ml_reconstruct(data: TomoData, seed: int = 0) -> np.ndarray:
     exact_fit = positive and len(counts) == 16
     if exact_fit and _kkt_certified(flux * rho_init, table.projectors, counts):
         return rho_init
-    try:
-        tri = np.linalg.cholesky(flux * rho_init)
-    except np.linalg.LinAlgError:
-        # a tiny diagonal lift keeps the factor defined on the boundary
-        tri = np.linalg.cholesky(flux * (rho_init + 1e-12 * np.eye(4)))
-    x = np.tensordot(_CHOLESKY_BASIS.conj(), tri, 2).real
-    x, converged = _newton(x, table.quadratic_forms, counts, _FULL_RANK_STEPS)
-    m = _gram(x, _CHOLESKY_BASIS)
-    if not (converged and _kkt_certified(m, table.projectors, counts)):
-        m = _rank_boundary_finish(m, table.projectors, counts)
+    full, certified = _factor_solve(flux * rho_init, table.projectors, counts, 4, _FULL_RANK_STEPS)
+    m = full
+    for rank in range(1, 5):  # not certified at rank 4: the rank-boundary finish from full
+        if certified:
+            break
+        m, certified = _factor_solve(full, table.projectors, counts, rank, _BOUNDARY_STEPS)
+    if not certified:
+        raise ConvergenceError("no rank of the likelihood optimum passed the KKT certificate")
     rho = (m + m.conj().T) / 2
     return rho / np.trace(rho).real
 
@@ -454,11 +447,16 @@ def tomo_data_to_csv(data: TomoData, path) -> None:
 
 
 def tomo_data_from_csv(path) -> TomoData:
-    """Parse a tomography CSV; raises InputFormatError with line numbers."""
+    """Parse a tomography CSV; raises InputFormatError with line numbers.
+
+    ``setting_index`` must be the 0-based position of the row among the rows.
+    """
     comments, rows = csvfile.read(path, _TOMO_HEADER, {"total_flux_estimate": 0.0})
     settings = []
     counts = []
-    for where, (_, proj1, proj2, n) in rows:
+    for position, (where, (index, proj1, proj2, n)) in enumerate(rows):
+        if index != str(position):
+            raise InputFormatError(f"{where}: setting_index must be {position}, got {index!r}")
         counts.append(csvfile.count(where, n))
         try:
             projector_ket(proj1)

@@ -452,6 +452,33 @@ def test_bell_eval_duplicate_row_exit_2(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+def test_bell_eval_missing_setting_exit_2(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    run_cli("bell", "simulate", "--family", "singlet", "--duration", "16", "--seed", "5",
+            "--out", str(counts))
+    capsys.readouterr()
+    lines = counts.read_text().splitlines(keepends=True)
+    counts.write_text("".join(line for line in lines if not line.startswith("0,112.5,")))
+    assert run_cli("bell", "eval", "--counts", str(counts)) == 2
+    err = capsys.readouterr().err
+    assert str(counts) in err
+    assert "theta1 = 0 deg, theta2 = 112.5 deg" in err
+
+
+def test_bell_eval_zero_total_base_pair_exit_1(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    run_cli("bell", "simulate", "--family", "singlet", "--duration", "16", "--seed", "5",
+            "--out", str(counts))
+    capsys.readouterr()
+    zeroed = ("0,22.5", "90,112.5", "0,112.5", "90,22.5")  # the base pair (0, 22.5)
+    lines = counts.read_text().splitlines()
+    rows = [line.rsplit(",", 1) for line in lines[2:]]  # below the comment and the header
+    lines[2:] = [f"{k},{0 if k in zeroed else n}" for k, n in rows]
+    counts.write_text("\n".join(lines) + "\n")
+    assert run_cli("bell", "eval", "--counts", str(counts)) == 1
+    assert "zero total counts" in capsys.readouterr().err
+
+
 def test_tomo_reconstruct_missing_file_exit_2(tmp_path, capsys):
     assert run_cli("tomo", "reconstruct", "--data", str(tmp_path / "nope.csv"), "--seed", "0") == 2
     capsys.readouterr()

@@ -254,12 +254,18 @@ def kkt_residuals(rho, data):
 
 
 _HH = projector(np.array([1, 0, 0, 0], dtype=complex))
+# Werner datasets at 40k flux whose rank-4 solve is not certified, with the
+# parameter counts of the Newton solves that ml_reconstruct runs on them: the
+# rank-4 solve (16), then the rank finish at r = 1 (7), 2 (12) and 3 (15)
+RANK_FINISH = {(0.998, 1): [16, 7, 12], (0.999, 1): [16, 7, 12], (0.999, 14): [16, 7, 12, 15],
+               (0.9999, 10): [16, 7, 12]}
 ORACLE_CORPUS = (
     [(f"werner({p:.2f})", werner(p), 1) for p in np.linspace(0.05, 0.85, 5)]
     + [(f"mems({p:.2f})", mems(p), 2) for p in np.linspace(0.05, 0.85, 5)]
     + [(f"werner({p})", werner(p), 2) for p in (0.9, 0.99, 0.995, 0.999, 0.9999)]
     + [("HH", _HH, 4)]
     + [("singlet", projector(singlet()), seed) for seed in (1, 15, 21)]
+    + [(f"werner({p})-seed{seed}-finish", werner(p), seed) for p, seed in RANK_FINISH]
 )
 
 
@@ -302,9 +308,9 @@ def _count_newton_calls(monkeypatch):
     calls = []
     newton = tomography._newton
 
-    def counted(*args):
-        calls.append(1)
-        return newton(*args)
+    def counted(x, *args):
+        calls.append(len(x))
+        return newton(x, *args)
 
     monkeypatch.setattr(tomography, "_newton", counted)
     return calls
@@ -322,6 +328,17 @@ def test_ml_returns_positive_linear_estimate_on_square_data(p, seed, monkeypatch
     assert not calls
     assert np.abs(rec - linear).max() < 1e-12
     assert profile_nll(rec, data) <= profile_nll(lbfgs_ml_oracle(data), data) + 1e-8
+
+
+@pytest.mark.parametrize("p,seed", list(RANK_FINISH))
+def test_ml_rank_finish_runs_where_rank_4_is_not_certified(p, seed, monkeypatch):
+    data = simulate_tomography(werner(p), 40_000, seed=seed)
+    calls = _count_newton_calls(monkeypatch)
+    rec = ml_reconstruct(data)
+    assert calls == RANK_FINISH[p, seed]
+    lam_min, slack = kkt_residuals(rec, data)
+    assert lam_min >= -1e-8
+    assert slack <= 1e-8
 
 
 _BASIS_PAIRS = [("H", "V"), ("D", "A"), ("L", "R")]
@@ -437,6 +454,14 @@ def test_tomo_csv_parse_errors(tmp_path):
         tomo_data_from_csv(path)
     path.write_text("nope\n")
     with pytest.raises(InputFormatError, match="header"):
+        tomo_data_from_csv(path)
+
+
+@pytest.mark.parametrize("index", ["x", "2", "0.0", "01", ""])
+def test_tomo_csv_setting_index_is_row_position(tmp_path, index):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"setting_index,proj1,proj2,counts\n0,H,H,5\n{index},H,V,7\n")
+    with pytest.raises(InputFormatError, match=f"bad.csv:3: setting_index must be 1, got '{index}'"):
         tomo_data_from_csv(path)
 
 
