@@ -255,7 +255,7 @@ def _fig_tomo_point(family, p, counts, seed):
     rec = ml_reconstruct(data)
     s_l = linear_entropy(rec)
     t = tangle(rec)
-    return s_l, t, family, p, tangle_curve(family, min(1.0, s_l))
+    return s_l, t, family, p, tangle_curve(family, s_l)
 
 
 def cmd_figure(args) -> int:
@@ -555,6 +555,8 @@ def main(argv=None) -> int:
         parser.error("--family file needs --state")
     if getattr(args, "via", "formula") == "patchwork" and args.family not in PATCHWORK:
         parser.error("--via patchwork builds werner and mems only")
+    if getattr(args, "id", None) in (8, 11) and (args.config or args.set):
+        parser.error(f"figure {args.id} does not read the source config: drop --config and --set")
     try:
         return args.func(args)
     except (InputFormatError, FileNotFoundError) as exc:

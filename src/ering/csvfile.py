@@ -26,7 +26,9 @@ def write(path, header: list[str], rows, comments: dict | None = None, digits: i
 def read(path, header: list[str], comments: dict[str, float]) -> tuple[dict[str, float], list]:
     """The comment values and the nonblank rows, as ``(path:line, stripped fields)`` pairs.
 
-    ``comments`` maps the keys read to their defaults.  A value in the file
+    ``comments`` maps the keys read to their defaults.  A comment line whose
+    first word is one of those keys must be exactly ``# key value``, at most
+    once per key; other comment lines are skipped.  A value in the file
     must be finite and positive, or equal its default (0 stands for unknown).
     The file must be UTF-8 text.
     """
@@ -37,11 +39,20 @@ def read(path, header: list[str], comments: dict[str, float]) -> tuple[dict[str,
         except UnicodeDecodeError as exc:
             raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     start = 0
+    seen = set()
     while start < len(lines) and lines[start].startswith("#"):
         parts = lines[start][1:].split()
         start += 1
-        if len(parts) == 2 and parts[0] in comments:
-            key, text = parts
+        if parts and parts[0] in comments:
+            key, *rest = parts
+            if key in seen:
+                raise InputFormatError(f"{path}:{start}: {key} is given twice")
+            seen.add(key)
+            if len(rest) != 1:
+                raise InputFormatError(
+                    f"{path}:{start}: {key} needs exactly one value, got {' '.join(rest)!r}"
+                )
+            text = rest[0]
             try:
                 value = float(text)
             except ValueError:

@@ -48,10 +48,13 @@ def tangle(rho: np.ndarray) -> float:
 
 
 def linear_entropy(rho: np.ndarray) -> float:
-    """Linear entropy S_L = (4/3)(1 - Tr rho^2), in [0, 1]."""
+    """Linear entropy S_L = (4/3)(1 - Tr rho^2), clamped to [0, 1].
+
+    Round-off puts Tr rho^2 of a rank-1 state a few ulps above 1.
+    """
     rho = check_density_matrix(rho)
     purity = np.trace(rho @ rho).real
-    return float((4 / 3) * (1 - purity))
+    return float(min(1.0, max(0.0, (4 / 3) * (1 - purity))))
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:

@@ -4,17 +4,20 @@ The source overlaps two SPDC emission cones (a direct cone carrying
 |HH> and a mirror-retroreflected cone carrying |VV>) into a single
 entanglement ring (E-ring).  Inserting optical elements over angular
 sectors of the ring turns the nominally pure output into engineered
-mixtures ("patchwork" synthesis):
+mixtures ("patchwork" synthesis).  The treatments of a sector, in the
+order of ``TREATMENTS`` (each is one entry of ``_SECTOR_STATES``):
 
-* ``coherent``               - undisturbed sector, pure (|HH> + e^{i phi}|VV>)/sqrt(2)
-* ``decohered``              - glass-plate time delay > coherence time,
-                               classical mixture (|HH><HH| + |VV><VV|)/2
-* ``flipped_and_coherent``   - half-wave flip on arm 2, pure (|HV> + e^{i phi}|VH>)/sqrt(2)
-* ``flipped_and_decohered``  - both of the above, (|HV><HV| + |VH><VH|)/2
-* ``reflected_blocked``      - opaque screen on the retroreflected cone,
-                               only the direct cone survives: |HH><HH|
-* ``flipped_and_reflected_blocked`` - screen plus arm-2 flip: |HV><HV|
-* ``blocked``                - whole sector opaque, contributes nothing
+=================================  ============================  ==============================
+treatment                          optics over the sector        sector state at pair phase phi
+=================================  ============================  ==============================
+``coherent``                       none                          (|HH> + e^{i phi}|VV>)/sqrt(2)
+``decohered``                      glass-plate delay > tau_coh   (|HH><HH| + |VV><VV|)/2
+``flipped_and_coherent``           half-wave flip on arm 2       (|HV> + e^{i phi}|VH>)/sqrt(2)
+``flipped_and_decohered``          delay plate and flip          (|HV><HV| + |VH><VH|)/2
+``reflected_blocked``              screen on the mirror cone     |HH><HH|
+``flipped_and_reflected_blocked``  screen and flip               |HV><HV|
+``blocked``                        opaque screen                 none: contributes nothing
+=================================  ============================  ==============================
 
 Sector weights are detection-conditioned: the synthesized state is the
 angular-fraction-weighted mixture over non-blocked sectors, renormalized.
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -45,38 +48,58 @@ from .states import bell_state, check_density_matrix, mems_weight, projector
 
 SPEED_OF_LIGHT = 299792458.0
 
-TREATMENT_COHERENT = "coherent"
-TREATMENT_DECOHERED = "decohered"
-TREATMENT_FLIPPED_COHERENT = "flipped_and_coherent"
-TREATMENT_FLIPPED_DECOHERED = "flipped_and_decohered"
-TREATMENT_REFLECTED_BLOCKED = "reflected_blocked"
-TREATMENT_FLIPPED_REFLECTED_BLOCKED = "flipped_and_reflected_blocked"
-TREATMENT_BLOCKED = "blocked"
-
-TREATMENTS = (
-    TREATMENT_COHERENT,
-    TREATMENT_DECOHERED,
-    TREATMENT_FLIPPED_COHERENT,
-    TREATMENT_FLIPPED_DECOHERED,
-    TREATMENT_REFLECTED_BLOCKED,
-    TREATMENT_FLIPPED_REFLECTED_BLOCKED,
-    TREATMENT_BLOCKED,
-)
-
 # Gaussian-spectrum coherence time as a multiple of wavelength^2/(c * bandwidth);
 # calibrated so a 6 nm filter at 727.6 nm gives the measured 140 fs.
 COHERENCE_TIME_SCALE = 140e-15 * SPEED_OF_LIGHT * 6e-9 / 727.6e-9**2
+
+#: Fringe visibility of the Ou-Mandel scan (the measured interference contrast).
+OU_MANDEL_VISIBILITY = 0.88
+
+#: Bound kind of a config field -> its test, checked in this order after
+#: the finite check; a failure reads "<field> must be <kind>".
+_BOUNDS = {
+    "positive": lambda v: v > 0,
+    "nonnegative": lambda v: v >= 0,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+}
+
+
+def _quantity(default: float, key: str, bound: str):
+    """A SourceConfig field with its config-file key and its bound kind."""
+    return field(default=default, metadata={"key": key, "bound": bound})
 
 
 @dataclass(frozen=True)
 class SourceConfig:
     """Physical parameters of the source, SI units throughout.
 
-    Defaults describe the degenerate 727.6 nm configuration: 2.9 deg cone
-    aperture (1.4 deg for MEMS runs), 15 cm mirror and lens, a 1.5 cm x
-    0.07 cm annular mask, 2e5 generated pairs per second, 65 % detector
-    quantum efficiency, 50 /s dark counts and a 6 nm filter giving a
-    140 fs coherence time.
+    Each field carries its config-file key (lab notation) and its bound;
+    every value must also be finite.  Defaults describe the degenerate
+    727.6 nm configuration:
+
+    ==================  ===================  ================================
+    field               key                  quantity (default)
+    ==================  ===================  ================================
+    pump_wavelength     lambda_pump          pump wavelength (363.8 nm)
+    wavelength          lambda               pair wavelength (727.6 nm)
+    cone_aperture       alpha                cone aperture, rad (2.9 deg;
+                                             1.4 deg for MEMS runs)
+    mirror_radius       R                    mirror curvature radius (15 cm)
+    focal_length        f                    lens focal length (15 cm)
+    mask_diameter       mask_D               annular mask diameter (1.5 cm)
+    mask_width          mask_delta           annular mask width (0.07 cm)
+    iris_radius         iris_r               iris radius (0.75 mm)
+    pair_rate           pair_rate            generated pairs per second (2e5)
+    detector_qe         detector_qe          detector quantum efficiency (65 %)
+    dark_rate           dark_rate            dark counts per second (50)
+    filter_bandwidth    filter_bandwidth     interference filter (6 nm)
+    coherence_time      tau_coh              coherence time (140 fs)
+    pump_waist          pump_waist           pump waist (150 um)
+    transmission        transmission         optical transmission (0.35)
+    coincidence_window  coincidence_window   accidentals window (10 ns)
+    visibility          visibility           effective visibility (1)
+    ==================  ===================  ================================
 
     ``pump_wavelength`` (``lambda_pump``) and ``coherence_time``
     (``tau_coh``) are recorded only: they are validated and echoed in
@@ -85,80 +108,41 @@ class SourceConfig:
     ``filter_bandwidth``.
     """
 
-    pump_wavelength: float = 363.8e-9
-    wavelength: float = 727.6e-9
-    cone_aperture: float = math.radians(2.9)
-    mirror_radius: float = 0.15
-    focal_length: float = 0.15
-    mask_diameter: float = 1.5e-2
-    mask_width: float = 0.07e-2
-    iris_radius: float = 0.75e-3
-    pair_rate: float = 2e5
-    detector_qe: float = 0.65
-    dark_rate: float = 50.0
-    filter_bandwidth: float = 6e-9
-    coherence_time: float = 140e-15
-    pump_waist: float = 150e-6
-    transmission: float = 0.35
-    coincidence_window: float = 10e-9
-    visibility: float = 1.0
+    pump_wavelength: float = _quantity(363.8e-9, "lambda_pump", "positive")
+    wavelength: float = _quantity(727.6e-9, "lambda", "positive")
+    cone_aperture: float = _quantity(math.radians(2.9), "alpha", "nonnegative")
+    mirror_radius: float = _quantity(0.15, "R", "positive")
+    focal_length: float = _quantity(0.15, "f", "positive")
+    mask_diameter: float = _quantity(1.5e-2, "mask_D", "positive")
+    mask_width: float = _quantity(0.07e-2, "mask_delta", "positive")
+    iris_radius: float = _quantity(0.75e-3, "iris_r", "nonnegative")
+    pair_rate: float = _quantity(2e5, "pair_rate", "positive")
+    detector_qe: float = _quantity(0.65, "detector_qe", "in (0, 1]")
+    dark_rate: float = _quantity(50.0, "dark_rate", "nonnegative")
+    filter_bandwidth: float = _quantity(6e-9, "filter_bandwidth", "positive")
+    coherence_time: float = _quantity(140e-15, "tau_coh", "positive")
+    pump_waist: float = _quantity(150e-6, "pump_waist", "positive")
+    transmission: float = _quantity(0.35, "transmission", "in (0, 1]")
+    coincidence_window: float = _quantity(10e-9, "coincidence_window", "nonnegative")
+    visibility: float = _quantity(1.0, "visibility", "in [0, 1]")
 
     def __post_init__(self):
-        for f in fields(self):
+        quantities = fields(self)
+        for f in quantities:
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
-        for name in (
-            "pump_wavelength",
-            "wavelength",
-            "mirror_radius",
-            "focal_length",
-            "mask_diameter",
-            "mask_width",
-            "pair_rate",
-            "filter_bandwidth",
-            "coherence_time",
-            "pump_waist",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("cone_aperture", "iris_radius", "dark_rate", "coincidence_window"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if not 0 < self.detector_qe <= 1:
-            raise ValueError("detector_qe must be in (0, 1]")
-        if not 0 < self.transmission <= 1:
-            raise ValueError("transmission must be in (0, 1]")
-        if not 0 <= self.visibility <= 1:
-            raise ValueError("visibility must be in [0, 1]")
+        for bound, holds in _BOUNDS.items():
+            for f in quantities:
+                if f.metadata["bound"] == bound and not holds(getattr(self, f.name)):
+                    raise ValueError(f"{f.name} must be {bound}")
 
 
-#: Config-file key -> dataclass field.  File keys follow the lab notation
-#: (lambda, alpha, R, f, ...); attributes spell the quantity out.
-CONFIG_KEYS = {
-    "lambda_pump": "pump_wavelength",
-    "lambda": "wavelength",
-    "alpha": "cone_aperture",
-    "R": "mirror_radius",
-    "f": "focal_length",
-    "mask_D": "mask_diameter",
-    "mask_delta": "mask_width",
-    "iris_r": "iris_radius",
-    "pair_rate": "pair_rate",
-    "detector_qe": "detector_qe",
-    "dark_rate": "dark_rate",
-    "filter_bandwidth": "filter_bandwidth",
-    "tau_coh": "coherence_time",
-    "pump_waist": "pump_waist",
-    "transmission": "transmission",
-    "coincidence_window": "coincidence_window",
-    "visibility": "visibility",
-}
-
-_FIELD_TO_KEY = {v: k for k, v in CONFIG_KEYS.items()}
+#: Config-file key -> dataclass field, in field order.
+CONFIG_KEYS = {f.metadata["key"]: f.name for f in fields(SourceConfig)}
 
 
 def config_to_dict(config: SourceConfig) -> dict:
-    return {_FIELD_TO_KEY[f.name]: getattr(config, f.name) for f in fields(config)}
+    return {f.metadata["key"]: getattr(config, f.name) for f in fields(config)}
 
 
 def config_from_dict(values: dict) -> SourceConfig:
@@ -217,6 +201,25 @@ def sector_area(r: float, config: SourceConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _diagonal(*weights: float) -> np.ndarray:
+    return np.diag(np.array(weights, dtype=complex))
+
+
+#: Treatment -> its sector state as a function of the pair phase phi
+#: (None: the sector contributes nothing).  The module docstring tables them.
+_SECTOR_STATES = {
+    "coherent": lambda phi: projector(bell_state("phi", phi)),
+    "decohered": lambda phi: _diagonal(0.5, 0, 0, 0.5),
+    "flipped_and_coherent": lambda phi: projector(bell_state("psi", phi)),
+    "flipped_and_decohered": lambda phi: _diagonal(0, 0.5, 0.5, 0),
+    "reflected_blocked": lambda phi: _diagonal(1, 0, 0, 0),
+    "flipped_and_reflected_blocked": lambda phi: _diagonal(0, 1, 0, 0),
+    "blocked": None,
+}
+
+TREATMENTS = tuple(_SECTOR_STATES)
+
+
 @dataclass(frozen=True)
 class Sector:
     label: str
@@ -245,28 +248,6 @@ class SectorPartition:
             raise ValueError(f"sector fractions sum to {total}, expected 1")
 
 
-def _product_projector(index: int) -> np.ndarray:
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[index, index] = 1.0
-    return rho
-
-
-def _sector_state(treatment: str, phi: float) -> np.ndarray:
-    if treatment == TREATMENT_COHERENT:
-        return projector(bell_state("phi", phi))
-    if treatment == TREATMENT_FLIPPED_COHERENT:
-        return projector(bell_state("psi", phi))
-    if treatment == TREATMENT_DECOHERED:
-        return (_product_projector(0) + _product_projector(3)) / 2
-    if treatment == TREATMENT_FLIPPED_DECOHERED:
-        return (_product_projector(1) + _product_projector(2)) / 2
-    if treatment == TREATMENT_REFLECTED_BLOCKED:
-        return _product_projector(0)
-    if treatment == TREATMENT_FLIPPED_REFLECTED_BLOCKED:
-        return _product_projector(1)
-    raise ValueError(f"treatment {treatment!r} contributes no state")
-
-
 def synthesize(partition: SectorPartition, phi: float) -> np.ndarray:
     """Detection-conditioned state of a patchwork partition at pair phase phi.
 
@@ -276,9 +257,10 @@ def synthesize(partition: SectorPartition, phi: float) -> np.ndarray:
     total = 0.0
     rho = np.zeros((4, 4), dtype=complex)
     for sector in partition.sectors:
-        if sector.treatment == TREATMENT_BLOCKED:
+        state = _SECTOR_STATES[sector.treatment]
+        if state is None:
             continue
-        rho += sector.fraction * _sector_state(sector.treatment, phi)
+        rho += sector.fraction * state(phi)
         total += sector.fraction
     if total <= 0.0:
         raise ValueError("all sectors are blocked; no state reaches the detectors")
@@ -296,9 +278,9 @@ def werner_partition(p: float) -> SectorPartition:
         raise ValueError(f"singlet weight p must be in [0, 1], got {p}")
     return SectorPartition(
         [
-            Sector("A", p, TREATMENT_FLIPPED_COHERENT),
-            Sector("B", (1 - p) / 2, TREATMENT_FLIPPED_DECOHERED),
-            Sector("C", (1 - p) / 2, TREATMENT_DECOHERED),
+            Sector("A", p, "flipped_and_coherent"),
+            Sector("B", (1 - p) / 2, "flipped_and_decohered"),
+            Sector("C", (1 - p) / 2, "decohered"),
         ]
     )
 
@@ -315,9 +297,9 @@ def mems_partition(p: float) -> SectorPartition:
     g = mems_weight(p)
     return SectorPartition(
         [
-            Sector("singlet", p, TREATMENT_FLIPPED_COHERENT),
-            Sector("hh_product", 1 - 2 * g, TREATMENT_REFLECTED_BLOCKED),
-            Sector("hv_vh_decohered", 2 * (g - p / 2), TREATMENT_FLIPPED_DECOHERED),
+            Sector("singlet", p, "flipped_and_coherent"),
+            Sector("hh_product", 1 - 2 * g, "reflected_blocked"),
+            Sector("hv_vh_decohered", 2 * (g - p / 2), "flipped_and_decohered"),
         ]
     )
 
@@ -528,28 +510,22 @@ def coherence_time_from_bandwidth(config: SourceConfig) -> float:
     )
 
 
-def ou_mandel_scan(
-    phi: float,
-    x_values,
-    config: SourceConfig,
-    visibility: float = 0.88,
-) -> list[tuple[float, float]]:
+def ou_mandel_scan(phi: float, x_values, config: SourceConfig) -> list[tuple[float, float]]:
     """Normalized coincidence rate versus beam-splitter position x.
 
-    C(x) = 1 - V cos(phi) exp(-(x/sigma)^2) with sigma = c * tau / 2, where
+    C(x) = 1 - V cos(phi) exp(-(x/sigma)^2) with V = OU_MANDEL_VISIBILITY
+    and sigma = c * tau / 2, where
     tau = coherence_time_from_bandwidth(config) is set by the filter
     bandwidth (the config's ``coherence_time`` is not read), and the factor
     2 is there because moving the splitter by x changes the path
     difference by 2x.  phi = 0 gives a dip, phi = pi a peak and
     phi = pi/2 a flat trace; far from x = 0 the rate is 1 for any phi.
     """
-    if not 0 <= visibility <= 1:
-        raise ValueError("visibility must be in [0, 1]")
     sigma = SPEED_OF_LIGHT * coherence_time_from_bandwidth(config) / 2
     out = []
     for x in x_values:
         envelope = math.exp(-((x / sigma) ** 2))
-        out.append((float(x), 1.0 - visibility * math.cos(phi) * envelope))
+        out.append((float(x), 1.0 - OU_MANDEL_VISIBILITY * math.cos(phi) * envelope))
     return out
 
 

@@ -505,11 +505,18 @@ def test_counts_csv_rejects_duplicate_setting(tmp_path):
         counts_from_csv(bad)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2.5"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2.5", "11.25 s", ""])
 def test_counts_csv_rejects_bad_duration(tmp_path, value):
     bad = tmp_path / "dur.csv"
     bad.write_text(f"# run\n# duration_s {value}\ntheta1_deg,theta2_deg,counts\n0,22.5,12\n")
     with pytest.raises(InputFormatError, match="dur.csv:2: duration"):
+        counts_from_csv(bad)
+
+
+def test_counts_csv_rejects_repeated_comment_key(tmp_path):
+    bad = tmp_path / "twice.csv"
+    bad.write_text("# duration_s 2\n# run\n# duration_s 3\ntheta1_deg,theta2_deg,counts\n0,0,5\n")
+    with pytest.raises(InputFormatError, match="twice.csv:3: duration_s is given twice"):
         counts_from_csv(bad)
 
 

@@ -319,7 +319,7 @@ def test_non_utf8_csv_exit_2(command, tmp_path, capsys):
     assert f"{path}: not UTF-8 text" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-5", "x"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-5", "x", "11.25 s", ""])
 def test_tomo_reconstruct_bad_flux_header_exit_2(value, tmp_path, capsys):
     path = tmp_path / "flux.csv"
     tomo_data_to_csv(exact_tomography_counts(werner(0.5), 1e4), path)
@@ -328,6 +328,33 @@ def test_tomo_reconstruct_bad_flux_header_exit_2(value, tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert run_cli("tomo", "reconstruct", "--data", str(path)) == 2
     assert "flux.csv:1: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("figure", "8", "--seed", "1", "--set", "visibility=0.5"),
+        ("figure", "11", "--seed", "1", "--set", "pair_rate=1"),
+        ("figure", "8", "--seed", "1", "--config", "source.json"),
+    ],
+)
+def test_tomography_figures_reject_config_flags(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert f"figure {argv[1]} does not read the source config" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_figure8_low_counts_rank_one_reconstruction(tmp_path):
+    # a rank-1 ML point has Tr rho^2 = 1 + 1 ulp; S_L must still be in [0, 1]
+    assert run_cli(
+        "figure", "8", "--seed", "2", "--counts-per-setting", "40", "--out-dir", str(tmp_path)
+    ) == 0
+    rows = (tmp_path / "fig8.csv").read_text().splitlines()[1:]
+    assert len(rows) == 13
+    assert all(0.0 <= float(row.split(",")[0]) <= 1.0 for row in rows)
 
 
 def test_state_mems_zero_is_separable(capsys):

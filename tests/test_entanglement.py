@@ -15,7 +15,7 @@ from ering.entanglement import (
     tangle,
     tangle_curve,
 )
-from ering.sampling import random_density_matrix
+from ering.sampling import random_density_matrix, random_pure_state
 from ering.states import mems, projector, singlet, werner, werner_from_fidelity
 
 INV_SQ2 = 1 / math.sqrt(2)
@@ -40,6 +40,14 @@ def test_tangle_werner_closed_form():
 def test_linear_entropy_limits():
     assert linear_entropy(projector(singlet())) == pytest.approx(0.0, abs=1e-12)
     assert linear_entropy(np.eye(4, dtype=complex) / 4) == pytest.approx(1.0)
+
+
+def test_linear_entropy_in_range_on_pure_projectors(rng):
+    # Tr rho^2 of a rank-1 state rounds to a few ulps either side of 1
+    for _ in range(1000):
+        s_l = linear_entropy(projector(random_pure_state(rng)))
+        assert 0.0 <= s_l <= 1.0
+        assert s_l == pytest.approx(0.0, abs=1e-14)
 
 
 def test_linear_entropy_werner():

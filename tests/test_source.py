@@ -1,6 +1,8 @@
 import json
 import math
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from ering.errors import InputFormatError
 from ering.sampling import random_density_matrix
 from ering.source import (
     COHERENCE_TIME_SCALE,
+    CONFIG_KEYS,
+    OU_MANDEL_VISIBILITY,
     Sector,
     SectorPartition,
     SourceConfig,
@@ -66,6 +70,51 @@ def test_config_validation():
         SourceConfig(detector_qe=1.5)
     with pytest.raises(ValueError):
         SourceConfig(visibility=-0.1)
+
+
+def test_config_validation_checks_bound_kinds_in_order():
+    # positive before nonnegative, whatever the declaration order
+    with pytest.raises(ValueError, match="^pump_waist must be positive$"):
+        SourceConfig(iris_radius=-1.0, pump_waist=0.0)
+    with pytest.raises(ValueError, match=r"^transmission must be in \(0, 1\]$"):
+        SourceConfig(visibility=2.0, transmission=2.0)
+
+
+#: One out-of-range value per SourceConfig field and the message it raises.
+OUT_OF_RANGE = {
+    "pump_wavelength": (0.0, "pump_wavelength must be positive"),
+    "wavelength": (-1e-9, "wavelength must be positive"),
+    "cone_aperture": (-1e-3, "cone_aperture must be nonnegative"),
+    "mirror_radius": (0.0, "mirror_radius must be positive"),
+    "focal_length": (-0.15, "focal_length must be positive"),
+    "mask_diameter": (0.0, "mask_diameter must be positive"),
+    "mask_width": (-1e-4, "mask_width must be positive"),
+    "iris_radius": (-1e-3, "iris_radius must be nonnegative"),
+    "pair_rate": (0.0, "pair_rate must be positive"),
+    "detector_qe": (0.0, "detector_qe must be in (0, 1]"),
+    "dark_rate": (-1.0, "dark_rate must be nonnegative"),
+    "filter_bandwidth": (0.0, "filter_bandwidth must be positive"),
+    "coherence_time": (-1e-15, "coherence_time must be positive"),
+    "pump_waist": (0.0, "pump_waist must be positive"),
+    "transmission": (1.01, "transmission must be in (0, 1]"),
+    "coincidence_window": (-1e-9, "coincidence_window must be nonnegative"),
+    "visibility": (1.01, "visibility must be in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(SourceConfig)])
+def test_config_bound_message_per_field(name):
+    value, message = OUT_OF_RANGE[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SourceConfig(**{name: value})
+
+
+def test_config_keys_documented():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Source configuration")[1].split("\n#")[0]
+    for key, name in CONFIG_KEYS.items():
+        assert f"`{key}`" in section, key
+        assert re.search(rf"^\s*{name}\s+{re.escape(key)}\s", SourceConfig.__doc__, re.M), name
 
 
 def test_config_rejects_non_finite():
@@ -520,6 +569,7 @@ def test_ou_mandel_flat_at_quarter_phase():
 def test_ou_mandel_dip_and_peak():
     scan_dip = dict(ou_mandel_scan(0.0, [0.0, 1.0], CFG))
     scan_peak = dict(ou_mandel_scan(math.pi, [0.0, 1.0], CFG))
+    assert OU_MANDEL_VISIBILITY == 0.88
     assert scan_dip[0.0] == pytest.approx(1 - 0.88)
     assert scan_peak[0.0] == pytest.approx(1 + 0.88)
     assert scan_dip[1.0] == pytest.approx(1.0)  # envelope long gone at 1 m
@@ -528,7 +578,7 @@ def test_ou_mandel_dip_and_peak():
 def test_ou_mandel_range_invariant():
     xs = np.linspace(-200e-6, 200e-6, 101)
     for phi in (0.0, 0.7, math.pi / 2, 2.0, math.pi):
-        for _, c in ou_mandel_scan(phi, xs, CFG, visibility=0.88):
+        for _, c in ou_mandel_scan(phi, xs, CFG):
             assert 1 - 0.88 - 1e-12 <= c <= 1 + 0.88 + 1e-12
 
 
@@ -536,5 +586,5 @@ def test_ou_mandel_fwhm_prediction():
     width = ou_mandel_fwhm(CFG)
     assert abs(width - 35e-6) / 35e-6 < 0.20
     # the dip itself has that width: half depth at +- fwhm/2
-    for x, c in ou_mandel_scan(0.0, [width / 2], CFG, visibility=0.88):
+    for x, c in ou_mandel_scan(0.0, [width / 2], CFG):
         assert c == pytest.approx(1 - 0.88 / 2, abs=1e-12)
