@@ -339,7 +339,7 @@ def counts_to_csv(counts: CountsTable, path) -> None:
 
 def counts_from_csv(path) -> CountsTable:
     """Parse a counts CSV; raises InputFormatError with the offending line."""
-    comments, rows = csvfile.read(path, _COUNTS_HEADER, {"duration_s": 1.0})
+    comments, rows = csvfile.read(path, _COUNTS_HEADER, {"duration_s": None})
     entries: dict[tuple[str, str], float] = {}
     for where, (t1, t2, n) in rows:
         t1 = csvfile.number(where, t1, "angle")

@@ -2,7 +2,11 @@
 
 Units on every flag: polarizer and waveplate angles in degrees, pair
 phases in radians, displacements in micrometers, durations in seconds.
-Bloch angles (Theta, Phi) appear only inside JSON reports, in radians.
+Bloch angles (Theta, Phi) appear only in the ``E(Theta,Phi)`` projector
+labels of tomography CSV files, in radians.
+
+Each ``state`` family and ``figure`` id parses only the flags it reads,
+given after it (``state werner --out r.json``); no flag may be abbreviated.
 
 Every stochastic subcommand requires an explicit ``--seed``; rerunning
 with the same arguments, config and seed reproduces byte-identical
@@ -11,19 +15,21 @@ recording the command line, config snapshot, seed, version and outputs.
 ``tomo reconstruct`` is deterministic; its optional ``--seed`` is only recorded.
 
 Every ``--family`` value of every subcommand is built by the one registry
-``STATES``; ``state --via patchwork`` builds werner and mems only.  All
-CSV files share the layout of ``ering.csvfile``.
+``STATES``; ``state werner|mems --via patchwork`` builds from sector
+weights instead.  All CSV files share the layout of ``ering.csvfile``.
 
 Exit codes: 0 success, 1 domain error (including informationally
-incomplete tomography settings), 2 usage or input-format error (a
-non-finite float flag, ``--family file`` without ``--state``, a malformed
-CSV or density-matrix file), 3 no rank of the maximum-likelihood
-reconstruction passed its optimality certificate.
+incomplete tomography settings), 2 usage or input-format error (an unread
+or abbreviated flag, a non-finite float flag, ``--state`` without
+``--family file`` or the reverse, a malformed CSV or density-matrix
+file), 3 no rank of the maximum-likelihood reconstruction passed its
+optimality certificate.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -117,8 +123,12 @@ def _load_base_config(args) -> SourceConfig:
     return config_with_overrides(config, overrides)
 
 
-def _derived_seed(master: int, index: int) -> int:
-    return int(np.random.SeedSequence([master, index]).generate_state(1)[0])
+def _grid_rows(point, grid, master_seed: int, *fixed) -> list:
+    """``point(x, *fixed, seed=...)`` at each grid value, seeded from ``[master_seed, index]``."""
+    return [
+        point(x, *fixed, seed=int(np.random.SeedSequence([master_seed, i]).generate_state(1)[0]))
+        for i, x in enumerate(grid)
+    ]
 
 
 def _write_manifest(args, config, outputs: list[Path], t0) -> Path:
@@ -162,13 +172,10 @@ STATES = {
     "file": lambda args: load_density_matrix(args.state),
 }
 
-#: The families that ``state --via patchwork`` builds from sector weights.
-PATCHWORK = {WERNER: werner_partition, MEMS: mems_partition}
-
 
 def _build_state(args) -> np.ndarray:
     if getattr(args, "via", "formula") == "patchwork":
-        return synthesize(PATCHWORK[args.family](args.p), math.pi)
+        return synthesize(args.partition(args.p), math.pi)
     return STATES[args.family](args)
 
 
@@ -218,11 +225,42 @@ def cmd_source(args) -> int:
     return 0
 
 
+def _bell_test_config(args) -> SourceConfig:
+    """Config of figures 2, 4 and 12 (measured visibility 0.94 unless given); checks --duration."""
+    config = _load_base_config(args)
+    if args.duration <= 0:
+        raise ValueError("--duration must be positive")
+    if not _config_path(args) and not args.set:
+        config = config_with_overrides(config, {"visibility": 0.94})
+    return config
+
+
 def _fig2_point(theta1_deg, duration, config, seed):
     setting = (math.radians(theta1_deg), math.radians(45.0))
     rho = projector(bell_state("phi", math.pi))
     table = simulate_coincidences(rho, [setting], duration, config, seed)
     return theta1_deg, table.get(*setting)
+
+
+def _fig2(args):
+    config = _bell_test_config(args)
+    grid = np.arange(45.0, 135.0 + 1e-9, 2.5)
+    rows = _grid_rows(_fig2_point, grid, args.seed, args.duration, config)
+    return config, ["theta1_deg", "coincidences"], rows
+
+
+def _fig3(args):
+    config = _load_base_config(args)
+    if args.counts_per_point < 0:
+        raise ValueError("--counts-per-point must be nonnegative")
+    curve = ou_mandel_scan(args.phi, np.linspace(-100e-6, 100e-6, 101), config)
+    rows = []
+    rng = np.random.default_rng(args.seed)
+    for x, c in curve:
+        if args.counts_per_point > 0:
+            c = rng.poisson(args.counts_per_point * c) / args.counts_per_point
+        rows.append((x * 1e6, c))
+    return config, ["x_um", "normalized_coincidence"], rows
 
 
 def _fig4_point(r, duration, config, seed):
@@ -243,77 +281,47 @@ def _fig4_point(r, duration, config, seed):
     return r * 1e3, visibility, n_max / duration
 
 
+def _fig4(args):
+    config = _bell_test_config(args)
+    grid = np.linspace(0.5e-3, config.mask_diameter, 20)
+    rows = _grid_rows(_fig4_point, grid, args.seed, args.duration, config)
+    return config, ["r_mm", "visibility", "rate_hz"], rows
+
+
+def _fig_tomo_point(p, family, counts, seed):
+    rho = STATES[family](argparse.Namespace(p=p))
+    rec = ml_reconstruct(simulate_tomography(rho, counts, seed))
+    s_l = linear_entropy(rec)
+    return s_l, tangle(rec), family, p, tangle_curve(family, s_l)
+
+
+def _fig_tomo(family, args):
+    """Figures 8 (werner) and 11 (mems); the config is only recorded."""
+    config = _load_base_config(args)
+    grid = np.linspace(0.05, 0.95, 13)
+    rows = _grid_rows(_fig_tomo_point, grid, args.seed, family, args.counts_per_setting)
+    return config, ["S_L", "T", "family", "p", "T_curve"], rows
+
+
 def _fig12_point(p, duration, config, seed):
     table, plan = simulate_bell_test(werner(p), duration, config, seed)
     s, sigma = chsh_from_counts(table, plan)
     return p, abs(s), sigma
 
 
-def _fig_tomo_point(family, p, counts, seed):
-    rho = STATES[family](argparse.Namespace(p=p))
-    data = simulate_tomography(rho, counts, seed)
-    rec = ml_reconstruct(data)
-    s_l = linear_entropy(rec)
-    t = tangle(rec)
-    return s_l, t, family, p, tangle_curve(family, s_l)
+def _fig12(args):
+    config = _bell_test_config(args)
+    rows = _grid_rows(_fig12_point, np.linspace(0.05, 1.0, 20), args.seed, args.duration, config)
+    return config, ["p", "abs_S", "sigma_S"], rows
 
 
 def cmd_figure(args) -> int:
     t0 = time.monotonic()
-    config = _load_base_config(args)
-    if args.id in (2, 4, 12) and not _config_path(args) and not args.set:
-        # measured-visibility default for the Bell-test figures
-        config = config_with_overrides(config, {"visibility": 0.94})
+    config, header, rows = args.figure(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"fig{args.id}.csv"
-    if args.duration is None:
-        args.duration = 180.0 if args.id == 12 else 1.0
-    if args.duration <= 0:
-        raise ValueError("--duration must be positive")
-    if args.counts_per_point < 0:
-        raise ValueError("--counts-per-point must be nonnegative")
-
-    if args.id == 2:
-        grid = np.arange(45.0, 135.0 + 1e-9, 2.5)
-        rows = [
-            _fig2_point(t1, args.duration, config, seed=_derived_seed(args.seed, i))
-            for i, t1 in enumerate(grid)
-        ]
-        csvfile.write(out_path, ["theta1_deg", "coincidences"], rows)
-    elif args.id == 3:
-        xs = np.linspace(-100e-6, 100e-6, 101)
-        curve = ou_mandel_scan(args.phi, xs, config)
-        rows = []
-        rng = np.random.default_rng(args.seed)
-        for x, c in curve:
-            if args.counts_per_point > 0:
-                c = rng.poisson(args.counts_per_point * c) / args.counts_per_point
-            rows.append((x * 1e6, c))
-        csvfile.write(out_path, ["x_um", "normalized_coincidence"], rows)
-    elif args.id == 4:
-        grid = np.linspace(0.5e-3, config.mask_diameter, 20)
-        rows = [
-            _fig4_point(r, args.duration, config, seed=_derived_seed(args.seed, i))
-            for i, r in enumerate(grid)
-        ]
-        csvfile.write(out_path, ["r_mm", "visibility", "rate_hz"], rows)
-    elif args.id in (8, 11):
-        family = WERNER if args.id == 8 else MEMS
-        grid = np.linspace(0.05, 0.95, 13)
-        rows = [
-            _fig_tomo_point(family, p, args.counts_per_setting, seed=_derived_seed(args.seed, i))
-            for i, p in enumerate(grid)
-        ]
-        csvfile.write(out_path, ["S_L", "T", "family", "p", "T_curve"], rows)
-    else:  # 12; argparse admits no other id
-        grid = np.linspace(0.05, 1.0, 20)
-        rows = [
-            _fig12_point(p, args.duration, config, seed=_derived_seed(args.seed, i))
-            for i, p in enumerate(grid)
-        ]
-        csvfile.write(out_path, ["p", "abs_S", "sigma_S"], rows)
-
+    csvfile.write(out_path, header, rows)
     manifest = _write_manifest(args, config, [out_path], t0)
     print(f"wrote {out_path} and {manifest}")
     return 0
@@ -403,14 +411,22 @@ def cmd_bell_eval(args) -> int:
     return 0
 
 
+def _flag(*names, **options) -> argparse.ArgumentParser:
+    """A parent parser that gives one flag to every parser built from it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **options)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser_class = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = parser_class(
         prog="ering",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"ering {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
     config_flags = argparse.ArgumentParser(add_help=False)
     config_flags.add_argument("--config", help="JSON source-config file (or $ERING_CONFIG)")
     config_flags.add_argument(
@@ -419,44 +435,43 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override one config key (file notation, e.g. alpha=0.0506)",
     )
-    angle_flags = argparse.ArgumentParser(add_help=False)
-    angle_flags.add_argument(
+    angle_flags = _flag(
         "--angles",
         type=finite_float,
         nargs=4,
         metavar=("T1", "T1P", "T2", "T2P"),
         help="base polarizer angles in degrees (default 0 45 22.5 67.5)",
     )
+    out = _flag("--out", help="also write the JSON report to this file")
+    phi = _flag("--phi", type=finite_float, default=0.0, help="pair phase in radians")
 
-    p_state = sub.add_parser(
-        "state", help="build a state family member and print its measures"
+    p_state = sub.add_parser("state", help="build a state family member and print its measures")
+    p_state.set_defaults(func=cmd_state)
+    families = p_state.add_subparsers(dest="family", required=True, parser_class=parser_class)
+    weight = _flag("--p", type=finite_float, default=1.0, help="singlet weight in [0, 1]")
+    via = _flag(
+        "--via", choices=["formula", "patchwork"], default="formula", help="how to build the state"
     )
-    p_state.add_argument(
-        "family", choices=["werner", "mems", "bell", "singlet", "nonmax", "tuned"]
-    )
-    p_state.add_argument("--p", type=finite_float, default=1.0, help="singlet weight in [0, 1]")
-    p_state.add_argument("--kind", choices=["phi", "psi"], default="phi")
-    p_state.add_argument("--phi", type=finite_float, default=0.0, help="pair phase in radians")
-    p_state.add_argument(
+    kind = _flag("--kind", choices=["phi", "psi"], default="phi")
+    theta_p = _flag(
         "--theta-p", type=finite_float, default=0.0, help="pump waveplate angle in degrees [0, 45]"
     )
-    p_state.add_argument(
-        "--fidelity", type=finite_float, default=1.0, help="singlet fidelity in [1/4, 1]"
-    )
-    p_state.add_argument(
-        "--a", type=finite_float, default=0.5, help="eigenvector weight in [1/2, 1]"
-    )
-    p_state.add_argument(
-        "--via",
-        choices=["formula", "patchwork"],
-        default="formula",
-        help="werner/mems only: build from the closed form or from the sector-patchwork recipe",
-    )
-    p_state.add_argument("--out", help="also write the JSON report to this file")
-    p_state.set_defaults(func=cmd_state)
+    fid = _flag("--fidelity", type=finite_float, default=1.0, help="singlet fidelity in [1/4, 1]")
+    a = _flag("--a", type=finite_float, default=0.5, help="eigenvector weight in [1/2, 1]")
+    for family, parents, partition in (
+        (WERNER, [weight, via], werner_partition),
+        (MEMS, [weight, via], mems_partition),
+        ("bell", [kind, phi], None),
+        ("singlet", [], None),
+        ("nonmax", [theta_p], None),
+        ("tuned", [fid, a], None),
+    ):
+        families.add_parser(family, parents=[*parents, out]).set_defaults(partition=partition)
 
     p_src = sub.add_parser(
-        "source", parents=[config_flags], help="geometry and rate report for a source configuration"
+        "source",
+        parents=[config_flags, out],
+        help="geometry and rate report for a source configuration",
     )
     p_src.add_argument(
         "--displacement-um",
@@ -464,41 +479,30 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="mirror displacement in micrometers: adds the ray-traced pair phase and visibility",
     )
-    p_src.add_argument("--out", help="also write the JSON report to this file")
     p_src.set_defaults(func=cmd_source)
 
-    p_fig = sub.add_parser(
-        "figure", parents=[config_flags], help="regenerate the data behind a figure as CSV"
-    )
-    p_fig.add_argument("id", type=int, choices=[2, 3, 4, 8, 11, 12])
-    p_fig.add_argument("--seed", type=int, required=True, help="master seed (required)")
-    p_fig.add_argument("--out-dir", default="figures", help="output directory")
-    p_fig.add_argument(
-        "--duration",
-        type=finite_float,
-        default=None,
-        help="seconds per grid point (figs 2, 4: default 1) "
-        "or total seconds per run (fig 12: default 180)",
-    )
-    p_fig.add_argument(
-        "--phi", type=finite_float, default=0.0, help="pair phase in radians (fig 3)"
-    )
-    p_fig.add_argument(
-        "--counts-per-point",
-        type=int,
-        default=0,
-        help="fig 3: add Poisson counting noise at this count level (0 = noiseless)",
-    )
-    p_fig.add_argument(
-        "--counts-per-setting",
-        type=int,
-        default=40000,
-        help="figs 8/11: tomography flux per setting (measured counts average 1/4 of it)",
-    )
+    p_fig = sub.add_parser("figure", help="regenerate the data behind a figure as CSV")
     p_fig.set_defaults(func=cmd_figure)
+    figures = p_fig.add_subparsers(dest="id", required=True, parser_class=parser_class)
+    fig_flags = argparse.ArgumentParser(add_help=False)
+    fig_flags.add_argument("--seed", type=int, required=True, help="master seed (required)")
+    fig_flags.add_argument("--out-dir", default="figures", help="output directory")
+    per_point = _flag("--duration", type=finite_float, default=1.0, help="seconds per grid point")
+    per_run = _flag("--duration", type=finite_float, default=180.0, help="seconds per run")
+    noise = _flag("--counts-per-point", type=int, default=0, help="shot-noise count level (0: off)")
+    flux = _flag("--counts-per-setting", type=int, default=40000, help="pair flux per setting")
+    for fig_id, handler, parents in (
+        ("2", _fig2, [config_flags, per_point]),
+        ("3", _fig3, [config_flags, phi, noise]),
+        ("4", _fig4, [config_flags, per_point]),
+        ("8", functools.partial(_fig_tomo, WERNER), [flux]),
+        ("11", functools.partial(_fig_tomo, MEMS), [flux]),
+        ("12", _fig12, [config_flags, per_run]),
+    ):
+        figures.add_parser(fig_id, parents=[fig_flags, *parents]).set_defaults(figure=handler)
 
     p_tomo = sub.add_parser("tomo", help="simulate or reconstruct tomography data")
-    tomo_sub = p_tomo.add_subparsers(dest="tomo_command", required=True)
+    tomo_sub = p_tomo.add_subparsers(dest="tomo_command", required=True, parser_class=parser_class)
     p_sim = tomo_sub.add_parser("simulate", help="write simulated 16-setting counts")
     p_sim.add_argument("--family", choices=["werner", "mems", "singlet", "file"], required=True)
     p_sim.add_argument("--p", type=finite_float, default=1.0, help="singlet weight in [0, 1]")
@@ -519,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.set_defaults(func=cmd_tomo_reconstruct)
 
     p_bell = sub.add_parser("bell", help="simulate or evaluate a CHSH coincidence run")
-    bell_sub = p_bell.add_subparsers(dest="bell_command", required=True)
+    bell_sub = p_bell.add_subparsers(dest="bell_command", required=True, parser_class=parser_class)
     p_bsim = bell_sub.add_parser(
         "simulate",
         parents=[angle_flags, config_flags],
@@ -551,12 +555,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = argv  # recorded in manifests
-    if getattr(args, "family", None) == "file" and not args.state:
-        parser.error("--family file needs --state")
-    if getattr(args, "via", "formula") == "patchwork" and args.family not in PATCHWORK:
-        parser.error("--via patchwork builds werner and mems only")
-    if getattr(args, "id", None) in (8, 11) and (args.config or args.set):
-        parser.error(f"figure {args.id} does not read the source config: drop --config and --set")
+    if (getattr(args, "family", None) == "file") != (getattr(args, "state", None) is not None):
+        parser.error("--state goes with --family file, and --family file needs --state")
     try:
         return args.func(args)
     except (InputFormatError, FileNotFoundError) as exc:

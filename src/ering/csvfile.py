@@ -23,14 +23,17 @@ def write(path, header: list[str], rows, comments: dict | None = None, digits: i
             writer.writerow([f"{v:.{digits}g}" if isinstance(v, float) else v for v in row])
 
 
-def read(path, header: list[str], comments: dict[str, float]) -> tuple[dict[str, float], list]:
+def read(
+    path, header: list[str], comments: dict[str, float | None]
+) -> tuple[dict[str, float], list]:
     """The comment values and the nonblank rows, as ``(path:line, stripped fields)`` pairs.
 
-    ``comments`` maps the keys read to their defaults.  A comment line whose
-    first word is one of those keys must be exactly ``# key value``, at most
-    once per key; other comment lines are skipped.  A value in the file
-    must be finite and positive, or equal its default (0 stands for unknown).
-    The file must be UTF-8 text.
+    ``comments`` maps the keys read to their defaults; a key whose default
+    is None must be in the file.  A comment line whose first word is one of
+    those keys must be exactly ``# key value``, at most once per key; other
+    comment lines are skipped.  A value in the file must be finite and
+    positive, or equal its default (0 stands for unknown).  The file must be
+    UTF-8 text.
     """
     values = dict(comments)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -62,6 +65,9 @@ def read(path, header: list[str], comments: dict[str, float]) -> tuple[dict[str,
                     f"{path}:{start}: {key} must be finite and positive, got {text!r}"
                 )
             values[key] = value
+    for key, default in comments.items():
+        if default is None and key not in seen:
+            raise InputFormatError(f"{path}: no '# {key} <value>' line")
     reader = csv.reader(lines[start:])
     if [f.strip() for f in next(reader, [])] != header:
         raise InputFormatError(f"{path}:{start + 1}: expected header {','.join(header)!r}")

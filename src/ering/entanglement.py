@@ -22,11 +22,6 @@ MEMS = "mems"
 
 _SIGMA_Y_PAIR = PAULI_PAIRS[10]  # sigma_y x sigma_y
 
-S_L_WERNER_SEPARABLE = 8 / 9
-S_L_CHSH_BOUNDARY_WERNER = 0.5
-# linear entropy of the MEMS with p = 1/sqrt(2): (8/3) p (1 - p)
-S_L_CHSH_BOUNDARY_MEMS = (8 / 3) * (1 / math.sqrt(2)) * (1 - 1 / math.sqrt(2))
-
 
 def concurrence(rho: np.ndarray) -> float:
     """Wootters concurrence C(rho) of a two-qubit density matrix.
@@ -119,6 +114,25 @@ class NonlocalityClass:
     s_l_interval: tuple[float, float]
 
 
+# linear entropy of the MEMS with p = 1/sqrt(2): (8/3) p (1 - p)
+_S_L_CHSH_BOUNDARY_MEMS = (8 / 3) * (1 / math.sqrt(2)) * (1 - 1 / math.sqrt(2))
+
+#: Per family, (threshold, region, S_L interval) rows, highest threshold first:
+#: a member lies in the first row whose threshold its p exceeds.
+_REGIONS = {
+    WERNER: (
+        (1 / math.sqrt(2), Region.VIOLATES_LOCAL_REALISM, (0.0, 0.5)),
+        (1 / 3, Region.NONSEPARABLE_NO_CHSH_VIOLATION, (0.5, 8 / 9)),
+        (-math.inf, Region.SEPARABLE_LOCAL, (8 / 9, 1.0)),
+    ),
+    MEMS: (
+        (1 / math.sqrt(2), Region.VIOLATES_LOCAL_REALISM, (0.0, _S_L_CHSH_BOUNDARY_MEMS)),
+        (0.0, Region.NONSEPARABLE_NO_CHSH_VIOLATION, (_S_L_CHSH_BOUNDARY_MEMS, 8 / 9)),
+        (-math.inf, Region.SEPARABLE_LOCAL, (8 / 9, 8 / 9)),
+    ),
+}
+
+
 def classify(family: str, p: float) -> NonlocalityClass:
     """Nonlocality region of werner(p) or mems(p).
 
@@ -132,34 +146,8 @@ def classify(family: str, p: float) -> NonlocalityClass:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    violation = p > 1 / math.sqrt(2)
-    if family == WERNER:
-        if violation:
-            return NonlocalityClass(
-                WERNER, Region.VIOLATES_LOCAL_REALISM, (0.0, S_L_CHSH_BOUNDARY_WERNER)
-            )
-        if p > 1 / 3:
-            return NonlocalityClass(
-                WERNER,
-                Region.NONSEPARABLE_NO_CHSH_VIOLATION,
-                (S_L_CHSH_BOUNDARY_WERNER, S_L_WERNER_SEPARABLE),
-            )
-        return NonlocalityClass(
-            WERNER, Region.SEPARABLE_LOCAL, (S_L_WERNER_SEPARABLE, 1.0)
-        )
-    if family == MEMS:
-        if violation:
-            return NonlocalityClass(
-                MEMS, Region.VIOLATES_LOCAL_REALISM, (0.0, S_L_CHSH_BOUNDARY_MEMS)
-            )
-        if p == 0.0:
-            return NonlocalityClass(
-                MEMS, Region.SEPARABLE_LOCAL, (S_L_WERNER_SEPARABLE, S_L_WERNER_SEPARABLE)
-            )
-        return NonlocalityClass(
-            MEMS,
-            Region.NONSEPARABLE_NO_CHSH_VIOLATION,
-            (S_L_CHSH_BOUNDARY_MEMS, S_L_WERNER_SEPARABLE),
-        )
-    raise ValueError(f"family must be {WERNER!r} or {MEMS!r}, got {family!r}")
-
+    if family not in _REGIONS:
+        raise ValueError(f"family must be {WERNER!r} or {MEMS!r}, got {family!r}")
+    for threshold, region, s_l_interval in _REGIONS[family]:
+        if p > threshold:
+            return NonlocalityClass(family, region, s_l_interval)

@@ -480,13 +480,13 @@ def test_counts_csv_round_trip(tmp_path):
 
 def test_counts_csv_parse_errors(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("theta1_deg,theta2_deg,counts\n0,22.5,12,99\n")
-    with pytest.raises(InputFormatError, match="bad.csv:2"):
+    bad.write_text("# duration_s 1\ntheta1_deg,theta2_deg,counts\n0,22.5,12,99\n")
+    with pytest.raises(InputFormatError, match="bad.csv:3"):
         counts_from_csv(bad)
-    bad.write_text("wrong,header\n")
-    with pytest.raises(InputFormatError, match="header"):
+    bad.write_text("# duration_s 1\nwrong,header\n")
+    with pytest.raises(InputFormatError, match="bad.csv:2: expected header"):
         counts_from_csv(bad)
-    bad.write_text("theta1_deg,theta2_deg,counts\n0,22.5,-5\n")
+    bad.write_text("# duration_s 1\ntheta1_deg,theta2_deg,counts\n0,22.5,-5\n")
     with pytest.raises(InputFormatError, match="negative"):
         counts_from_csv(bad)
 
@@ -500,8 +500,8 @@ def test_joint_detection_probability_singlet():
 def test_counts_csv_rejects_duplicate_setting(tmp_path):
     bad = tmp_path / "dup.csv"
     # 180 degrees is the same polarizer setting as 0
-    bad.write_text("theta1_deg,theta2_deg,counts\n0,22.5,12\n180,22.5,40\n")
-    with pytest.raises(InputFormatError, match="dup.csv:3: duplicate"):
+    bad.write_text("# duration_s 1\ntheta1_deg,theta2_deg,counts\n0,22.5,12\n180,22.5,40\n")
+    with pytest.raises(InputFormatError, match="dup.csv:4: duplicate"):
         counts_from_csv(bad)
 
 
@@ -510,6 +510,15 @@ def test_counts_csv_rejects_bad_duration(tmp_path, value):
     bad = tmp_path / "dur.csv"
     bad.write_text(f"# run\n# duration_s {value}\ntheta1_deg,theta2_deg,counts\n0,22.5,12\n")
     with pytest.raises(InputFormatError, match="dur.csv:2: duration"):
+        counts_from_csv(bad)
+
+
+@pytest.mark.parametrize("comments", ["", "# duration 11.25\n", "# run\n# Duration_s 2\n"])
+def test_counts_csv_requires_duration(tmp_path, comments):
+    # a missing or misspelled key used to read as a 1 s run
+    bad = tmp_path / "nodur.csv"
+    bad.write_text(comments + "theta1_deg,theta2_deg,counts\n0,0,5\n")
+    with pytest.raises(InputFormatError, match="nodur.csv: no '# duration_s <value>' line"):
         counts_from_csv(bad)
 
 
@@ -560,6 +569,6 @@ def test_counts_csv_never_accepts_non_finite(counts, bad_row, value):
     rows[k] = f"0,{10 * k},{value}"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "counts.csv"
-        path.write_text("theta1_deg,theta2_deg,counts\n" + "\n".join(rows) + "\n")
-        with pytest.raises(InputFormatError, match=f"counts.csv:{k + 2}: non-finite"):
+        path.write_text("# duration_s 1\ntheta1_deg,theta2_deg,counts\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputFormatError, match=f"counts.csv:{k + 3}: non-finite"):
             counts_from_csv(path)

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -187,6 +189,21 @@ def test_negative_counts_per_point_exit_1(tmp_path, capsys):
     assert "counts-per-point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("figure", "3", "--counts-per-point", "-5"), "--counts-per-point must be nonnegative"),
+        (("figure", "2", "--duration", "0"), "--duration must be positive"),
+        (("figure", "12", "--duration", "-1"), "--duration must be positive"),
+    ],
+)
+def test_rejected_figure_run_creates_no_directory(argv, message, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run_cli(*argv, "--seed", "1", "--out-dir", str(out_dir)) == 1
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_state_has_no_seed_flag():
     with pytest.raises(SystemExit) as exc:
         run_cli("state", "werner", "--p", "0.5", "--seed", "1")
@@ -211,6 +228,86 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
         run_cli(*argv)
     assert exc.value.code == 2
     assert not list(tmp_path.iterdir())
+
+
+# every flag that some state family or figure id reads, with a valid value
+_STATE_FLAGS = {"--p": "0.3", "--kind": "psi", "--phi": "0.5", "--theta-p": "20",
+                "--fidelity": "0.9", "--a": "0.7", "--via": "formula"}
+_STATE_READS = {"werner": {"--p", "--via"}, "mems": {"--p", "--via"}, "bell": {"--kind", "--phi"},
+                "singlet": set(), "nonmax": {"--theta-p"}, "tuned": {"--fidelity", "--a"}}
+_FIGURE_FLAGS = {"--config": "source.json", "--set": "visibility=0.5", "--duration": "50",
+                 "--phi": "1", "--counts-per-point": "500", "--counts-per-setting": "100"}
+_BELL_TEST = {"--config", "--set", "--duration"}
+_FIGURE_READS = {"2": _BELL_TEST, "3": {"--config", "--set", "--phi", "--counts-per-point"},
+                 "4": _BELL_TEST, "8": {"--counts-per-setting"}, "11": {"--counts-per-setting"},
+                 "12": _BELL_TEST}
+UNREAD_FLAGS = [
+    *(("state", family, flag, value) for family, reads in _STATE_READS.items()
+      for flag, value in _STATE_FLAGS.items() if flag not in reads),
+    *(("figure", fig_id, "--seed", "1", flag, value) for fig_id, reads in _FIGURE_READS.items()
+      for flag, value in _FIGURE_FLAGS.items() if flag not in reads),
+    *((command, "simulate", "--family", family, "--state", "does_not_exist.json", "--seed", "1",
+       "--out", "x.csv") for command in ("tomo", "bell") for family in ("werner", "mems", "singlet")),
+]
+
+
+def test_unread_flag_count():
+    # 33 state pairs, 21 figure pairs (4 of them --config or --set on figure 8 or 11), 6 --state
+    assert len(UNREAD_FLAGS) == 60
+
+
+@pytest.mark.parametrize(
+    "argv",
+    # abbreviations: "--theta" of "--theta-p"; UNREAD_FLAGS has "state bell --p", a prefix of "--phi"
+    [*UNREAD_FLAGS, ("state", "nonmax", "--theta", "20")],
+    ids=" ".join,
+)
+def test_unread_or_abbreviated_flag_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def _readme_commands() -> list[list[str]]:
+    """The ``ering ...`` lines of the README "Command line" block, continuations joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line.split("#", 1)[0].split()[1:] for line in lines if line.startswith("ering ")]
+
+
+def test_readme_commands_parse():
+    from ering.cli import build_parser
+
+    commands = _readme_commands()
+    assert len(commands) >= 14
+    for argv in commands:
+        build_parser().parse_args(argv)
+
+
+def test_readme_flag_table_matches_parser():
+    from ering.cli import build_parser
+
+    def subcommand(parser, name):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices[name]
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = [re.split(r"(?<!\\)\|", line)[1:3] for line in readme.splitlines()
+            if line.startswith(("| `state", "| `figure"))]
+    covered = set()
+    for commands, flags in rows:
+        for command in re.findall(r"`([^`]+)`", commands):
+            parser = build_parser()
+            for name in command.split():
+                parser = subcommand(parser, name)
+            declared = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+            assert set(re.findall(r"`(--[\w-]+)", flags)) == declared, command
+            covered.add(command)
+    assert len(covered) == 12  # six families and six figure ids
 
 
 @pytest.mark.parametrize(
@@ -343,7 +440,7 @@ def test_tomography_figures_reject_config_flags(argv, tmp_path, monkeypatch, cap
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == 2
-    assert f"figure {argv[1]} does not read the source config" in capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[4]}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -477,6 +574,18 @@ def test_bell_eval_duplicate_row_exit_2(tmp_path, capsys):
         fh.write("0,22.5,1\n")
     assert run_cli("bell", "eval", "--counts", str(counts)) == 2
     assert "duplicate" in capsys.readouterr().err
+
+
+def test_bell_eval_without_duration_line_exit_2(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    run_cli("bell", "simulate", "--family", "singlet", "--duration", "16", "--seed", "5",
+            "--out", str(counts))
+    capsys.readouterr()
+    lines = counts.read_text().splitlines(keepends=True)
+    assert lines[0].startswith("# duration_s ")
+    counts.write_text("".join(lines[1:]))
+    assert run_cli("bell", "eval", "--counts", str(counts)) == 2
+    assert f"{counts}: no '# duration_s <value>' line" in capsys.readouterr().err
 
 
 def test_bell_eval_missing_setting_exit_2(tmp_path, capsys):
