@@ -44,28 +44,38 @@ _XYZ_PAIRS = PAULI_PAIRS.reshape(4, 4, 4, 4)[1:, 1:].reshape(9, 4, 4)
 class BlochSetting:
     """One analyzer direction (Theta, Phi) on the Bloch sphere.
 
-    Normalized on construction to Theta in [0, pi], Phi in (-pi, pi].
-    The polarization-analyzer angle is theta = Theta / 2.
+    Normalized on construction to Theta in [0, pi], Phi in (-pi, pi]
+    (Phi = 0 at the poles); a non-finite angle raises ValueError.  The
+    polarization-analyzer angle is theta = Theta / 2.  The unit vector is
+    built once, read-only, and ``unit_vector`` returns that same array.
     """
 
     theta: float
     phi: float
+    _unit: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        u = _unit_vector(self.theta, self.phi)
-        r_xy = math.hypot(u[0], u[1])
-        theta_n = math.atan2(r_xy, u[2])
+        for name, angle in (("theta", self.theta), ("phi", self.phi)):
+            if not math.isfinite(angle):
+                raise ValueError(f"Bloch angle {name} must be finite, got {angle}")
+        st = math.sin(self.theta)
+        x, y, z = st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)
+        r_xy = math.hypot(x, y)
+        theta_n = math.atan2(r_xy, z)
         if r_xy == 0.0:
             phi_n = 0.0
         else:
-            phi_n = math.atan2(u[1], u[0])
+            phi_n = math.atan2(y, x)
             if phi_n <= -math.pi:
                 phi_n = math.pi
+        unit = _unit_vector(theta_n, phi_n)
+        unit.setflags(write=False)
         object.__setattr__(self, "theta", theta_n)
         object.__setattr__(self, "phi", phi_n)
+        object.__setattr__(self, "_unit", unit)
 
     def unit_vector(self) -> np.ndarray:
-        return _unit_vector(self.theta, self.phi)
+        return self._unit
 
 
 def _unit_vector(theta: float, phi: float) -> np.ndarray:
@@ -85,10 +95,7 @@ class ChshSettings:
 
 def correlation(rho: np.ndarray, s1: BlochSetting, s2: BlochSetting) -> float:
     """Correlation function P = u1^T T u2 = Tr(rho (u1 . sigma) x (u2 . sigma)), in [-1, 1]."""
-    return _correlation(correlation_matrix(check_density_matrix(rho)), s1, s2)
-
-
-def _correlation(t: np.ndarray, s1: BlochSetting, s2: BlochSetting) -> float:
+    t = correlation_matrix(check_density_matrix(rho))
     return float(s1.unit_vector() @ t @ s2.unit_vector())
 
 
@@ -103,15 +110,16 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
 
 
 def chsh(rho: np.ndarray, settings: ChshSettings) -> float:
-    """Signed CHSH parameter S: the state is validated once, then four correlations of one T."""
+    """Signed CHSH parameter S: the state is validated once, then four correlations of one T.
+
+    Each correlation is (u1^T T) u2, as in ``correlation``; the row u1^T T
+    of each first-photon setting serves both of its correlations.
+    """
     t = correlation_matrix(check_density_matrix(rho))
-    s = (
-        _correlation(t, settings.a1, settings.a2)
-        - _correlation(t, settings.a1, settings.a2p)
-        + _correlation(t, settings.a1p, settings.a2)
-        + _correlation(t, settings.a1p, settings.a2p)
-    )
-    if abs(s) > TSIRELSON_BOUND + 1e-9:
+    r1, r1p = settings.a1.unit_vector() @ t, settings.a1p.unit_vector() @ t
+    u2, u2p = settings.a2.unit_vector(), settings.a2p.unit_vector()
+    s = float(r1 @ u2) - float(r1 @ u2p) + float(r1p @ u2) + float(r1p @ u2p)
+    if not abs(s) <= TSIRELSON_BOUND + 1e-9:  # NaN fails too
         raise ValueError(f"CHSH value {s} exceeds the quantum bound 2*sqrt(2)")
     return s
 
@@ -124,8 +132,8 @@ def chsh_max_from_correlation_matrix(rho: np.ndarray) -> float:
     ``chsh_optimize``.
     """
     t = correlation_matrix(check_density_matrix(rho))
-    eigs = np.sort(np.linalg.eigvalsh(t.T @ t))[::-1]
-    return float(2 * math.sqrt(max(0.0, eigs[0] + eigs[1])))
+    _, second, first = np.linalg.eigvalsh(t.T @ t).tolist()  # ascending
+    return 2 * math.sqrt(max(0.0, first + second))
 
 
 def chsh_optimal_family(p: float, b_diag: float | None = None) -> tuple[float, ChshSettings]:
@@ -162,20 +170,21 @@ def chsh_optimize(rho: np.ndarray) -> tuple[float, ChshSettings]:
     Returns (max |S|, extremal settings).
     """
     u, sv, vt = np.linalg.svd(correlation_matrix(check_density_matrix(rho)))
-    angle = math.atan2(sv[1], sv[0])
-    a2 = math.cos(angle) * vt[0] + math.sin(angle) * vt[1]
-    a2p = math.cos(angle) * vt[0] - math.sin(angle) * vt[1]
+    s1, s2, _ = sv.tolist()
+    angle = math.atan2(s2, s1)
+    c, s = math.cos(angle), math.sin(angle)
+    (x1, y1, z1), (x2, y2, z2), _ = vt.tolist()
+    u1, u2, _ = u.T.tolist()
     settings = ChshSettings(
-        a1=_setting_from_vector(u[:, 1]),
-        a1p=_setting_from_vector(u[:, 0]),
-        a2=_setting_from_vector(a2),
-        a2p=_setting_from_vector(a2p),
+        a1=_setting_from_vector(*u2),
+        a1p=_setting_from_vector(*u1),
+        a2=_setting_from_vector(c * x1 + s * x2, c * y1 + s * y2, c * z1 + s * z2),
+        a2p=_setting_from_vector(c * x1 - s * x2, c * y1 - s * y2, c * z1 - s * z2),
     )
-    return 2 * math.hypot(sv[0], sv[1]), settings
+    return 2 * math.hypot(s1, s2), settings
 
 
-def _setting_from_vector(v: np.ndarray) -> BlochSetting:
-    x, y, z = v
+def _setting_from_vector(x: float, y: float, z: float) -> BlochSetting:
     return BlochSetting(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
 
 

@@ -21,9 +21,9 @@ weights instead.  All CSV files share the layout of ``ering.csvfile``.
 Exit codes: 0 success, 1 domain error (including informationally
 incomplete tomography settings), 2 usage or input-format error (an unread
 or abbreviated flag, a non-finite float flag, ``--state`` without
-``--family file`` or the reverse, a malformed CSV or density-matrix
-file), 3 no rank of the maximum-likelihood reconstruction passed its
-optimality certificate.
+``--family file`` or the reverse, ``--p`` with ``--family singlet`` or
+``file``, a malformed CSV or density-matrix file), 3 no rank of the
+maximum-likelihood reconstruction passed its optimality certificate.
 """
 
 from __future__ import annotations
@@ -505,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     tomo_sub = p_tomo.add_subparsers(dest="tomo_command", required=True, parser_class=parser_class)
     p_sim = tomo_sub.add_parser("simulate", help="write simulated 16-setting counts")
     p_sim.add_argument("--family", choices=["werner", "mems", "singlet", "file"], required=True)
-    p_sim.add_argument("--p", type=finite_float, default=1.0, help="singlet weight in [0, 1]")
+    p_sim.add_argument("--p", type=finite_float, help="singlet weight in [0, 1] (werner, mems; 1)")
     p_sim.add_argument("--state", help="density-matrix JSON (with --family file)")
     p_sim.add_argument("--counts", type=int, default=10000, help="mean counts per setting")
     p_sim.add_argument("--seed", type=int, required=True)
@@ -530,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a simulated 16-setting counts CSV",
     )
     p_bsim.add_argument("--family", choices=["werner", "mems", "singlet", "file"], required=True)
-    p_bsim.add_argument("--p", type=finite_float, default=1.0)
+    p_bsim.add_argument("--p", type=finite_float, help="singlet weight in [0, 1] (werner, mems; 1)")
     p_bsim.add_argument("--state", help="density-matrix JSON (with --family file)")
     p_bsim.add_argument(
         "--duration",
@@ -555,8 +555,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = argv  # recorded in manifests
-    if (getattr(args, "family", None) == "file") != (getattr(args, "state", None) is not None):
+    family = getattr(args, "family", None)
+    if (family == "file") != (getattr(args, "state", None) is not None):
         parser.error("--state goes with --family file, and --family file needs --state")
+    if getattr(args, "p", 1.0) is None:  # tomo or bell simulate without --p: werner, mems at 1
+        args.p = 1.0
+    elif family in ("singlet", "file") and hasattr(args, "p"):
+        parser.error("--p goes with --family werner or mems")
     try:
         return args.func(args)
     except (InputFormatError, FileNotFoundError) as exc:

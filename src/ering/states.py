@@ -51,16 +51,32 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate a 4x4 density matrix and return it as a complex array.
 
     Raises ValueError unless the matrix is 4x4, finite, Hermitian and of unit
-    trace within 1e-12, with no eigenvalue below -1e-10.  A passing verdict
-    is cached by the matrix's bytes, so checking the same content again is a
+    trace within 1e-12, with no eigenvalue below -1e-10.  A passing verdict,
+    which includes the matrix's eigendecomposition (see ``spectrum``), is
+    cached by the matrix's bytes, so checking the same content again is a
     lookup; a changed matrix has new bytes and is checked afresh, and an
     invalid one is never cached, so it raises on every call.
     """
     rho = np.asarray(rho, dtype=complex)
+    _verdict(rho)
+    return rho
+
+
+def spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate ``rho`` as ``check_density_matrix`` does and return its eigendecomposition.
+
+    Returns ``np.linalg.eigh(rho)``: the ascending eigenvalues and the
+    eigenvectors as columns.  Both arrays are read-only and shared by every
+    caller of the same matrix content, since they are the cached verdict of
+    the validation.
+    """
+    return _verdict(np.asarray(rho, dtype=complex))
+
+
+def _verdict(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-    _check_entries(rho.tobytes())
-    return rho
+    return _check_entries(rho.tobytes())
 
 
 #: Distinct valid matrices whose verdict ``check_density_matrix`` remembers.
@@ -70,8 +86,11 @@ _VERDICT_CACHE_SIZE = 32
 
 
 @functools.lru_cache(maxsize=_VERDICT_CACHE_SIZE)
-def _check_entries(data: bytes) -> None:
-    """The content checks of ``check_density_matrix`` on a 4x4 complex matrix's bytes."""
+def _check_entries(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The content checks of ``check_density_matrix`` on a 4x4 complex matrix's bytes.
+
+    Returns the read-only ``eigh`` pair that the positivity test used.
+    """
     rho = np.frombuffer(data, dtype=complex).reshape(4, 4)
     if not np.isfinite(rho).all():
         raise ValueError("density matrix has non-finite entries")
@@ -79,9 +98,12 @@ def _check_entries(data: bytes) -> None:
         raise ValueError("density matrix is not Hermitian within 1e-12")
     if abs(np.trace(rho) - 1.0) > TRACE_ATOL:
         raise ValueError(f"density matrix trace {np.trace(rho):.3e} is not 1 within 1e-12")
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < PSD_EIGENVALUE_FLOOR:
-        raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
+    eigs, vecs = np.linalg.eigh(rho)
+    if eigs[0] < PSD_EIGENVALUE_FLOOR:
+        raise ValueError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
+    eigs.setflags(write=False)
+    vecs.setflags(write=False)
+    return eigs, vecs
 
 
 def repair_density_matrix(rho: np.ndarray) -> np.ndarray:

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import csvfile
 from .errors import ConvergenceError, InputFormatError
-from .states import PAULI_PAIRS, check_density_matrix, repair_density_matrix
+from .states import PAULI_PAIRS, check_density_matrix, repair_density_matrix, spectrum
 
 _KETS = {
     "H": np.array([1, 0], dtype=complex),
@@ -416,17 +416,16 @@ def ml_reconstruct(data: TomoData, seed: int = 0) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
-    eigs, vecs = np.linalg.eigh(rho)
-    eigs = np.clip(eigs, 0.0, None)
-    return (vecs * np.sqrt(eigs)) @ vecs.conj().T
-
-
 def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2, in [0, 1]."""
-    rho1 = check_density_matrix(rho1)
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2, in [0, 1].
+
+    sqrt(rho1) is formed from the eigendecomposition that validating rho1
+    cached (``states.spectrum``), so a state that was already checked is
+    not decomposed again.
+    """
+    eigs, vecs = spectrum(rho1)
     rho2 = check_density_matrix(rho2)
-    sq = _sqrtm_psd(rho1)
+    sq = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
     inner = sq @ rho2 @ sq
     eigs = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     value = float(np.sum(np.sqrt(eigs)) ** 2)

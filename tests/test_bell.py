@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import minimize
 
+from ering import bell
 from ering.bell import (
     AnglePlan,
     BlochSetting,
@@ -398,6 +399,99 @@ def test_tsirelson_never_exceeded(rng):
         rho = random_density_matrix(rng)
         s_max, _ = chsh_optimize(rho)
         assert s_max <= 2 * SQ2 + 1e-9
+
+
+def array_normalized(theta, phi):
+    """(Theta, Phi) and unit vector by the array-based normalization: oracle of BlochSetting."""
+    st = math.sin(theta)
+    u = np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+    r_xy = math.hypot(u[0], u[1])
+    theta_n = math.atan2(r_xy, u[2])
+    if r_xy == 0.0:
+        phi_n = 0.0
+    else:
+        phi_n = math.atan2(u[1], u[0])
+        if phi_n <= -math.pi:
+            phi_n = math.pi
+    st = math.sin(theta_n)
+    unit = np.array([st * math.cos(phi_n), st * math.sin(phi_n), math.cos(theta_n)])
+    return theta_n, phi_n, unit
+
+
+def array_chsh_optimize(rho):
+    """chsh_optimize with array arithmetic on U, S, V^T: oracle of its scalar form."""
+    u, sv, vt = np.linalg.svd(correlation_matrix(rho))
+    angle = math.atan2(sv[1], sv[0])
+    a2 = math.cos(angle) * vt[0] + math.sin(angle) * vt[1]
+    a2p = math.cos(angle) * vt[0] - math.sin(angle) * vt[1]
+    angles = [
+        array_normalized(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
+        for x, y, z in (u[:, 1], u[:, 0], a2, a2p)
+    ]
+    return 2 * math.hypot(sv[0], sv[1]), angles
+
+
+def _bitwise_same(setting, expected):
+    theta, phi, unit = expected
+    return (setting.theta, setting.phi) == (theta, phi) and (
+        setting.unit_vector().tobytes() == unit.tobytes()
+    )
+
+
+def test_bloch_setting_is_bitwise_the_array_normalization():
+    rng = np.random.default_rng(20240011)
+    angles = [tuple(rng.uniform(-10, 10, 2)) for _ in range(2000)]
+    # the poles and the branch cut Phi = -pi
+    poles = (0.0, math.pi, -math.pi, 2 * math.pi)
+    angles += [(t, f) for t in poles for f in (math.pi, -math.pi, 0.0)]
+    angles += [(t, -math.pi) for t in rng.uniform(0, math.pi, 50)]
+    for theta, phi in angles:
+        assert _bitwise_same(BlochSetting(theta, phi), array_normalized(theta, phi)), (theta, phi)
+
+
+def test_chsh_optimize_is_bitwise_the_array_route():
+    rng = np.random.default_rng(20240012)
+    for rho in oracle_states(rng, 1000):
+        s_max, settings = chsh_optimize(rho)
+        expected_s, expected = array_chsh_optimize(rho)
+        assert s_max == expected_s
+        got = (settings.a1, settings.a1p, settings.a2, settings.a2p)
+        assert all(_bitwise_same(g, e) for g, e in zip(got, expected))
+
+
+def test_chsh_max_is_bitwise_the_sorted_eigenvalue_route():
+    rng = np.random.default_rng(20240015)
+    for rho in oracle_states(rng, 500):
+        t = correlation_matrix(rho)
+        eigs = np.sort(np.linalg.eigvalsh(t.T @ t))[::-1]
+        expected = float(2 * math.sqrt(max(0.0, eigs[0] + eigs[1])))
+        assert chsh_max_from_correlation_matrix(rho) == expected
+
+
+def test_unit_vector_is_built_once_read_only():
+    s = BlochSetting(1.0, 2.0)
+    assert s.unit_vector() is s.unit_vector()
+    with pytest.raises(ValueError):
+        s.unit_vector()[0] = 0.0
+    assert s == BlochSetting(1.0, 2.0) and "unit" not in repr(s)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("angle", ["theta", "phi"])
+def test_bloch_setting_rejects_non_finite_angle(angle, value):
+    with pytest.raises(ValueError, match=f"Bloch angle {angle} must be finite"):
+        BlochSetting(**{"theta": 0.5, "phi": 0.5, angle: value})
+
+
+def test_angle_plan_with_nan_has_no_bloch_settings():
+    with pytest.raises(ValueError, match="finite"):
+        AnglePlan(math.nan, 0.0, math.pi / 8, 3 * math.pi / 8).bloch_settings()
+
+
+def test_chsh_rejects_a_nan_value(monkeypatch):
+    monkeypatch.setattr(bell, "correlation_matrix", lambda rho: np.full((3, 3), np.nan))
+    with pytest.raises(ValueError, match="exceeds the quantum bound"):
+        chsh(werner(0.8), STANDARD_PLAN.bloch_settings())
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from ering.cli import main
-from ering.states import density_matrix_from_dict, mems, projector, singlet, werner
+from ering.states import (
+    density_matrix_from_dict,
+    density_matrix_to_dict,
+    mems,
+    projector,
+    singlet,
+    werner,
+)
 from ering.tomography import exact_tomography_counts, tomo_data_to_csv
 
 
@@ -228,6 +235,34 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
         run_cli(*argv)
     assert exc.value.code == 2
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("family", ["singlet", "file"])
+@pytest.mark.parametrize("command", ["tomo", "bell"])
+def test_simulate_p_without_a_weighted_family_exit_2(
+    command, family, tmp_path, monkeypatch, capsys
+):
+    state = tmp_path / "rho.json"
+    state.write_text(json.dumps(density_matrix_to_dict(werner(0.5))))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    file_flags = ["--state", str(state)] if family == "file" else []
+    argv = [command, "simulate", "--family", family, *file_flags, "--seed", "1", "--out", "x.csv"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--p", "0.3")
+    assert exc.value.code == 2
+    assert "--p goes with --family werner or mems" in capsys.readouterr().err
+    assert not list(work.iterdir())
+    assert run_cli(*argv) == 0  # the same run without --p is valid
+
+
+@pytest.mark.parametrize("family", ["werner", "mems"])
+def test_tomo_simulate_without_p_is_p_1(family, tmp_path):
+    common = ["tomo", "simulate", "--family", family, "--counts", "100", "--seed", "1", "--out"]
+    assert run_cli(*common, str(tmp_path / "default.csv")) == 0
+    assert run_cli(*common, str(tmp_path / "one.csv"), "--p", "1") == 0
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 # every flag that some state family or figure id reads, with a valid value

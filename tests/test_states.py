@@ -19,6 +19,7 @@ from ering.states import (
     nonmax_state,
     projector,
     singlet,
+    spectrum,
     tune_entanglement,
     tuning_entanglement_bound,
     werner,
@@ -285,9 +286,32 @@ def _verdict(check, rho):
 def test_check_density_matrix_rechecks_a_matrix_changed_after_passing():
     rho = werner(0.5)
     assert check_density_matrix(rho) is rho
+    eigs = spectrum(rho)[0]
     rho[0, 1] = 0.1
     with pytest.raises(ValueError, match="Hermitian"):
         check_density_matrix(rho)
+    rho[:] = werner(0.7)
+    changed_eigs = spectrum(rho)[0]
+    assert not np.array_equal(changed_eigs, eigs)
+    assert np.array_equal(changed_eigs, np.linalg.eigh(werner(0.7))[0])
+
+
+def test_spectrum_is_the_read_only_eigh_of_a_valid_matrix():
+    rho = mems(0.6)
+    eigs, vecs = spectrum(rho)
+    expected_eigs, expected_vecs = np.linalg.eigh(rho)
+    assert np.array_equal(eigs, expected_eigs) and np.array_equal(vecs, expected_vecs)
+    for array in (eigs, vecs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    # the same content is a lookup: the same arrays, whatever the memory layout
+    again = spectrum(np.asfortranarray(rho))
+    assert again[0] is eigs and again[1] is vecs
+    with pytest.raises(ValueError, match="4x4"):
+        spectrum(np.eye(3) / 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            spectrum(np.diag([0.6, 0.6, -0.1, -0.1]))
 
 
 def _verdict_corpus(seed):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import minimize
 
-from ering import tomography
+from ering import states, tomography
 from ering.errors import InputFormatError
 from ering.sampling import random_density_matrix
 from ering.states import (
@@ -35,6 +35,7 @@ from ering.tomography import (
     tomo_data_from_csv,
     tomo_data_to_csv,
 )
+from test_states import _verdict_corpus
 
 
 def test_standard_settings_shape():
@@ -414,6 +415,68 @@ def test_fidelity_basics(rng):
     hh = projector(np.array([1, 0, 0, 0], dtype=complex))
     vv = projector(np.array([0, 0, 0, 1], dtype=complex))
     assert fidelity(hh, vv) == pytest.approx(0.0, abs=1e-12)
+
+
+def _sqrtm_psd(rho):
+    eigs, vecs = np.linalg.eigh(rho)
+    eigs = np.clip(eigs, 0.0, None)
+    return (vecs * np.sqrt(eigs)) @ vecs.conj().T
+
+
+def eigh_fidelity(rho1, rho2):
+    """Fidelity with sqrt(rho1) from its own eigh: the oracle of the cached-spectrum route."""
+    rho1 = check_density_matrix(rho1)
+    rho2 = check_density_matrix(rho2)
+    sq = _sqrtm_psd(rho1)
+    inner = sq @ rho2 @ sq
+    eigs = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
+    value = float(np.sum(np.sqrt(eigs)) ** 2)
+    return min(1.0, max(0.0, value))
+
+
+def _is_valid(rho):
+    try:
+        check_density_matrix(rho)
+    except ValueError:
+        return False
+    return True
+
+
+def test_fidelity_is_bitwise_the_eigh_oracle():
+    rng = np.random.default_rng(20240013)
+    corpus = [m for m in _verdict_corpus(5) if _is_valid(m)]
+    grid = np.linspace(0, 1, 101)
+    corpus += [werner(p) for p in grid] + [mems(p) for p in grid]
+    for _ in range(200):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        corpus.append(projector(psi / np.linalg.norm(psi)))
+    assert len(corpus) > 900
+    target = projector(singlet())
+    for i, rho in enumerate(corpus):
+        other = corpus[(7 * i + 3) % len(corpus)]
+        for a, b in ((rho, target), (target, rho), (rho, other)):
+            assert fidelity(a, b) == eigh_fidelity(a, b)
+
+
+def test_fidelity_reuses_the_validation_eigendecomposition(monkeypatch):
+    x = random_density_matrix(np.random.default_rng(20240014))
+    target = projector(singlet())
+    states._check_entries.cache_clear()
+    decomposed = []
+
+    def counting(real):
+        def wrapper(a, *args, **kwargs):
+            decomposed.append(np.array(a))
+            return real(a, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    check_density_matrix(x)
+    first = fidelity(x, target)
+    assert fidelity(x, target) == first
+    assert sum(np.array_equal(m, x) for m in decomposed) == 1
 
 
 def test_fidelity_werner_to_singlet_closed_form():
