@@ -20,6 +20,12 @@ in closed form from the singular value decomposition of T
 (``chsh_optimize``); the eigenvalue route of
 ``chsh_max_from_correlation_matrix`` is kept as an independent check of
 the value.
+
+Counts-based runs use linear polarizers.  An ``AnglePlan`` builds its
+joint settings and Bloch directions once, and a plan compiles once
+(``compile_plan``) into its setting labels and one read-only matrix of
+analyzer rows, so the joint and marginal detection probabilities of all
+its settings are one matvec with rho.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import csvfile
-from .errors import InputFormatError
 from .states import PAULI_PAIRS, check_density_matrix
 
 TSIRELSON_BOUND = 2 * math.sqrt(2)
@@ -199,11 +204,41 @@ def polarizer_kets(theta) -> np.ndarray:
     return np.stack((np.cos(theta), np.sin(theta)), axis=-1)
 
 
+#: delta_bd and delta_ac over the axes (a, b, c, d) of ``rho.reshape(2, 2, 2, 2)``
+_TRACE_ARM2 = np.eye(2)[:, None, :]
+_TRACE_ARM1 = np.eye(2)[:, None, :, None]
+
+
+def _analyzer_rows(theta1, theta2) -> np.ndarray:
+    """Rows ``(3, *shape, 16)`` against ``rho.reshape(2, 2, 2, 2)`` raveled.
+
+    With kets k1, k2 of the two analyzers, row 0 is k1 x k2 x k1 x k2 (the
+    joint probability Tr(rho P1 x P2)), row 1 is k1 x delta x k1 (the arm-1
+    marginal, arm 2 traced out) and row 2 is delta x k2 x delta x k2 (the
+    arm-2 marginal).
+    """
+    k1, k2 = np.broadcast_arrays(polarizer_kets(theta1), polarizer_kets(theta2))
+    a = k1[..., :, None, None, None]
+    b = k2[..., None, :, None, None]
+    c = k1[..., None, None, :, None]
+    d = k2[..., None, None, None, :]
+    joint, arm1, arm2 = np.broadcast_arrays(a * b * c * d, a * c * _TRACE_ARM2, _TRACE_ARM1 * b * d)
+    return np.stack((joint, arm1, arm2)).reshape(3, *k1.shape[:-1], 16)
+
+
+def _real_vector(rho: np.ndarray) -> np.ndarray:
+    # the analyzer rows are real, and the imaginary part of a Hermitian rho cancels
+    return np.asarray(rho, dtype=complex).real.ravel()
+
+
+def detection_probabilities(rho: np.ndarray, theta1, theta2) -> np.ndarray:
+    """Joint, arm-1 and arm-2 detection probabilities stacked on axis 0; broadcasts."""
+    return _analyzer_rows(theta1, theta2) @ _real_vector(rho)
+
+
 def joint_detection_probability(rho: np.ndarray, theta1, theta2):
     """Tr(rho P_theta1 x P_theta2) for linear analyzers; broadcasts, scalar angles give a float."""
-    k1, k2 = polarizer_kets(theta1), polarizer_kets(theta2)
-    rho = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2).real  # the kets are real
-    p = np.einsum("...a,...b,abcd,...c,...d->...", k1, k2, rho, k1, k2)
+    p = detection_probabilities(rho, theta1, theta2)[0]
     return float(p) if np.ndim(p) == 0 else p
 
 
@@ -235,8 +270,9 @@ class AnglePlan:
             (self.theta1p, self.theta2p),
         ]
 
-    def all_settings(self) -> list[tuple[float, float]]:
-        """All 16 joint settings: each base pair plus its orthogonal combos."""
+    @functools.cached_property
+    def settings(self) -> tuple[tuple[float, float], ...]:
+        """The distinct joint settings, built once: see ``all_settings``."""
         out: list[tuple[float, float]] = []
         seen = set()
         for t1, t2 in self.base_pairs():
@@ -245,10 +281,14 @@ class AnglePlan:
                 if key not in seen:
                     seen.add(key)
                     out.append((a, b))
-        return out
+        return tuple(out)
 
-    def bloch_settings(self) -> ChshSettings:
-        """The Bloch-sphere directions Theta = 2 theta, Phi = 0 of the plan."""
+    def all_settings(self) -> list[tuple[float, float]]:
+        """All 16 joint settings: each base pair plus its orthogonal combos (a new list)."""
+        return list(self.settings)
+
+    @functools.cached_property
+    def _bloch_settings(self) -> ChshSettings:
         return ChshSettings(
             a1=BlochSetting(2 * self.theta1, 0.0),
             a1p=BlochSetting(2 * self.theta1p, 0.0),
@@ -256,10 +296,60 @@ class AnglePlan:
             a2p=BlochSetting(2 * self.theta2p, 0.0),
         )
 
+    def bloch_settings(self) -> ChshSettings:
+        """The Bloch-sphere directions Theta = 2 theta, Phi = 0 of the plan, built once."""
+        return self._bloch_settings
+
 
 #: The standard singlet test plan: theta1 = 0, theta1' = 45 deg,
 #: theta2 = 22.5 deg, theta2' = 67.5 deg.
 STANDARD_PLAN = AnglePlan(0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledPlan:
+    """Distinct joint settings compiled once into labels and analyzer rows.
+
+    ``labels`` are the canonical (theta1, theta2) degree labels in plan
+    order; ``rows`` is the read-only ``(3 S, 16)`` stack of the S joint
+    rows, then the S arm-1 and the S arm-2 marginal rows (see
+    ``_analyzer_rows``).
+    """
+
+    labels: tuple[tuple[str, str], ...]
+    rows: np.ndarray
+
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        """``(3, S)`` joint, arm-1 and arm-2 detection probabilities from one matvec."""
+        return (self.rows @ _real_vector(rho)).reshape(3, -1)
+
+
+#: Distinct settings tuples ``compile_plan`` remembers; figure 2 runs 37 one-setting plans.
+_COMPILED_PLAN_CACHE_SIZE = 128
+
+
+def compile_plan(plan: AnglePlan | list[tuple[float, float]]) -> CompiledPlan:
+    """The compiled form of an AnglePlan's settings or of a list of (theta1, theta2) pairs.
+
+    Raises ValueError if an angle is not finite or two settings share a label.
+    """
+    if isinstance(plan, AnglePlan):
+        return _compile(plan.settings)
+    return _compile(tuple((float(t1), float(t2)) for t1, t2 in plan))
+
+
+@functools.lru_cache(maxsize=_COMPILED_PLAN_CACHE_SIZE)
+def _compile(settings: tuple[tuple[float, float], ...]) -> CompiledPlan:
+    for setting in settings:
+        if not all(map(math.isfinite, setting)):
+            raise ValueError(f"plan angles must be finite, got {setting}")
+    labels = tuple((angle_label(t1), angle_label(t2)) for t1, t2 in settings)
+    if len(set(labels)) != len(labels):
+        raise ValueError("plan repeats a joint setting")
+    theta1, theta2 = np.array(settings, dtype=float).reshape(-1, 2).T
+    rows = _analyzer_rows(theta1, theta2).reshape(-1, 16)
+    rows.setflags(write=False)
+    return CompiledPlan(labels, rows)
 
 
 _COUNTS_HEADER = ["theta1_deg", "theta2_deg", "counts"]
@@ -350,12 +440,12 @@ def counts_from_csv(path) -> CountsTable:
     """Parse a counts CSV; raises InputFormatError with the offending line."""
     comments, rows = csvfile.read(path, _COUNTS_HEADER, {"duration_s": None})
     entries: dict[tuple[str, str], float] = {}
-    for where, (t1, t2, n) in rows:
-        t1 = csvfile.number(where, t1, "angle")
-        t2 = csvfile.number(where, t2, "angle")
+    for line, (t1, t2, n) in rows:
+        t1 = csvfile.number(path, line, t1, "angle")
+        t2 = csvfile.number(path, line, t2, "angle")
         key = (angle_label(math.radians(t1)), angle_label(math.radians(t2)))
-        n = csvfile.count(where, n)
+        n = csvfile.count(path, line, n)
         if key in entries:
-            raise InputFormatError(f"{where}: duplicate setting {key}")
+            raise csvfile.error(path, line, f"duplicate setting {key}")
         entries[key] = int(n) if n.is_integer() else n
     return CountsTable(entries, comments["duration_s"])

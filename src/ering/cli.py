@@ -43,9 +43,9 @@ from . import __version__, csvfile
 from .bell import (
     AnglePlan,
     STANDARD_PLAN,
-    angle_label,
     chsh_from_counts,
     chsh_optimize,
+    compile_plan,
     counts_from_csv,
     counts_to_csv,
 )
@@ -396,8 +396,7 @@ def cmd_bell_simulate(args) -> int:
 def cmd_bell_eval(args) -> int:
     table = counts_from_csv(args.counts)
     plan = _plan_from_args(args)
-    for t1, t2 in plan.all_settings():
-        l1, l2 = angle_label(t1), angle_label(t2)
+    for l1, l2 in compile_plan(plan).labels:
         if (l1, l2) not in table.entries:
             raise InputFormatError(
                 f"{args.counts}: no row for the joint setting theta1 = {l1} deg, theta2 = {l2} deg"

@@ -7,26 +7,28 @@ record; every line ends in ``\\n``.  Read errors name ``path:line``.
 from __future__ import annotations
 
 import csv
+import io
 import math
 
 from .errors import InputFormatError
 
 
 def write(path, header: list[str], rows, comments: dict | None = None, digits: int = 10) -> None:
-    """Write a file; float cells get ``digits`` significant digits, comment values 10."""
+    """Write a file in one call; float cells get ``digits`` significant digits, comment values 10."""
+    text = io.StringIO()
+    for key, value in (comments or {}).items():
+        text.write(f"# {key} {value:.10g}\n")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{v:.{digits}g}" if isinstance(v, float) else v for v in row] for row in rows)
     with open(path, "w", newline="") as fh:
-        for key, value in (comments or {}).items():
-            fh.write(f"# {key} {value:.10g}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.{digits}g}" if isinstance(v, float) else v for v in row])
+        fh.write(text.getvalue())
 
 
 def read(
     path, header: list[str], comments: dict[str, float | None]
 ) -> tuple[dict[str, float], list]:
-    """The comment values and the nonblank rows, as ``(path:line, stripped fields)`` pairs.
+    """The comment values and the nonblank rows, as ``(line, stripped fields)`` pairs.
 
     ``comments`` maps the keys read to their defaults; a key whose default
     is None must be in the file.  A comment line whose first word is one of
@@ -72,29 +74,35 @@ def read(
     if [f.strip() for f in next(reader, [])] != header:
         raise InputFormatError(f"{path}:{start + 1}: expected header {','.join(header)!r}")
     rows = []
+    width = len(header)
     for fields in reader:
-        where = f"{path}:{start + reader.line_num}"
         if len(fields) > 1 or "".join(fields).strip():
-            if len(fields) != len(header):
-                raise InputFormatError(f"{where}: expected {len(header)} fields, got {len(fields)}")
-            rows.append((where, [f.strip() for f in fields]))
+            line = start + reader.line_num
+            if len(fields) != width:
+                raise error(path, line, f"expected {width} fields, got {len(fields)}")
+            rows.append((line, [f.strip() for f in fields]))
     return values, rows
 
 
-def number(where: str, text: str, what: str) -> float:
-    """``text`` as a finite float, else an InputFormatError at ``where``."""
+def error(path, line: int, message: str) -> InputFormatError:
+    """The error of a bad ``path`` at ``line``, read ``path:line: message``."""
+    return InputFormatError(f"{path}:{line}: {message}")
+
+
+def number(path, line: int, text: str, what: str) -> float:
+    """``text`` as a finite float, else an InputFormatError at ``path:line``."""
     try:
         value = float(text)
     except ValueError as exc:
-        raise InputFormatError(f"{where}: {exc}") from None
+        raise error(path, line, str(exc)) from None
     if not math.isfinite(value):
-        raise InputFormatError(f"{where}: non-finite {what} {text!r}")
+        raise error(path, line, f"non-finite {what} {text!r}")
     return value
 
 
-def count(where: str, text: str) -> float:
+def count(path, line: int, text: str) -> float:
     """``text`` as a finite, nonnegative count."""
-    value = number(where, text, "counts")
+    value = number(path, line, text, "counts")
     if value < 0:
-        raise InputFormatError(f"{where}: negative counts {value:g}")
+        raise error(path, line, f"negative counts {value:g}")
     return value

@@ -28,9 +28,10 @@ traces the single-arm interferometer (see docs/phase_geometry.md), and
 ``displacement_visibility`` models the spatial decoherence caused by the
 lateral walk of the retroreflected cone on the crystal.
 
-Coincidence counting is batched: one einsum kernel gives the joint and
-partial-trace marginal probabilities of every joint analyzer setting of a
-plan, and all counts come from one Poisson draw.
+Coincidence counting is batched: a plan compiles once (``compile_plan``)
+into its labels and one matrix of analyzer rows, so the joint and
+partial-trace marginal probabilities of all its joint settings come from
+one matvec with rho, and all counts from one Poisson draw.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .bell import STANDARD_PLAN, AnglePlan, CountsTable, angle_label, polarizer_kets
-from .bell import joint_detection_probability
+from .bell import STANDARD_PLAN, AnglePlan, CountsTable, compile_plan, detection_probabilities
 from .errors import InputFormatError
 from .states import bell_state, check_density_matrix, mems_weight, projector
 
@@ -411,17 +411,28 @@ def detected_pair_rate(config: SourceConfig) -> float:
     return config.pair_rate * config.detector_qe**2 * config.transmission
 
 
+def _singles(marginal, config: SourceConfig):
+    arm_transmission = math.sqrt(config.transmission)
+    return config.pair_rate * config.detector_qe * arm_transmission * marginal + config.dark_rate
+
+
+def _coincidences(probabilities, config: SourceConfig):
+    """Rates from stacked (joint, arm-1 marginal, arm-2 marginal) probabilities."""
+    singles1, singles2 = _singles(probabilities[1:], config)
+    accidental = singles1 * singles2 * config.coincidence_window
+    return detected_pair_rate(config) * probabilities[0] + accidental
+
+
+def _scalar_or_array(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def singles_rate(rho: np.ndarray, theta, arm: int, config: SourceConfig):
     """Single-detector rate behind one analyzer with dark counts; broadcasts over theta."""
     if arm not in (1, 2):
         raise ValueError(f"arm must be 1 or 2, got {arm!r}")
-    ket = polarizer_kets(theta)
-    rho = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2).real  # the kets are real
-    trace_out = "...a,abcb,...c->..." if arm == 1 else "...b,abad,...d->..."  # the other arm
-    marginal = np.einsum(trace_out, ket, rho, ket)
-    arm_transmission = math.sqrt(config.transmission)
-    rate = config.pair_rate * config.detector_qe * arm_transmission * marginal + config.dark_rate
-    return float(rate) if np.ndim(rate) == 0 else rate
+    marginal = detection_probabilities(rho, theta, theta)[arm]
+    return _scalar_or_array(_singles(marginal, config))
 
 
 def expected_coincidence_rate(rho: np.ndarray, theta1, theta2, config: SourceConfig):
@@ -432,18 +443,19 @@ def expected_coincidence_rate(rho: np.ndarray, theta1, theta2, config: SourceCon
     ``rho`` by the caller (``simulate_coincidences`` does this).
     Broadcasts over angle arrays; scalar angles give a float.
     """
-    signal = detected_pair_rate(config) * joint_detection_probability(rho, theta1, theta2)
-    accidental = (
-        singles_rate(rho, theta1, 1, config)
-        * singles_rate(rho, theta2, 2, config)
-        * config.coincidence_window
-    )
-    return signal + accidental
+    return _scalar_or_array(_coincidences(detection_probabilities(rho, theta1, theta2), config))
+
+
+def _check_duration(name: str, duration: float) -> None:
+    if not math.isfinite(duration):
+        raise ValueError(f"{name} must be finite, got {duration}")
+    if duration <= 0:
+        raise ValueError(f"{name} must be positive")
 
 
 def simulate_coincidences(
     rho: np.ndarray,
-    plan: list[tuple[float, float]],
+    plan: AnglePlan | list[tuple[float, float]],
     duration: float,
     config: SourceConfig,
     seed: int,
@@ -451,24 +463,21 @@ def simulate_coincidences(
     """Poisson coincidence counts for each joint polarizer setting.
 
     ``plan`` is a list of distinct (theta1, theta2) radian pairs (compared
-    by canonical degree label); ``duration`` is the integration time per
-    setting.  The config's effective visibility is applied to rho, the
-    mean counts rate * duration of every setting are computed at once
-    over the angle arrays, and all counts come from one Poisson draw,
+    by canonical degree label) or an AnglePlan; ``duration`` is the
+    integration time per setting.  The plan compiles once into its labels
+    and analyzer rows (``compile_plan``).  The config's effective
+    visibility is applied to rho, the mean counts rate * duration of every
+    setting come from one matvec, and all counts from one Poisson draw,
     deterministically for a fixed seed.
     """
     rho = check_density_matrix(rho)
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    labels = [(angle_label(t1), angle_label(t2)) for t1, t2 in plan]
-    if len(set(labels)) != len(labels):
-        raise ValueError("plan repeats a joint setting")
+    _check_duration("duration", duration)
+    compiled = compile_plan(plan)
     rho_v = apply_effective_visibility(rho, config.visibility)
-    theta1, theta2 = np.array(plan, dtype=float).reshape(-1, 2).T
-    rates = expected_coincidence_rate(rho_v, theta1, theta2, config)
+    rates = _coincidences(compiled.probabilities(rho_v), config)
     # a null setting of a noiseless config can round to a rate of -1e-17
-    counts = np.random.default_rng(seed).poisson(np.clip(rates, 0.0, None) * duration)
-    return CountsTable(dict(zip(labels, counts.tolist())), duration)
+    counts = np.random.default_rng(seed).poisson(np.maximum(rates, 0.0) * duration)
+    return CountsTable(dict(zip(compiled.labels, counts.tolist())), duration)
 
 
 def simulate_bell_test(
@@ -482,14 +491,13 @@ def simulate_bell_test(
 
     Models the standard procedure of integrating for total_duration
     seconds over the whole measurement sequence, i.e. total/16 per joint
-    setting.
+    setting (total/S for a plan whose S distinct settings are fewer).
     """
     if plan is None:
         plan = STANDARD_PLAN
-    settings = plan.all_settings()
-    per_setting = total_duration / len(settings)
-    table = simulate_coincidences(rho, settings, per_setting, config, seed)
-    return table, plan
+    _check_duration("total_duration", total_duration)
+    per_setting = total_duration / len(plan.settings)
+    return simulate_coincidences(rho, plan, per_setting, config, seed), plan
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,8 @@ def simulate_tomography(
     (rank-1 projectors transmit 1/4 of the flux on average), so target
     a per-setting count level N by passing 4 N here.
     """
+    if not math.isfinite(counts_per_setting):
+        raise ValueError(f"counts_per_setting must be finite, got {counts_per_setting}")
     if counts_per_setting <= 0:
         raise ValueError("counts_per_setting must be positive")
     rho = check_density_matrix(rho)
@@ -453,14 +455,14 @@ def tomo_data_from_csv(path) -> TomoData:
     comments, rows = csvfile.read(path, _TOMO_HEADER, {"total_flux_estimate": 0.0})
     settings = []
     counts = []
-    for position, (where, (index, proj1, proj2, n)) in enumerate(rows):
+    for position, (line, (index, proj1, proj2, n)) in enumerate(rows):
         if index != str(position):
-            raise InputFormatError(f"{where}: setting_index must be {position}, got {index!r}")
-        counts.append(csvfile.count(where, n))
+            raise csvfile.error(path, line, f"setting_index must be {position}, got {index!r}")
+        counts.append(csvfile.count(path, line, n))
         try:
             projector_ket(proj1)
             projector_ket(proj2)
         except ValueError as exc:
-            raise InputFormatError(f"{where}: {exc}")
+            raise csvfile.error(path, line, str(exc))
         settings.append(TomoSetting(proj1, proj2))
     return TomoData(settings, np.array(counts), comments["total_flux_estimate"])

@@ -75,6 +75,10 @@ COMMANDS = (
      "bell simulate --family file --state target_w.json --duration 60 --seed 8 --out counts_f.csv"),
     ("bell_eval", "bell eval --counts counts_s.csv"),
     ("bell_eval_angles", "bell eval --counts counts_m.csv --angles 10 55 32.5 77.5"),
+    ("bell_sim_degenerate",
+     "bell simulate --family werner --p 0.7 --angles 0 0 0 0 --duration 2 --seed 4 "
+     "--out counts_d.csv"),
+    ("bell_eval_degenerate", "bell eval --counts counts_d.csv --angles 0 0 0 0"),
 )
 
 _WALL_CLOCK = re.compile(r',\n  "wall_clock_s": [-+0-9.eE]+')

@@ -20,6 +20,7 @@ from ering.bell import (
     chsh_max_from_correlation_matrix,
     chsh_optimal_family,
     chsh_optimize,
+    compile_plan,
     correlation,
     counts_from_csv,
     counts_to_csv,
@@ -560,6 +561,51 @@ def test_all_settings_dedupes_and_covers():
     assert len(settings) == 16
     labels = {(angle_label(a), angle_label(b)) for a, b in settings}
     assert len(labels) == 16
+
+
+def test_all_settings_returns_a_fresh_list():
+    plan = AnglePlan(0.1, 0.2, 0.3, 0.4)
+    first = plan.all_settings()
+    expected = list(first)
+    first.append((1.0, 1.0))
+    first[0] = (2.0, 2.0)
+    again = plan.all_settings()
+    assert again == expected
+    assert again is not plan.all_settings()
+
+
+def test_degenerate_plan_has_four_settings():
+    settings = AnglePlan(0.0, 0.0, 0.0, 0.0).all_settings()
+    h = math.pi / 2
+    assert settings == [(0.0, 0.0), (h, h), (0.0, h), (h, 0.0)]
+
+
+def test_plan_caches_are_read_only():
+    plan = AnglePlan(0.1, 0.2, 0.3, 0.4)
+    compiled = compile_plan(plan)
+    assert not compiled.rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        compiled.rows[0, 0] = 1.0
+    assert isinstance(plan.settings, tuple) and isinstance(compiled.labels, tuple)
+    settings = plan.bloch_settings()
+    assert plan.bloch_settings() is settings
+    for s in (settings.a1, settings.a1p, settings.a2, settings.a2p):
+        assert not s.unit_vector().flags.writeable
+
+
+def test_compiled_rows_give_joint_and_marginal_probabilities(rng):
+    for _ in range(20):
+        rho = random_density_matrix(rng)
+        plan = AnglePlan(*rng.uniform(0, math.pi, 4))
+        joint, arm1, arm2 = compile_plan(plan).probabilities(rho)
+        for k, (t1, t2) in enumerate(plan.all_settings()):
+            k1 = np.array([math.cos(t1), math.sin(t1)])
+            k2 = np.array([math.cos(t2), math.sin(t2)])
+            p1 = np.kron(np.outer(k1, k1), np.eye(2))
+            p2 = np.kron(np.eye(2), np.outer(k2, k2))
+            assert joint[k] == pytest.approx(np.trace(rho @ p1 @ p2).real, rel=1e-13, abs=1e-15)
+            assert arm1[k] == pytest.approx(np.trace(rho @ p1).real, rel=1e-13)
+            assert arm2[k] == pytest.approx(np.trace(rho @ p2).real, rel=1e-13)
 
 
 def test_counts_csv_round_trip(tmp_path):

@@ -1,0 +1,140 @@
+import csv
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ering import csvfile
+from ering.bell import CountsTable, STANDARD_PLAN, counts_from_csv, counts_to_csv
+from ering.errors import InputFormatError
+from ering.tomography import TomoData, TomoSetting, tomo_data_from_csv, tomo_data_to_csv
+
+
+def rowwise_write(path, header, rows, comments=None, digits=10):
+    """The row-by-row writer that ``csvfile.write`` replaced: the byte oracle."""
+    with open(path, "w", newline="") as fh:
+        for key, value in (comments or {}).items():
+            fh.write(f"# {key} {value:.10g}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.{digits}g}" if isinstance(v, float) else v for v in row])
+
+
+def oracle_bytes(monkeypatch, tmp_path, write_file):
+    """The bytes ``write_file(path)`` produces with the oracle writer in place."""
+    path = tmp_path / "oracle.csv"
+    with monkeypatch.context() as patch:
+        patch.setattr(csvfile, "write", rowwise_write)
+        write_file(path)
+    return path.read_bytes()
+
+
+def test_counts_file_matches_the_rowwise_bytes(tmp_path, monkeypatch):
+    table = CountsTable(duration=11.25)
+    for k, (t1, t2) in enumerate(STANDARD_PLAN.all_settings()):
+        table.set(t1, t2, 1000 + 37 * k)
+    table.set(0.0, math.pi / 8, 12.5)  # a non-integer count
+    path = tmp_path / "counts.csv"
+    counts_to_csv(table, path)
+    assert path.read_bytes() == oracle_bytes(monkeypatch, tmp_path, lambda p: counts_to_csv(table, p))
+    assert counts_from_csv(path).entries == table.entries
+
+
+def test_tomography_file_matches_the_rowwise_bytes(tmp_path, monkeypatch):
+    settings = [TomoSetting("H", "V"), TomoSetting("E(0.7,0.3)", "D"), TomoSetting("R", "L")]
+    data = TomoData(settings, np.array([12.0, 0.1 + 0.2, 7.0]), 4.0e4 / 3)
+    path = tmp_path / "tomo.csv"
+    tomo_data_to_csv(data, path)
+    text = path.read_text()
+    assert '"E(0.7,0.3)"' in text and "0.30000000000000004" in text
+    assert path.read_bytes() == oracle_bytes(monkeypatch, tmp_path, lambda p: tomo_data_to_csv(data, p))
+    assert tomo_data_from_csv(path).settings == settings
+
+
+def test_comments_quotes_and_cell_types_match_the_rowwise_bytes(tmp_path):
+    header = ["label", "x", "n", "note"]
+    rows = [
+        ("E(0.7,0.3)", 1 / 3, 7, 'says "hi"'),
+        ("plain", 2.5e-17, -3, ""),
+        ("a\nb", float("nan"), 0, "x,y"),
+    ]
+    comments = {"duration_s": 11.25, "total_flux_estimate": 1e5 / 7}
+    for digits in (10, 17):
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        csvfile.write(ours, header, rows, comments, digits=digits)
+        rowwise_write(theirs, header, rows, comments, digits=digits)
+        assert ours.read_bytes() == theirs.read_bytes()
+    csvfile.write(ours, header, iter(rows))
+    rowwise_write(theirs, header, iter(rows))
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+_CELLS = st.one_of(
+    st.text(max_size=6),
+    st.integers(-(10**12), 10**12),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_CELLS, _CELLS, _CELLS), max_size=12),
+    flux=st.floats(min_value=1e-3, max_value=1e9),
+)
+def test_any_rows_match_the_rowwise_bytes(tmp_path_factory, rows, flux):
+    tmp = tmp_path_factory.mktemp("rows")
+    csvfile.write(tmp / "ours.csv", ["a", "b", "c"], rows, {"k": flux})
+    rowwise_write(tmp / "theirs.csv", ["a", "b", "c"], rows, {"k": flux})
+    assert (tmp / "ours.csv").read_bytes() == (tmp / "theirs.csv").read_bytes()
+
+
+@pytest.mark.parametrize("blank_lines", [0, 2])
+@pytest.mark.parametrize("bad", [0, 5, 15])
+def test_malformed_counts_row_reports_its_line(tmp_path, blank_lines, bad):
+    rows = [f"0,{10 * k},{k}" for k in range(16)]
+    rows[bad] = "0,22.5"
+    path = tmp_path / "counts.csv"
+    head = "# run 7\n# duration_s 2\n# seeded\ntheta1_deg,theta2_deg,counts\n" + "\n" * blank_lines
+    path.write_text(head + "\n".join(rows) + "\n")
+    line = 4 + blank_lines + bad + 1
+    where = re.escape(f"{path}:{line}")
+    with pytest.raises(InputFormatError, match=f"^{where}: expected 3 fields, got 2$"):
+        counts_from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("x,22.5,3", "could not convert string to float: 'x'"),
+        ("0,nan,3", "non-finite angle 'nan'"),
+        ("0,-inf,3", "non-finite angle '-inf'"),
+        ("0,22.5,-3", "negative counts -3"),
+        ("180,22.5,3", r"duplicate setting \('0', '22.5'\)"),
+    ],
+)
+def test_bad_counts_cell_reports_its_line(tmp_path, row, message):
+    path = tmp_path / "counts.csv"
+    path.write_text("# duration_s 2\ntheta1_deg,theta2_deg,counts\n0,22.5,5\n" + row + "\n")
+    with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:4: {message}$"):
+        counts_from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,H,V,x", "could not convert"),
+        ("1,H,V,-2", "negative counts"),
+        ("1,H,Q,2", "unknown projector label"),
+        ("2,H,V,2", "setting_index must be 1"),
+    ],
+)
+def test_malformed_tomography_row_reports_its_line(tmp_path, row, message):
+    path = tmp_path / "tomo.csv"
+    path.write_text(
+        "# total_flux_estimate 100\n# note\nsetting_index,proj1,proj2,counts\n0,H,H,5\n" + row + "\n"
+    )
+    with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:5: {message}"):
+        tomo_data_from_csv(path)

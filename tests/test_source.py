@@ -9,7 +9,9 @@ import pytest
 
 from ering.bell import (
     STANDARD_PLAN,
+    AnglePlan,
     angle_label,
+    compile_plan,
     chsh_from_counts,
     correlation_from_counts,
     joint_detection_probability,
@@ -46,6 +48,7 @@ from ering.source import (
     werner_partition,
 )
 from ering.states import bell_state, check_density_matrix, mems, projector, singlet, werner
+from ering.tomography import simulate_tomography
 
 CFG = SourceConfig()
 MEMS_CFG = SourceConfig(cone_aperture=math.radians(1.4))
@@ -546,6 +549,94 @@ def test_noiseless_null_settings_count_zero():
     for rho, plan in cases:
         table = simulate_coincidences(rho, plan, 1.0, CLEAN_CFG, seed=1)
         assert set(table.entries.values()) == {0}
+
+
+class _MeanRng:
+    """Stands in for a seeded Generator: the Poisson draw returns its means."""
+
+    def poisson(self, lam):
+        return np.asarray(lam, dtype=float)
+
+
+def random_plan(rng):
+    """Distinct random joint settings, as a list of pairs or as an AnglePlan."""
+    if rng.random() < 0.3:
+        return AnglePlan(*rng.uniform(-4.0, 4.0, 4))
+    return [(float(a), float(b)) for a, b in rng.uniform(-4.0, 4.0, (int(rng.integers(1, 40)), 2))]
+
+
+def test_compiled_plan_rates_match_per_setting_oracle(rng, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _MeanRng())
+    for _ in range(60):
+        rho = random_density_matrix(rng)
+        cfg = random_config(rng)
+        plan = random_plan(rng)
+        duration = float(rng.uniform(0.1, 100.0))
+        settings = plan.all_settings() if isinstance(plan, AnglePlan) else plan
+        rho_v = apply_effective_visibility(rho, cfg.visibility)
+        if isinstance(plan, AnglePlan):
+            table, _ = simulate_bell_test(rho, duration * len(settings), cfg, 0, plan)
+        else:
+            table = simulate_coincidences(rho, plan, duration, cfg, 0)
+        assert list(table.entries) == list(compile_plan(plan).labels)
+        assert table.duration == pytest.approx(duration, rel=1e-15)
+        for t1, t2 in settings:
+            oracle = oracle_coincidence_rate(rho_v, t1, t2, cfg)
+            assert table.get(t1, t2) / table.duration == pytest.approx(oracle, rel=1e-13)
+            assert expected_coincidence_rate(rho_v, t1, t2, cfg) == pytest.approx(oracle, rel=1e-13)
+
+
+def test_compiled_plan_is_shared_by_equal_settings():
+    compiled = compile_plan(STANDARD_PLAN)
+    assert compile_plan(STANDARD_PLAN.all_settings()) is compiled
+    assert compile_plan(AnglePlan(0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)) is compiled
+    assert len(compiled.labels) == 16
+    assert compiled.rows.shape == (48, 16)
+
+
+def test_plan_repeating_a_setting_raises_on_every_call():
+    rho = projector(singlet())
+    plan = [(0.1, 0.2), (0.3, 0.4), (0.1 + math.pi, 0.2)]
+    for _ in range(3):
+        with pytest.raises(ValueError, match="repeats"):
+            simulate_coincidences(rho, plan, 1.0, CFG, 1)
+        with pytest.raises(ValueError, match="repeats"):
+            compile_plan(plan)
+
+
+def test_forty_one_setting_plans_all_run():
+    # figure 2 runs one single-setting plan per analyzer-1 angle
+    rho = projector(bell_state("phi", math.pi))
+    for k, theta1_deg in enumerate(np.linspace(0.0, 175.5, 40)):
+        setting = (math.radians(float(theta1_deg)), math.radians(45.0))
+        table = simulate_coincidences(rho, [setting], 1.0, CFG, k)
+        expected = np.random.default_rng(k).poisson(oracle_coincidence_rate(
+            apply_effective_visibility(rho, CFG.visibility), *setting, CFG
+        ))
+        assert table.entries == {(angle_label(setting[0]), angle_label(setting[1])): int(expected)}
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    def draw(seed):
+        raise AssertionError("a generator was made before the inputs were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", draw)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_simulation_inputs_are_named(no_draw, value):
+    rho = werner(0.8)
+    with pytest.raises(ValueError, match="plan angles must be finite"):
+        simulate_coincidences(rho, [(0.1, 0.2), (value, 0.3)], 1.0, CFG, 1)
+    with pytest.raises(ValueError, match="plan angles must be finite"):
+        simulate_bell_test(rho, 16.0, CFG, 1, AnglePlan(0.0, 0.1, value, 0.2))
+    with pytest.raises(ValueError, match="^duration must be finite"):
+        simulate_coincidences(rho, [(0.1, 0.2)], value, CFG, 1)
+    with pytest.raises(ValueError, match="^total_duration must be finite"):
+        simulate_bell_test(rho, value, CFG, 1)
+    with pytest.raises(ValueError, match="counts_per_setting must be finite"):
+        simulate_tomography(rho, value, 1)
 
 
 # ---------------------------------------------------------------------------
