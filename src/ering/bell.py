@@ -22,10 +22,10 @@ in closed form from the singular value decomposition of T
 the value.
 
 Counts-based runs use linear polarizers.  An ``AnglePlan`` builds its
-joint settings and Bloch directions once, and a plan compiles once
-(``compile_plan``) into its setting labels and one read-only matrix of
-analyzer rows, so the joint and marginal detection probabilities of all
-its settings are one matvec with rho.
+joint settings, counts keys and Bloch directions once, and a plan
+compiles once (``compile_plan``) into its setting labels and one
+read-only matrix of analyzer rows, so the joint and marginal detection
+probabilities of all its settings are one matvec with rho.
 """
 
 from __future__ import annotations
@@ -271,17 +271,18 @@ class AnglePlan:
         ]
 
     @functools.cached_property
+    def base_pair_keys(self) -> tuple[tuple[tuple[str, str], ...], ...]:
+        """The counts keys of each base pair's four orthogonal combos, built once."""
+        return tuple(_orthogonal_keys(t1, t2) for t1, t2 in self.base_pairs())
+
+    @functools.cached_property
     def settings(self) -> tuple[tuple[float, float], ...]:
         """The distinct joint settings, built once: see ``all_settings``."""
-        out: list[tuple[float, float]] = []
-        seen = set()
-        for t1, t2 in self.base_pairs():
-            for a, b in _orthogonal_combos(t1, t2):
-                key = (angle_label(a), angle_label(b))
-                if key not in seen:
-                    seen.add(key)
-                    out.append((a, b))
-        return tuple(out)
+        out: dict[tuple[str, str], tuple[float, float]] = {}
+        for (t1, t2), keys in zip(self.base_pairs(), self.base_pair_keys):
+            for setting, key in zip(_orthogonal_combos(t1, t2), keys):
+                out.setdefault(key, setting)
+        return tuple(out.values())
 
     def all_settings(self) -> list[tuple[float, float]]:
         """All 16 joint settings: each base pair plus its orthogonal combos (a new list)."""
@@ -360,6 +361,10 @@ def _orthogonal_combos(t1: float, t2: float) -> list[tuple[float, float]]:
     return [(t1, t2), (t1 + h, t2 + h), (t1, t2 + h), (t1 + h, t2)]
 
 
+def _orthogonal_keys(t1: float, t2: float) -> tuple[tuple[str, str], ...]:
+    return tuple((angle_label(a), angle_label(b)) for a, b in _orthogonal_combos(t1, t2))
+
+
 @dataclass
 class CountsTable:
     """Coincidence counts keyed by canonical (theta1, theta2) degree labels.
@@ -372,7 +377,10 @@ class CountsTable:
     duration: float = 1.0
 
     def get(self, theta1: float, theta2: float) -> float:
-        key = (angle_label(theta1), angle_label(theta2))
+        return self.get_key((angle_label(theta1), angle_label(theta2)))
+
+    def get_key(self, key: tuple[str, str]) -> float:
+        """The counts of the joint setting with canonical labels ``key``."""
         if key not in self.entries:
             raise ValueError(f"counts table is missing the joint setting {key}")
         return self.entries[key]
@@ -390,13 +398,15 @@ def correlation_from_counts(counts: CountsTable, theta1: float, theta2: float) -
 
     P = (C(t1,t2) + C(t1+90,t2+90) - C(t1,t2+90) - C(t1+90,t2)) / (sum of the four).
     """
-    combos = _orthogonal_combos(theta1, theta2)
-    a, b, c, d = (counts.get(t1, t2) for t1, t2 in combos)
+    return _correlation(counts, _orthogonal_keys(theta1, theta2))
+
+
+def _correlation(counts: CountsTable, keys: tuple[tuple[str, str], ...]) -> tuple[float, float]:
+    """``correlation_from_counts`` of the base pair whose orthogonal-combo keys are ``keys``."""
+    a, b, c, d = map(counts.get_key, keys)
     total = a + b + c + d
     if total == 0:
-        raise ValueError(
-            f"zero total counts for base pair ({angle_label(theta1)}, {angle_label(theta2)})"
-        )
+        raise ValueError(f"zero total counts for base pair ({keys[0][0]}, {keys[0][1]})")
     p = (a + b - c - d) / total
     var = ((1 - p) ** 2 * (a + b) + (1 + p) ** 2 * (c + d)) / total**2
     return p, var
@@ -407,11 +417,11 @@ def chsh_from_counts(counts: CountsTable, plan: AnglePlan) -> tuple[float, float
 
     Every count is treated as an independent Poisson variable with
     variance equal to its value; the error is propagated to first order.
+    The plan's counts keys are labelled once per plan, not per call.
     """
-    p11, v11 = correlation_from_counts(counts, plan.theta1, plan.theta2)
-    p12, v12 = correlation_from_counts(counts, plan.theta1, plan.theta2p)
-    p21, v21 = correlation_from_counts(counts, plan.theta1p, plan.theta2)
-    p22, v22 = correlation_from_counts(counts, plan.theta1p, plan.theta2p)
+    (p11, v11), (p12, v12), (p21, v21), (p22, v22) = (
+        _correlation(counts, keys) for keys in plan.base_pair_keys
+    )
     s = p11 - p12 + p21 + p22
     sigma = math.sqrt(v11 + v12 + v21 + v22)
     return s, sigma

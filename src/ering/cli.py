@@ -22,8 +22,9 @@ Exit codes: 0 success, 1 domain error (including informationally
 incomplete tomography settings), 2 usage or input-format error (an unread
 or abbreviated flag, a non-finite float flag, ``--state`` without
 ``--family file`` or the reverse, ``--p`` with ``--family singlet`` or
-``file``, a malformed CSV or density-matrix file), 3 no rank of the
-maximum-likelihood reconstruction passed its optimality certificate.
+``file``, a malformed CSV or density-matrix file, an input or output
+path that cannot be opened), 3 no rank of the maximum-likelihood
+reconstruction passed its optimality certificate.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def _write_manifest(args, config, outputs: list[Path], t0) -> Path:
         "wall_clock_s": round(time.monotonic() - t0, 3),
     }
     path = outputs[0].with_suffix(".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    csvfile.write_text(path, json.dumps(manifest, indent=2) + "\n")
     return path
 
 
@@ -150,7 +151,7 @@ def _print_report(report: dict, out) -> None:
     text = json.dumps(report, indent=2)
     print(text)
     if out:
-        Path(out).write_text(text + "\n")
+        csvfile.write_text(out, text + "\n")
 
 
 def finite_float(text: str) -> float:
@@ -563,7 +564,7 @@ def main(argv=None) -> int:
         parser.error("--p goes with --family werner or mems")
     try:
         return args.func(args)
-    except (InputFormatError, FileNotFoundError) as exc:
+    except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

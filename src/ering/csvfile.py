@@ -1,7 +1,9 @@
-"""The one CSV layout of every data file the package reads or writes.
+"""The one CSV layout of every data file the package reads or writes, and
+the one writer of every output file.
 
 Optional ``# key value`` comment lines, a header row, then one row per
 record; every line ends in ``\\n``.  Read errors name ``path:line``.
+Every file the package writes, CSV or JSON, goes through ``write_text``.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 
 from .errors import InputFormatError
 
@@ -21,8 +24,23 @@ def write(path, header: list[str], rows, comments: dict | None = None, digits: i
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([f"{v:.{digits}g}" if isinstance(v, float) else v for v in row] for row in rows)
-    with open(path, "w", newline="") as fh:
-        fh.write(text.getvalue())
+    write_text(path, text.getvalue())
+
+
+def write_text(path, text: str) -> None:
+    """Make ``path`` hold exactly ``text`` as UTF-8, rewriting it in place.
+
+    The file is opened without ``O_TRUNC`` and cut at the end of the new
+    bytes, so an existing file never passes through size zero (ext4 flushes
+    a file truncated to zero and rewritten when it is closed).  A new file
+    gets mode ``0o666 & ~umask``, an existing one keeps its inode and mode,
+    and a symlink is followed, as with ``open(path, "w")``.  A kill between
+    the write and the cut can leave the new text followed by the old tail.
+    """
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.truncate()
 
 
 def read(

@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from . import csvfile
 from .errors import InputFormatError
 
 BASIS = ("HH", "HV", "VH", "VV")
@@ -318,9 +319,7 @@ def density_matrix_from_dict(obj: dict) -> np.ndarray:
 
 
 def save_density_matrix(rho: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(density_matrix_to_dict(rho), fh, indent=2)
-        fh.write("\n")
+    csvfile.write_text(path, json.dumps(density_matrix_to_dict(rho), indent=2) + "\n")
 
 
 def load_density_matrix(path) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from ering.bell import (
     chsh_optimize,
     compile_plan,
     correlation,
+    correlation_from_counts,
     counts_from_csv,
     counts_to_csv,
     expected_counts,
@@ -547,6 +549,38 @@ def test_chsh_from_counts_zero_denominator():
     for t1, t2 in STANDARD_PLAN.all_settings():
         table.set(t1, t2, 0)
     with pytest.raises(ValueError, match="zero total"):
+        chsh_from_counts(table, STANDARD_PLAN)
+
+
+_RANDOM_PLANS = [AnglePlan(*a) for a in np.random.default_rng(20240021).uniform(-math.pi, math.pi, (4, 4))]
+
+
+@pytest.mark.parametrize("plan", [STANDARD_PLAN, AnglePlan(0.0, 0.0, 0.0, 0.0), *_RANDOM_PLANS])
+def test_chsh_from_counts_is_the_four_correlations(plan, rng):
+    for k in range(20):
+        table = CountsTable(duration=2.0)
+        for t1, t2 in plan.all_settings():
+            table.set(t1, t2, int(rng.integers(0, 5000)) if k % 2 else rng.uniform(0, 1e6))
+        s, sigma = chsh_from_counts(table, plan)
+        (p11, v11), (p12, v12), (p21, v21), (p22, v22) = (
+            correlation_from_counts(table, t1, t2) for t1, t2 in plan.base_pairs()
+        )
+        assert s == p11 - p12 + p21 + p22
+        assert sigma == math.sqrt(v11 + v12 + v21 + v22)
+
+
+def test_chsh_from_counts_error_messages():
+    table = expected_counts(werner(0.8), STANDARD_PLAN, flux=1e5)
+    n = table.entries.pop(("90", "112.5"))
+    missing = re.escape("counts table is missing the joint setting ('90', '112.5')")
+    with pytest.raises(ValueError, match=f"^{missing}$"):
+        chsh_from_counts(table, STANDARD_PLAN)
+    with pytest.raises(ValueError, match=f"^{missing}$"):
+        correlation_from_counts(table, 0.0, math.pi / 8)
+    table.entries[("90", "112.5")] = n
+    for key in [("0", "67.5"), ("90", "157.5"), ("0", "157.5"), ("90", "67.5")]:
+        table.entries[key] = 0
+    with pytest.raises(ValueError, match=re.escape("zero total counts for base pair (0, 67.5)")):
         chsh_from_counts(table, STANDARD_PLAN)
 
 

@@ -655,6 +655,27 @@ def test_tomo_reconstruct_missing_file_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["state", "werner", "--p", "0.5", "--out"], "dir"),
+        (["bell", "simulate", "--family", "singlet", "--duration", "4", "--seed", "1", "--out"], "dir"),
+        (["figure", "3", "--seed", "1", "--out-dir"], "file"),
+    ],
+)
+def test_unwritable_output_path_exit_2(argv, target, tmp_path, capsys):
+    path = tmp_path / "taken"
+    if target == "dir":
+        path.mkdir()
+    else:
+        path.write_text("kept\n")
+    assert run_cli(*argv, str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    if target == "file":
+        assert path.read_text() == "kept\n"
+
+
 def test_bell_simulate_and_eval(tmp_path, capsys):
     counts = tmp_path / "counts.csv"
     assert (

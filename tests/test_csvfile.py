@@ -1,6 +1,11 @@
+import ast
 import csv
+import json
 import math
+import os
 import re
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from ering import csvfile
 from ering.bell import CountsTable, STANDARD_PLAN, counts_from_csv, counts_to_csv
+from ering.cli import main
 from ering.errors import InputFormatError
+from ering.states import density_matrix_to_dict, save_density_matrix, werner
 from ering.tomography import TomoData, TomoSetting, tomo_data_from_csv, tomo_data_to_csv
 
 
@@ -138,3 +145,117 @@ def test_malformed_tomography_row_reports_its_line(tmp_path, row, message):
     )
     with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:5: {message}"):
         tomo_data_from_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# the one writer: in-place rewrite
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("old", ["x" * 5000 + "\n", "", "a\n"], ids=["long", "empty", "short"])
+def test_rewrite_leaves_exactly_the_new_bytes(tmp_path, old):
+    path = tmp_path / "out.csv"
+    path.write_text(old)
+    inode = path.stat().st_ino
+    for text in ("header\n1,2\n", "h\n", "é,\"q\"\n" * 300, ""):
+        csvfile.write_text(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert path.stat().st_ino == inode
+
+
+def test_new_file_mode_follows_the_umask(tmp_path):
+    previous = os.umask(0o027)
+    try:
+        csvfile.write_text(tmp_path / "ours", "x\n")
+        with open(tmp_path / "theirs", "w") as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE((tmp_path / "ours").stat().st_mode)
+    assert mode == 0o666 & ~0o027 == stat.S_IMODE((tmp_path / "theirs").stat().st_mode)
+
+
+def test_existing_file_keeps_its_mode(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old text\n")
+    path.chmod(0o600)
+    csvfile.write_text(path, "new\n")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert path.read_text() == "new\n"
+
+
+def test_writing_through_a_symlink_updates_its_target(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("a much longer old text\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    csvfile.write_text(link, "new\n")
+    assert link.is_symlink()
+    assert target.read_text() == "new\n"
+
+
+def test_no_file_is_opened_with_o_trunc(tmp_path, monkeypatch, capsys):
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    for _ in range(2):  # a new file, then a rewrite
+        assert main(["state", "werner", "--p", "0.5", "--out", str(tmp_path / "r.json")]) == 0
+        assert main(["bell", "simulate", "--family", "singlet", "--duration", "4",
+                     "--seed", "1", "--out", str(tmp_path / "counts.csv")]) == 0
+        save_density_matrix(werner(0.5), tmp_path / "rho.json")
+    capsys.readouterr()
+    assert len(flags) == 2 * 4  # report, counts, manifest, density matrix
+    assert not [f for f in flags if f & os.O_TRUNC]
+
+
+def test_json_files_are_the_indented_dump(tmp_path, capsys):
+    report, counts = tmp_path / "r.json", tmp_path / "counts.csv"
+    assert main(["state", "werner", "--p", "0.5", "--out", str(report)]) == 0
+    assert main(["bell", "simulate", "--family", "singlet", "--duration", "4",
+                 "--seed", "1", "--out", str(counts)]) == 0
+    printed = capsys.readouterr().out.split("\nwrote ")[0]
+    assert report.read_text() == json.dumps(json.loads(printed), indent=2) + "\n"
+    manifest = counts.with_suffix(".manifest.json").read_text()
+    assert manifest == json.dumps(json.loads(manifest), indent=2) + "\n"
+    rho = werner(0.3)
+    save_density_matrix(rho, tmp_path / "rho.json")
+    expected = json.dumps(density_matrix_to_dict(rho), indent=2) + "\n"
+    assert (tmp_path / "rho.json").read_bytes() == expected.encode()
+
+
+def _writes_a_file(call: ast.Call) -> str | None:
+    """What a call writes a file with, if it does: open in a write mode, write_text, json.dump."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = call.args[1] if len(call.args) > 1 else None
+        mode = next((k.value for k in call.keywords if k.arg == "mode"), mode)
+        if isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax+"):
+            return f"open(..., {mode.value!r})"
+    if isinstance(func, ast.Attribute):
+        if func.attr in ("write_text", "write_bytes") and not (
+            isinstance(func.value, ast.Name) and func.value.id == "csvfile"
+        ):
+            return f".{func.attr}"
+        if func.attr == "dump" and isinstance(func.value, ast.Name) and func.value.id == "json":
+            return "json.dump"
+    return None
+
+
+def test_every_file_is_written_by_the_one_writer():
+    src = Path(csvfile.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "O_TRUNC":
+                found.append(f"{path.name}:{node.lineno}: O_TRUNC")
+            if isinstance(node, ast.Call) and path.name != "csvfile.py":
+                what = _writes_a_file(node)
+                if what:
+                    found.append(f"{path.name}:{node.lineno}: {what}")
+    assert found == []
