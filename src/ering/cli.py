@@ -10,8 +10,11 @@ given after it (``state werner --out r.json``); no flag may be abbreviated.
 
 Every stochastic subcommand requires an explicit ``--seed``; rerunning
 with the same arguments, config and seed reproduces byte-identical
-output files, and each file-writing run leaves a ``*.manifest.json``
-recording the command line, config snapshot, seed, version and outputs.
+output files.  Every file-writing run, ``state`` and ``source`` included,
+leaves a ``*.manifest.json`` of the command line, config snapshot (null
+for ``state`` and ``tomo``), seed (null without ``--seed``), version and
+outputs.  All output paths are checked before any write, and files are
+written before stdout.
 ``tomo reconstruct`` is deterministic; its optional ``--seed`` is only recorded.
 
 Every ``--family`` value of every subcommand is built by the one registry
@@ -23,8 +26,9 @@ incomplete tomography settings), 2 usage or input-format error (an unread
 or abbreviated flag, a non-finite float flag, ``--state`` without
 ``--family file`` or the reverse, ``--p`` with ``--family singlet`` or
 ``file``, a malformed CSV or density-matrix file, an input or output
-path that cannot be opened), 3 no rank of the maximum-likelihood
-reconstruction passed its optimality certificate.
+path that cannot be opened, two outputs of one run on the same file), 3
+no rank of the maximum-likelihood reconstruction passed its optimality
+certificate.
 """
 
 from __future__ import annotations
@@ -132,26 +136,53 @@ def _grid_rows(point, grid, master_seed: int, *fixed) -> list:
     ]
 
 
-def _write_manifest(args, config, outputs: list[Path], t0) -> Path:
-    """Record the run next to its first output."""
-    manifest = {
-        "command": ["ering", *args.argv],
-        "config": config_to_dict(config) if config is not None else None,
-        "master_seed": args.seed,
-        "version": __version__,
-        "outputs": [str(p) for p in outputs],
-        "wall_clock_s": round(time.monotonic() - t0, 3),
-    }
-    path = outputs[0].with_suffix(".manifest.json")
-    csvfile.write_text(path, json.dumps(manifest, indent=2) + "\n")
-    return path
+def _manifest_path(first) -> Path:
+    """A run's manifest, next to its first output (``--out .`` included, which the check refuses)."""
+    first = Path(first)
+    return first.parent / (first.stem + ".manifest.json")
 
 
-def _print_report(report: dict, out) -> None:
-    text = json.dumps(report, indent=2)
-    print(text)
-    if out:
-        csvfile.write_text(out, text + "\n")
+def _finish(args, t0: float, config, text: str, outputs: list) -> None:
+    """The one output step: check every path, write the outputs, then the manifest, then print.
+
+    ``outputs`` holds ``(path, write)`` pairs.
+    """
+    paths = [Path(path) for path, _ in outputs]
+    if paths:
+        paths.append(_manifest_path(paths[0]))
+    taken = set()
+    for path in paths:
+        if path.is_dir():
+            raise InputFormatError(f"cannot write {path}: it is a directory")
+        if not path.parent.is_dir():
+            raise InputFormatError(f"cannot write {path}: {path.parent} is not a directory")
+        try:  # two paths of one file share device and inode, or a new file's real path
+            st = path.stat()
+            key = st.st_dev, st.st_ino
+        except FileNotFoundError:
+            key = os.path.realpath(path)
+        if key in taken:
+            raise InputFormatError(f"cannot write {path}: another output is the same file")
+        taken.add(key)
+    for path, (_, write) in zip(paths, outputs):
+        write(path)
+    if paths:
+        manifest = {
+            "command": ["ering", *args.argv],
+            "config": config_to_dict(config) if config is not None else None,
+            "master_seed": getattr(args, "seed", None),
+            "version": __version__,
+            "outputs": [str(p) for p in paths[:-1]],
+            "wall_clock_s": round(time.monotonic() - t0, 3),
+        }
+        csvfile.write_text(paths[-1], json.dumps(manifest, indent=2) + "\n")
+    print(text, end="")
+
+
+def _report(report: dict, out) -> tuple[str, list]:
+    """The stdout text of a JSON report and, with ``out``, the same text as a file."""
+    text = json.dumps(report, indent=2) + "\n"
+    return text, [(out, functools.partial(csvfile.write_text, text=text))] if out else []
 
 
 def finite_float(text: str) -> float:
@@ -180,7 +211,7 @@ def _build_state(args) -> np.ndarray:
     return STATES[args.family](args)
 
 
-def cmd_state(args) -> int:
+def cmd_state(args):
     rho = check_density_matrix(_build_state(args))
     separable, negativity = is_separable_ppt(rho)
     s_max, _ = chsh_optimize(rho)
@@ -197,11 +228,10 @@ def cmd_state(args) -> int:
         cls = classify(args.family, args.p)
         report["region"] = cls.region.value
         report["s_l_interval"] = list(cls.s_l_interval)
-    _print_report(report, args.out)
-    return 0
+    return None, *_report(report, args.out)
 
 
-def cmd_source(args) -> int:
+def cmd_source(args):
     config = _load_base_config(args)
     report = {
         "config": config_to_dict(config),
@@ -222,8 +252,7 @@ def cmd_source(args) -> int:
             "phi_rad": geom.phi,
             "visibility": displacement_visibility(args.displacement_um * 1e-6, config),
         }
-    _print_report(report, args.out)
-    return 0
+    return config, *_report(report, args.out)
 
 
 def _bell_test_config(args) -> SourceConfig:
@@ -316,34 +345,26 @@ def _fig12(args):
     return config, ["p", "abs_S", "sigma_S"], rows
 
 
-def cmd_figure(args) -> int:
-    t0 = time.monotonic()
+def cmd_figure(args):
+    """Creates ``--out-dir``; a new directory is empty, so no output check can fail in it."""
     config, header, rows = args.figure(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"fig{args.id}.csv"
-    csvfile.write(out_path, header, rows)
-    manifest = _write_manifest(args, config, [out_path], t0)
-    print(f"wrote {out_path} and {manifest}")
-    return 0
+    text = f"wrote {out_path} and {_manifest_path(out_path)}\n"
+    return config, text, [(out_path, functools.partial(csvfile.write, header=header, rows=rows))]
 
 
-def cmd_tomo_simulate(args) -> int:
-    t0 = time.monotonic()
+def cmd_tomo_simulate(args):
     rho = _build_state(args)
     data = simulate_tomography(rho, args.counts, args.seed)
-    outputs = [Path(args.out)]
-    tomo_data_to_csv(data, outputs[0])
+    outputs = [(args.out, functools.partial(tomo_data_to_csv, data))]
     if args.target_out:
-        save_density_matrix(rho, args.target_out)
-        outputs.append(Path(args.target_out))
-    _write_manifest(args, None, outputs, t0)
-    print(f"wrote {outputs[0]}")
-    return 0
+        outputs.append((args.target_out, functools.partial(save_density_matrix, rho)))
+    return None, f"wrote {Path(args.out)}\n", outputs
 
 
-def cmd_tomo_reconstruct(args) -> int:
-    t0 = time.monotonic()
+def cmd_tomo_reconstruct(args):
     data = tomo_data_from_csv(args.data)
     if args.method == "linear":
         rho = linear_reconstruct(data)
@@ -370,10 +391,7 @@ def cmd_tomo_reconstruct(args) -> int:
         target = check_density_matrix(load_density_matrix(args.target))
         if physical:
             report["fidelity_to_target"] = fidelity(rho, target)
-    _print_report(report, args.out)
-    if args.out:
-        _write_manifest(args, None, [Path(args.out)], t0)
-    return 0
+    return None, *_report(report, args.out)
 
 
 def _plan_from_args(args) -> AnglePlan:
@@ -382,19 +400,14 @@ def _plan_from_args(args) -> AnglePlan:
     return AnglePlan(*(math.radians(a) for a in args.angles))
 
 
-def cmd_bell_simulate(args) -> int:
-    t0 = time.monotonic()
+def cmd_bell_simulate(args):
     config = _load_base_config(args)
     plan = _plan_from_args(args)
     table, _ = simulate_bell_test(_build_state(args), args.duration, config, args.seed, plan)
-    out = Path(args.out)
-    counts_to_csv(table, out)
-    _write_manifest(args, config, [out], t0)
-    print(f"wrote {out}")
-    return 0
+    return config, f"wrote {Path(args.out)}\n", [(args.out, functools.partial(counts_to_csv, table))]
 
 
-def cmd_bell_eval(args) -> int:
+def cmd_bell_eval(args):
     table = counts_from_csv(args.counts)
     plan = _plan_from_args(args)
     for l1, l2 in compile_plan(plan).labels:
@@ -404,11 +417,8 @@ def cmd_bell_eval(args) -> int:
             )
     s, sigma = chsh_from_counts(table, plan)
     violation = (abs(s) - 2) / sigma if sigma > 0 else float("nan")
-    print(f"S = {s:.6f}")
-    print(f"|S| = {abs(s):.6f}")
-    print(f"sigma_S = {sigma:.6f}")
-    print(f"violation_sigmas = {violation:.2f}")
-    return 0
+    text = f"S = {s:.6f}\n|S| = {abs(s):.6f}\nsigma_S = {sigma:.6f}\n"
+    return None, text + f"violation_sigmas = {violation:.2f}\n", []
 
 
 def _flag(*names, **options) -> argparse.ArgumentParser:
@@ -562,8 +572,10 @@ def main(argv=None) -> int:
         args.p = 1.0
     elif family in ("singlet", "file") and hasattr(args, "p"):
         parser.error("--p goes with --family werner or mems")
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        _finish(args, t0, *args.func(args))
+        return 0
     except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PAULI_PAIRS, check_density_matrix
+from .states import PAULI_PAIRS, check_density_matrix, square_root
 
 WERNER = "werner"
 MEMS = "mems"
@@ -26,14 +26,12 @@ _SIGMA_Y_PAIR = PAULI_PAIRS[10]  # sigma_y x sigma_y
 def concurrence(rho: np.ndarray) -> float:
     """Wootters concurrence C(rho) of a two-qubit density matrix.
 
-    C = max(0, l1 - l2 - l3 - l4) where the l_i are the decreasing
-    square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy).
+    C = max(0, l1 - l2 - l3 - l4) where the l_i are the decreasing singular
+    values of sqrt(rho) (sy x sy) sqrt(rho)*, the square roots of the
+    eigenvalues of rho (sy x sy) rho* (sy x sy).
     """
-    rho = check_density_matrix(rho)
-    rho_tilde = rho @ _SIGMA_Y_PAIR @ rho.conj() @ _SIGMA_Y_PAIR
-    evals = np.linalg.eigvals(rho_tilde).real
-    # tiny negatives from round-off
-    lams = np.sqrt(np.clip(np.sort(evals)[::-1], 0.0, None))
+    sq = square_root(rho)
+    lams = np.linalg.svd(sq @ _SIGMA_Y_PAIR @ sq.conj(), compute_uv=False)
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 

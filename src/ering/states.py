@@ -74,6 +74,12 @@ def spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _verdict(np.asarray(rho, dtype=complex))
 
 
+def square_root(rho: np.ndarray) -> np.ndarray:
+    """The positive square root of a density matrix, from its cached ``spectrum``."""
+    eigs, vecs = spectrum(rho)
+    return (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
+
+
 def _verdict(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")

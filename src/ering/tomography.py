@@ -48,7 +48,7 @@ import numpy as np
 
 from . import csvfile
 from .errors import ConvergenceError, InputFormatError
-from .states import PAULI_PAIRS, check_density_matrix, repair_density_matrix, spectrum
+from .states import PAULI_PAIRS, check_density_matrix, repair_density_matrix, square_root
 
 _KETS = {
     "H": np.array([1, 0], dtype=complex),
@@ -422,12 +422,11 @@ def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2, in [0, 1].
 
     sqrt(rho1) is formed from the eigendecomposition that validating rho1
-    cached (``states.spectrum``), so a state that was already checked is
+    cached (``states.square_root``), so a state that was already checked is
     not decomposed again.
     """
-    eigs, vecs = spectrum(rho1)
+    sq = square_root(rho1)
     rho2 = check_density_matrix(rho2)
-    sq = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
     inner = sq @ rho2 @ sq
     eigs = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     value = float(np.sum(np.sqrt(eigs)) ** 2)

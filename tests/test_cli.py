@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ering import cli
 from ering.cli import main
 from ering.states import (
     density_matrix_from_dict,
@@ -19,7 +21,7 @@ from ering.states import (
     singlet,
     werner,
 )
-from ering.tomography import exact_tomography_counts, tomo_data_to_csv
+from ering.tomography import exact_tomography_counts, simulate_tomography, tomo_data_to_csv
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -674,6 +676,131 @@ def test_unwritable_output_path_exit_2(argv, target, tmp_path, capsys):
     assert err.startswith("error: ") and str(path) in err
     if target == "file":
         assert path.read_text() == "kept\n"
+
+
+TOMO_SIMULATE = (
+    "tomo simulate --family werner --p 0.5 --counts 100 --seed 1 "
+    "--out {} --target-out {}"
+)
+
+#: Every output flag: the command with the flag's value as {}, the value
+#: the cases start from, the file the value names and the run's manifest.
+OUTPUT_FLAGS = {
+    "state --out": ("state werner --p 0.5 --out {}", "r.json", "{}", "r.manifest.json"),
+    "source --out": ("source --out {}", "r.json", "{}", "r.manifest.json"),
+    "figure --out-dir": (
+        "figure 3 --seed 1 --out-dir {}", "d", "{}/fig3.csv", "d/fig3.manifest.json"
+    ),
+    "tomo simulate --out": (TOMO_SIMULATE.format("{}", "t.json"), "t.csv", "{}", "t.manifest.json"),
+    "tomo simulate --target-out": (
+        TOMO_SIMULATE.format("t.csv", "{}"), "t.json", "{}", "t.manifest.json"
+    ),
+    "tomo reconstruct --out": (
+        "tomo reconstruct --data in.csv --out {}", "r.json", "{}", "r.manifest.json"
+    ),
+    "bell simulate --out": (
+        "bell simulate --family singlet --duration 4 --seed 1 --out {}",
+        "c.csv", "{}", "c.manifest.json",
+    ),
+}
+
+#: The value that makes two outputs of a two-output command one file.
+COLLIDING = {"tomo simulate --out": "t.json", "tomo simulate --target-out": "t.manifest.json"}
+
+CASES = ("target is a directory", "parent is missing", "parent is a file",
+         "manifest is a directory", "two outputs collide", "target is a symlink loop",
+         "manifest is a hard link to the output")
+
+
+def _listing(root: Path) -> dict:
+    """Every entry below ``root``: a file's bytes, a symlink's target, or "dir"."""
+    listing = {}
+    for path in sorted(root.rglob("*")):
+        rel = path.relative_to(root).as_posix()
+        if path.is_symlink():
+            listing[rel] = ("link", os.readlink(path))
+        else:
+            listing[rel] = "dir" if path.is_dir() else path.read_bytes()
+    return listing
+
+
+def _refused_output(flag: str, case: str) -> tuple[str, str]:
+    """Set up ``case`` for ``flag`` in the working directory.
+
+    Returns the flag's value and the path the run must refuse.
+    """
+    _, value, output, manifest = OUTPUT_FLAGS[flag]
+    if case == "target is a directory":
+        Path(output.format(value)).mkdir(parents=True)
+        return value, output.format(value)
+    if case == "parent is missing":
+        return f"missing/{value}", f"missing/{value}"
+    if case == "parent is a file":
+        Path("f").write_text("kept\n")
+        return f"f/{value}", f"f/{value}"
+    if case == "manifest is a directory":
+        Path(manifest).mkdir(parents=True)
+        return value, manifest
+    target = Path(output.format(value))
+    target.parent.mkdir(exist_ok=True)
+    if case == "target is a symlink loop":
+        target.symlink_to(target.name)
+        return value, str(target)
+    if case == "manifest is a hard link to the output":
+        target.write_text("kept\n")
+        os.link(target, manifest)
+        return value, manifest
+    if flag in COLLIDING:
+        return COLLIDING[flag], COLLIDING[flag]
+    # a one-output run collides only through a link: its manifest is the output
+    Path(manifest).symlink_to(target.name)
+    return value, manifest
+
+
+@pytest.mark.parametrize(
+    "flag, case",
+    # --out-dir is created with its parents, so a missing parent is no error
+    [(f, c) for f in OUTPUT_FLAGS for c in CASES if (f, c) != ("figure --out-dir", CASES[1])],
+)
+def test_refused_output_changes_no_file(flag, case, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ERING_CONFIG", raising=False)
+    monkeypatch.chdir(tmp_path)
+    tomo_data_to_csv(simulate_tomography(werner(0.5), 1000, 1), "in.csv")
+    value, refused = _refused_output(flag, case)
+    before = _listing(tmp_path)
+    assert main(OUTPUT_FLAGS[flag][0].format(value).split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and refused in err
+    assert _listing(tmp_path) == before
+
+
+def _called(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def test_commands_leave_printing_and_writing_to_the_output_step():
+    """No command or figure, nor a cli helper it calls, prints or writes a file itself."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    writers = ("print", "tomo_data_to_csv", "counts_to_csv", "save_density_matrix")
+    found = []
+    for name in functions:
+        if not name.startswith(("cmd_", "_fig")):
+            continue
+        todo, seen = [name], {name}
+        while todo:
+            for node in ast.walk(functions[todo.pop()]):
+                called = _called(node) if isinstance(node, ast.Call) else None
+                if called in writers or str(called).startswith("csvfile.write"):
+                    found.append(f"{name}: {called}")
+                elif called in functions and called not in seen:
+                    seen.add(called)
+                    todo.append(called)
+    assert found == []
 
 
 def test_bell_simulate_and_eval(tmp_path, capsys):

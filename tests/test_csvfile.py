@@ -209,7 +209,7 @@ def test_no_file_is_opened_with_o_trunc(tmp_path, monkeypatch, capsys):
                      "--seed", "1", "--out", str(tmp_path / "counts.csv")]) == 0
         save_density_matrix(werner(0.5), tmp_path / "rho.json")
     capsys.readouterr()
-    assert len(flags) == 2 * 4  # report, counts, manifest, density matrix
+    assert len(flags) == 2 * 5  # report and its manifest, counts and theirs, density matrix
     assert not [f for f in flags if f & os.O_TRUNC]
 
 

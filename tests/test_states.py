@@ -20,6 +20,7 @@ from ering.states import (
     projector,
     singlet,
     spectrum,
+    square_root,
     tune_entanglement,
     tuning_entanglement_bound,
     werner,
@@ -312,6 +313,14 @@ def test_spectrum_is_the_read_only_eigh_of_a_valid_matrix():
     for _ in range(2):
         with pytest.raises(ValueError, match="negative eigenvalue"):
             spectrum(np.diag([0.6, 0.6, -0.1, -0.1]))
+
+
+def test_square_root_squares_back_to_the_state(rng):
+    for rho in [random_density_matrix(rng) for _ in range(50)] + [projector(singlet()), mems(0.2)]:
+        root = square_root(rho)
+        assert np.allclose(root, root.conj().T, atol=1e-14)
+        assert np.allclose(root @ root, rho, atol=1e-13)
+        assert np.linalg.eigvalsh(root).min() > -1e-7
 
 
 def _verdict_corpus(seed):
