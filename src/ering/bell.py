@@ -19,7 +19,8 @@ The maximum |S| over all directions and the settings that reach it come
 in closed form from the singular value decomposition of T
 (``chsh_optimize``); the eigenvalue route of
 ``chsh_max_from_correlation_matrix`` is kept as an independent check of
-the value.
+the value.  T and its SVD are read from the state's cached analysis record
+(``states.analyse``), so each is computed once per state.
 
 Counts-based runs use linear polarizers.  An ``AnglePlan`` builds its
 joint settings, counts keys and Bloch directions once, and a plan
@@ -37,12 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import csvfile
-from .states import PAULI_PAIRS, check_density_matrix
+from .states import analyse
 
 TSIRELSON_BOUND = 2 * math.sqrt(2)
-
-# sigma_i x sigma_j for i, j in (x, y, z), row-major: the nine products of T
-_XYZ_PAIRS = PAULI_PAIRS.reshape(4, 4, 4, 4)[1:, 1:].reshape(9, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -100,18 +98,18 @@ class ChshSettings:
 
 def correlation(rho: np.ndarray, s1: BlochSetting, s2: BlochSetting) -> float:
     """Correlation function P = u1^T T u2 = Tr(rho (u1 . sigma) x (u2 . sigma)), in [-1, 1]."""
-    t = correlation_matrix(check_density_matrix(rho))
-    return float(s1.unit_vector() @ t @ s2.unit_vector())
+    return float(s1.unit_vector() @ analyse(rho).correlation_matrix @ s2.unit_vector())
 
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
-    """3x3 real matrix t_ij = Tr(rho sigma_i x sigma_j).
+    """The read-only 3x3 real matrix t_ij = Tr(rho sigma_i x sigma_j) of a state.
 
     Each trace is summed over the diagonal of rho sigma_i x sigma_j in row
-    order, the same rounding as ``np.trace`` of the matrix product.
+    order, the same rounding as ``np.trace`` of the matrix product.  ``rho``
+    is validated first: a matrix that is not a density matrix raises
+    ValueError.
     """
-    rho = np.asarray(rho, dtype=complex)
-    return np.einsum("ab,kba->ka", rho, _XYZ_PAIRS).sum(-1).real.reshape(3, 3)
+    return analyse(rho).correlation_matrix
 
 
 def chsh(rho: np.ndarray, settings: ChshSettings) -> float:
@@ -120,7 +118,7 @@ def chsh(rho: np.ndarray, settings: ChshSettings) -> float:
     Each correlation is (u1^T T) u2, as in ``correlation``; the row u1^T T
     of each first-photon setting serves both of its correlations.
     """
-    t = correlation_matrix(check_density_matrix(rho))
+    t = analyse(rho).correlation_matrix
     r1, r1p = settings.a1.unit_vector() @ t, settings.a1p.unit_vector() @ t
     u2, u2p = settings.a2.unit_vector(), settings.a2p.unit_vector()
     s = float(r1 @ u2) - float(r1 @ u2p) + float(r1p @ u2) + float(r1p @ u2p)
@@ -136,7 +134,7 @@ def chsh_max_from_correlation_matrix(rho: np.ndarray) -> float:
     correlation matrix.  Used as the independent oracle for
     ``chsh_optimize``.
     """
-    t = correlation_matrix(check_density_matrix(rho))
+    t = analyse(rho).correlation_matrix
     _, second, first = np.linalg.eigvalsh(t.T @ t).tolist()  # ascending
     return 2 * math.sqrt(max(0.0, first + second))
 
@@ -174,7 +172,7 @@ def chsh_optimize(rho: np.ndarray) -> tuple[float, ChshSettings]:
     t = atan2(s2, s1) give S = 2 sqrt(s1^2 + s2^2), the maximum.
     Returns (max |S|, extremal settings).
     """
-    u, sv, vt = np.linalg.svd(correlation_matrix(check_density_matrix(rho)))
+    u, sv, vt = analyse(rho).correlation_svd
     s1, s2, _ = sv.tolist()
     angle = math.atan2(s2, s1)
     c, s = math.cos(angle), math.sin(angle)

@@ -380,11 +380,10 @@ def cmd_tomo_reconstruct(args):
         "design_condition_number": design_condition_number(data.settings),
     }
     if physical:
-        rho_checked = check_density_matrix(rho)
-        s_max, _ = chsh_optimize(rho_checked)
+        s_max, _ = chsh_optimize(rho)
         report.update(
-            tangle=tangle(rho_checked),
-            linear_entropy=linear_entropy(rho_checked),
+            tangle=tangle(rho),
+            linear_entropy=linear_entropy(rho),
             s_max_abs=s_max,
         )
     if args.target:

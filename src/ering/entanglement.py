@@ -4,7 +4,8 @@ Implements the Wootters concurrence/tangle, the linear entropy
 S_L = (4/3)(1 - Tr rho^2), the positive-partial-transpose separability
 test (exact for two qubits), the analytic tangle-vs-entropy frontier
 curves of the Werner and MEMS families, and the nonlocality region
-classification of both families.
+classification of both families.  The per-state measures are views of
+the state's cached analysis record (``states.analyse``).
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PAULI_PAIRS, check_density_matrix, square_root
+from .states import analyse
 
 WERNER = "werner"
 MEMS = "mems"
-
-_SIGMA_Y_PAIR = PAULI_PAIRS[10]  # sigma_y x sigma_y
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -30,9 +29,7 @@ def concurrence(rho: np.ndarray) -> float:
     values of sqrt(rho) (sy x sy) sqrt(rho)*, the square roots of the
     eigenvalues of rho (sy x sy) rho* (sy x sy).
     """
-    sq = square_root(rho)
-    lams = np.linalg.svd(sq @ _SIGMA_Y_PAIR @ sq.conj(), compute_uv=False)
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    return analyse(rho).concurrence
 
 
 def tangle(rho: np.ndarray) -> float:
@@ -45,15 +42,7 @@ def linear_entropy(rho: np.ndarray) -> float:
 
     Round-off puts Tr rho^2 of a rank-1 state a few ulps above 1.
     """
-    rho = check_density_matrix(rho)
-    purity = np.trace(rho @ rho).real
-    return float(min(1.0, max(0.0, (4 / 3) * (1 - purity))))
-
-
-def partial_transpose(rho: np.ndarray) -> np.ndarray:
-    """Partial transpose over the second qubit."""
-    rho = np.asarray(rho, dtype=complex)
-    return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return analyse(rho).linear_entropy
 
 
 def is_separable_ppt(rho: np.ndarray) -> tuple[bool, float]:
@@ -63,8 +52,7 @@ def is_separable_ppt(rho: np.ndarray) -> tuple[bool, float]:
     2 * max(0, -min eigenvalue of the partial transpose) and separability
     means the minimum eigenvalue is >= -1e-10.
     """
-    rho = check_density_matrix(rho)
-    min_eig = float(np.linalg.eigvalsh(partial_transpose(rho)).min())
+    min_eig = analyse(rho).min_partial_transpose_eigenvalue
     separable = min_eig >= -1e-10
     negativity = 2 * max(0.0, -min_eig)
     return separable, negativity

@@ -191,7 +191,7 @@ def ring_diameter(config: SourceConfig) -> float:
 def sector_area(r: float, config: SourceConfig) -> float:
     """Selected E-ring area 2 D delta arcsin(r/D) for an iris of radius r."""
     d = config.mask_diameter
-    if r < 0 or r > d:
+    if not 0 <= r <= d:  # NaN fails too
         raise ValueError(f"iris radius must be in [0, {d}], got {r}")
     return 2 * d * config.mask_width * math.asin(r / d)
 
@@ -239,8 +239,8 @@ class SectorPartition:
         if len(set(labels)) != len(labels):
             raise ValueError("sector labels must be unique")
         for s in self.sectors:
-            if s.fraction < 0:
-                raise ValueError(f"sector {s.label!r} has negative fraction")
+            if not s.fraction >= 0:  # NaN fails too
+                raise ValueError(f"sector {s.label!r} has negative or NaN fraction {s.fraction}")
             if s.treatment not in TREATMENTS:
                 raise ValueError(f"unknown treatment {s.treatment!r}")
         total = sum(s.fraction for s in self.sectors)
@@ -362,8 +362,8 @@ def phase_from_displacement(delta_d: float, config: SourceConfig) -> PhaseGeomet
     near 70 um at the default geometry).
     """
     r = config.mirror_radius
-    if abs(delta_d) >= r / 10:
-        raise ValueError(f"|delta_d| = {abs(delta_d)} outside modeled regime (< R/10 = {r / 10})")
+    if not abs(delta_d) < r / 10:  # NaN fails too
+        raise ValueError(f"delta_d = {delta_d} outside modeled regime |delta_d| < R/10 = {r / 10}")
     alpha = config.cone_aperture
     oa_prime = r + delta_d
     ob_prime = math.sqrt(delta_d**2 + r**2 + 2 * r * delta_d * math.cos(alpha))
@@ -380,6 +380,8 @@ def displacement_visibility(delta_d: float, config: SourceConfig) -> float:
     pump_waist/4 so that coherence is gone (V <= 0.25) by the observed
     600 um displacement while 100 um still gives V > 0.9.
     """
+    if not math.isfinite(delta_d):
+        raise ValueError(f"mirror displacement must be finite, got {delta_d}")
     if delta_d == 0.0:
         return 1.0
     _, _, lateral = _trace_reflected_ray(abs(delta_d), config.mirror_radius, config.cone_aperture)

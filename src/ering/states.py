@@ -7,7 +7,9 @@ Everything in this package works in the fixed product basis
 (first letter = photon 1, second = photon 2), and density matrices are
 plain complex numpy arrays in that ordering.  A valid density matrix is
 Hermitian, has unit trace and is positive semidefinite; ``check_density_matrix``
-enforces those three invariants at the tolerances used throughout.
+enforces those three invariants at the tolerances used throughout.  A matrix
+that passes gets one ``Analysis`` record (``analyse``), cached by its content,
+and every per-state number in this package is read from that record.
 
 The state families provided here are the phase-tunable Bell pairs, the
 non-maximally entangled pairs produced by unbalancing the pump, Werner
@@ -22,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,56 +51,96 @@ def _pauli_pairs() -> np.ndarray:
 PAULI_PAIRS = _pauli_pairs()
 
 
+#: sigma_i x sigma_j for i, j in (x, y, z), row-major: the nine products of T
+_XYZ_PAIRS = PAULI_PAIRS.reshape(4, 4, 4, 4)[1:, 1:].reshape(9, 4, 4)
+
+
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate a 4x4 density matrix and return it as a complex array.
 
     Raises ValueError unless the matrix is 4x4, finite, Hermitian and of unit
     trace within 1e-12, with no eigenvalue below -1e-10.  A passing verdict,
-    which includes the matrix's eigendecomposition (see ``spectrum``), is
-    cached by the matrix's bytes, so checking the same content again is a
-    lookup; a changed matrix has new bytes and is checked afresh, and an
-    invalid one is never cached, so it raises on every call.
+    the matrix's ``Analysis`` record (see ``analyse``), is cached by the
+    matrix's bytes, so checking the same content again is a lookup; a changed
+    matrix has new bytes and is checked afresh, and an invalid one is never
+    cached, so it raises on every call.
     """
     rho = np.asarray(rho, dtype=complex)
-    _verdict(rho)
+    analyse(rho)
     return rho
 
 
-def spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validate ``rho`` as ``check_density_matrix`` does and return its eigendecomposition.
-
-    Returns ``np.linalg.eigh(rho)``: the ascending eigenvalues and the
-    eigenvectors as columns.  Both arrays are read-only and shared by every
-    caller of the same matrix content, since they are the cached verdict of
-    the validation.
-    """
-    return _verdict(np.asarray(rho, dtype=complex))
-
-
-def square_root(rho: np.ndarray) -> np.ndarray:
-    """The positive square root of a density matrix, from its cached ``spectrum``."""
-    eigs, vecs = spectrum(rho)
-    return (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
-
-
-def _verdict(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def analyse(rho: np.ndarray) -> Analysis:
+    """Validate ``rho`` as ``check_density_matrix`` does and return its cached record."""
+    rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
     return _check_entries(rho.tobytes())
 
 
-#: Distinct valid matrices whose verdict ``check_density_matrix`` remembers.
-#: The repeats are the same matrix passing through the several measures of
-#: one analysis, so a few recent matrices are enough.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Partial transpose over the second qubit."""
+    rho = np.asarray(rho, dtype=complex)
+    return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+
+
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """The analysis of one valid density matrix, shared by every measure of it.
+
+    ``eigenvalues``/``eigenvectors`` are the ``np.linalg.eigh`` pair of the
+    positivity test.  The other values are computed on first use and are
+    documented at their public views.  Every array here is read-only.
+    """
+
+    rho: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    @functools.cached_property
+    def square_root(self) -> np.ndarray:
+        vecs = self.eigenvectors
+        return _read_only((vecs * np.sqrt(np.clip(self.eigenvalues, 0.0, None))) @ vecs.conj().T)
+
+    @functools.cached_property
+    def concurrence(self) -> float:
+        sq = self.square_root
+        lams = np.linalg.svd(sq @ PAULI_PAIRS[10] @ sq.conj(), compute_uv=False)  # sy x sy
+        return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+
+    @functools.cached_property
+    def linear_entropy(self) -> float:
+        purity = np.trace(self.rho @ self.rho).real
+        return float(min(1.0, max(0.0, (4 / 3) * (1 - purity))))
+
+    @functools.cached_property
+    def min_partial_transpose_eigenvalue(self) -> float:
+        return float(np.linalg.eigvalsh(partial_transpose(self.rho)).min())
+
+    @functools.cached_property
+    def correlation_matrix(self) -> np.ndarray:
+        t = np.einsum("ab,kba->ka", self.rho, _XYZ_PAIRS).sum(-1).real.reshape(3, 3)
+        return _read_only(t)
+
+    @functools.cached_property
+    def correlation_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(map(_read_only, np.linalg.svd(self.correlation_matrix)))
+
+
+#: Distinct valid matrices whose record ``analyse`` remembers.  The repeats
+#: are the same matrix passing through the several measures of one
+#: analysis, so a few recent matrices are enough.
 _VERDICT_CACHE_SIZE = 32
 
 
 @functools.lru_cache(maxsize=_VERDICT_CACHE_SIZE)
-def _check_entries(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The content checks of ``check_density_matrix`` on a 4x4 complex matrix's bytes.
-
-    Returns the read-only ``eigh`` pair that the positivity test used.
-    """
+def _check_entries(data: bytes) -> Analysis:
+    """The content checks of ``check_density_matrix`` on a 4x4 complex matrix's bytes."""
     rho = np.frombuffer(data, dtype=complex).reshape(4, 4)
     if not np.isfinite(rho).all():
         raise ValueError("density matrix has non-finite entries")
@@ -108,9 +151,7 @@ def _check_entries(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     eigs, vecs = np.linalg.eigh(rho)
     if eigs[0] < PSD_EIGENVALUE_FLOOR:
         raise ValueError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
-    eigs.setflags(write=False)
-    vecs.setflags(write=False)
-    return eigs, vecs
+    return Analysis(rho, _read_only(eigs), _read_only(vecs))
 
 
 def repair_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -281,8 +322,8 @@ def mix(components: list[tuple[float, np.ndarray]]) -> np.ndarray:
     if not components:
         raise ValueError("mix() requires at least one component")
     weights = [w for w, _ in components]
-    if any(w < 0 for w in weights):
-        raise ValueError("mixture weights must be nonnegative")
+    if not all(0 <= w < math.inf for w in weights):  # NaN fails too
+        raise ValueError(f"mixture weights must be finite and nonnegative, got {weights}")
     total = sum(weights)
     if abs(total - 1.0) > WEIGHT_SUM_ATOL:
         raise ValueError(f"mixture weights sum to {total}, expected 1 within 1e-9")

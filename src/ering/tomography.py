@@ -48,7 +48,7 @@ import numpy as np
 
 from . import csvfile
 from .errors import ConvergenceError, InputFormatError
-from .states import PAULI_PAIRS, check_density_matrix, repair_density_matrix, square_root
+from .states import PAULI_PAIRS, analyse, check_density_matrix, repair_density_matrix
 
 _KETS = {
     "H": np.array([1, 0], dtype=complex),
@@ -421,11 +421,11 @@ def ml_reconstruct(data: TomoData, seed: int = 0) -> np.ndarray:
 def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2, in [0, 1].
 
-    sqrt(rho1) is formed from the eigendecomposition that validating rho1
-    cached (``states.square_root``), so a state that was already checked is
-    not decomposed again.
+    sqrt(rho1) is read from rho1's analysis record
+    (``states.Analysis.square_root``), so a state that was already checked
+    is not decomposed again.
     """
-    sq = square_root(rho1)
+    sq = analyse(rho1).square_root
     rho2 = check_density_matrix(rho2)
     inner = sq @ rho2 @ sq
     eigs = np.clip(np.linalg.eigvalsh(inner), 0.0, None)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import minimize
 
-from ering import bell
 from ering.bell import (
     AnglePlan,
     BlochSetting,
@@ -32,7 +31,7 @@ from ering.bell import (
 )
 from ering.errors import InputFormatError
 from ering.sampling import random_density_matrix
-from ering.states import mems, projector, singlet, werner
+from ering.states import analyse, mems, projector, singlet, werner
 
 SQ2 = math.sqrt(2)
 
@@ -492,9 +491,22 @@ def test_angle_plan_with_nan_has_no_bloch_settings():
 
 
 def test_chsh_rejects_a_nan_value(monkeypatch):
-    monkeypatch.setattr(bell, "correlation_matrix", lambda rho: np.full((3, 3), np.nan))
+    rho = werner(0.8)
+    # the record computes T on first use into its __dict__: inject a NaN T there
+    monkeypatch.setitem(analyse(rho).__dict__, "correlation_matrix", np.full((3, 3), np.nan))
     with pytest.raises(ValueError, match="exceeds the quantum bound"):
-        chsh(werner(0.8), STANDARD_PLAN.bloch_settings())
+        chsh(rho, STANDARD_PLAN.bloch_settings())
+
+
+def test_correlation_matrix_of_an_invalid_matrix_raises():
+    bad = werner(0.8)
+    bad[0, 1] = 0.1
+    with pytest.raises(ValueError, match="Hermitian"):
+        correlation_matrix(bad)
+    with pytest.raises(ValueError, match="4x4"):
+        correlation_matrix(np.eye(3) / 3)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        correlation_matrix(np.diag([0.6, 0.6, -0.1, -0.1]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from ering.entanglement import (
     concurrence,
     is_separable_ppt,
     linear_entropy,
-    partial_transpose,
     tangle,
     tangle_curve,
 )
@@ -75,11 +74,6 @@ def test_linear_entropy_in_range_on_pure_projectors(rng):
 def test_linear_entropy_werner():
     for p in np.linspace(0, 1, 51):
         assert linear_entropy(werner(p)) == pytest.approx(1 - p * p, abs=1e-12)
-
-
-def test_partial_transpose_involution(rng):
-    rho = random_density_matrix(rng)
-    assert np.allclose(partial_transpose(partial_transpose(rho)), rho)
 
 
 def test_ppt_regions():

@@ -339,6 +339,19 @@ def test_phase_rejects_large_displacement():
         phase_from_displacement(CFG.mirror_radius / 10, CFG)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_geometry_inputs_are_named(value):
+    # inf passes the sign check and is named by the sum check
+    with pytest.raises(ValueError, match=f"(fraction|sum to) {value}\\b"):
+        SectorPartition([Sector("x", value, "coherent"), Sector("y", 0.5, "coherent")])
+    with pytest.raises(ValueError, match=f"got {value}$"):
+        sector_area(value, CFG)
+    with pytest.raises(ValueError, match=f"must be finite, got {value}$"):
+        displacement_visibility(value, CFG)
+    with pytest.raises(ValueError, match=f"^delta_d = {value} outside"):
+        phase_from_displacement(value, CFG)
+
+
 def test_displacement_visibility_profile():
     assert displacement_visibility(0.0, CFG) == 1.0
     assert displacement_visibility(600e-6, CFG) <= 0.25

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ering import states
-from ering.entanglement import is_separable_ppt, tangle
+from ering.bell import chsh, chsh_max_from_correlation_matrix, chsh_optimize, correlation_matrix
+from ering.entanglement import is_separable_ppt, linear_entropy, tangle
 from ering.sampling import random_density_matrix
 from ering.states import (
+    analyse,
     bell_state,
     check_density_matrix,
     density_matrix_from_dict,
@@ -17,15 +20,17 @@ from ering.states import (
     mems_weight,
     mix,
     nonmax_state,
+    partial_transpose,
     projector,
     singlet,
-    spectrum,
-    square_root,
     tune_entanglement,
     tuning_entanglement_bound,
     werner,
     werner_from_fidelity,
 )
+from ering.tomography import fidelity
+from test_bell import kron_correlation_matrix
+from test_entanglement import eigvals_concurrence
 
 SQ2 = math.sqrt(2)
 
@@ -189,6 +194,14 @@ def test_mix_errors():
         mix([(-0.5, rho), (1.5, rho)])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_mix_rejects_a_non_finite_weight(value):
+    with pytest.raises(ValueError, match=f"{value}"):
+        mix([(value, werner(0.5))])
+    with pytest.raises(ValueError, match=f"{value}"):
+        mix([(value, werner(0.5)), (1.0, werner(0.2))])
+
+
 def test_tune_entanglement_balanced_is_maximal():
     rho = tune_entanglement(1.0, 0.5)
     assert tangle(rho) == pytest.approx(1.0, abs=1e-12)
@@ -287,37 +300,38 @@ def _verdict(check, rho):
 def test_check_density_matrix_rechecks_a_matrix_changed_after_passing():
     rho = werner(0.5)
     assert check_density_matrix(rho) is rho
-    eigs = spectrum(rho)[0]
+    eigs = analyse(rho).eigenvalues
     rho[0, 1] = 0.1
     with pytest.raises(ValueError, match="Hermitian"):
         check_density_matrix(rho)
     rho[:] = werner(0.7)
-    changed_eigs = spectrum(rho)[0]
+    changed_eigs = analyse(rho).eigenvalues
     assert not np.array_equal(changed_eigs, eigs)
     assert np.array_equal(changed_eigs, np.linalg.eigh(werner(0.7))[0])
 
 
-def test_spectrum_is_the_read_only_eigh_of_a_valid_matrix():
+def test_analysis_holds_the_read_only_eigh_of_a_valid_matrix():
     rho = mems(0.6)
-    eigs, vecs = spectrum(rho)
+    record = analyse(rho)
+    eigs, vecs = record.eigenvalues, record.eigenvectors
     expected_eigs, expected_vecs = np.linalg.eigh(rho)
     assert np.array_equal(eigs, expected_eigs) and np.array_equal(vecs, expected_vecs)
-    for array in (eigs, vecs):
+    arrays = [record.rho, eigs, vecs, record.square_root, record.correlation_matrix]
+    for array in arrays + list(record.correlation_svd):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
-    # the same content is a lookup: the same arrays, whatever the memory layout
-    again = spectrum(np.asfortranarray(rho))
-    assert again[0] is eigs and again[1] is vecs
+    # the same content is a lookup: the same record, whatever the memory layout
+    assert analyse(np.asfortranarray(rho)) is record
     with pytest.raises(ValueError, match="4x4"):
-        spectrum(np.eye(3) / 3)
+        analyse(np.eye(3) / 3)
     for _ in range(2):
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            spectrum(np.diag([0.6, 0.6, -0.1, -0.1]))
+            analyse(np.diag([0.6, 0.6, -0.1, -0.1]))
 
 
-def test_square_root_squares_back_to_the_state(rng):
+def test_analysis_square_root_squares_back_to_the_state(rng):
     for rho in [random_density_matrix(rng) for _ in range(50)] + [projector(singlet()), mems(0.2)]:
-        root = square_root(rho)
+        root = analyse(rho).square_root
         assert np.allclose(root, root.conj().T, atol=1e-14)
         assert np.allclose(root @ root, rho, atol=1e-13)
         assert np.linalg.eigvalsh(root).min() > -1e-7
@@ -360,6 +374,99 @@ def test_cached_verdicts_match_the_uncached_checks():
     got = [(_verdict(check_density_matrix, m), _verdict(check_density_matrix, m)) for m in corpus]
     assert got == [(v, v) for v in expected]
     assert states._check_entries.cache_info().hits >= expected.count(None)
+
+
+def _is_valid(rho):
+    try:
+        check_density_matrix(rho)
+    except ValueError:
+        return False
+    return True
+
+
+def record_corpus():
+    """Valid states: those of ``_verdict_corpus(5)``, Werner/MEMS grids, random pure states."""
+    rng = np.random.default_rng(20240013)
+    corpus = [m for m in _verdict_corpus(5) if _is_valid(m)]
+    grid = np.linspace(0, 1, 101)
+    corpus += [werner(p) for p in grid] + [mems(p) for p in grid]
+    for _ in range(200):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        corpus.append(projector(psi / np.linalg.norm(psi)))
+    return corpus
+
+
+def sqrtm_psd(rho):
+    """sqrt(rho) from its own eigh: the oracle of ``Analysis.square_root``."""
+    eigs, vecs = np.linalg.eigh(rho)
+    eigs = np.clip(eigs, 0.0, None)
+    return (vecs * np.sqrt(eigs)) @ vecs.conj().T
+
+
+def explicit_partial_transpose(rho):
+    """<ij|rho^T2|kl> = <il|rho|kj>, entry by entry."""
+    out = np.empty((4, 4), dtype=complex)
+    for i, j, k, l in itertools.product(range(2), repeat=4):
+        out[2 * i + j, 2 * k + l] = rho[2 * i + l, 2 * k + j]
+    return out
+
+
+def test_partial_transpose_involution(rng):
+    rho = random_density_matrix(rng)
+    assert np.allclose(partial_transpose(partial_transpose(rho)), rho)
+    assert np.array_equal(partial_transpose(rho), explicit_partial_transpose(rho))
+
+
+def test_analysis_is_bitwise_the_formulas_it_holds():
+    corpus = record_corpus()
+    assert len(corpus) > 900
+    for rho in corpus:
+        record = analyse(rho)
+        rho = np.asarray(rho, dtype=complex)
+        assert np.array_equal(record.square_root, sqrtm_psd(rho))
+        purity = np.trace(rho @ rho).real
+        assert record.linear_entropy == float(min(1.0, max(0.0, (4 / 3) * (1 - purity))))
+        min_eig = float(np.linalg.eigvalsh(explicit_partial_transpose(rho)).min())
+        assert record.min_partial_transpose_eigenvalue == min_eig
+        t = kron_correlation_matrix(rho)
+        assert np.array_equal(record.correlation_matrix, t)
+        for got, expected in zip(record.correlation_svd, np.linalg.svd(t), strict=True):
+            assert np.array_equal(got, expected)
+        assert record.concurrence == pytest.approx(eigvals_concurrence(rho), abs=1e-7)
+
+
+def test_one_record_serves_every_measure_of_a_state(monkeypatch):
+    """rho is decomposed once and T built and decomposed once across every measure.
+
+    The calls are those of the benchmark's ``characterize`` item, in its order.
+    """
+    x = random_density_matrix(np.random.default_rng(20240017))
+    target = projector(singlet())
+    states._check_entries.cache_clear()
+    calls = {"eigh": [], "einsum": [], "svd": []}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np, "einsum", counting("einsum", np.einsum))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    check_density_matrix(x)
+    tangle(x)
+    linear_entropy(x)
+    is_separable_ppt(x)
+    fidelity(x, target)
+    _, settings = chsh_optimize(x)
+    t = correlation_matrix(x)
+    chsh_max_from_correlation_matrix(x)
+    chsh(x, settings)
+    assert sum(np.array_equal(args[0], x) for args in calls["eigh"]) == 1
+    assert sum(np.array_equal(args[1], x) for args in calls["einsum"]) == 1
+    assert sum(np.array_equal(args[0], t) for args in calls["svd"]) == 1
 
 
 def test_invalid_matrix_raises_on_every_call():

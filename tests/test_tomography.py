@@ -35,7 +35,7 @@ from ering.tomography import (
     tomo_data_from_csv,
     tomo_data_to_csv,
 )
-from test_states import _verdict_corpus
+from test_states import record_corpus, sqrtm_psd
 
 
 def test_standard_settings_shape():
@@ -417,39 +417,19 @@ def test_fidelity_basics(rng):
     assert fidelity(hh, vv) == pytest.approx(0.0, abs=1e-12)
 
 
-def _sqrtm_psd(rho):
-    eigs, vecs = np.linalg.eigh(rho)
-    eigs = np.clip(eigs, 0.0, None)
-    return (vecs * np.sqrt(eigs)) @ vecs.conj().T
-
-
 def eigh_fidelity(rho1, rho2):
     """Fidelity with sqrt(rho1) from its own eigh: the oracle of the cached-spectrum route."""
     rho1 = check_density_matrix(rho1)
     rho2 = check_density_matrix(rho2)
-    sq = _sqrtm_psd(rho1)
+    sq = sqrtm_psd(rho1)
     inner = sq @ rho2 @ sq
     eigs = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     value = float(np.sum(np.sqrt(eigs)) ** 2)
     return min(1.0, max(0.0, value))
 
 
-def _is_valid(rho):
-    try:
-        check_density_matrix(rho)
-    except ValueError:
-        return False
-    return True
-
-
 def test_fidelity_is_bitwise_the_eigh_oracle():
-    rng = np.random.default_rng(20240013)
-    corpus = [m for m in _verdict_corpus(5) if _is_valid(m)]
-    grid = np.linspace(0, 1, 101)
-    corpus += [werner(p) for p in grid] + [mems(p) for p in grid]
-    for _ in range(200):
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        corpus.append(projector(psi / np.linalg.norm(psi)))
+    corpus = record_corpus()
     assert len(corpus) > 900
     target = projector(singlet())
     for i, rho in enumerate(corpus):
