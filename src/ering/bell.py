@@ -26,7 +26,8 @@ Counts-based runs use linear polarizers.  An ``AnglePlan`` builds its
 joint settings, counts keys and Bloch directions once, and a plan
 compiles once (``compile_plan``) into its setting labels and one
 read-only matrix of analyzer rows, so the joint and marginal detection
-probabilities of all its settings are one matvec with rho.
+probabilities of all its settings are one matvec with rho, which
+``source.expected_coincidences`` turns into the mean counts of a run.
 """
 
 from __future__ import annotations
@@ -207,37 +208,26 @@ _TRACE_ARM2 = np.eye(2)[:, None, :]
 _TRACE_ARM1 = np.eye(2)[:, None, :, None]
 
 
-def _analyzer_rows(theta1, theta2) -> np.ndarray:
-    """Rows ``(3, *shape, 16)`` against ``rho.reshape(2, 2, 2, 2)`` raveled.
+def _analyzer_rows(theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
+    """Rows ``(3, S, 16)`` against ``rho.reshape(2, 2, 2, 2)`` raveled, for S angle pairs.
 
     With kets k1, k2 of the two analyzers, row 0 is k1 x k2 x k1 x k2 (the
     joint probability Tr(rho P1 x P2)), row 1 is k1 x delta x k1 (the arm-1
     marginal, arm 2 traced out) and row 2 is delta x k2 x delta x k2 (the
     arm-2 marginal).
     """
-    k1, k2 = np.broadcast_arrays(polarizer_kets(theta1), polarizer_kets(theta2))
-    a = k1[..., :, None, None, None]
-    b = k2[..., None, :, None, None]
-    c = k1[..., None, None, :, None]
-    d = k2[..., None, None, None, :]
+    k1, k2 = polarizer_kets(theta1), polarizer_kets(theta2)
+    a = k1[:, :, None, None, None]
+    b = k2[:, None, :, None, None]
+    c = k1[:, None, None, :, None]
+    d = k2[:, None, None, None, :]
     joint, arm1, arm2 = np.broadcast_arrays(a * b * c * d, a * c * _TRACE_ARM2, _TRACE_ARM1 * b * d)
-    return np.stack((joint, arm1, arm2)).reshape(3, *k1.shape[:-1], 16)
+    return np.stack((joint, arm1, arm2)).reshape(3, len(k1), 16)
 
 
 def _real_vector(rho: np.ndarray) -> np.ndarray:
     # the analyzer rows are real, and the imaginary part of a Hermitian rho cancels
     return np.asarray(rho, dtype=complex).real.ravel()
-
-
-def detection_probabilities(rho: np.ndarray, theta1, theta2) -> np.ndarray:
-    """Joint, arm-1 and arm-2 detection probabilities stacked on axis 0; broadcasts."""
-    return _analyzer_rows(theta1, theta2) @ _real_vector(rho)
-
-
-def joint_detection_probability(rho: np.ndarray, theta1, theta2):
-    """Tr(rho P_theta1 x P_theta2) for linear analyzers; broadcasts, scalar angles give a float."""
-    p = detection_probabilities(rho, theta1, theta2)[0]
-    return float(p) if np.ndim(p) == 0 else p
 
 
 #: Distinct angles whose label ``angle_label`` remembers; a Bell run uses a handful.
@@ -275,16 +265,12 @@ class AnglePlan:
 
     @functools.cached_property
     def settings(self) -> tuple[tuple[float, float], ...]:
-        """The distinct joint settings, built once: see ``all_settings``."""
+        """The distinct joint settings (at most 16), built once: each base pair and its combos."""
         out: dict[tuple[str, str], tuple[float, float]] = {}
         for (t1, t2), keys in zip(self.base_pairs(), self.base_pair_keys):
             for setting, key in zip(_orthogonal_combos(t1, t2), keys):
                 out.setdefault(key, setting)
         return tuple(out.values())
-
-    def all_settings(self) -> list[tuple[float, float]]:
-        """All 16 joint settings: each base pair plus its orthogonal combos (a new list)."""
-        return list(self.settings)
 
     @functools.cached_property
     def _bloch_settings(self) -> ChshSettings:
@@ -367,8 +353,8 @@ def _orthogonal_keys(t1: float, t2: float) -> tuple[tuple[str, str], ...]:
 class CountsTable:
     """Coincidence counts keyed by canonical (theta1, theta2) degree labels.
 
-    Measured tables hold integers; noise-free expectation tables (used as
-    oracles against the trace formulas) may hold real values.
+    Measured tables hold integers; the noise-free mean counts of
+    ``source.expected_coincidences`` are real values.
     """
 
     entries: dict[tuple[str, str], float] = field(default_factory=dict)
@@ -423,16 +409,6 @@ def chsh_from_counts(counts: CountsTable, plan: AnglePlan) -> tuple[float, float
     s = p11 - p12 + p21 + p22
     sigma = math.sqrt(v11 + v12 + v21 + v22)
     return s, sigma
-
-
-def expected_counts(
-    rho: np.ndarray, plan: AnglePlan, flux: float = 1e6, duration: float = 1.0
-) -> CountsTable:
-    """Noise-free expected counts of a CHSH plan (for oracle tests)."""
-    table = CountsTable(duration=duration)
-    for t1, t2 in plan.all_settings():
-        table.set(t1, t2, flux * joint_detection_probability(rho, t1, t2))
-    return table
 
 
 def counts_to_csv(counts: CountsTable, path) -> None:

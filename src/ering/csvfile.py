@@ -1,15 +1,17 @@
-"""The one CSV layout of every data file the package reads or writes, and
-the one writer of every output file.
+"""The one CSV layout of every data file the package reads or writes, the
+one reader of JSON input files and the one writer of every output file.
 
 Optional ``# key value`` comment lines, a header row, then one row per
 record; every line ends in ``\\n``.  Read errors name ``path:line``.
-Every file the package writes, CSV or JSON, goes through ``write_text``.
+Every JSON file the package reads goes through ``read_json``, and every
+file it writes, CSV or JSON, through ``write_text``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
 
@@ -41,6 +43,19 @@ def write_text(path, text: str) -> None:
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write(data)
         fh.truncate()
+
+
+def read_json(path, parse):
+    """``parse`` of a UTF-8 JSON file; bad JSON or text or a parse error names the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(f"{path}: bad JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except InputFormatError as exc:
+            raise InputFormatError(f"{path}: {exc}") from None
 
 
 def read(

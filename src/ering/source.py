@@ -31,18 +31,20 @@ lateral walk of the retroreflected cone on the crystal.
 Coincidence counting is batched: a plan compiles once (``compile_plan``)
 into its labels and one matrix of analyzer rows, so the joint and
 partial-trace marginal probabilities of all its joint settings come from
-one matvec with rho, and all counts from one Poisson draw.
+one matvec with rho.  ``expected_coincidences`` turns them into the
+noise-free mean counts of the plan, and ``simulate_coincidences`` draws
+all counts about those means in one Poisson draw.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .bell import STANDARD_PLAN, AnglePlan, CountsTable, compile_plan, detection_probabilities
+from . import csvfile
+from .bell import STANDARD_PLAN, AnglePlan, CountsTable, compile_plan
 from .errors import InputFormatError
 from .states import bell_state, check_density_matrix, mems_weight, projector
 
@@ -150,15 +152,7 @@ def config_from_dict(values: dict) -> SourceConfig:
 
 
 def load_config(path) -> SourceConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return config_from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: bad JSON: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except InputFormatError as exc:
-            raise InputFormatError(f"{path}: {exc}") from None
+    return csvfile.read_json(path, config_from_dict)
 
 
 def config_with_overrides(config: SourceConfig, overrides: dict) -> SourceConfig:
@@ -413,39 +407,13 @@ def detected_pair_rate(config: SourceConfig) -> float:
     return config.pair_rate * config.detector_qe**2 * config.transmission
 
 
-def _singles(marginal, config: SourceConfig):
-    arm_transmission = math.sqrt(config.transmission)
-    return config.pair_rate * config.detector_qe * arm_transmission * marginal + config.dark_rate
-
-
 def _coincidences(probabilities, config: SourceConfig):
     """Rates from stacked (joint, arm-1 marginal, arm-2 marginal) probabilities."""
-    singles1, singles2 = _singles(probabilities[1:], config)
+    # the singles rate of an arm: pair_rate * QE * sqrt(transmission) * marginal + dark_rate
+    arm_rate = config.pair_rate * config.detector_qe * math.sqrt(config.transmission)
+    singles1, singles2 = arm_rate * probabilities[1:] + config.dark_rate
     accidental = singles1 * singles2 * config.coincidence_window
     return detected_pair_rate(config) * probabilities[0] + accidental
-
-
-def _scalar_or_array(value):
-    return float(value) if np.ndim(value) == 0 else value
-
-
-def singles_rate(rho: np.ndarray, theta, arm: int, config: SourceConfig):
-    """Single-detector rate behind one analyzer with dark counts; broadcasts over theta."""
-    if arm not in (1, 2):
-        raise ValueError(f"arm must be 1 or 2, got {arm!r}")
-    marginal = detection_probabilities(rho, theta, theta)[arm]
-    return _scalar_or_array(_singles(marginal, config))
-
-
-def expected_coincidence_rate(rho: np.ndarray, theta1, theta2, config: SourceConfig):
-    """True-pair rate through the joint analyzers plus accidentals.
-
-    Accidentals are singles1 * singles2 * coincidence_window.  The
-    effective-visibility scalar of the config must already be applied to
-    ``rho`` by the caller (``simulate_coincidences`` does this).
-    Broadcasts over angle arrays; scalar angles give a float.
-    """
-    return _scalar_or_array(_coincidences(detection_probabilities(rho, theta1, theta2), config))
 
 
 def _check_duration(name: str, duration: float) -> None:
@@ -455,22 +423,19 @@ def _check_duration(name: str, duration: float) -> None:
         raise ValueError(f"{name} must be positive")
 
 
-def simulate_coincidences(
+def expected_coincidences(
     rho: np.ndarray,
     plan: AnglePlan | list[tuple[float, float]],
     duration: float,
     config: SourceConfig,
-    seed: int,
 ) -> CountsTable:
-    """Poisson coincidence counts for each joint polarizer setting.
+    """Noise-free mean coincidence counts of each joint polarizer setting.
 
     ``plan`` is a list of distinct (theta1, theta2) radian pairs (compared
     by canonical degree label) or an AnglePlan; ``duration`` is the
-    integration time per setting.  The plan compiles once into its labels
-    and analyzer rows (``compile_plan``).  The config's effective
-    visibility is applied to rho, the mean counts rate * duration of every
-    setting come from one matvec, and all counts from one Poisson draw,
-    deterministically for a fixed seed.
+    integration time per setting.  The plan compiles once (``compile_plan``),
+    the config's effective visibility is applied to rho, and every mean is
+    (true-pair rate + singles1 * singles2 * coincidence_window) * duration.
     """
     rho = check_density_matrix(rho)
     _check_duration("duration", duration)
@@ -478,8 +443,21 @@ def simulate_coincidences(
     rho_v = apply_effective_visibility(rho, config.visibility)
     rates = _coincidences(compiled.probabilities(rho_v), config)
     # a null setting of a noiseless config can round to a rate of -1e-17
-    counts = np.random.default_rng(seed).poisson(np.maximum(rates, 0.0) * duration)
-    return CountsTable(dict(zip(compiled.labels, counts.tolist())), duration)
+    means = np.maximum(rates, 0.0) * duration
+    return CountsTable(dict(zip(compiled.labels, means.tolist())), duration)
+
+
+def simulate_coincidences(
+    rho: np.ndarray,
+    plan: AnglePlan | list[tuple[float, float]],
+    duration: float,
+    config: SourceConfig,
+    seed: int,
+) -> CountsTable:
+    """One seeded Poisson draw about the means of ``expected_coincidences``."""
+    means = expected_coincidences(rho, plan, duration, config)
+    counts = np.random.default_rng(seed).poisson(list(means.entries.values()))
+    return CountsTable(dict(zip(means.entries, counts.tolist())), duration)
 
 
 def simulate_bell_test(
@@ -530,10 +508,15 @@ def ou_mandel_scan(phi: float, x_values, config: SourceConfig) -> list[tuple[flo
     2 is there because moving the splitter by x changes the path
     difference by 2x.  phi = 0 gives a dip, phi = pi a peak and
     phi = pi/2 a flat trace; far from x = 0 the rate is 1 for any phi.
+    A non-finite phi or x raises ValueError.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"Ou-Mandel phase phi must be finite, got {phi}")
     sigma = SPEED_OF_LIGHT * coherence_time_from_bandwidth(config) / 2
     out = []
     for x in x_values:
+        if not math.isfinite(x):
+            raise ValueError(f"beam-splitter position x must be finite, got {x}")
         envelope = math.exp(-((x / sigma) ** 2))
         out.append((float(x), 1.0 - OU_MANDEL_VISIBILITY * math.cos(phi) * envelope))
     return out

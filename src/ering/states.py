@@ -370,12 +370,4 @@ def save_density_matrix(rho: np.ndarray, path) -> None:
 
 
 def load_density_matrix(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return density_matrix_from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: bad JSON: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except InputFormatError as exc:
-            raise InputFormatError(f"{path}: {exc}") from None
+    return csvfile.read_json(path, density_matrix_from_dict)

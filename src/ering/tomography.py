@@ -8,7 +8,9 @@ the standard polarization alphabet
     L = (H + iV)/sqrt(2)  R = (H - iV)/sqrt(2)
 
 or a general elliptical projector ``E(Theta,Phi)`` with ket
-cos(Theta/2)|H> + e^{i Phi} sin(Theta/2)|V> (Bloch angles, radians).
+cos(Theta/2)|H> + e^{i Phi} sin(Theta/2)|V> (finite Bloch angles, radians).
+``simulate_tomography`` draws Poisson counts about the noise-free means
+flux * Tr(rho P_k) of ``exact_tomography_counts``.
 
 Reconstruction is offered two ways: linear inversion of the design matrix
 (fast, but unphysical under noise) and the maximum-likelihood state of
@@ -63,12 +65,14 @@ _ELLIPTICAL = re.compile(r"^E\(\s*([-+0-9.eE]+)\s*,\s*([-+0-9.eE]+)\s*\)$")
 
 
 def projector_ket(label: str) -> np.ndarray:
-    """Single-qubit ket for a projector label (H/V/D/A/L/R or E(Theta,Phi))."""
+    """Single-qubit ket for a projector label (H/V/D/A/L/R or E(Theta,Phi), angles finite)."""
     if label in _KETS:
         return _KETS[label]
     match = _ELLIPTICAL.match(label)
     if match:
         theta, phi = float(match.group(1)), float(match.group(2))
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ValueError(f"projector label {label!r} has a non-finite angle")
         return np.array(
             [math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)], dtype=complex
         )
@@ -204,19 +208,12 @@ def expected_probabilities(rho: np.ndarray, settings: list[TomoSetting]) -> np.n
     return np.einsum("kab,ba->k", _settings_table(settings).projectors, rho).real
 
 
-def simulate_tomography(
-    rho: np.ndarray,
-    counts_per_setting: int,
-    seed: int,
-    settings: list[TomoSetting] | None = None,
+def exact_tomography_counts(
+    rho: np.ndarray, counts_per_setting: float, settings: list[TomoSetting] | None = None
 ) -> TomoData:
-    """Poisson counts with mean counts_per_setting * Tr(rho P1 x P2).
+    """Noise-free mean counts counts_per_setting * Tr(rho P1 x P2), clipped at 0.
 
-    counts_per_setting is the incident pair flux per setting and is
-    recorded as the total_flux_estimate of the data.  The measured
-    counts average about a quarter of it over the standard settings
-    (rank-1 projectors transmit 1/4 of the flux on average), so target
-    a per-setting count level N by passing 4 N here.
+    These are the means ``simulate_tomography`` draws about.
     """
     if not math.isfinite(counts_per_setting):
         raise ValueError(f"counts_per_setting must be finite, got {counts_per_setting}")
@@ -226,20 +223,26 @@ def simulate_tomography(
     if settings is None:
         settings = standard_settings()
     probs = np.clip(expected_probabilities(rho, settings), 0.0, None)
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(counts_per_setting * probs)
-    return TomoData(settings, counts, float(counts_per_setting))
-
-
-def exact_tomography_counts(
-    rho: np.ndarray, counts_per_setting: float, settings: list[TomoSetting] | None = None
-) -> TomoData:
-    """Noise-free expected counts (real-valued), for inversion identities."""
-    rho = check_density_matrix(rho)
-    if settings is None:
-        settings = standard_settings()
-    probs = expected_probabilities(rho, settings)
     return TomoData(settings, counts_per_setting * probs, float(counts_per_setting))
+
+
+def simulate_tomography(
+    rho: np.ndarray,
+    counts_per_setting: int,
+    seed: int,
+    settings: list[TomoSetting] | None = None,
+) -> TomoData:
+    """Poisson counts about the means of ``exact_tomography_counts``.
+
+    counts_per_setting is the incident pair flux per setting and is
+    recorded as the total_flux_estimate of the data.  The measured
+    counts average about a quarter of it over the standard settings
+    (rank-1 projectors transmit 1/4 of the flux on average), so target
+    a per-setting count level N by passing 4 N here.
+    """
+    means = exact_tomography_counts(rho, counts_per_setting, settings)
+    counts = np.random.default_rng(seed).poisson(means.counts)
+    return TomoData(means.settings, counts, means.total_flux_estimate)
 
 
 _RANK_DEFICIENT = "design matrix is rank deficient; settings are not complete"

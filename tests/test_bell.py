@@ -25,15 +25,22 @@ from ering.bell import (
     correlation_from_counts,
     counts_from_csv,
     counts_to_csv,
-    expected_counts,
     correlation_matrix,
-    joint_detection_probability,
 )
 from ering.errors import InputFormatError
 from ering.sampling import random_density_matrix
+from ering.source import SourceConfig, expected_coincidences
 from ering.states import analyse, mems, projector, singlet, werner
 
 SQ2 = math.sqrt(2)
+
+
+def ideal_counts(rho, plan, flux):
+    """Noise-free counts of a plan from an ideal source: flux * Tr(rho P1 x P2) per setting."""
+    ideal = SourceConfig(
+        pair_rate=flux, detector_qe=1.0, transmission=1.0, dark_rate=0.0, coincidence_window=0.0
+    )
+    return expected_coincidences(rho, plan, 1.0, ideal)
 
 
 def random_family_state(rng):
@@ -515,7 +522,7 @@ def test_correlation_matrix_of_an_invalid_matrix_raises():
 
 
 def test_chsh_from_counts_ideal_singlet():
-    table = expected_counts(projector(singlet()), STANDARD_PLAN, flux=1e6)
+    table = ideal_counts(projector(singlet()), STANDARD_PLAN, flux=1e6)
     s, sigma = chsh_from_counts(table, STANDARD_PLAN)
     assert abs(s) == pytest.approx(2 * SQ2, abs=1e-12)
     assert sigma > 0
@@ -523,7 +530,7 @@ def test_chsh_from_counts_ideal_singlet():
 
 def test_chsh_from_counts_flat_table_is_zero():
     table = CountsTable(duration=1.0)
-    for t1, t2 in STANDARD_PLAN.all_settings():
+    for t1, t2 in STANDARD_PLAN.settings:
         table.set(t1, t2, 1000)
     s, _ = chsh_from_counts(table, STANDARD_PLAN)
     assert s == 0.0
@@ -534,14 +541,14 @@ def test_counts_equal_trace_evaluation(rng):
     for _ in range(25):
         rho = random_density_matrix(rng)
         plan = AnglePlan(*rng.uniform(0, math.pi, 4))
-        table = expected_counts(rho, plan, flux=1.0)
+        table = ideal_counts(rho, plan, flux=1.0)
         s_counts, _ = chsh_from_counts(table, plan)
         s_trace = chsh(rho, plan.bloch_settings())
         assert s_counts == pytest.approx(s_trace, abs=1e-12)
 
 
 def test_scaled_count_invariance():
-    table = expected_counts(werner(0.8), STANDARD_PLAN, flux=1e5)
+    table = ideal_counts(werner(0.8), STANDARD_PLAN, flux=1e5)
     s1, sig1 = chsh_from_counts(table, STANDARD_PLAN)
     scaled = CountsTable({k: 4.0 * n for k, n in table.entries.items()}, table.duration)
     s2, sig2 = chsh_from_counts(scaled, STANDARD_PLAN)
@@ -550,7 +557,7 @@ def test_scaled_count_invariance():
 
 
 def test_chsh_from_counts_missing_entry():
-    table = expected_counts(werner(0.8), STANDARD_PLAN, flux=1e5)
+    table = ideal_counts(werner(0.8), STANDARD_PLAN, flux=1e5)
     del table.entries[("0", "22.5")]
     with pytest.raises(ValueError, match="missing"):
         chsh_from_counts(table, STANDARD_PLAN)
@@ -558,7 +565,7 @@ def test_chsh_from_counts_missing_entry():
 
 def test_chsh_from_counts_zero_denominator():
     table = CountsTable(duration=1.0)
-    for t1, t2 in STANDARD_PLAN.all_settings():
+    for t1, t2 in STANDARD_PLAN.settings:
         table.set(t1, t2, 0)
     with pytest.raises(ValueError, match="zero total"):
         chsh_from_counts(table, STANDARD_PLAN)
@@ -571,7 +578,7 @@ _RANDOM_PLANS = [AnglePlan(*a) for a in np.random.default_rng(20240021).uniform(
 def test_chsh_from_counts_is_the_four_correlations(plan, rng):
     for k in range(20):
         table = CountsTable(duration=2.0)
-        for t1, t2 in plan.all_settings():
+        for t1, t2 in plan.settings:
             table.set(t1, t2, int(rng.integers(0, 5000)) if k % 2 else rng.uniform(0, 1e6))
         s, sigma = chsh_from_counts(table, plan)
         (p11, v11), (p12, v12), (p21, v21), (p22, v22) = (
@@ -582,7 +589,7 @@ def test_chsh_from_counts_is_the_four_correlations(plan, rng):
 
 
 def test_chsh_from_counts_error_messages():
-    table = expected_counts(werner(0.8), STANDARD_PLAN, flux=1e5)
+    table = ideal_counts(werner(0.8), STANDARD_PLAN, flux=1e5)
     n = table.entries.pop(("90", "112.5"))
     missing = re.escape("counts table is missing the joint setting ('90', '112.5')")
     with pytest.raises(ValueError, match=f"^{missing}$"):
@@ -603,27 +610,16 @@ def test_angle_labels_canonical():
 
 
 def test_all_settings_dedupes_and_covers():
-    settings = STANDARD_PLAN.all_settings()
+    settings = STANDARD_PLAN.settings
     assert len(settings) == 16
     labels = {(angle_label(a), angle_label(b)) for a, b in settings}
     assert len(labels) == 16
 
 
-def test_all_settings_returns_a_fresh_list():
-    plan = AnglePlan(0.1, 0.2, 0.3, 0.4)
-    first = plan.all_settings()
-    expected = list(first)
-    first.append((1.0, 1.0))
-    first[0] = (2.0, 2.0)
-    again = plan.all_settings()
-    assert again == expected
-    assert again is not plan.all_settings()
-
-
 def test_degenerate_plan_has_four_settings():
-    settings = AnglePlan(0.0, 0.0, 0.0, 0.0).all_settings()
+    settings = AnglePlan(0.0, 0.0, 0.0, 0.0).settings
     h = math.pi / 2
-    assert settings == [(0.0, 0.0), (h, h), (0.0, h), (h, 0.0)]
+    assert settings == ((0.0, 0.0), (h, h), (0.0, h), (h, 0.0))
 
 
 def test_plan_caches_are_read_only():
@@ -644,7 +640,7 @@ def test_compiled_rows_give_joint_and_marginal_probabilities(rng):
         rho = random_density_matrix(rng)
         plan = AnglePlan(*rng.uniform(0, math.pi, 4))
         joint, arm1, arm2 = compile_plan(plan).probabilities(rho)
-        for k, (t1, t2) in enumerate(plan.all_settings()):
+        for k, (t1, t2) in enumerate(plan.settings):
             k1 = np.array([math.cos(t1), math.sin(t1)])
             k2 = np.array([math.cos(t2), math.sin(t2)])
             p1 = np.kron(np.outer(k1, k1), np.eye(2))
@@ -655,7 +651,7 @@ def test_compiled_rows_give_joint_and_marginal_probabilities(rng):
 
 
 def test_counts_csv_round_trip(tmp_path):
-    table = expected_counts(werner(0.9), STANDARD_PLAN, flux=1e5)
+    table = ideal_counts(werner(0.9), STANDARD_PLAN, flux=1e5)
     table = CountsTable({k: round(v) for k, v in table.entries.items()}, duration=42.0)
     path = tmp_path / "counts.csv"
     counts_to_csv(table, path)
@@ -678,9 +674,9 @@ def test_counts_csv_parse_errors(tmp_path):
 
 
 def test_joint_detection_probability_singlet():
-    rho = projector(singlet())
-    assert joint_detection_probability(rho, 0.3, 0.3) == pytest.approx(0.0, abs=1e-12)
-    assert joint_detection_probability(rho, 0.0, math.pi / 2) == pytest.approx(0.5)
+    joint, _, _ = compile_plan([(0.3, 0.3), (0.0, math.pi / 2)]).probabilities(projector(singlet()))
+    assert joint[0] == pytest.approx(0.0, abs=1e-12)
+    assert joint[1] == pytest.approx(0.5)
 
 
 def test_counts_csv_rejects_duplicate_setting(tmp_path):

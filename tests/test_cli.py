@@ -580,6 +580,19 @@ def test_tomo_reconstruct_non_finite_counts_exit_2(tmp_path, capsys):
     assert "nan.csv:3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["E(0,1e400)", "E(1e400,0)", "E(-1e400,0.5)"])
+def test_tomo_reconstruct_non_finite_projector_angle_exit_2(label, tmp_path, capsys):
+    data = exact_tomography_counts(werner(0.5), 1e4)
+    path = tmp_path / "angle.csv"
+    tomo_data_to_csv(data, path)
+    lines = path.read_text().splitlines()
+    lines[16] = f'14,H,"{label}",10032'
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli("tomo", "reconstruct", "--data", str(path), "--seed", "0") == 2
+    err = capsys.readouterr().err
+    assert f"angle.csv:17: projector label {label!r} has a non-finite angle" in err
+
+
 def test_tomo_reconstruct_incomplete_settings_exit_1(tmp_path, capsys):
     path = tmp_path / "one_row.csv"
     path.write_text("# total_flux_estimate 20\nsetting_index,proj1,proj2,counts\n0,H,H,5\n")

@@ -41,7 +41,7 @@ def oracle_bytes(monkeypatch, tmp_path, write_file):
 
 def test_counts_file_matches_the_rowwise_bytes(tmp_path, monkeypatch):
     table = CountsTable(duration=11.25)
-    for k, (t1, t2) in enumerate(STANDARD_PLAN.all_settings()):
+    for k, (t1, t2) in enumerate(STANDARD_PLAN.settings):
         table.set(t1, t2, 1000 + 37 * k)
     table.set(0.0, math.pi / 8, 12.5)  # a non-integer count
     path = tmp_path / "counts.csv"

@@ -14,7 +14,6 @@ from ering.bell import (
     compile_plan,
     chsh_from_counts,
     correlation_from_counts,
-    joint_detection_probability,
 )
 from ering.errors import InputFormatError
 from ering.sampling import random_density_matrix
@@ -33,7 +32,7 @@ from ering.source import (
     config_with_overrides,
     detected_pair_rate,
     displacement_visibility,
-    expected_coincidence_rate,
+    expected_coincidences,
     load_config,
     mems_partition,
     ou_mandel_fwhm,
@@ -43,12 +42,11 @@ from ering.source import (
     sector_area,
     simulate_bell_test,
     simulate_coincidences,
-    singles_rate,
     synthesize,
     werner_partition,
 )
 from ering.states import bell_state, check_density_matrix, mems, projector, singlet, werner
-from ering.tomography import simulate_tomography
+from ering.tomography import exact_tomography_counts, simulate_tomography, standard_settings
 
 CFG = SourceConfig()
 MEMS_CFG = SourceConfig(cone_aperture=math.radians(1.4))
@@ -374,20 +372,25 @@ def test_effective_visibility_scaling():
     assert np.allclose(apply_effective_visibility(rho, 1.0), rho)
 
 
+def mean_rate(rho, theta1, theta2, config):
+    """The noise-free coincidence rate of one joint setting, visibility applied."""
+    return expected_coincidences(rho, [(theta1, theta2)], 1.0, config).get(theta1, theta2)
+
+
 def test_singlet_parallel_analyzers_only_accidentals():
     rho = projector(singlet())
-    rate = expected_coincidence_rate(rho, 0.3, 0.3, CFG)
-    accidental_only = expected_coincidence_rate(rho, 0.3, 0.3, CLEAN_CFG)
+    rate = mean_rate(rho, 0.3, 0.3, CFG)
+    accidental_only = mean_rate(rho, 0.3, 0.3, CLEAN_CFG)
     assert accidental_only == pytest.approx(0.0, abs=1e-9)
     assert rate < 50  # accidentals are tiny next to the ~3e4/s pair rate
 
 
 def test_fringe_visibility_matches_configured_factor():
     cfg = SourceConfig(dark_rate=0.0, coincidence_window=0.0, visibility=0.94)
-    rho = apply_effective_visibility(projector(singlet()), cfg.visibility)
+    rho = projector(singlet())  # the config's visibility is applied to it
     theta2 = math.pi / 4
-    r_max = expected_coincidence_rate(rho, theta2 + math.pi / 2, theta2, cfg)
-    r_min = expected_coincidence_rate(rho, theta2, theta2, cfg)
+    r_max = mean_rate(rho, theta2 + math.pi / 2, theta2, cfg)
+    r_min = mean_rate(rho, theta2, theta2, cfg)
     v = (r_max - r_min) / (r_max + r_min)
     assert v == pytest.approx(0.94, abs=1e-12)
 
@@ -395,13 +398,13 @@ def test_fringe_visibility_matches_configured_factor():
 def test_full_ring_rate_exceeds_4khz():
     assert detected_pair_rate(CFG) > 4e3
     rho = projector(singlet())
-    fringe_max = expected_coincidence_rate(rho, math.pi / 2, 0.0, CFG)
+    fringe_max = mean_rate(rho, math.pi / 2, 0.0, CFG)
     assert fringe_max > 4e3
 
 
 def test_simulate_coincidences_deterministic():
     rho = werner(0.8)
-    plan = STANDARD_PLAN.all_settings()
+    plan = list(STANDARD_PLAN.settings)
     t1 = simulate_coincidences(rho, plan, 1.0, CFG, seed=11)
     t2 = simulate_coincidences(rho, plan, 1.0, CFG, seed=11)
     t3 = simulate_coincidences(rho, plan, 1.0, CFG, seed=12)
@@ -421,7 +424,7 @@ def test_monte_carlo_converges_like_sqrt_duration():
     errors = []
     for duration in (1.0, 100.0, 10_000.0):
         table = simulate_coincidences(
-            rho, STANDARD_PLAN.all_settings(), duration, CLEAN_CFG, seed=21
+            rho, list(STANDARD_PLAN.settings), duration, CLEAN_CFG, seed=21
         )
         errs = [
             abs(correlation_from_counts(table, *pair)[0] - reference[pair])
@@ -487,28 +490,17 @@ def random_config(rng):
 
 
 def test_batched_rates_match_per_setting_oracle(rng):
+    # random dark rates and windows: the accidentals term checks both singles rates
     for _ in range(100):
         rho = random_density_matrix(rng)
         cfg = random_config(rng)
-        theta1, theta2 = rng.uniform(-4.0, 4.0, (2, int(rng.integers(1, 40))))
-        rates = expected_coincidence_rate(rho, theta1, theta2, cfg)
-        singles1 = singles_rate(rho, theta1, 1, cfg)
-        singles2 = singles_rate(rho, theta2, 2, cfg)
-        probs = joint_detection_probability(rho, theta1, theta2)
-        for k, (t1, t2) in enumerate(zip(theta1, theta2)):
-            assert rates[k] == pytest.approx(oracle_coincidence_rate(rho, t1, t2, cfg), rel=1e-13)
-            assert singles1[k] == pytest.approx(oracle_singles_rate(rho, t1, 1, cfg), rel=1e-13)
-            assert singles2[k] == pytest.approx(oracle_singles_rate(rho, t2, 2, cfg), rel=1e-13)
-            assert probs[k] == pytest.approx(oracle_joint_probability(rho, t1, t2), rel=1e-13)
-
-
-def test_batched_rates_broadcast_one_fixed_analyzer(rng):
-    rho = random_density_matrix(rng)
-    theta1 = rng.uniform(0.0, math.pi, 7)
-    rates = expected_coincidence_rate(rho, theta1, 0.4, CFG)
-    assert rates.shape == (7,)
-    for rate, t1 in zip(rates, theta1):
-        assert rate == pytest.approx(oracle_coincidence_rate(rho, t1, 0.4, CFG), rel=1e-13)
+        plan = [(float(a), float(b)) for a, b in rng.uniform(-4.0, 4.0, (int(rng.integers(1, 40)), 2))]
+        duration = float(rng.uniform(0.1, 100.0))
+        table = expected_coincidences(rho, plan, duration, cfg)
+        rho_v = apply_effective_visibility(rho, cfg.visibility)
+        for t1, t2 in plan:
+            oracle = oracle_coincidence_rate(rho_v, t1, t2, cfg) * duration
+            assert table.get(t1, t2) == pytest.approx(oracle, rel=1e-13)
 
 
 def test_batched_tables_match_per_setting_poisson_draws(rng):
@@ -530,26 +522,12 @@ def test_batched_tables_match_per_setting_poisson_draws(rng):
         assert list(table.entries) == list(expected)
 
 
-def test_scalar_rate_calls_return_float():
-    rho = werner(0.8)
-    assert type(expected_coincidence_rate(rho, 0.1, 0.2, CFG)) is float
-    assert type(singles_rate(rho, 0.1, 1, CFG)) is float
-    assert type(singles_rate(rho, 0.1, 2, CFG)) is float
-    assert type(joint_detection_probability(rho, 0.1, 0.2)) is float
-
-
 def test_simulate_coincidences_rejects_repeated_setting():
     rho = projector(singlet())
     with pytest.raises(ValueError, match="repeats"):
         simulate_coincidences(rho, [(0.0, 0.0), (math.pi, 0.0)], 1.0, SourceConfig(), 1)
     with pytest.raises(ValueError, match="repeats"):
         simulate_coincidences(rho, [(0.1, 0.2), (0.3, 0.4), (0.1, 0.2)], 1.0, SourceConfig(), 1)
-
-
-@pytest.mark.parametrize("arm", [0, 3, 7, -1])
-def test_singles_rate_rejects_unknown_arm(arm):
-    with pytest.raises(ValueError, match="arm"):
-        singles_rate(werner(0.8), 0.1, arm, CFG)
 
 
 def test_noiseless_null_settings_count_zero():
@@ -585,7 +563,7 @@ def test_compiled_plan_rates_match_per_setting_oracle(rng, monkeypatch):
         cfg = random_config(rng)
         plan = random_plan(rng)
         duration = float(rng.uniform(0.1, 100.0))
-        settings = plan.all_settings() if isinstance(plan, AnglePlan) else plan
+        settings = plan.settings if isinstance(plan, AnglePlan) else plan
         rho_v = apply_effective_visibility(rho, cfg.visibility)
         if isinstance(plan, AnglePlan):
             table, _ = simulate_bell_test(rho, duration * len(settings), cfg, 0, plan)
@@ -596,12 +574,33 @@ def test_compiled_plan_rates_match_per_setting_oracle(rng, monkeypatch):
         for t1, t2 in settings:
             oracle = oracle_coincidence_rate(rho_v, t1, t2, cfg)
             assert table.get(t1, t2) / table.duration == pytest.approx(oracle, rel=1e-13)
-            assert expected_coincidence_rate(rho_v, t1, t2, cfg) == pytest.approx(oracle, rel=1e-13)
+
+
+def test_simulators_draw_about_the_noise_free_means(rng, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _MeanRng())
+    for _ in range(30):
+        rho = random_density_matrix(rng)
+        cfg = random_config(rng)
+        plan = random_plan(rng)
+        duration = float(rng.uniform(0.1, 100.0))
+        drawn = simulate_coincidences(rho, plan, duration, cfg, 0)
+        means = expected_coincidences(rho, plan, duration, cfg)
+        assert list(drawn.entries) == list(means.entries)
+        for key, mean in means.entries.items():
+            assert drawn.entries[key].hex() == mean.hex()
+        assert drawn.duration == means.duration
+        flux = float(rng.uniform(1.0, 1e6))
+        settings = standard_settings()[: int(rng.integers(1, 17))]
+        drawn = simulate_tomography(rho, flux, 0, settings)
+        means = exact_tomography_counts(rho, flux, settings)
+        assert drawn.settings == means.settings
+        assert drawn.counts.tobytes() == means.counts.tobytes()
+        assert drawn.total_flux_estimate == means.total_flux_estimate
 
 
 def test_compiled_plan_is_shared_by_equal_settings():
     compiled = compile_plan(STANDARD_PLAN)
-    assert compile_plan(STANDARD_PLAN.all_settings()) is compiled
+    assert compile_plan(list(STANDARD_PLAN.settings)) is compiled
     assert compile_plan(AnglePlan(0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)) is compiled
     assert len(compiled.labels) == 16
     assert compiled.rows.shape == (48, 16)
@@ -650,6 +649,8 @@ def test_non_finite_simulation_inputs_are_named(no_draw, value):
         simulate_bell_test(rho, value, CFG, 1)
     with pytest.raises(ValueError, match="counts_per_setting must be finite"):
         simulate_tomography(rho, value, 1)
+    with pytest.raises(ValueError, match="counts_per_setting must be finite"):
+        exact_tomography_counts(rho, value)
 
 
 # ---------------------------------------------------------------------------
@@ -692,3 +693,11 @@ def test_ou_mandel_fwhm_prediction():
     # the dip itself has that width: half depth at +- fwhm/2
     for x, c in ou_mandel_scan(0.0, [width / 2], CFG):
         assert c == pytest.approx(1 - 0.88 / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_ou_mandel_scan_rejects_non_finite_inputs(value):
+    with pytest.raises(ValueError, match=f"^Ou-Mandel phase phi must be finite, got {value}$"):
+        ou_mandel_scan(value, [0.0, 1e-6], CFG)
+    with pytest.raises(ValueError, match=f"^beam-splitter position x must be finite, got {value}$"):
+        ou_mandel_scan(0.0, [0.0, value], CFG)

@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -61,6 +62,12 @@ def test_projector_kets():
     )
     with pytest.raises(ValueError):
         projector_ket("Q")
+
+
+@pytest.mark.parametrize("label", ["E(1e400,0)", "E(0,1e400)", "E(-1e400,0)", "E(0,-1e400)"])
+def test_projector_ket_rejects_non_finite_angles(label):
+    with pytest.raises(ValueError, match=f"^projector label {re.escape(repr(label))} has a non-finite angle$"):
+        projector_ket(label)
 
 
 def test_simulate_orthogonal_setting_gives_zero():
