@@ -17,6 +17,10 @@ outputs.  All output paths are checked before any write, and files are
 written before stdout.
 ``tomo reconstruct`` is deterministic; its optional ``--seed`` is only recorded.
 
+Each command imports the numerical modules it runs, and only those; the
+parser imports none, so ``--version``, ``--help`` and every usage error
+finish without loading numpy.
+
 Every ``--family`` value of every subcommand is built by the one registry
 ``STATES``; ``state werner|mems --via patchwork`` builds from sector
 weights instead.  All CSV files share the layout of ``ering.csvfile``.
@@ -42,69 +46,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, csvfile
-from .bell import (
-    AnglePlan,
-    STANDARD_PLAN,
-    chsh_from_counts,
-    chsh_optimize,
-    compile_plan,
-    counts_from_csv,
-    counts_to_csv,
-)
-from .entanglement import (
-    MEMS,
-    WERNER,
-    classify,
-    is_separable_ppt,
-    linear_entropy,
-    tangle,
-    tangle_curve,
-)
 from .errors import ConvergenceError, InputFormatError
-from .source import (
-    SourceConfig,
-    coherence_time_from_bandwidth,
-    config_to_dict,
-    config_with_overrides,
-    detected_pair_rate,
-    displacement_visibility,
-    load_config,
-    mems_partition,
-    ou_mandel_fwhm,
-    ou_mandel_scan,
-    phase_from_displacement,
-    ring_diameter,
-    sector_area,
-    simulate_bell_test,
-    simulate_coincidences,
-    synthesize,
-    werner_partition,
-)
-from .states import (
-    bell_state,
-    check_density_matrix,
-    density_matrix_to_dict,
-    load_density_matrix,
-    mems,
-    nonmax_state,
-    projector,
-    save_density_matrix,
-    singlet,
-    tune_entanglement,
-    werner,
-)
-from .tomography import (
-    design_condition_number,
-    fidelity,
-    linear_reconstruct,
-    ml_reconstruct,
-    simulate_tomography,
-    tomo_data_from_csv,
-    tomo_data_to_csv,
-)
 
 CONFIG_ENV_VAR = "ERING_CONFIG"
 
@@ -113,7 +56,9 @@ def _config_path(args) -> str | None:
     return getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
 
 
-def _load_base_config(args) -> SourceConfig:
+def _load_base_config(args):
+    from .source import SourceConfig, config_with_overrides, load_config
+
     path = _config_path(args)
     config = load_config(path) if path else SourceConfig()
     overrides = {}
@@ -130,6 +75,8 @@ def _load_base_config(args) -> SourceConfig:
 
 def _grid_rows(point, grid, master_seed: int, *fixed) -> list:
     """``point(x, *fixed, seed=...)`` at each grid value, seeded from ``[master_seed, index]``."""
+    import numpy as np
+
     return [
         point(x, *fixed, seed=int(np.random.SeedSequence([master_seed, i]).generate_state(1)[0]))
         for i, x in enumerate(grid)
@@ -167,9 +114,13 @@ def _finish(args, t0: float, config, text: str, outputs: list) -> None:
     for path, (_, write) in zip(paths, outputs):
         write(path)
     if paths:
+        if config is not None:  # only a command that has already loaded ering.source
+            from .source import config_to_dict
+
+            config = config_to_dict(config)
         manifest = {
             "command": ["ering", *args.argv],
-            "config": config_to_dict(config) if config is not None else None,
+            "config": config,
             "master_seed": getattr(args, "seed", None),
             "version": __version__,
             "outputs": [str(p) for p in paths[:-1]],
@@ -193,25 +144,44 @@ def finite_float(text: str) -> float:
     return value
 
 
-#: Every --family value of every subcommand -> the state built from the flags.
+def nonnegative_int(text: str) -> int:
+    """argparse type of every --seed: a negative seed is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+#: Every --family value of every subcommand -> the state built from the flags,
+#: given the ``ering.states`` module.
 STATES = {
-    WERNER: lambda args: werner(args.p),
-    MEMS: lambda args: mems(args.p),
-    "bell": lambda args: projector(bell_state(args.kind, args.phi)),
-    "singlet": lambda args: projector(singlet()),
-    "nonmax": lambda args: projector(nonmax_state(math.radians(args.theta_p))),
-    "tuned": lambda args: tune_entanglement(args.fidelity, args.a),
-    "file": lambda args: load_density_matrix(args.state),
+    "werner": lambda st, args: st.werner(args.p),
+    "mems": lambda st, args: st.mems(args.p),
+    "bell": lambda st, args: st.projector(st.bell_state(args.kind, args.phi)),
+    "singlet": lambda st, args: st.projector(st.singlet()),
+    "nonmax": lambda st, args: st.projector(st.nonmax_state(math.radians(args.theta_p))),
+    "tuned": lambda st, args: st.tune_entanglement(args.fidelity, args.a),
+    "file": lambda st, args: st.load_density_matrix(args.state),
 }
 
 
-def _build_state(args) -> np.ndarray:
+def _build_state(args):
     if getattr(args, "via", "formula") == "patchwork":
-        return synthesize(args.partition(args.p), math.pi)
-    return STATES[args.family](args)
+        from .source import mems_partition, synthesize, werner_partition
+
+        partition = {"werner": werner_partition, "mems": mems_partition}[args.family]
+        return synthesize(partition(args.p), math.pi)
+    from . import states
+
+    return STATES[args.family](states, args)
 
 
 def cmd_state(args):
+    from .bell import chsh_optimize
+    from .entanglement import classify, is_separable_ppt, linear_entropy, tangle
+    from .states import check_density_matrix, density_matrix_to_dict, projector, singlet
+    from .tomography import fidelity
+
     rho = check_density_matrix(_build_state(args))
     separable, negativity = is_separable_ppt(rho)
     s_max, _ = chsh_optimize(rho)
@@ -224,7 +194,7 @@ def cmd_state(args):
         "separable": separable,
         "s_max_abs": s_max,
     }
-    if args.family in (WERNER, MEMS):
+    if args.family in ("werner", "mems"):
         cls = classify(args.family, args.p)
         report["region"] = cls.region.value
         report["s_l_interval"] = list(cls.s_l_interval)
@@ -232,6 +202,17 @@ def cmd_state(args):
 
 
 def cmd_source(args):
+    from .source import (
+        coherence_time_from_bandwidth,
+        config_to_dict,
+        detected_pair_rate,
+        displacement_visibility,
+        ou_mandel_fwhm,
+        phase_from_displacement,
+        ring_diameter,
+        sector_area,
+    )
+
     config = _load_base_config(args)
     report = {
         "config": config_to_dict(config),
@@ -255,8 +236,10 @@ def cmd_source(args):
     return config, *_report(report, args.out)
 
 
-def _bell_test_config(args) -> SourceConfig:
+def _bell_test_config(args):
     """Config of figures 2, 4 and 12 (measured visibility 0.94 unless given); checks --duration."""
+    from .source import config_with_overrides
+
     config = _load_base_config(args)
     if args.duration <= 0:
         raise ValueError("--duration must be positive")
@@ -266,6 +249,9 @@ def _bell_test_config(args) -> SourceConfig:
 
 
 def _fig2_point(theta1_deg, duration, config, seed):
+    from .source import simulate_coincidences
+    from .states import bell_state, projector
+
     setting = (math.radians(theta1_deg), math.radians(45.0))
     rho = projector(bell_state("phi", math.pi))
     table = simulate_coincidences(rho, [setting], duration, config, seed)
@@ -273,6 +259,8 @@ def _fig2_point(theta1_deg, duration, config, seed):
 
 
 def _fig2(args):
+    import numpy as np
+
     config = _bell_test_config(args)
     grid = np.arange(45.0, 135.0 + 1e-9, 2.5)
     rows = _grid_rows(_fig2_point, grid, args.seed, args.duration, config)
@@ -280,6 +268,10 @@ def _fig2(args):
 
 
 def _fig3(args):
+    import numpy as np
+
+    from .source import ou_mandel_scan
+
     config = _load_base_config(args)
     if args.counts_per_point < 0:
         raise ValueError("--counts-per-point must be nonnegative")
@@ -294,6 +286,9 @@ def _fig3(args):
 
 
 def _fig4_point(r, duration, config, seed):
+    from .source import config_with_overrides, sector_area, simulate_coincidences
+    from .states import bell_state, projector
+
     full = sector_area(config.mask_diameter, config)
     fraction = sector_area(r, config) / full
     scaled = config_with_overrides(config, {"pair_rate": config.pair_rate * fraction})
@@ -312,6 +307,8 @@ def _fig4_point(r, duration, config, seed):
 
 
 def _fig4(args):
+    import numpy as np
+
     config = _bell_test_config(args)
     grid = np.linspace(0.5e-3, config.mask_diameter, 20)
     rows = _grid_rows(_fig4_point, grid, args.seed, args.duration, config)
@@ -319,7 +316,11 @@ def _fig4(args):
 
 
 def _fig_tomo_point(p, family, counts, seed):
-    rho = STATES[family](argparse.Namespace(p=p))
+    from . import states
+    from .entanglement import linear_entropy, tangle, tangle_curve
+    from .tomography import ml_reconstruct, simulate_tomography
+
+    rho = STATES[family](states, argparse.Namespace(p=p))
     rec = ml_reconstruct(simulate_tomography(rho, counts, seed))
     s_l = linear_entropy(rec)
     return s_l, tangle(rec), family, p, tangle_curve(family, s_l)
@@ -327,6 +328,8 @@ def _fig_tomo_point(p, family, counts, seed):
 
 def _fig_tomo(family, args):
     """Figures 8 (werner) and 11 (mems); the config is only recorded."""
+    import numpy as np
+
     config = _load_base_config(args)
     grid = np.linspace(0.05, 0.95, 13)
     rows = _grid_rows(_fig_tomo_point, grid, args.seed, family, args.counts_per_setting)
@@ -334,12 +337,18 @@ def _fig_tomo(family, args):
 
 
 def _fig12_point(p, duration, config, seed):
+    from .bell import chsh_from_counts
+    from .source import simulate_bell_test
+    from .states import werner
+
     table, plan = simulate_bell_test(werner(p), duration, config, seed)
     s, sigma = chsh_from_counts(table, plan)
     return p, abs(s), sigma
 
 
 def _fig12(args):
+    import numpy as np
+
     config = _bell_test_config(args)
     rows = _grid_rows(_fig12_point, np.linspace(0.05, 1.0, 20), args.seed, args.duration, config)
     return config, ["p", "abs_S", "sigma_S"], rows
@@ -356,6 +365,9 @@ def cmd_figure(args):
 
 
 def cmd_tomo_simulate(args):
+    from .states import save_density_matrix
+    from .tomography import simulate_tomography, tomo_data_to_csv
+
     rho = _build_state(args)
     data = simulate_tomography(rho, args.counts, args.seed)
     outputs = [(args.out, functools.partial(tomo_data_to_csv, data))]
@@ -365,6 +377,19 @@ def cmd_tomo_simulate(args):
 
 
 def cmd_tomo_reconstruct(args):
+    import numpy as np
+
+    from .bell import chsh_optimize
+    from .entanglement import linear_entropy, tangle
+    from .states import check_density_matrix, density_matrix_to_dict, load_density_matrix
+    from .tomography import (
+        design_condition_number,
+        fidelity,
+        linear_reconstruct,
+        ml_reconstruct,
+        tomo_data_from_csv,
+    )
+
     data = tomo_data_from_csv(args.data)
     if args.method == "linear":
         rho = linear_reconstruct(data)
@@ -393,13 +418,18 @@ def cmd_tomo_reconstruct(args):
     return None, *_report(report, args.out)
 
 
-def _plan_from_args(args) -> AnglePlan:
+def _plan_from_args(args):
+    from .bell import STANDARD_PLAN, AnglePlan
+
     if args.angles is None:
         return STANDARD_PLAN
     return AnglePlan(*(math.radians(a) for a in args.angles))
 
 
 def cmd_bell_simulate(args):
+    from .bell import counts_to_csv
+    from .source import simulate_bell_test
+
     config = _load_base_config(args)
     plan = _plan_from_args(args)
     table, _ = simulate_bell_test(_build_state(args), args.duration, config, args.seed, plan)
@@ -407,6 +437,8 @@ def cmd_bell_simulate(args):
 
 
 def cmd_bell_eval(args):
+    from .bell import chsh_from_counts, compile_plan, counts_from_csv
+
     table = counts_from_csv(args.counts)
     plan = _plan_from_args(args)
     for l1, l2 in compile_plan(plan).labels:
@@ -467,15 +499,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fid = _flag("--fidelity", type=finite_float, default=1.0, help="singlet fidelity in [1/4, 1]")
     a = _flag("--a", type=finite_float, default=0.5, help="eigenvector weight in [1/2, 1]")
-    for family, parents, partition in (
-        (WERNER, [weight, via], werner_partition),
-        (MEMS, [weight, via], mems_partition),
-        ("bell", [kind, phi], None),
-        ("singlet", [], None),
-        ("nonmax", [theta_p], None),
-        ("tuned", [fid, a], None),
+    for family, parents in (
+        ("werner", [weight, via]),
+        ("mems", [weight, via]),
+        ("bell", [kind, phi]),
+        ("singlet", []),
+        ("nonmax", [theta_p]),
+        ("tuned", [fid, a]),
     ):
-        families.add_parser(family, parents=[*parents, out]).set_defaults(partition=partition)
+        families.add_parser(family, parents=[*parents, out])
 
     p_src = sub.add_parser(
         "source",
@@ -494,7 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(func=cmd_figure)
     figures = p_fig.add_subparsers(dest="id", required=True, parser_class=parser_class)
     fig_flags = argparse.ArgumentParser(add_help=False)
-    fig_flags.add_argument("--seed", type=int, required=True, help="master seed (required)")
+    fig_flags.add_argument(
+        "--seed", type=nonnegative_int, required=True, help="master seed (required)"
+    )
     fig_flags.add_argument("--out-dir", default="figures", help="output directory")
     per_point = _flag("--duration", type=finite_float, default=1.0, help="seconds per grid point")
     per_run = _flag("--duration", type=finite_float, default=180.0, help="seconds per run")
@@ -504,8 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("2", _fig2, [config_flags, per_point]),
         ("3", _fig3, [config_flags, phi, noise]),
         ("4", _fig4, [config_flags, per_point]),
-        ("8", functools.partial(_fig_tomo, WERNER), [flux]),
-        ("11", functools.partial(_fig_tomo, MEMS), [flux]),
+        ("8", functools.partial(_fig_tomo, "werner"), [flux]),
+        ("11", functools.partial(_fig_tomo, "mems"), [flux]),
         ("12", _fig12, [config_flags, per_run]),
     ):
         figures.add_parser(fig_id, parents=[fig_flags, *parents]).set_defaults(figure=handler)
@@ -517,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--p", type=finite_float, help="singlet weight in [0, 1] (werner, mems; 1)")
     p_sim.add_argument("--state", help="density-matrix JSON (with --family file)")
     p_sim.add_argument("--counts", type=int, default=10000, help="mean counts per setting")
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--seed", type=nonnegative_int, required=True)
     p_sim.add_argument("--out", required=True, help="output counts CSV")
     p_sim.add_argument("--target-out", help="also write the true state as JSON")
     p_sim.set_defaults(func=cmd_tomo_simulate)
@@ -525,7 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--data", required=True, help="counts CSV from 'tomo simulate'")
     p_rec.add_argument("--method", choices=["ml", "linear"], default="ml")
     p_rec.add_argument(
-        "--seed", type=int, help="optional, recorded in the manifest; the ML solve is deterministic"
+        "--seed",
+        type=nonnegative_int,
+        help="optional, recorded in the manifest; the ML solve is deterministic",
     )
     p_rec.add_argument("--target", help="density-matrix JSON to compare against")
     p_rec.add_argument("--out", help="write the JSON report here")
@@ -547,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=180.0,
         help="total seconds, split over the 16 settings",
     )
-    p_bsim.add_argument("--seed", type=int, required=True)
+    p_bsim.add_argument("--seed", type=nonnegative_int, required=True)
     p_bsim.add_argument("--out", required=True)
     p_bsim.set_defaults(func=cmd_bell_simulate)
     p_beval = bell_sub.add_parser(

@@ -223,7 +223,10 @@ def nonmax_state(theta_p: float) -> np.ndarray:
     theta_p is in radians and must lie in [0, pi/4].
     """
     if not 0.0 <= theta_p <= math.pi / 4 + 1e-15:
-        raise ValueError(f"theta_p must be in [0, pi/4], got {theta_p}")
+        raise ValueError(
+            f"theta_p must be in [0, pi/4] rad (0 to 45 deg), "
+            f"got {theta_p:.5g} rad ({math.degrees(theta_p):.5g} deg)"
+        )
     gamma = math.cos(2 * theta_p) ** 2
     norm = math.sqrt(1 + gamma**2)
     return np.array([gamma / norm, 0, 0, 1 / norm], dtype=complex)

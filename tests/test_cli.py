@@ -72,6 +72,12 @@ def test_state_domain_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_theta_p_error_names_degrees(capsys):
+    assert run_cli("state", "nonmax", "--theta-p", "90") == 1
+    err = capsys.readouterr().err
+    assert "theta_p must be in [0, pi/4] rad (0 to 45 deg), got 1.5708 rad (90 deg)" in err
+
+
 def test_unknown_family_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("state", "ghz")
@@ -219,6 +225,15 @@ def test_state_has_no_seed_flag():
     assert exc.value.code == 2
 
 
+NEGATIVE_SEEDS = [
+    ("bell", "simulate", "--family", "singlet", "--seed", "-1", "--out", "x.csv"),
+    ("tomo", "simulate", "--family", "singlet", "--seed", "-1", "--out", "x.csv"),
+    ("figure", "8", "--seed", "-1"),
+    ("figure", "12", "--seed", "-1"),
+    ("tomo", "reconstruct", "--data", "in.csv", "--seed", "-7"),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -229,6 +244,7 @@ def test_state_has_no_seed_flag():
         ("state", "singlet", "--via", "patchwork"),
         ("state", "nonmax", "--via", "patchwork"),
         ("state", "tuned", "--via", "patchwork"),
+        *NEGATIVE_SEEDS,
     ],
 )
 def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
@@ -237,6 +253,15 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
         run_cli(*argv)
     assert exc.value.code == 2
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SEEDS, ids=" ".join)
+def test_negative_seed_names_the_flag(argv, capsys):
+    with pytest.raises(SystemExit):
+        run_cli(*argv)
+    seed = argv[argv.index("--seed") + 1]
+    err = capsys.readouterr().err
+    assert f"argument --seed: expected a non-negative integer, got '{seed}'" in err
 
 
 @pytest.mark.parametrize("family", ["singlet", "file"])
@@ -808,7 +833,9 @@ def test_commands_leave_printing_and_writing_to_the_output_step():
         while todo:
             for node in ast.walk(functions[todo.pop()]):
                 called = _called(node) if isinstance(node, ast.Call) else None
-                if called in writers or str(called).startswith("csvfile.write"):
+                # a writer called by its name or through its module (bell.counts_to_csv)
+                writes = str(called).rpartition(".")[2] in writers
+                if writes or str(called).startswith("csvfile.write"):
                     found.append(f"{name}: {called}")
                 elif called in functions and called not in seen:
                     seen.add(called)
@@ -866,7 +893,31 @@ def test_console_script_installed():
     assert "ering" in out.stdout
 
 
-def test_import_loads_no_scipy():
+def _imported(*args) -> set[str]:
+    """Modules a fresh interpreter imports, read from its ``-X importtime`` report."""
+    out = run_python("-X", "importtime", *args)
+    lines = [line for line in out.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+def test_import_loads_no_scipy(tmp_path):
+    """``import ering`` loads no numpy, and each command only the modules it runs."""
     code = "import ering, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
+    root = _imported("-c", "import ering")
+    assert "ering" in root
+    assert not [m for m in root if m.startswith(("numpy", "scipy", "ering."))]
+    for argv in (["--version"], ["state", "werner", "--bogus"]):
+        modules = _imported("-m", "ering", *argv)
+        assert "ering.cli" in modules and "numpy" not in modules
+    counts = tmp_path / "counts.csv"
+    simulate = ["bell", "simulate", "--family", "singlet", "--seed", "5", "--out", str(counts)]
+    assert run_cli(*simulate) == 0
+    bell_eval = _imported("-m", "ering", "bell", "eval", "--counts", str(counts))
+    assert "ering.bell" in bell_eval
+    assert not bell_eval & {"ering.tomography", "ering.source", "ering.entanglement"}
+    tomo = _imported("-m", "ering", "tomo", "simulate", "--family", "singlet", "--seed", "1",
+                     "--out", str(tmp_path / "tomo.csv"))
+    assert "ering.tomography" in tomo
+    assert not tomo & {"ering.source", "ering.bell"}
