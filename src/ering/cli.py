@@ -19,7 +19,9 @@ written before stdout.
 
 Each command imports the numerical modules it runs, and only those; the
 parser imports none, so ``--version``, ``--help`` and every usage error
-finish without loading numpy.
+finish without loading numpy, and so do ``bell eval``, ``source`` and a
+noise-free ``figure 3``, which run only the numpy-free ``ering.counts``
+and ``ering.optics``.
 
 Every ``--family`` value of every subcommand is built by the one registry
 ``STATES``; ``state werner|mems --via patchwork`` builds from sector
@@ -57,7 +59,7 @@ def _config_path(args) -> str | None:
 
 
 def _load_base_config(args):
-    from .source import SourceConfig, config_with_overrides, load_config
+    from .optics import SourceConfig, config_with_overrides, load_config
 
     path = _config_path(args)
     config = load_config(path) if path else SourceConfig()
@@ -114,8 +116,8 @@ def _finish(args, t0: float, config, text: str, outputs: list) -> None:
     for path, (_, write) in zip(paths, outputs):
         write(path)
     if paths:
-        if config is not None:  # only a command that has already loaded ering.source
-            from .source import config_to_dict
+        if config is not None:  # only a command that has already loaded ering.optics
+            from .optics import config_to_dict
 
             config = config_to_dict(config)
         manifest = {
@@ -179,8 +181,7 @@ def _build_state(args):
 def cmd_state(args):
     from .bell import chsh_optimize
     from .entanglement import classify, is_separable_ppt, linear_entropy, tangle
-    from .states import check_density_matrix, density_matrix_to_dict, projector, singlet
-    from .tomography import fidelity
+    from .states import check_density_matrix, density_matrix_to_dict, fidelity, projector, singlet
 
     rho = check_density_matrix(_build_state(args))
     separable, negativity = is_separable_ppt(rho)
@@ -202,7 +203,7 @@ def cmd_state(args):
 
 
 def cmd_source(args):
-    from .source import (
+    from .optics import (
         coherence_time_from_bandwidth,
         config_to_dict,
         detected_pair_rate,
@@ -238,7 +239,7 @@ def cmd_source(args):
 
 def _bell_test_config(args):
     """Config of figures 2, 4 and 12 (measured visibility 0.94 unless given); checks --duration."""
-    from .source import config_with_overrides
+    from .optics import config_with_overrides
 
     config = _load_base_config(args)
     if args.duration <= 0:
@@ -268,21 +269,23 @@ def _fig2(args):
 
 
 def _fig3(args):
-    import numpy as np
-
-    from .source import ou_mandel_scan
+    """The Ou-Mandel scan; numpy is loaded only for shot noise."""
+    from .optics import ou_mandel_scan
 
     config = _load_base_config(args)
     if args.counts_per_point < 0:
         raise ValueError("--counts-per-point must be nonnegative")
-    curve = ou_mandel_scan(args.phi, np.linspace(-100e-6, 100e-6, 101), config)
-    rows = []
-    rng = np.random.default_rng(args.seed)
-    for x, c in curve:
-        if args.counts_per_point > 0:
-            c = rng.poisson(args.counts_per_point * c) / args.counts_per_point
-        rows.append((x * 1e6, c))
-    return config, ["x_um", "normalized_coincidence"], rows
+    # 101 points from -100 um to 100 um, rounded as np.linspace rounds them
+    start, stop = -100e-6, 100e-6
+    step = (stop - start) / 100
+    curve = ou_mandel_scan(args.phi, [start + i * step for i in range(100)] + [stop], config)
+    if args.counts_per_point > 0:
+        from .sampling import poisson
+
+        means = [args.counts_per_point * c for _, c in curve]
+        noisy = poisson(means, args.seed, "--counts-per-point") / args.counts_per_point
+        curve = [(x, c) for (x, _), c in zip(curve, noisy.tolist())]
+    return config, ["x_um", "normalized_coincidence"], [(x * 1e6, c) for x, c in curve]
 
 
 def _fig4_point(r, duration, config, seed):
@@ -419,7 +422,7 @@ def cmd_tomo_reconstruct(args):
 
 
 def _plan_from_args(args):
-    from .bell import STANDARD_PLAN, AnglePlan
+    from .counts import STANDARD_PLAN, AnglePlan
 
     if args.angles is None:
         return STANDARD_PLAN
@@ -437,11 +440,11 @@ def cmd_bell_simulate(args):
 
 
 def cmd_bell_eval(args):
-    from .bell import chsh_from_counts, compile_plan, counts_from_csv
+    from .counts import chsh_from_counts, counts_from_csv
 
     table = counts_from_csv(args.counts)
     plan = _plan_from_args(args)
-    for l1, l2 in compile_plan(plan).labels:
+    for l1, l2 in plan.labels:
         if (l1, l2) not in table.entries:
             raise InputFormatError(
                 f"{args.counts}: no row for the joint setting theta1 = {l1} deg, theta2 = {l2} deg"

@@ -46,8 +46,9 @@ def write_text(path, text: str) -> None:
 
 
 def read_json(path, parse):
-    """``parse`` of a UTF-8 JSON file; bad JSON or text or a parse error names the path."""
-    with open(path, encoding="utf-8") as fh:
+    """``parse`` of a UTF-8 JSON file, byte-order mark or not; bad JSON or text or a parse
+    error names the path."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return parse(json.load(fh))
         except json.JSONDecodeError as exc:
@@ -68,10 +69,10 @@ def read(
     those keys must be exactly ``# key value``, at most once per key; other
     comment lines are skipped.  A value in the file must be finite and
     positive, or equal its default (0 stands for unknown).  The file must be
-    UTF-8 text.
+    UTF-8 text; a leading byte-order mark is skipped.
     """
     values = dict(comments)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:

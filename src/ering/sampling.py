@@ -1,10 +1,24 @@
-"""Seeded random two-qubit states for property tests and the oracle suite."""
+"""Seeded random two-qubit states for property tests and the oracle suite,
+and the one checked Poisson draw of every count simulator."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .states import repair_density_matrix
+
+#: The largest Poisson mean numpy's generator accepts (its POISSON_LAM_MAX).
+POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+
+
+def poisson(means, seed: int, lower: str) -> np.ndarray:
+    """``default_rng(seed).poisson(means)``; a mean above the limit is a ValueError naming ``lower``."""
+    means = np.asarray(means, dtype=float)
+    largest = float(means.max(initial=0.0))
+    if largest > POISSON_MEAN_MAX:
+        limit = f"the Poisson limit {POISSON_MEAN_MAX:.6g}"
+        raise ValueError(f"largest mean count {largest:.6g} is above {limit}; lower {lower}")
+    return np.random.default_rng(seed).poisson(means)
 
 
 def random_pure_state(rng: np.random.Generator) -> np.ndarray:

@@ -154,6 +154,21 @@ def _check_entries(data: bytes) -> Analysis:
     return Analysis(rho, _read_only(eigs), _read_only(vecs))
 
 
+def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2, in [0, 1].
+
+    sqrt(rho1) is read from rho1's analysis record
+    (``Analysis.square_root``), so a state that was already checked
+    is not decomposed again.
+    """
+    sq = analyse(rho1).square_root
+    rho2 = check_density_matrix(rho2)
+    inner = sq @ rho2 @ sq
+    eigs = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
+    value = float(np.sum(np.sqrt(eigs)) ** 2)
+    return min(1.0, max(0.0, value))
+
+
 def repair_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Clip tiny negative eigenvalues to zero and renormalize the trace.
 

@@ -50,7 +50,9 @@ import numpy as np
 
 from . import csvfile
 from .errors import ConvergenceError, InputFormatError
-from .states import PAULI_PAIRS, analyse, check_density_matrix, repair_density_matrix
+from .sampling import poisson
+# fidelity lives in states, next to the square root it reads; it is re-exported here
+from .states import PAULI_PAIRS, check_density_matrix, fidelity, repair_density_matrix
 
 _KETS = {
     "H": np.array([1, 0], dtype=complex),
@@ -241,7 +243,7 @@ def simulate_tomography(
     a per-setting count level N by passing 4 N here.
     """
     means = exact_tomography_counts(rho, counts_per_setting, settings)
-    counts = np.random.default_rng(seed).poisson(means.counts)
+    counts = poisson(means.counts, seed, "counts_per_setting")
     return TomoData(means.settings, counts, means.total_flux_estimate)
 
 
@@ -419,21 +421,6 @@ def ml_reconstruct(data: TomoData, seed: int = 0) -> np.ndarray:
         raise ConvergenceError("no rank of the likelihood optimum passed the KKT certificate")
     rho = (m + m.conj().T) / 2
     return rho / np.trace(rho).real
-
-
-def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2, in [0, 1].
-
-    sqrt(rho1) is read from rho1's analysis record
-    (``states.Analysis.square_root``), so a state that was already checked
-    is not decomposed again.
-    """
-    sq = analyse(rho1).square_root
-    rho2 = check_density_matrix(rho2)
-    inner = sq @ rho2 @ sq
-    eigs = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    value = float(np.sum(np.sqrt(eigs)) ** 2)
-    return min(1.0, max(0.0, value))
 
 
 _TOMO_HEADER = ["setting_index", "proj1", "proj2", "counts"]

@@ -754,3 +754,19 @@ def test_counts_csv_never_accepts_non_finite(counts, bad_row, value):
         path.write_text("# duration_s 1\ntheta1_deg,theta2_deg,counts\n" + "\n".join(rows) + "\n")
         with pytest.raises(InputFormatError, match=f"counts.csv:{k + 3}: non-finite"):
             counts_from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "plan", [STANDARD_PLAN, AnglePlan(0.1, 0.9, 0.3, 1.2), AnglePlan(0.0, 0.0, 0.0, 0.0)]
+)
+def test_plan_labels_are_the_compiled_labels(plan):
+    assert plan.labels == compile_plan(plan).labels
+
+
+def test_bell_re_exports_the_counts_layer():
+    from ering import bell, counts
+
+    for name in ("angle_label", "AnglePlan", "STANDARD_PLAN", "CountsTable", "counts_to_csv",
+                 "counts_from_csv", "correlation_from_counts", "chsh_from_counts"):
+        assert getattr(bell, name) is getattr(counts, name)
+    assert STANDARD_PLAN.bloch_settings().a1p == bell.BlochSetting(math.pi / 2, 0.0)

@@ -104,6 +104,40 @@ def test_figure3_deterministic(tmp_path, capsys):
     assert "config" in manifest and "wall_clock_s" in manifest
 
 
+def test_figure3_grid_is_the_linspace_grid(tmp_path, capsys, monkeypatch):
+    """Figure 3 scans np.linspace(-100e-6, 100e-6, 101) bit for bit, without numpy."""
+    from ering import optics
+
+    grids = []
+    scan = optics.ou_mandel_scan
+    monkeypatch.setattr(optics, "ou_mandel_scan", lambda phi, x, c: grids.append(x) or scan(phi, x, c))
+    assert run_cli("figure", "3", "--seed", "1", "--out-dir", str(tmp_path)) == 0
+    capsys.readouterr()
+    (grid,) = grids
+    assert all(type(x) is float for x in grid)
+    assert np.array(grid).tobytes() == np.linspace(-100e-6, 100e-6, 101).tobytes()
+
+
+@pytest.mark.parametrize(
+    "argv, lower",
+    [
+        (("bell", "simulate", "--family", "singlet", "--duration", "1e300", "--out", "x.csv"),
+         "the duration"),
+        (("figure", "2", "--duration", "1e300"), "the duration"),
+        (("tomo", "simulate", "--family", "singlet", "--counts", "100000000000000000000",
+          "--out", "t.csv"), "counts_per_setting"),
+        (("figure", "8", "--counts-per-setting", "100000000000000000000"), "counts_per_setting"),
+        (("figure", "3", "--counts-per-point", "100000000000000000000"), "--counts-per-point"),
+    ],
+)
+def test_poisson_limit_is_named(argv, lower, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--seed", "1") == 1
+    err = capsys.readouterr().err
+    assert re.search(r"largest mean count [0-9.e+]+ is above the Poisson limit 9\.22337e\+18", err)
+    assert f"; lower {lower}" in err
+
+
 def test_manifest_records_main_argv(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["x", "--unrelated", "x"])
     argv = ["figure", "3", "--seed", "1", "--out-dir", str(tmp_path)]
@@ -893,9 +927,10 @@ def test_console_script_installed():
     assert "ering" in out.stdout
 
 
-def _imported(*args) -> set[str]:
+def _imported(*args, returncode: int = 0) -> set[str]:
     """Modules a fresh interpreter imports, read from its ``-X importtime`` report."""
     out = run_python("-X", "importtime", *args)
+    assert out.returncode == returncode, out.stderr[-2000:]
     lines = [line for line in out.stderr.splitlines() if line.startswith("import time:")]
     return {line.rsplit("|", 1)[1].strip() for line in lines}
 
@@ -908,16 +943,40 @@ def test_import_loads_no_scipy(tmp_path):
     root = _imported("-c", "import ering")
     assert "ering" in root
     assert not [m for m in root if m.startswith(("numpy", "scipy", "ering."))]
-    for argv in (["--version"], ["state", "werner", "--bogus"]):
-        modules = _imported("-m", "ering", *argv)
+    for argv, returncode in ((["--version"], 0), (["state", "werner", "--bogus"], 2)):
+        modules = _imported("-m", "ering", *argv, returncode=returncode)
         assert "ering.cli" in modules and "numpy" not in modules
     counts = tmp_path / "counts.csv"
     simulate = ["bell", "simulate", "--family", "singlet", "--seed", "5", "--out", str(counts)]
     assert run_cli(*simulate) == 0
     bell_eval = _imported("-m", "ering", "bell", "eval", "--counts", str(counts))
-    assert "ering.bell" in bell_eval
+    assert "ering.counts" in bell_eval
     assert not bell_eval & {"ering.tomography", "ering.source", "ering.entanglement"}
     tomo = _imported("-m", "ering", "tomo", "simulate", "--family", "singlet", "--seed", "1",
                      "--out", str(tmp_path / "tomo.csv"))
     assert "ering.tomography" in tomo
     assert not tomo & {"ering.source", "ering.bell"}
+
+
+def test_numpy_free_commands_import_no_numpy(tmp_path):
+    """``bell eval``, ``source`` and a noise-free ``figure 3`` load no numpy; ``state`` no tomography."""
+    code = "import sys, ering.counts, ering.optics; assert 'numpy' not in sys.modules"
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    counts = tmp_path / "counts.csv"
+    simulate = ["bell", "simulate", "--family", "singlet", "--seed", "5", "--out", str(counts)]
+    assert run_cli(*simulate) == 0
+    figures = str(tmp_path / "figures")
+    for argv in (
+        ["bell", "eval", "--counts", str(counts)],
+        ["source", "--displacement-um", "60"],
+        ["figure", "3", "--seed", "1", "--out-dir", figures],
+    ):
+        modules = _imported("-m", "ering", *argv)
+        assert "ering.cli" in modules
+        assert not [m for m in modules if m.split(".")[0] == "numpy"], argv
+    noisy = _imported("-m", "ering", "figure", "3", "--seed", "1", "--counts-per-point", "500",
+                      "--out-dir", figures)
+    assert "numpy" in noisy
+    state = _imported("-m", "ering", "state", "werner")
+    assert "ering.states" in state and "ering.tomography" not in state

@@ -259,3 +259,44 @@ def test_every_file_is_written_by_the_one_writer():
                 if what:
                     found.append(f"{path.name}:{node.lineno}: {what}")
     assert found == []
+
+
+_BOM = "﻿".encode("utf-8")
+
+
+def _with_prefix(path: Path, prefix: bytes) -> Path:
+    path.write_bytes(prefix + path.read_bytes())
+    return path
+
+
+@pytest.mark.parametrize("prefix", [b"", _BOM], ids=["plain", "bom"])
+def test_every_reader_takes_a_leading_byte_order_mark(prefix, tmp_path):
+    from ering.optics import SourceConfig, config_to_dict, load_config
+    from ering.states import load_density_matrix
+
+    table = CountsTable(duration=2.5)
+    for k, (t1, t2) in enumerate(STANDARD_PLAN.settings):
+        table.set(t1, t2, 100 + k)
+    counts_to_csv(table, tmp_path / "counts.csv")
+    back = counts_from_csv(_with_prefix(tmp_path / "counts.csv", prefix))
+    assert (back.entries, back.duration) == (table.entries, table.duration)
+
+    data = TomoData([TomoSetting("H", "V"), TomoSetting("D", "R")], np.array([12.0, 7.0]), 40.0)
+    tomo_data_to_csv(data, tmp_path / "tomo.csv")
+    back = tomo_data_from_csv(_with_prefix(tmp_path / "tomo.csv", prefix))
+    assert back.settings == data.settings and back.counts.tolist() == [12.0, 7.0]
+
+    config = SourceConfig(cone_aperture=0.03)
+    (tmp_path / "config.json").write_text(json.dumps(config_to_dict(config)))
+    assert load_config(_with_prefix(tmp_path / "config.json", prefix)) == config
+
+    rho = werner(0.6)
+    save_density_matrix(rho, tmp_path / "rho.json")
+    assert (load_density_matrix(_with_prefix(tmp_path / "rho.json", prefix)) == rho).all()
+
+
+def test_a_byte_order_mark_after_the_start_is_refused(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_bytes(b"# duration_s 1\n" + _BOM + b"theta1_deg,theta2_deg,counts\n0,0,5\n")
+    with pytest.raises(InputFormatError, match="expected header"):
+        counts_from_csv(path)

@@ -530,6 +530,26 @@ def test_simulate_coincidences_rejects_repeated_setting():
         simulate_coincidences(rho, [(0.1, 0.2), (0.3, 0.4), (0.1, 0.2)], 1.0, SourceConfig(), 1)
 
 
+def test_poisson_limit_is_named_before_the_draw():
+    from ering.sampling import POISSON_MEAN_MAX, poisson
+
+    rho = projector(singlet())
+    with pytest.raises(ValueError, match=r"largest mean count \S+ is above .*; lower the duration"):
+        simulate_coincidences(rho, STANDARD_PLAN, 1e300, CFG, 1)
+    # the limit itself is numpy's: it draws, and the next float up is refused
+    assert poisson([POISSON_MEAN_MAX], 1, "x").shape == (1,)
+    with pytest.raises(ValueError, match="lower x$"):
+        poisson([math.nextafter(POISSON_MEAN_MAX, math.inf)], 1, "x")
+    assert poisson([], 1, "x").shape == (0,)
+
+
+def test_in_range_draws_are_the_plain_generator_draws():
+    means = expected_coincidences(werner(0.7), STANDARD_PLAN, 30.0, CFG)
+    counts = simulate_coincidences(werner(0.7), STANDARD_PLAN, 30.0, CFG, 9)
+    plain = np.random.default_rng(9).poisson(list(means.entries.values()))
+    assert list(counts.entries.values()) == plain.tolist()
+
+
 def test_noiseless_null_settings_count_zero():
     # rates that vanish exactly can round below zero; they must count 0, not raise
     grid = np.linspace(0.0, 3.0, 50)

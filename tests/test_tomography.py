@@ -557,3 +557,12 @@ def test_tomo_csv_never_accepts_non_finite(counts, bad_row, value):
         path.write_text("setting_index,proj1,proj2,counts\n" + "\n".join(rows) + "\n")
         with pytest.raises(InputFormatError, match=f"tomo.csv:{k + 2}: non-finite"):
             tomo_data_from_csv(path)
+
+
+def test_poisson_limit_names_counts_per_setting():
+    with pytest.raises(ValueError, match=r"above the Poisson limit .*; lower counts_per_setting$"):
+        simulate_tomography(werner(0.5), 10**20, 1)
+
+
+def test_fidelity_lives_with_the_analysis_record():
+    assert tomography.fidelity is states.fidelity
