@@ -26,8 +26,8 @@ Counts-based runs use linear polarizers.  The measured-counts layer
 (``AnglePlan``, ``CountsTable``, the counts CSV and ``chsh_from_counts``)
 lives in the numpy-free ``ering.counts``; this module re-exports it.  A
 plan compiles once (``compile_plan``) into its setting labels and one
-read-only matrix of analyzer rows, so the joint and marginal detection
-probabilities of all its settings are one matvec with rho, which
+read-only matrix of rows against the Pauli vector of rho, so the joint and
+marginal detection probabilities of all its settings are one matvec, which
 ``source.expected_coincidences`` turns into the mean counts of a run.
 """
 
@@ -43,7 +43,7 @@ from .counts import (  # re-exported: the counts layer is part of this module's 
     STANDARD_PLAN, AnglePlan, CountsTable, angle_label, chsh_from_counts,
     correlation_from_counts, counts_from_csv, counts_to_csv,
 )
-from .states import analyse
+from .states import analyse, pauli_vector
 
 TSIRELSON_BOUND = 2 * math.sqrt(2)
 
@@ -107,12 +107,9 @@ def correlation(rho: np.ndarray, s1: BlochSetting, s2: BlochSetting) -> float:
 
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
-    """The read-only 3x3 real matrix t_ij = Tr(rho sigma_i x sigma_j) of a state.
+    """The read-only 3x3 matrix t_ij = Tr(rho sigma_i x sigma_j): the xyz block of its Pauli vector.
 
-    Each trace is summed over the diagonal of rho sigma_i x sigma_j in row
-    order, the same rounding as ``np.trace`` of the matrix product.  ``rho``
-    is validated first: a matrix that is not a density matrix raises
-    ValueError.
+    ``rho`` is validated first: a matrix that is not a density matrix raises ValueError.
     """
     return analyse(rho).correlation_matrix
 
@@ -202,46 +199,14 @@ def _setting_from_vector(x: float, y: float, z: float) -> BlochSetting:
 # ---------------------------------------------------------------------------
 
 
-def polarizer_kets(theta) -> np.ndarray:
-    """Linear polarization kets (cos theta, sin theta), shape ``theta.shape + (2,)``."""
-    return np.stack((np.cos(theta), np.sin(theta)), axis=-1)
-
-
-#: delta_bd and delta_ac over the axes (a, b, c, d) of ``rho.reshape(2, 2, 2, 2)``
-_TRACE_ARM2 = np.eye(2)[:, None, :]
-_TRACE_ARM1 = np.eye(2)[:, None, :, None]
-
-
-def _analyzer_rows(theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
-    """Rows ``(3, S, 16)`` against ``rho.reshape(2, 2, 2, 2)`` raveled, for S angle pairs.
-
-    With kets k1, k2 of the two analyzers, row 0 is k1 x k2 x k1 x k2 (the
-    joint probability Tr(rho P1 x P2)), row 1 is k1 x delta x k1 (the arm-1
-    marginal, arm 2 traced out) and row 2 is delta x k2 x delta x k2 (the
-    arm-2 marginal).
-    """
-    k1, k2 = polarizer_kets(theta1), polarizer_kets(theta2)
-    a = k1[:, :, None, None, None]
-    b = k2[:, None, :, None, None]
-    c = k1[:, None, None, :, None]
-    d = k2[:, None, None, None, :]
-    joint, arm1, arm2 = np.broadcast_arrays(a * b * c * d, a * c * _TRACE_ARM2, _TRACE_ARM1 * b * d)
-    return np.stack((joint, arm1, arm2)).reshape(3, len(k1), 16)
-
-
-def _real_vector(rho: np.ndarray) -> np.ndarray:
-    # the analyzer rows are real, and the imaginary part of a Hermitian rho cancels
-    return np.asarray(rho, dtype=complex).real.ravel()
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledPlan:
-    """Distinct joint settings compiled once into labels and analyzer rows.
+    """Distinct joint settings compiled once into labels and measurement rows.
 
     ``labels`` are the canonical (theta1, theta2) degree labels in plan
     order; ``rows`` is the read-only ``(3 S, 16)`` stack of the S joint
-    rows, then the S arm-1 and the S arm-2 marginal rows (see
-    ``_analyzer_rows``).
+    rows, then the S arm-1 and the S arm-2 marginal rows: ``pauli_vector(E) / 4``
+    of E = P1 x P2, P1 x I and I x P2 for the polarizer projectors P1, P2.
     """
 
     labels: tuple[tuple[str, str], ...]
@@ -249,7 +214,7 @@ class CompiledPlan:
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         """``(3, S)`` joint, arm-1 and arm-2 detection probabilities from one matvec."""
-        return (self.rows @ _real_vector(rho)).reshape(3, -1)
+        return (self.rows @ pauli_vector(rho)).reshape(3, -1)
 
 
 #: Distinct settings tuples ``compile_plan`` remembers; figure 2 runs 37 one-setting plans.
@@ -274,7 +239,11 @@ def _compile(settings: tuple[tuple[float, float], ...]) -> CompiledPlan:
     labels = tuple((angle_label(t1), angle_label(t2)) for t1, t2 in settings)
     if len(set(labels)) != len(labels):
         raise ValueError("plan repeats a joint setting")
-    theta1, theta2 = np.array(settings, dtype=float).reshape(-1, 2).T
-    rows = _analyzer_rows(theta1, theta2).reshape(-1, 16)
+    theta = np.array(settings, dtype=float).reshape(-1, 2)
+    kets = np.stack((np.cos(theta), np.sin(theta)), axis=-1)  # (S, arm, 2)
+    p1, p2 = np.moveaxis(kets[..., :, None] * kets[..., None, :], 1, 0)  # (S, 2, 2) per arm
+    eye = np.broadcast_to(np.eye(2), p1.shape)
+    ops = np.einsum("...ab,...cd->...acbd", np.stack((p1, p1, eye)), np.stack((p2, eye, p2)))
+    rows = pauli_vector(ops.reshape(-1, 4, 4)) / 4
     rows.setflags(write=False)
     return CompiledPlan(labels, rows)

@@ -49,7 +49,7 @@ import time
 from pathlib import Path
 
 from . import __version__, csvfile
-from .errors import ConvergenceError, InputFormatError
+from .errors import ConvergenceError, InputFormatError, PoissonLimitError
 
 CONFIG_ENV_VAR = "ERING_CONFIG"
 
@@ -537,15 +537,16 @@ def build_parser() -> argparse.ArgumentParser:
     per_run = _flag("--duration", type=finite_float, default=180.0, help="seconds per run")
     noise = _flag("--counts-per-point", type=int, default=0, help="shot-noise count level (0: off)")
     flux = _flag("--counts-per-setting", type=int, default=40000, help="pair flux per setting")
-    for fig_id, handler, parents in (
-        ("2", _fig2, [config_flags, per_point]),
-        ("3", _fig3, [config_flags, phi, noise]),
-        ("4", _fig4, [config_flags, per_point]),
-        ("8", functools.partial(_fig_tomo, "werner"), [flux]),
-        ("11", functools.partial(_fig_tomo, "mems"), [flux]),
-        ("12", _fig12, [config_flags, per_run]),
+    for fig_id, handler, parents, means in (
+        ("2", _fig2, [config_flags, per_point], "--duration or --set pair_rate="),
+        ("3", _fig3, [config_flags, phi, noise], "--counts-per-point"),
+        ("4", _fig4, [config_flags, per_point], "--duration or --set pair_rate="),
+        ("8", functools.partial(_fig_tomo, "werner"), [flux], "--counts-per-setting"),
+        ("11", functools.partial(_fig_tomo, "mems"), [flux], "--counts-per-setting"),
+        ("12", _fig12, [config_flags, per_run], "--duration or --set pair_rate="),
     ):
-        figures.add_parser(fig_id, parents=[fig_flags, *parents]).set_defaults(figure=handler)
+        figure = figures.add_parser(fig_id, parents=[fig_flags, *parents])
+        figure.set_defaults(figure=handler, means_flag=means)
 
     p_tomo = sub.add_parser("tomo", help="simulate or reconstruct tomography data")
     tomo_sub = p_tomo.add_subparsers(dest="tomo_command", required=True, parser_class=parser_class)
@@ -557,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=nonnegative_int, required=True)
     p_sim.add_argument("--out", required=True, help="output counts CSV")
     p_sim.add_argument("--target-out", help="also write the true state as JSON")
-    p_sim.set_defaults(func=cmd_tomo_simulate)
+    p_sim.set_defaults(func=cmd_tomo_simulate, means_flag="--counts")
     p_rec = tomo_sub.add_parser("reconstruct", help="reconstruct a state from counts")
     p_rec.add_argument("--data", required=True, help="counts CSV from 'tomo simulate'")
     p_rec.add_argument("--method", choices=["ml", "linear"], default="ml")
@@ -588,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bsim.add_argument("--seed", type=nonnegative_int, required=True)
     p_bsim.add_argument("--out", required=True)
-    p_bsim.set_defaults(func=cmd_bell_simulate)
+    p_bsim.set_defaults(func=cmd_bell_simulate, means_flag="--duration or --set pair_rate=")
     p_beval = bell_sub.add_parser(
         "eval", parents=[angle_flags], help="CHSH parameter and Poisson error from counts"
     )
@@ -621,6 +622,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
+        if isinstance(exc, PoissonLimitError):  # name the flag that sets the mean counts
+            exc.args = (exc.args[0], args.means_flag)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,3 +7,10 @@ class InputFormatError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative optimizer failed to converge within its restart budget."""
+
+
+class PoissonLimitError(ValueError):
+    """A mean count above numpy's Poisson limit; ``args`` are the finding and the input to lower."""
+
+    def __str__(self) -> str:
+        return "{}; lower {}".format(*self.args)

@@ -217,9 +217,11 @@ def phase_from_displacement(delta_d: float, config: SourceConfig) -> PhaseGeomet
     Valid for |delta_d| << R; raises for |delta_d| >= R/10.  The pump
     leg is OA' = R + delta_d; OB' uses the law of cosines in the
     triangle (crystal, mirror center, hit point); B'C comes from the
-    explicit ray trace.  phi is returned signed and unwrapped so that it
-    is odd and monotone in delta_d near the origin (|phi| reaches pi
-    near 70 um at the default geometry).
+    explicit ray trace.  The three are near R and differ by about
+    delta_d alpha^2, so phi is summed from small terms instead, with the
+    incidence gamma on the mirror (docs/phase_geometry.md).  phi is signed
+    and unwrapped so that it is odd and monotone in delta_d near the origin
+    (|phi| reaches pi near 70 um at the default geometry).
     """
     r = config.mirror_radius
     if not abs(delta_d) < r / 10:  # NaN fails too
@@ -228,7 +230,14 @@ def phase_from_displacement(delta_d: float, config: SourceConfig) -> PhaseGeomet
     oa_prime = r + delta_d
     ob_prime = math.sqrt(delta_d**2 + r**2 + 2 * r * delta_d * math.cos(alpha))
     _, b_prime_c, lateral = _trace_reflected_ray(delta_d, r, alpha)
-    phi = 4 * math.pi / config.wavelength * (2 * oa_prime - (ob_prime + b_prime_c))
+    half, gamma = alpha / 2, math.asin(delta_d * math.sin(alpha) / r)
+    ray = (  # OA' - B'C, its cosine differences written as products of sines
+        2 * delta_d * math.cos(alpha) * math.sin(half + gamma) * math.sin(half - gamma)
+        - 2 * r * math.cos(alpha) * math.sin(1.5 * gamma) * math.sin(gamma / 2)
+        - oa_prime * math.sin(alpha) * math.sin(2 * gamma)
+    ) / math.cos(alpha + 2 * gamma)
+    pump = 4 * r * delta_d * math.sin(half) ** 2 / (oa_prime + ob_prime)  # OA' - OB'
+    phi = 4 * math.pi / config.wavelength * (pump + ray)
     return PhaseGeometry(delta_d, oa_prime, ob_prime, b_prime_c, lateral, phi)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import PoissonLimitError
 from .states import repair_density_matrix
 
 #: The largest Poisson mean numpy's generator accepts (its POISSON_LAM_MAX).
@@ -12,12 +13,12 @@ POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
 def poisson(means, seed: int, lower: str) -> np.ndarray:
-    """``default_rng(seed).poisson(means)``; a mean above the limit is a ValueError naming ``lower``."""
+    """``default_rng(seed).poisson(means)``; a mean above the limit is a PoissonLimitError."""
     means = np.asarray(means, dtype=float)
     largest = float(means.max(initial=0.0))
     if largest > POISSON_MEAN_MAX:
         limit = f"the Poisson limit {POISSON_MEAN_MAX:.6g}"
-        raise ValueError(f"largest mean count {largest:.6g} is above {limit}; lower {lower}")
+        raise PoissonLimitError(f"largest mean count {largest:.6g} is above {limit}", lower)
     return np.random.default_rng(seed).poisson(means)
 
 

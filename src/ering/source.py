@@ -27,10 +27,10 @@ mirror-displacement phase control among them, live in the numpy-free
 ``ering.optics``; this module re-exports them.
 
 Coincidence counting is batched: a plan compiles once (``compile_plan``)
-into its labels and one matrix of analyzer rows, so the joint and
-partial-trace marginal probabilities of all its joint settings come from
-one matvec with rho.  ``expected_coincidences`` turns them into the
-noise-free mean counts of the plan, and ``simulate_coincidences`` draws
+into its labels and one matrix of rows against the Pauli vector of rho, so
+the joint and partial-trace marginal probabilities of all its joint
+settings come from one matvec.  ``expected_coincidences`` turns them into
+the noise-free mean counts of the plan, and ``simulate_coincidences`` draws
 all counts about those means in one Poisson draw.
 """
 

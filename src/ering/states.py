@@ -9,7 +9,8 @@ plain complex numpy arrays in that ordering.  A valid density matrix is
 Hermitian, has unit trace and is positive semidefinite; ``check_density_matrix``
 enforces those three invariants at the tolerances used throughout.  A matrix
 that passes gets one ``Analysis`` record (``analyse``), cached by its content,
-and every per-state number in this package is read from that record.
+and every per-state number in this package is read from that record.  Every
+probability Tr(rho E) is a row ``pauli_vector(E) / 4`` against the state's ``pauli_vector``.
 
 The state families provided here are the phase-tunable Bell pairs, the
 non-maximally entangled pairs produced by unbalancing the pump, Werner
@@ -51,8 +52,13 @@ def _pauli_pairs() -> np.ndarray:
 PAULI_PAIRS = _pauli_pairs()
 
 
-#: sigma_i x sigma_j for i, j in (x, y, z), row-major: the nine products of T
-_XYZ_PAIRS = PAULI_PAIRS.reshape(4, 4, 4, 4)[1:, 1:].reshape(9, 4, 4)
+def pauli_vector(ops: np.ndarray) -> np.ndarray:
+    """Real Tr(op sigma_i x sigma_j), ``(..., 16)`` as in PAULI_PAIRS, of ``(..., 4, 4)`` ops.
+
+    For Hermitian rho and E, Tr(rho E) = pauli_vector(E) . pauli_vector(rho) / 4.
+    Each trace is summed over the diagonal of the product in row order, as ``np.trace`` rounds.
+    """
+    return np.einsum("...ab,kba->...ka", ops, PAULI_PAIRS).sum(-1).real
 
 
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -123,9 +129,12 @@ class Analysis:
         return float(np.linalg.eigvalsh(partial_transpose(self.rho)).min())
 
     @functools.cached_property
+    def pauli_vector(self) -> np.ndarray:
+        return _read_only(pauli_vector(self.rho))
+
+    @functools.cached_property
     def correlation_matrix(self) -> np.ndarray:
-        t = np.einsum("ab,kba->ka", self.rho, _XYZ_PAIRS).sum(-1).real.reshape(3, 3)
-        return _read_only(t)
+        return self.pauli_vector.reshape(4, 4)[1:, 1:]
 
     @functools.cached_property
     def correlation_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

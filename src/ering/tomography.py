@@ -10,7 +10,8 @@ the standard polarization alphabet
 or a general elliptical projector ``E(Theta,Phi)`` with ket
 cos(Theta/2)|H> + e^{i Phi} sin(Theta/2)|V> (finite Bloch angles, radians).
 ``simulate_tomography`` draws Poisson counts about the noise-free means
-flux * Tr(rho P_k) of ``exact_tomography_counts``.
+flux * Tr(rho P_k) of ``exact_tomography_counts``.  Row k of the design
+matrix is ``states.pauli_vector(P_k) / 4``, against the Pauli vector of rho.
 
 Reconstruction is offered two ways: linear inversion of the design matrix
 (fast, but unphysical under noise) and the maximum-likelihood state of
@@ -52,7 +53,7 @@ from . import csvfile
 from .errors import ConvergenceError, InputFormatError
 from .sampling import poisson
 # fidelity lives in states, next to the square root it reads; it is re-exported here
-from .states import PAULI_PAIRS, check_density_matrix, fidelity, repair_density_matrix
+from .states import PAULI_PAIRS, check_density_matrix, fidelity, pauli_vector, repair_density_matrix
 
 _KETS = {
     "H": np.array([1, 0], dtype=complex),
@@ -157,7 +158,7 @@ class _SettingsTable:
 def _table_for_labels(labels: tuple[tuple[str, str], ...]) -> _SettingsTable:
     projectors = np.array([TomoSetting(a, b).pair_projector() for a, b in labels])
     projectors = projectors.reshape(len(labels), 4, 4)
-    design = 0.25 * np.einsum("kab,jba->kj", projectors, PAULI_PAIRS).real
+    design = pauli_vector(projectors) / 4
     rank = int(np.linalg.matrix_rank(design))
     table = _SettingsTable(projectors, design, rank, np.linalg.pinv(design))
     for array in (table.projectors, table.design, table.inverse):

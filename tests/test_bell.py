@@ -28,7 +28,8 @@ from ering.bell import (
     correlation_matrix,
 )
 from ering.errors import InputFormatError
-from ering.sampling import random_density_matrix
+from ering.entanglement import tangle
+from ering.sampling import random_density_matrix, random_pure_state
 from ering.source import SourceConfig, expected_coincidences
 from ering.states import analyse, mems, projector, singlet, werner
 
@@ -648,6 +649,50 @@ def test_compiled_rows_give_joint_and_marginal_probabilities(rng):
             assert joint[k] == pytest.approx(np.trace(rho @ p1 @ p2).real, rel=1e-13, abs=1e-15)
             assert arm1[k] == pytest.approx(np.trace(rho @ p1).real, rel=1e-13)
             assert arm2[k] == pytest.approx(np.trace(rho @ p2).real, rel=1e-13)
+
+
+def real_ravel_probabilities(settings, rho):
+    """The former compiled route: real rows from the polarizer kets against rho.real raveled.
+
+    Over the axes (a, b, c, d) of rho.reshape(2, 2, 2, 2), the joint row is
+    k1 k2 k1 k2, the arm-1 row k1 delta k1 and the arm-2 row delta k2 delta k2.
+    """
+    rows = []
+    for t1, t2 in settings:
+        k1 = np.array([math.cos(t1), math.sin(t1)])
+        k2 = np.array([math.cos(t2), math.sin(t2)])
+        joint = np.einsum("a,b,c,d->abcd", k1, k2, k1, k2)
+        arm1 = np.einsum("a,c,bd->abcd", k1, k1, np.eye(2))
+        arm2 = np.einsum("ac,b,d->abcd", np.eye(2), k2, k2)
+        rows.append([joint.ravel(), arm1.ravel(), arm2.ravel()])
+    return np.einsum("skj,j->ks", np.array(rows), np.asarray(rho).real.ravel())
+
+
+def test_compiled_rows_match_the_real_ravel_route(rng):
+    for i in range(300):
+        rho = random_density_matrix(rng)
+        plan = STANDARD_PLAN if i % 3 == 0 else AnglePlan(*rng.uniform(0, math.pi, 4))
+        got = compile_plan(plan).probabilities(rho)
+        assert np.abs(got - real_ravel_probabilities(plan.settings, rho)).max() <= 1e-15
+
+
+def test_verstraete_wolf_bounds(rng):
+    """2 sqrt(2) C <= S_max <= 2 sqrt(1 + C^2), equal to the upper bound for pure states.
+
+    Verstraete and Wolf, PRL 89, 170401 (2002).  C comes from ``tangle``
+    (the concurrence of Wootters' formula) and S_max from ``chsh_optimize``
+    (the singular values of T), which share no code.
+    """
+    for _ in range(2000):
+        rho = random_density_matrix(rng, perturbation=rng.uniform(0.0, 0.5))
+        c = math.sqrt(tangle(rho))
+        s_max, _ = chsh_optimize(rho)
+        assert 2 * SQ2 * c <= s_max + 1e-12
+        assert s_max <= 2 * math.sqrt(1 + c * c) + 1e-12
+    for _ in range(200):
+        rho = projector(random_pure_state(rng))
+        c = math.sqrt(tangle(rho))
+        assert abs(chsh_optimize(rho)[0] - 2 * math.sqrt(1 + c * c)) <= 1e-12
 
 
 def test_counts_csv_round_trip(tmp_path):

@@ -122,20 +122,26 @@ def test_figure3_grid_is_the_linspace_grid(tmp_path, capsys, monkeypatch):
     "argv, lower",
     [
         (("bell", "simulate", "--family", "singlet", "--duration", "1e300", "--out", "x.csv"),
-         "the duration"),
-        (("figure", "2", "--duration", "1e300"), "the duration"),
+         "--duration or --set pair_rate="),
+        (("figure", "2", "--duration", "1e300"), "--duration or --set pair_rate="),
         (("tomo", "simulate", "--family", "singlet", "--counts", "100000000000000000000",
-          "--out", "t.csv"), "counts_per_setting"),
-        (("figure", "8", "--counts-per-setting", "100000000000000000000"), "counts_per_setting"),
+          "--out", "t.csv"), "--counts"),
+        (("figure", "8", "--counts-per-setting", "100000000000000000000"), "--counts-per-setting"),
         (("figure", "3", "--counts-per-point", "100000000000000000000"), "--counts-per-point"),
+        (("figure", "4", "--duration", "1e300"), "--duration or --set pair_rate="),
+        (("figure", "11", "--counts-per-setting", "100000000000000000000"), "--counts-per-setting"),
+        (("figure", "12", "--duration", "1e300"), "--duration or --set pair_rate="),
+        (("bell", "simulate", "--family", "singlet", "--set", "pair_rate=1e20", "--out", "x.csv"),
+         "--duration or --set pair_rate="),
     ],
 )
 def test_poisson_limit_is_named(argv, lower, tmp_path, monkeypatch, capsys):
+    """Each command names the flag that sets its mean counts."""
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv, "--seed", "1") == 1
     err = capsys.readouterr().err
     assert re.search(r"largest mean count [0-9.e+]+ is above the Poisson limit 9\.22337e\+18", err)
-    assert f"; lower {lower}" in err
+    assert err.endswith(f"; lower {lower}\n")
 
 
 def test_manifest_records_main_argv(tmp_path, capsys, monkeypatch):

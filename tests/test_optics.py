@@ -89,6 +89,30 @@ def test_phase_at_the_published_displacement_is_unchanged():
     )
 
 
+def mpmath_phase(delta_d, config):
+    """phi of the same ray trace at 50 digits, the path lengths subtracted as they stand."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        r, alpha, d = (mpmath.mpf(v) for v in (config.mirror_radius, config.cone_aperture, delta_d))
+        ux, uy = mpmath.cos(alpha), mpmath.sin(alpha)
+        t = ux * d + mpmath.sqrt((ux * d) ** 2 + r**2 - d**2)
+        normal_x, normal_y = (t * ux - d) / r, t * uy / r
+        reflected_x = ux - 2 * (ux * normal_x + uy * normal_y) * normal_x
+        b_prime_c = -t * ux / reflected_x
+        ob_prime = mpmath.sqrt(d**2 + r**2 + 2 * r * d * ux)
+        return 4 * mpmath.pi / config.wavelength * (2 * (r + d) - (ob_prime + b_prime_c))
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_phase_keeps_its_digits_against_a_50_digit_trace(config):
+    # subtracting the three lengths near R in doubles erred by up to 7e-9 rad here
+    for d in [*np.linspace(-70e-6, 70e-6, 701).tolist(), *displacement_grid(config)[::10]]:
+        want = mpmath_phase(d, config)
+        got = phase_from_displacement(d, config).phi
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), d
+
+
 def test_source_re_exports_the_optics():
     for name in ("SourceConfig", "config_with_overrides", "load_config", "ring_diameter",
                  "detected_pair_rate", "ou_mandel_scan", "phase_from_displacement",

@@ -407,6 +407,36 @@ def test_ml_rejects_all_zero_counts():
         ml_reconstruct(TomoData(standard_settings(), np.zeros(16), 100.0))
 
 
+_PAULIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def trace_loop_design(labels):
+    """Tr(P_k sigma_i x sigma_j) / 4 by np.trace over ket projectors: the design's oracle."""
+    rows = []
+    for a, b in labels:
+        ket = np.kron(projector_ket(a), projector_ket(b))
+        p = np.outer(ket, ket.conj())
+        rows.append([np.trace(p @ np.kron(si, sj)).real / 4 for si in _PAULIS for sj in _PAULIS])
+    return np.array(rows)
+
+
+def test_design_matrix_is_the_trace_loop(rng):
+    labels = [(a, b) for a in "HVDALR" for b in "HVDALR"]
+    design = design_matrix([TomoSetting(a, b) for a, b in labels])
+    assert np.array_equal(design, trace_loop_design(labels))
+    for _ in range(50):
+        theta = rng.uniform(0, math.pi, (16, 2)).tolist()
+        phi = rng.uniform(-math.pi, math.pi, (16, 2)).tolist()
+        labels = [tuple(f"E({t!r},{f!r})" for t, f in zip(*pair)) for pair in zip(theta, phi)]
+        design = design_matrix([TomoSetting(a, b) for a, b in labels])
+        assert np.abs(design - trace_loop_design(labels)).max() <= 1e-16
+
+
 def test_design_matrix_is_cached_read_only():
     m = design_matrix(standard_settings())
     assert m is design_matrix(standard_settings())
