@@ -207,14 +207,18 @@ class CompiledPlan:
     order; ``rows`` is the read-only ``(3 S, 16)`` stack of the S joint
     rows, then the S arm-1 and the S arm-2 marginal rows: ``pauli_vector(E) / 4``
     of E = P1 x P2, P1 x I and I x P2 for the polarizer projectors P1, P2.
+    The rows take the Pauli vector of a state, not the state:
+    ``source.expected_coincidences`` passes the cached vector of rho
+    (``analyse(rho).pauli_vector``) depolarized in Pauli coordinates.
     """
 
     labels: tuple[tuple[str, str], ...]
     rows: np.ndarray
 
-    def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        """``(3, S)`` joint, arm-1 and arm-2 detection probabilities from one matvec."""
-        return (self.rows @ pauli_vector(rho)).reshape(3, -1)
+    def probabilities(self, pauli: np.ndarray) -> np.ndarray:
+        """``(3, S)`` joint, arm-1 and arm-2 detection probabilities of the state whose
+        16-component Pauli vector is ``pauli``, from one matvec."""
+        return (self.rows @ pauli).reshape(3, -1)
 
 
 #: Distinct settings tuples ``compile_plan`` remembers; figure 2 runs 37 one-setting plans.

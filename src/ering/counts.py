@@ -165,16 +165,36 @@ def counts_to_csv(counts: CountsTable, path) -> None:
     csvfile.write(path, _COUNTS_HEADER, rows, {"duration_s": counts.duration})
 
 
+#: Angle text of a counts file -> its canonical label, for texts that parsed.  A file repeats
+#: each angle text and a run reuses its plan's; emptied at _ANGLE_LABEL_CACHE_SIZE texts.
+_LABEL_OF_TEXT: dict[str, str] = {}
+
+
+def _text_label(path, line: int, text: str) -> str:
+    """The canonical label of the degree angle ``text``, remembered once it parses."""
+    label = angle_label(math.radians(csvfile.number(path, line, text, "angle")))
+    if len(_LABEL_OF_TEXT) >= _ANGLE_LABEL_CACHE_SIZE:
+        _LABEL_OF_TEXT.clear()
+    _LABEL_OF_TEXT[text] = label
+    return label
+
+
 def counts_from_csv(path) -> CountsTable:
-    """Parse a counts CSV; raises InputFormatError with the offending line."""
+    """Parse a counts CSV; raises InputFormatError with the offending line.
+
+    An angle text seen before with no error is looked up, not parsed again.
+    """
     comments, rows = csvfile.read(path, _COUNTS_HEADER, {"duration_s": None})
     entries: dict[tuple[str, str], float] = {}
+    labels = _LABEL_OF_TEXT
     for line, (t1, t2, n) in rows:
-        t1 = csvfile.number(path, line, t1, "angle")
-        t2 = csvfile.number(path, line, t2, "angle")
-        key = (angle_label(math.radians(t1)), angle_label(math.radians(t2)))
+        key = (
+            labels.get(t1) or _text_label(path, line, t1),
+            labels.get(t2) or _text_label(path, line, t2),
+        )
         n = csvfile.count(path, line, n)
         if key in entries:
             raise csvfile.error(path, line, f"duplicate setting {key}")
         entries[key] = int(n) if n.is_integer() else n
     return CountsTable(entries, comments["duration_s"])
+

@@ -2,15 +2,19 @@
 one reader of JSON input files and the one writer of every output file.
 
 Optional ``# key value`` comment lines, a header row, then one row per
-record; every line ends in ``\\n``.  Read errors name ``path:line``.
-Every JSON file the package reads goes through ``read_json``, and every
-file it writes, CSV or JSON, through ``write_text``.
+record; every line ends in ``\\n``.  ``write`` formats each row once and
+quotes a cell as ``csv.writer`` does with ``QUOTE_MINIMAL`` and a ``\\n``
+line terminator (Python 3.10 and 3.11): a cell holding a comma, a double
+quote or a newline is wrapped in double quotes with its quotes doubled,
+and a row of one empty cell is written ``""``.  So an ``E(Theta,Phi)``
+projector label is quoted and reads back whole.  Read errors name
+``path:line``.  Every JSON file the package reads goes through
+``read_json``, and every file it writes, CSV or JSON, through ``write_text``.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -19,14 +23,34 @@ from .errors import InputFormatError
 
 
 def write(path, header: list[str], rows, comments: dict | None = None, digits: int = 10) -> None:
-    """Write a file in one call; float cells get ``digits`` significant digits, comment values 10."""
-    text = io.StringIO()
-    for key, value in (comments or {}).items():
-        text.write(f"# {key} {value:.10g}\n")
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([f"{v:.{digits}g}" if isinstance(v, float) else v for v in row] for row in rows)
-    write_text(path, text.getvalue())
+    """Write a file in one call; float cells get ``digits`` significant digits, comment values 10.
+
+    Cells are str, int or float; each row is formatted and joined once, and
+    only a table holding a comma, a double quote or a newline inside a cell,
+    or a row of one empty cell, is joined again with the quoting rule of the
+    module docstring.
+    """
+    spec = f".{digits}g"
+    table = [
+        [v if type(v) is str else format(v, spec) if isinstance(v, float) else str(v) for v in row]
+        for row in (header, *rows)
+    ]
+    text = "\n".join(map(",".join, table))
+    # a comma or newline beyond those of the joins is inside a cell
+    inside = text.count(",") > sum(map(len, table)) - len(table) or text.count("\n") >= len(table)
+    if inside or '"' in text or [""] in table:
+        text = "\n".join(map(_quoted_line, table))
+    head = "".join(f"# {key} {value:.10g}\n" for key, value in (comments or {}).items())
+    write_text(path, head + text + "\n")
+
+
+def _quoted_line(cells: list[str]) -> str:
+    if cells == [""]:
+        return '""'
+    return ",".join(
+        '"' + cell.replace('"', '""') + '"' if "," in cell or '"' in cell or "\n" in cell else cell
+        for cell in cells
+    )
 
 
 def write_text(path, text: str) -> None:
@@ -105,7 +129,7 @@ def read(
         if default is None and key not in seen:
             raise InputFormatError(f"{path}: no '# {key} <value>' line")
     reader = csv.reader(lines[start:])
-    if [f.strip() for f in next(reader, [])] != header:
+    if list(map(str.strip, next(reader, []))) != header:
         raise InputFormatError(f"{path}:{start + 1}: expected header {','.join(header)!r}")
     rows = []
     width = len(header)
@@ -114,7 +138,7 @@ def read(
             line = start + reader.line_num
             if len(fields) != width:
                 raise error(path, line, f"expected {width} fields, got {len(fields)}")
-            rows.append((line, [f.strip() for f in fields]))
+            rows.append((line, list(map(str.strip, fields))))
     return values, rows
 
 

@@ -10,7 +10,8 @@ class ConvergenceError(RuntimeError):
 
 
 class PoissonLimitError(ValueError):
-    """A mean count above numpy's Poisson limit; ``args`` are the finding and the input to lower."""
+    """A mean count above numpy's Poisson limit, or mean counts that overflow a float;
+    ``args`` are the finding and the input to lower."""
 
     def __str__(self) -> str:
         return "{}; lower {}".format(*self.args)

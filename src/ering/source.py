@@ -29,9 +29,12 @@ mirror-displacement phase control among them, live in the numpy-free
 Coincidence counting is batched: a plan compiles once (``compile_plan``)
 into its labels and one matrix of rows against the Pauli vector of rho, so
 the joint and partial-trace marginal probabilities of all its joint
-settings come from one matvec.  ``expected_coincidences`` turns them into
-the noise-free mean counts of the plan, and ``simulate_coincidences`` draws
-all counts about those means in one Poisson draw.
+settings come from one matvec.  The vector is the one cached in rho's
+analysis record, depolarized in Pauli coordinates by the visibility v
+(r_v = v r + (1-v) e_0).  One private mean computation serves both
+simulators: ``expected_coincidences`` returns those noise-free mean counts
+of the plan, and ``simulate_coincidences`` draws all counts about the same
+array in one Poisson draw.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import compile_plan
+from .bell import CompiledPlan, compile_plan
 from .counts import STANDARD_PLAN, AnglePlan, CountsTable
 from .optics import (  # re-exported: the configuration and optics are part of this module's API
     COHERENCE_TIME_SCALE, CONFIG_KEYS, OU_MANDEL_VISIBILITY, SPEED_OF_LIGHT, PhaseGeometry,
@@ -49,8 +52,9 @@ from .optics import (  # re-exported: the configuration and optics are part of t
     config_with_overrides, detected_pair_rate, displacement_visibility, load_config,
     ou_mandel_fwhm, ou_mandel_scan, phase_from_displacement, ring_diameter, sector_area,
 )
+from .errors import PoissonLimitError
 from .sampling import poisson
-from .states import bell_state, check_density_matrix, mems_weight, projector
+from .states import analyse, bell_state, mems_weight, projector
 
 # ---------------------------------------------------------------------------
 # Sector patchwork
@@ -171,7 +175,8 @@ def apply_effective_visibility(rho: np.ndarray, visibility: float) -> np.ndarray
     Every correlation function scales by v, so both the coincidence
     fringe visibility and the CHSH parameter of the simulated state are
     exactly v times their ideal values (a singlet at v reproduces a
-    Werner state of weight v).
+    Werner state of weight v).  The mean counts apply the same map to the
+    state's Pauli vector instead: r_v = v r + (1-v) e_0.
     """
     if not 0 <= visibility <= 1:
         raise ValueError("visibility must be in [0, 1]")
@@ -179,20 +184,36 @@ def apply_effective_visibility(rho: np.ndarray, visibility: float) -> np.ndarray
     return visibility * rho + (1 - visibility) * np.eye(4, dtype=complex) / 4
 
 
-def _coincidences(probabilities, config: SourceConfig):
-    """Rates from stacked (joint, arm-1 marginal, arm-2 marginal) probabilities."""
-    # the singles rate of an arm: pair_rate * QE * sqrt(transmission) * marginal + dark_rate
-    arm_rate = config.pair_rate * config.detector_qe * math.sqrt(config.transmission)
-    singles1, singles2 = arm_rate * probabilities[1:] + config.dark_rate
-    accidental = singles1 * singles2 * config.coincidence_window
-    return detected_pair_rate(config) * probabilities[0] + accidental
-
-
 def _check_duration(name: str, duration: float) -> None:
     if not math.isfinite(duration):
         raise ValueError(f"{name} must be finite, got {duration}")
     if duration <= 0:
         raise ValueError(f"{name} must be positive")
+
+
+def _mean_counts(
+    rho, plan, duration: float, config: SourceConfig
+) -> tuple[CompiledPlan, np.ndarray]:
+    """The compiled plan and the noise-free mean counts of its settings, in plan order."""
+    r = analyse(rho).pauli_vector
+    _check_duration("duration", duration)
+    compiled = compile_plan(plan)
+    # the singles rate of an arm: pair_rate * QE * sqrt(transmission) * marginal + dark_rate
+    arm_rate = config.pair_rate * config.detector_qe * math.sqrt(config.transmission)
+    pair_rate = detected_pair_rate(config)
+    # means that could overflow are refused before numpy warns: the bound has every
+    # probability at 1 (times 2 for rounding above 1), multiplied in the order used below
+    peak_singles = arm_rate + config.dark_rate
+    largest = (pair_rate + peak_singles * peak_singles * config.coincidence_window) * duration
+    if not math.isfinite(2 * largest):
+        raise PoissonLimitError("the mean counts overflow a float", "the duration or the pair rate")
+    r_v = config.visibility * r
+    r_v[0] += 1 - config.visibility
+    probabilities = compiled.probabilities(r_v)
+    singles1, singles2 = arm_rate * probabilities[1:] + config.dark_rate
+    rates = pair_rate * probabilities[0] + singles1 * singles2 * config.coincidence_window
+    # a null setting of a noiseless config can round to a rate of -1e-17
+    return compiled, np.maximum(rates, 0.0) * duration
 
 
 def expected_coincidences(
@@ -205,17 +226,15 @@ def expected_coincidences(
 
     ``plan`` is a list of distinct (theta1, theta2) radian pairs (compared
     by canonical degree label) or an AnglePlan; ``duration`` is the
-    integration time per setting.  The plan compiles once (``compile_plan``),
-    the config's effective visibility is applied to rho, and every mean is
-    (true-pair rate + singles1 * singles2 * coincidence_window) * duration.
+    integration time per setting.  The plan compiles once (``compile_plan``);
+    the config's effective visibility v depolarizes the Pauli vector r of
+    rho cached in its analysis record, r_v = v r + (1-v) e_0 (the vector of
+    ``apply_effective_visibility(rho, v)``), and the probabilities are the
+    compiled rows against r_v.  Every mean is (true-pair rate + singles1 *
+    singles2 * coincidence_window) * duration.  Means that would overflow a
+    float raise a ValueError (a ``PoissonLimitError``).
     """
-    rho = check_density_matrix(rho)
-    _check_duration("duration", duration)
-    compiled = compile_plan(plan)
-    rho_v = apply_effective_visibility(rho, config.visibility)
-    rates = _coincidences(compiled.probabilities(rho_v), config)
-    # a null setting of a noiseless config can round to a rate of -1e-17
-    means = np.maximum(rates, 0.0) * duration
+    compiled, means = _mean_counts(rho, plan, duration, config)
     return CountsTable(dict(zip(compiled.labels, means.tolist())), duration)
 
 
@@ -227,9 +246,9 @@ def simulate_coincidences(
     seed: int,
 ) -> CountsTable:
     """One seeded Poisson draw about the means of ``expected_coincidences``."""
-    means = expected_coincidences(rho, plan, duration, config)
-    counts = poisson(list(means.entries.values()), seed, "the duration or the pair rate")
-    return CountsTable(dict(zip(means.entries, counts.tolist())), duration)
+    compiled, means = _mean_counts(rho, plan, duration, config)
+    counts = poisson(means, seed, "the duration or the pair rate")
+    return CountsTable(dict(zip(compiled.labels, counts.tolist())), duration)
 
 
 def simulate_bell_test(

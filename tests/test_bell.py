@@ -31,7 +31,7 @@ from ering.errors import InputFormatError
 from ering.entanglement import tangle
 from ering.sampling import random_density_matrix, random_pure_state
 from ering.source import SourceConfig, expected_coincidences
-from ering.states import analyse, mems, projector, singlet, werner
+from ering.states import analyse, mems, pauli_vector, projector, singlet, werner
 
 SQ2 = math.sqrt(2)
 
@@ -640,7 +640,7 @@ def test_compiled_rows_give_joint_and_marginal_probabilities(rng):
     for _ in range(20):
         rho = random_density_matrix(rng)
         plan = AnglePlan(*rng.uniform(0, math.pi, 4))
-        joint, arm1, arm2 = compile_plan(plan).probabilities(rho)
+        joint, arm1, arm2 = compile_plan(plan).probabilities(pauli_vector(rho))
         for k, (t1, t2) in enumerate(plan.settings):
             k1 = np.array([math.cos(t1), math.sin(t1)])
             k2 = np.array([math.cos(t2), math.sin(t2)])
@@ -672,7 +672,7 @@ def test_compiled_rows_match_the_real_ravel_route(rng):
     for i in range(300):
         rho = random_density_matrix(rng)
         plan = STANDARD_PLAN if i % 3 == 0 else AnglePlan(*rng.uniform(0, math.pi, 4))
-        got = compile_plan(plan).probabilities(rho)
+        got = compile_plan(plan).probabilities(pauli_vector(rho))
         assert np.abs(got - real_ravel_probabilities(plan.settings, rho)).max() <= 1e-15
 
 
@@ -719,7 +719,8 @@ def test_counts_csv_parse_errors(tmp_path):
 
 
 def test_joint_detection_probability_singlet():
-    joint, _, _ = compile_plan([(0.3, 0.3), (0.0, math.pi / 2)]).probabilities(projector(singlet()))
+    compiled = compile_plan([(0.3, 0.3), (0.0, math.pi / 2)])
+    joint, _, _ = compiled.probabilities(pauli_vector(projector(singlet())))
     assert joint[0] == pytest.approx(0.0, abs=1e-12)
     assert joint[1] == pytest.approx(0.5)
 

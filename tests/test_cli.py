@@ -144,6 +144,16 @@ def test_poisson_limit_is_named(argv, lower, tmp_path, monkeypatch, capsys):
     assert err.endswith(f"; lower {lower}\n")
 
 
+def test_overflowing_pair_rate_is_named(tmp_path, monkeypatch, capsys):
+    """A pair rate whose mean counts overflow a float exits 1 before numpy warns about it."""
+    monkeypatch.chdir(tmp_path)
+    argv = ("bell", "simulate", "--family", "singlet", "--set", "pair_rate=1e300", "--out", "x.csv")
+    assert run_cli(*argv, "--seed", "1") == 1
+    err = capsys.readouterr().err
+    assert err == "error: the mean counts overflow a float; lower --duration or --set pair_rate=\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_manifest_records_main_argv(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["x", "--unrelated", "x"])
     argv = ["figure", "3", "--seed", "1", "--out-dir", str(tmp_path)]

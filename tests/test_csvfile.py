@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ering import csvfile
-from ering.bell import CountsTable, STANDARD_PLAN, counts_from_csv, counts_to_csv
+from ering.bell import CountsTable, STANDARD_PLAN, angle_label, counts_from_csv, counts_to_csv
 from ering.cli import main
 from ering.errors import InputFormatError
 from ering.states import density_matrix_to_dict, save_density_matrix, werner
@@ -79,23 +79,81 @@ def test_comments_quotes_and_cell_types_match_the_rowwise_bytes(tmp_path):
     assert ours.read_bytes() == theirs.read_bytes()
 
 
-_CELLS = st.one_of(
+#: Text cells that need quoting or look like it, projector labels among them.
+_QUOTABLE = st.one_of(
     st.text(max_size=6),
-    st.integers(-(10**12), 10**12),
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(alphabet=st.sampled_from(list('ab ,"\n\r;()E\u0398\u03a6')), max_size=8),
+    st.builds(
+        lambda theta, phi: f"E({theta:.10g},{phi:.10g})",
+        st.floats(-10.0, 10.0, allow_nan=False),
+        st.floats(-10.0, 10.0, allow_nan=False),
+    ),
+    st.sampled_from(["", ",", '"', '""', 'a"b', "x,y", "E(\u0398,\u03a6)", " padded "]),
 )
+_ANY_CELL = st.one_of(_QUOTABLE, st.integers(-(10**20), 10**20), st.floats())
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    rows=st.lists(st.tuples(_CELLS, _CELLS, _CELLS), max_size=12),
-    flux=st.floats(min_value=1e-3, max_value=1e9),
+    header=st.lists(_QUOTABLE, min_size=1, max_size=4),
+    rows=st.lists(st.lists(_ANY_CELL, max_size=4), max_size=8),
+    comments=st.dictionaries(
+        st.text(alphabet="abcdefghij_", min_size=1, max_size=6),
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(10**6), 10**6)),
+        max_size=3,
+    ),
+    digits=st.sampled_from([10, 17]),
 )
-def test_any_rows_match_the_rowwise_bytes(tmp_path_factory, rows, flux):
+def test_any_rows_match_the_rowwise_bytes(tmp_path_factory, header, rows, comments, digits):
     tmp = tmp_path_factory.mktemp("rows")
-    csvfile.write(tmp / "ours.csv", ["a", "b", "c"], rows, {"k": flux})
-    rowwise_write(tmp / "theirs.csv", ["a", "b", "c"], rows, {"k": flux})
+    csvfile.write(tmp / "ours.csv", header, rows, comments, digits=digits)
+    rowwise_write(tmp / "theirs.csv", header, rows, comments, digits=digits)
     assert (tmp / "ours.csv").read_bytes() == (tmp / "theirs.csv").read_bytes()
+
+
+def rowwise_counts_from_csv(path):
+    """The reader that ``counts_from_csv`` replaced: each angle text parsed on every row."""
+    comments, rows = csvfile.read(path, ["theta1_deg", "theta2_deg", "counts"], {"duration_s": None})
+    entries = {}
+    for line, (t1, t2, n) in rows:
+        t1 = csvfile.number(path, line, t1, "angle")
+        t2 = csvfile.number(path, line, t2, "angle")
+        key = (angle_label(math.radians(t1)), angle_label(math.radians(t2)))
+        n = csvfile.count(path, line, n)
+        if key in entries:
+            raise csvfile.error(path, line, f"duplicate setting {key}")
+        entries[key] = int(n) if n.is_integer() else n
+    return CountsTable(entries, comments["duration_s"])
+
+
+def _outcome(read, path):
+    try:
+        table = read(path)
+    except InputFormatError as exc:
+        return "error", str(exc)
+    return table.entries, table.duration
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        ["180,22.50,5", "-0,67.5,6", "45,22.5,7", "225,67.50,8.5"],
+        ["0,22.5,5", "180,22.50,3"],
+        ["-0,22.50,1", "45,67.5,2", "0,22.5,2"],
+        ["180,22.50,5", "22.50x,0,1"],
+        ["180,-0,5", "0,nan,1"],
+        ["0,22.5,5", "180,22.50,-3"],
+        [f"{k / 4},{k / 2:.3f},{k}" for k in range(600)] + ["0,0.000,1"],
+    ],
+    ids=["labels", "duplicate-180", "duplicate-minus-0", "bad-after-good", "nan", "negative",
+         "more-texts-than-the-cache-holds"],
+)
+def test_counts_reader_matches_the_rowwise_reader(tmp_path, body):
+    path = tmp_path / "counts.csv"
+    path.write_text("# duration_s 2\ntheta1_deg,theta2_deg,counts\n" + "\n".join(body) + "\n")
+    expected = _outcome(rowwise_counts_from_csv, path)
+    for _ in range(2):  # the second read finds every text that parsed already known
+        assert _outcome(counts_from_csv, path) == expected
 
 
 @pytest.mark.parametrize("blank_lines", [0, 2])

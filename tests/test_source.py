@@ -15,7 +15,7 @@ from ering.bell import (
     chsh_from_counts,
     correlation_from_counts,
 )
-from ering.errors import InputFormatError
+from ering.errors import InputFormatError, PoissonLimitError
 from ering.sampling import random_density_matrix
 from ering.source import (
     COHERENCE_TIME_SCALE,
@@ -45,7 +45,9 @@ from ering.source import (
     synthesize,
     werner_partition,
 )
-from ering.states import bell_state, check_density_matrix, mems, projector, singlet, werner
+from ering.states import (
+    bell_state, check_density_matrix, mems, pauli_vector, projector, singlet, werner,
+)
 from ering.tomography import exact_tomography_counts, simulate_tomography, standard_settings
 
 CFG = SourceConfig()
@@ -616,6 +618,69 @@ def test_simulators_draw_about_the_noise_free_means(rng, monkeypatch):
         assert drawn.settings == means.settings
         assert drawn.counts.tobytes() == means.counts.tobytes()
         assert drawn.total_flux_estimate == means.total_flux_estimate
+
+
+# ---------------------------------------------------------------------------
+# the former mean route, the oracle of the means in Pauli coordinates: the
+# depolarized 4x4 matrix, its Pauli vector, then the compiled rows
+# ---------------------------------------------------------------------------
+
+
+def depolarized_matrix_means(rho, plan, duration, config):
+    """Mean counts through ``apply_effective_visibility`` and ``pauli_vector`` of its result."""
+    rho_v = apply_effective_visibility(rho, config.visibility)
+    joint, marginal1, marginal2 = compile_plan(plan).probabilities(pauli_vector(rho_v))
+    arm_rate = config.pair_rate * config.detector_qe * math.sqrt(config.transmission)
+    singles1 = arm_rate * marginal1 + config.dark_rate
+    singles2 = arm_rate * marginal2 + config.dark_rate
+    rates = detected_pair_rate(config) * joint + singles1 * singles2 * config.coincidence_window
+    return np.maximum(rates, 0.0) * duration
+
+
+#: Figure 2: analyzer 2 at 45 deg, analyzer 1 swept over 45..135 deg.
+FIGURE_2_GRID = [(math.radians(t1), math.radians(45.0)) for t1 in np.arange(45.0, 135.0 + 1e-9, 2.5)]
+
+
+def test_means_match_the_depolarized_matrix_route(rng):
+    # the routes round differently: a few ulps of the larger means, so the
+    # bound is relative to the largest mean of each table
+    for _ in range(300):
+        rho = random_density_matrix(rng)
+        cfg = random_config(rng)
+        for plan in (STANDARD_PLAN, FIGURE_2_GRID):
+            duration = float(rng.uniform(0.1, 100.0))
+            means = expected_coincidences(rho, plan, duration, cfg)
+            oracle = depolarized_matrix_means(rho, plan, duration, cfg)
+            assert list(means.entries) == list(compile_plan(plan).labels)
+            got = np.array(list(means.entries.values()))
+            assert np.abs(got - oracle).max() <= 1e-15 * oracle.max()
+
+
+def test_bell_runs_draw_about_the_depolarized_matrix_means(rng):
+    for seed in range(200):
+        rho = random_density_matrix(rng)
+        cfg = random_config(rng)
+        total = float(rng.uniform(1.0, 400.0))
+        table, plan = simulate_bell_test(rho, total, cfg, seed)
+        oracle = depolarized_matrix_means(rho, plan, total / len(plan.settings), cfg)
+        draws = np.random.default_rng(seed).poisson(oracle).tolist()
+        assert table.entries == dict(zip(compile_plan(plan).labels, draws))
+        assert list(table.entries) == list(compile_plan(plan).labels)
+
+
+@pytest.mark.parametrize(
+    "config, duration", [(SourceConfig(pair_rate=1e300), 1.0), (CFG, 1e305)], ids=["rate", "duration"]
+)
+def test_overflowing_means_are_refused_before_the_draw(no_draw, config, duration):
+    # the suite turns numpy's RuntimeWarning into an error: the overflow must not be reached
+    message = "^the mean counts overflow a float; lower the duration or the pair rate$"
+    for plan in (STANDARD_PLAN, FIGURE_2_GRID):
+        with pytest.raises(PoissonLimitError, match=message):
+            expected_coincidences(werner(0.8), plan, duration, config)
+        with pytest.raises(PoissonLimitError, match=message):
+            simulate_coincidences(werner(0.8), plan, duration, config, 1)
+    with pytest.raises(PoissonLimitError, match=message):
+        simulate_bell_test(werner(0.8), 16 * duration, config, 1)
 
 
 def test_compiled_plan_is_shared_by_equal_settings():
