@@ -3,11 +3,12 @@ one reader of JSON input files and the one writer of every output file.
 
 Optional ``# key value`` comment lines, a header row, then one row per
 record; every line ends in ``\\n``.  ``write`` formats each row once and
-quotes a cell as ``csv.writer`` does with ``QUOTE_MINIMAL`` and a ``\\n``
-line terminator (Python 3.10 and 3.11): a cell holding a comma, a double
-quote or a newline is wrapped in double quotes with its quotes doubled,
-and a row of one empty cell is written ``""``.  So an ``E(Theta,Phi)``
-projector label is quoted and reads back whole.  Read errors name
+quotes a cell as ``csv.writer`` does with ``QUOTE_MINIMAL``: a cell holding
+a comma, a double quote, a newline or a carriage return is wrapped in
+double quotes with its quotes doubled, and a row of one empty cell is
+written ``""``.  So an ``E(Theta,Phi)`` projector label is quoted, and a
+cell holding a lone ``\\r`` is quoted too (the reader splits lines there
+otherwise); both read back whole.  Read errors name
 ``path:line``.  Every JSON file the package reads goes through
 ``read_json``, and every file it writes, CSV or JSON, through ``write_text``.
 """
@@ -26,9 +27,9 @@ def write(path, header: list[str], rows, comments: dict | None = None, digits: i
     """Write a file in one call; float cells get ``digits`` significant digits, comment values 10.
 
     Cells are str, int or float; each row is formatted and joined once, and
-    only a table holding a comma, a double quote or a newline inside a cell,
-    or a row of one empty cell, is joined again with the quoting rule of the
-    module docstring.
+    only a table holding a comma, a double quote, a newline or a carriage
+    return inside a cell, or a row of one empty cell, is joined again with
+    the quoting rule of the module docstring.
     """
     spec = f".{digits}g"
     table = [
@@ -38,7 +39,7 @@ def write(path, header: list[str], rows, comments: dict | None = None, digits: i
     text = "\n".join(map(",".join, table))
     # a comma or newline beyond those of the joins is inside a cell
     inside = text.count(",") > sum(map(len, table)) - len(table) or text.count("\n") >= len(table)
-    if inside or '"' in text or [""] in table:
+    if inside or '"' in text or "\r" in text or [""] in table:
         text = "\n".join(map(_quoted_line, table))
     head = "".join(f"# {key} {value:.10g}\n" for key, value in (comments or {}).items())
     write_text(path, head + text + "\n")
@@ -48,7 +49,9 @@ def _quoted_line(cells: list[str]) -> str:
     if cells == [""]:
         return '""'
     return ",".join(
-        '"' + cell.replace('"', '""') + '"' if "," in cell or '"' in cell or "\n" in cell else cell
+        '"' + cell.replace('"', '""') + '"'
+        if "," in cell or '"' in cell or "\n" in cell or "\r" in cell
+        else cell
         for cell in cells
     )
 

@@ -178,19 +178,28 @@ def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return min(1.0, max(0.0, value))
 
 
-def repair_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Clip tiny negative eigenvalues to zero and renormalize the trace.
+def repaired_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of the repaired Hermitian part of rho.
 
-    This is the only place where an unphysical matrix is silently made
-    physical; use it for optimizer initialization, never for results.
+    The repair clips negative eigenvalues to zero and renormalizes the
+    trace, so the smallest returned eigenvalue is positive exactly when
+    rho is positive definite.  This is the only place where an unphysical
+    matrix is silently made physical; use it for optimizer initialization,
+    never for results.
     """
     rho = np.asarray(rho, dtype=complex)
-    rho = (rho + rho.conj().T) / 2
-    eigs, vecs = np.linalg.eigh(rho)
-    eigs = np.clip(eigs, 0.0, None)
-    if eigs.sum() == 0.0:
+    eigs, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
+    eigs = np.maximum(eigs, 0.0)
+    total = eigs.sum()
+    if total == 0.0:
         raise ValueError("cannot repair matrix with no positive eigenvalue")
-    eigs /= eigs.sum()
+    return eigs / total, vecs
+
+
+def repair_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """The density matrix of ``repaired_spectrum``: negative eigenvalues
+    clipped to zero and the trace renormalized."""
+    eigs, vecs = repaired_spectrum(rho)
     return (vecs * eigs) @ vecs.conj().T
 
 

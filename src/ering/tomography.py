@@ -24,20 +24,25 @@ reads the ``total_flux_estimate`` of the data: it is informational.
 The likelihood is convex in M = T T^dag, and each mean count
 mu_k = Tr(M P_k) is a quadratic form x^T Q_k x in the real parameters x
 of T.  Every fit is one damped Newton solve with the exact Hessian over a
-4 x r lower-trapezoidal T in the eigenbasis of a starting M, started at
-the square roots of its r largest eigenvalues.  The first start is the
-linear estimate rho_0 (repaired to be positive) at the data's own scale
-M_0 = rho_0 sum_k n_k / sum_k Tr(rho_0 P_k), the likelihood-optimal flux
-for that shape.  With exactly 16 settings a positive definite linear
-estimate fits every count (mu_k = n_k) and is returned as soon as the
-certificate below accepts it.  Otherwise the solve runs at r = 4 from M_0.
-A result is accepted only if it passes the KKT certificate
-lambda_min(sum_k (1 - n_k/mu_k) P_k) >= -tol: by convexity it is then the
-global optimum.  An optimum on the rank boundary of the positive cone can
-fail it at r = 4; the solve then runs at r = 1..4 from the r = 4 result,
-and the first certified one is returned.  The per-settings tables
-(projectors, design matrix, its rank and pseudo-inverse) are built once per
-settings tuple and cached read-only.
+4 x r lower-trapezoidal T in the eigenbasis V of a starting M, started at
+the square roots of its r largest eigenvalues.  Q_k is V^dag P_k V times
+a real map cached per rank.  A Newton step is one solve against the
+Hessian once its Cholesky factorization shows it positive definite; only
+an indefinite Hessian or a rejected step falls back to a damped
+(Levenberg-Marquardt) step in the Hessian's eigenbasis.  The first start
+is the linear estimate rho_0 (repaired to be positive) at the data's own
+scale M_0 = rho_0 sum_k n_k / sum_k Tr(rho_0 P_k), the likelihood-optimal
+flux for that shape; one eigendecomposition of rho_0 gives its positivity,
+its repair and the start basis.  With exactly 16 settings a positive
+definite linear estimate fits every count (mu_k = n_k) and is returned as
+soon as the certificate below accepts it.  Otherwise the solve runs at
+r = 4 from M_0.  A result is accepted only if it passes the KKT
+certificate lambda_min(sum_k (1 - n_k/mu_k) P_k) >= -tol: by convexity it
+is then the global optimum.  An optimum on the rank boundary of the
+positive cone can fail it at r = 4; the solve then runs at r = 1..4 in the
+eigenbasis of the r = 4 result, and the first certified one is returned.
+The per-settings tables (projectors, design matrix, its rank and
+pseudo-inverse) are built once per settings tuple and cached read-only.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from . import csvfile
 from .errors import ConvergenceError, InputFormatError
 from .sampling import poisson
 # fidelity lives in states, next to the square root it reads; it is re-exported here
-from .states import PAULI_PAIRS, check_density_matrix, fidelity, pauli_vector, repair_density_matrix
+from .states import PAULI_PAIRS, check_density_matrix, fidelity, pauli_vector, repaired_spectrum
 
 _KETS = {
     "H": np.array([1, 0], dtype=complex),
@@ -129,19 +134,36 @@ def _trapezoid_basis(rank: int) -> np.ndarray:
 _TRAPEZOID_BASES = {rank: _trapezoid_basis(rank) for rank in range(1, 5)}
 
 
-def _quadratic_forms(projectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Q[k] with Tr(A A^dag P_k) = x^T Q[k] x for the factor A = sum_j x_j basis[j].
+@functools.cache
+def _form_map(rank: int) -> np.ndarray:
+    """The real (32, n^2) map W of a rank: x^T Q_k x = Tr(T T^dag P'_k) for Q_k = P'_k W.
 
-    Q[k, i, j] = Re sum_{a,b} basis[i, a, b] (P_k^T conj(basis[j]))[a, b]: one
-    matmul maps every conjugated basis factor through every P_k^T, a second
-    contracts the result with the flattened basis.
+    T = sum_i x_i basis[i] over the rank's trapezoid basis, and P'_k is a
+    projector in the eigenbasis, its 16 complex entries viewed as 32 real
+    ones.  Q_k[i, j] = Re sum_{c,a} P'_k[c, a] w[(c, a), (i, j)] with
+    w = sum_b basis[i, a, b] conj(basis[j, c, b]): the real part of an entry
+    pairs with Re w, the imaginary part with -Im w.
     """
-    n, _, rank = basis.shape
+    basis = _TRAPEZOID_BASES[rank]
+    w = np.einsum("iab,jcb->caij", basis, basis.conj()).reshape(16, -1)
+    form_map = np.empty((32, w.shape[1]))
+    form_map[0::2], form_map[1::2] = w.real, -w.imag
+    form_map.setflags(write=False)
+    return form_map
+
+
+def _quadratic_forms(projectors: np.ndarray, vecs: np.ndarray, rank: int) -> np.ndarray:
+    """Q[k] with Tr(A A^dag P_k) = x^T Q[k] x for the factor A = vecs T(x) of a rank.
+
+    T(x) = sum_j x_j _TRAPEZOID_BASES[rank][j].  One matmul takes every P_k
+    to the eigenbasis, V^dag P_k V (row-major, vec(V^dag P V) = vec(P)
+    kron(conj V, V)); a second applies the cached real map of the rank.
+    """
     k = len(projectors)
-    columns = basis.conj().transpose(1, 0, 2).reshape(4, n * rank)  # [c, (j, b)]
-    mapped = (projectors.transpose(0, 2, 1) @ columns).reshape(k, 4, n, rank)  # [k, a, j, b]
-    mapped = mapped.transpose(0, 2, 1, 3).reshape(k, n, 4 * rank)  # [k, j, (a, b)]
-    return (basis.reshape(n, 4 * rank) @ mapped.transpose(0, 2, 1)).real
+    rotation = (vecs.conj()[:, None, :, None] * vecs[None, :, None, :]).reshape(16, 16)
+    rotated = projectors.reshape(k, 16) @ rotation
+    n = 8 * rank - rank * rank
+    return (rotated.view(float) @ _form_map(rank)).reshape(k, n, n)
 
 
 @dataclass(frozen=True)
@@ -277,67 +299,100 @@ _DECREMENT_TOL = 1e-10  # Newton decrement g^T H^-1 g, in log-likelihood units
 _KKT_TOL = 1e-8  # allowed negative eigenvalue of the likelihood gradient
 
 
-def _gram(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    factor = (x @ basis.reshape(len(basis), -1)).reshape(4, -1)
+def _gram(x: np.ndarray, vecs: np.ndarray, rank: int) -> np.ndarray:
+    """The Gram matrix A A^dag of the factor A = vecs T(x) of ``_quadratic_forms``."""
+    factor = vecs @ (x @ _TRAPEZOID_BASES[rank].reshape(len(x), -1)).reshape(4, rank)
     return factor @ factor.conj().T
 
 
-def _deviance(x: np.ndarray, flat: np.ndarray, counts: np.ndarray, pos: np.ndarray) -> float:
-    """Poisson deviance sum_k mu_k - n_k - n_k log(mu_k / n_k), flat = Q.reshape(K, n^2).
+def _deviance(
+    x: np.ndarray, quad: np.ndarray, counts: np.ndarray, pos: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Poisson deviance sum_k mu_k - n_k - n_k log(mu_k / n_k) at x, with Q x and mu.
 
     This is the negative log-likelihood up to a constant, measured from the
-    exact fit so that its rounding stays far below the Newton tolerance.
+    exact fit so that its rounding stays far below the Newton tolerance;
+    it is inf where a mean is not positive but counts are seen.  The rows
+    Q_k x and the means mu_k = x^T Q_k x are returned for the next step.
     """
-    mu = flat @ np.outer(x, x).ravel()
+    qx = (quad.reshape(-1, len(x)) @ x).reshape(len(quad), len(x))
+    mu = qx @ x
     if np.any(mu[pos] <= 0):
-        return math.inf
-    return float(np.sum(mu - counts) - counts[pos] @ np.log(mu[pos] / counts[pos]))
+        return math.inf, qx, mu
+    return float(np.sum(mu - counts) - counts[pos] @ np.log(mu[pos] / counts[pos])), qx, mu
 
 
 def _newton(
     x: np.ndarray, quad: np.ndarray, counts: np.ndarray, max_steps: int
 ) -> tuple[np.ndarray, bool]:
-    """Damped (Levenberg-Marquardt) Newton on the deviance of mu_k = x^T Q_k x.
+    """Damped Newton on the deviance of mu_k = x^T Q_k x.
 
     The Hessian is exact: 2 sum_k (1 - n_k/mu_k) Q_k + J^T diag(n/mu^2) J
-    with J_k = 2 Q_k x.  Converged means a positive definite Hessian and a
-    Newton decrement below _DECREMENT_TOL; the last Newton step is then
-    taken unless it leaves the domain (a zero mean where counts are seen).
-    Below that tolerance its gain is at the rounding level of the deviance,
-    so it is not tested for descent.  The damping grows tenfold on a
-    rejected step and halves on an accepted one.
+    with J_k = 2 Q_k x.  While the damping is 0, a Hessian that passes
+    ``np.linalg.cholesky`` (positive definite) gives the Newton step by one
+    solve and the Newton decrement -grad . step.  Converged means a
+    positive definite Hessian and a decrement below _DECREMENT_TOL; the
+    last Newton step is then taken unless it leaves the domain (a zero mean
+    where counts are seen).  Below that tolerance its gain is at the
+    rounding level of the deviance, so it is not tested for descent.  An
+    indefinite Hessian or a rejected Newton step falls back to a
+    Levenberg-Marquardt step in the eigenbasis of the Hessian, shifted to be
+    positive definite: a rejected step sets the damping to 1e-6 or grows it
+    tenfold, and an accepted one halves it.  The Q x and mu of each
+    accepted trial carry into the next step.
     """
     pos = counts > 0
     n = len(x)
     flat = quad.reshape(len(quad), n * n)
-    f = _deviance(x, flat, counts, pos)
+    f, qx, mu = _deviance(x, quad, counts, pos)
     damping = 0.0
     for _ in range(max_steps):
-        qx = quad @ x
-        mu = qx @ x
         ratio = np.divide(counts, mu, out=np.zeros_like(mu), where=pos)
         curvature = np.divide(ratio, mu, out=np.zeros_like(mu), where=pos)
         grad = 2 * (1 - ratio) @ qx
         hess = 2 * ((1 - ratio) @ flat).reshape(n, n) + 4 * qx.T @ (curvature[:, None] * qx)
+        if damping == 0:
+            try:
+                np.linalg.cholesky(hess)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                step = -np.linalg.solve(hess, grad)
+                if -grad @ step <= _DECREMENT_TOL:
+                    return _last_step(x, step, quad, counts, pos), True
+                trial = _deviance(x + step, quad, counts, pos)
+                if trial[0] <= f:
+                    x = x + step
+                    f, qx, mu = trial
+                    continue
+                damping = 1e-6
         evals, evecs = np.linalg.eigh(hess)
         g = evecs.T @ grad
         if evals[0] > 0 and g @ (g / evals) <= _DECREMENT_TOL:
-            final = x - evecs @ (g / evals)
-            return (x if _deviance(final, flat, counts, pos) == math.inf else final), True
+            return _last_step(x, -evecs @ (g / evals), quad, counts, pos), True
         scale = np.abs(evals).max()
         # the smallest shift that makes the damped Hessian positive definite
         shift = max(0.0, -evals[0]) + 1e-12 * scale
         while True:
             step = -evecs @ (g / (evals + shift + damping * scale))
-            f_new = _deviance(x + step, flat, counts, pos)
-            if f_new <= f:
+            trial = _deviance(x + step, quad, counts, pos)
+            if trial[0] <= f:
                 break
             damping = max(10 * damping, 1e-6)
             if damping > 1e12:
                 return x, False
-        x, f = x + step, f_new
+        x = x + step
+        f, qx, mu = trial
         damping /= 2
     return x, False
+
+
+def _last_step(
+    x: np.ndarray, step: np.ndarray, quad: np.ndarray, counts: np.ndarray, pos: np.ndarray
+) -> np.ndarray:
+    """x + step, or x where the step leaves the domain."""
+    final = x + step
+    return x if _deviance(final, quad, counts, pos)[0] == math.inf else final
 
 
 def _kkt_certified(m: np.ndarray, projectors: np.ndarray, counts: np.ndarray) -> bool:
@@ -355,22 +410,22 @@ def _kkt_certified(m: np.ndarray, projectors: np.ndarray, counts: np.ndarray) ->
 
 
 def _factor_solve(
-    m: np.ndarray, projectors: np.ndarray, counts: np.ndarray, rank: int, steps: int
+    eigs: np.ndarray, vecs: np.ndarray, projectors: np.ndarray, counts: np.ndarray,
+    rank: int, steps: int,
 ) -> tuple[np.ndarray, bool]:
-    """Newton on a 4 x rank factor spanned by the top-rank eigenvectors of m.
+    """Newton on a 4 x rank factor spanned by the top-rank eigenvectors of a start m.
 
-    In the eigenbasis the lower-trapezoidal factor starts at the square roots
-    of the rank largest eigenvalues, far from the degenerate zero pivots that
-    stall a fixed-basis factor near a rank-deficient optimum.  Returns the
-    Gram matrix of the result and whether it passed the KKT certificate.
+    ``eigs, vecs`` are the ascending eigenvalues and eigenvectors of m.  In
+    the eigenbasis the lower-trapezoidal factor starts at the square roots
+    of the rank largest eigenvalues, far from the degenerate zero pivots
+    that stall a fixed-basis factor near a rank-deficient optimum.  Returns
+    the Gram matrix of the result and whether it passed the KKT certificate.
     """
-    eigs, vecs = np.linalg.eigh(m)
     eigs, vecs = eigs[::-1], vecs[:, ::-1]
-    basis = vecs @ _TRAPEZOID_BASES[rank]
-    x = np.zeros(len(basis))
+    x = np.zeros(8 * rank - rank * rank)
     x[:rank] = np.sqrt(np.maximum(eigs[:rank], 1e-9 * eigs[0]))
-    x, converged = _newton(x, _quadratic_forms(projectors, basis), counts, steps)
-    m_rank = _gram(x, basis)
+    x, converged = _newton(x, _quadratic_forms(projectors, vecs, rank), counts, steps)
+    m_rank = _gram(x, vecs, rank)
     return m_rank, converged and _kkt_certified(m_rank, projectors, counts)
 
 
@@ -403,21 +458,26 @@ def ml_reconstruct(data: TomoData, seed: int = 0) -> np.ndarray:
     except ValueError:
         # complete settings whose linear estimate has trace <= 0
         rho_init = np.eye(4, dtype=complex) / 4
-    positive = np.linalg.eigvalsh(rho_init)[0] > 0
+    # one decomposition serves the positivity test, the repair and the rank-4 start
+    eigs, vecs = repaired_spectrum(rho_init)
+    positive = eigs[0] > 0
     if not positive:
-        rho_init = repair_density_matrix(rho_init)
+        rho_init = (vecs * eigs) @ vecs.conj().T
     # the likelihood-optimal flux for this shape: sum_k mu_k = sum_k n_k
     flux = counts.sum() / np.einsum("kab,ba->", table.projectors, rho_init).real
     # a square design fits every count (mu_k = n_k), so a positive estimate is the optimum
     exact_fit = positive and len(counts) == 16
     if exact_fit and _kkt_certified(flux * rho_init, table.projectors, counts):
         return rho_init
-    full, certified = _factor_solve(flux * rho_init, table.projectors, counts, 4, _FULL_RANK_STEPS)
-    m = full
-    for rank in range(1, 5):  # not certified at rank 4: the rank-boundary finish from full
-        if certified:
-            break
-        m, certified = _factor_solve(full, table.projectors, counts, rank, _BOUNDARY_STEPS)
+    m, certified = _factor_solve(flux * eigs, vecs, table.projectors, counts, 4, _FULL_RANK_STEPS)
+    if not certified:  # the rank-boundary finish, in the eigenbasis of the rank-4 result
+        eigs, vecs = np.linalg.eigh(m)
+        for rank in range(1, 5):
+            m, certified = _factor_solve(
+                eigs, vecs, table.projectors, counts, rank, _BOUNDARY_STEPS
+            )
+            if certified:
+                break
     if not certified:
         raise ConvergenceError("no rank of the likelihood optimum passed the KKT certificate")
     rho = (m + m.conj().T) / 2

@@ -36,6 +36,7 @@ from ering.tomography import (
     tomo_data_from_csv,
     tomo_data_to_csv,
 )
+import newton_oracle
 from test_states import record_corpus, sqrtm_psd
 
 
@@ -265,7 +266,7 @@ _HH = projector(np.array([1, 0, 0, 0], dtype=complex))
 # Werner datasets at 40k flux whose rank-4 solve is not certified, with the
 # parameter counts of the Newton solves that ml_reconstruct runs on them: the
 # rank-4 solve (16), then the rank finish at r = 1 (7), 2 (12) and 3 (15)
-RANK_FINISH = {(0.998, 1): [16, 7, 12], (0.999, 1): [16, 7, 12], (0.999, 14): [16, 7, 12, 15],
+RANK_FINISH = {(0.998, 1): [16, 7, 12], (0.999, 1): [16, 7, 12], (0.999, 38): [16, 7, 12, 15],
                (0.9999, 10): [16, 7, 12]}
 ORACLE_CORPUS = (
     [(f"werner({p:.2f})", werner(p), 1) for p in np.linspace(0.05, 0.85, 5)]
@@ -308,7 +309,7 @@ def test_quadratic_forms_match_einsum_oracle(rank, rng):
     for _ in range(3):
         unitary, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         basis = unitary @ tomography._TRAPEZOID_BASES[rank]
-        got = tomography._quadratic_forms(projectors, basis)
+        got = tomography._quadratic_forms(projectors, unitary, rank)
         assert np.abs(got - einsum_quadratic_forms(projectors, basis)).max() < 1e-13
 
 
@@ -366,6 +367,74 @@ def test_ml_overcomplete_positive_estimate_runs_newton(monkeypatch):
     lam_min, slack = kkt_residuals(rec, data)
     assert lam_min >= -1e-8
     assert slack <= 1e-8
+
+
+def _solve_log(monkeypatch, module):
+    """Wrap ``module._newton``: per solve, its parameter count, Newton steps and deviance calls.
+
+    The solve is deterministic, so its steps are the smallest step cap at
+    which it returns what it returns uncapped.  A solve whose every first
+    trial step is accepted calls the deviance once more than it takes steps.
+    """
+    log = []
+    newton, deviance = module._newton, module._deviance
+    calls = []
+
+    def counted_deviance(*args):
+        calls.append(None)
+        return deviance(*args)
+
+    def counted(x, quad, counts, max_steps):
+        calls.clear()
+        x_out, converged = newton(x, quad, counts, max_steps)
+        evaluations = len(calls)
+        for steps in range(max_steps + 1):
+            capped, capped_converged = newton(x, quad, counts, steps)
+            if capped_converged == converged and np.array_equal(capped, x_out):
+                break
+        log.append((len(x), steps, evaluations))
+        return x_out, converged
+
+    monkeypatch.setattr(module, "_deviance", counted_deviance)
+    monkeypatch.setattr(module, "_newton", counted)
+    return log
+
+
+_FAST_PATH_CORPUS = [(*case, None) for case in ORACLE_CORPUS] + [
+    ("overcomplete-werner(0.47)", werner(0.47), 1, _OVERCOMPLETE)
+]
+
+
+@pytest.mark.parametrize(
+    "rho,seed,settings",
+    [case[1:] for case in _FAST_PATH_CORPUS],
+    ids=[c[0] for c in _FAST_PATH_CORPUS],
+)
+def test_ml_matches_the_eigh_step_oracle(rho, seed, settings, monkeypatch):
+    # the Cholesky-step solver against the one it replaced: both certify (each
+    # raises otherwise), the states agree, and each solve takes no more steps
+    # in the new solver, up to the first solve in which the oracle rejects a
+    # trial step.  Once a step is damped, the path turns on the last bits of
+    # the iterate (the oracle's own step count moves by several under a
+    # one-ulp change of its start), and so does the start of every later
+    # solve, so from there on the solves are compared by their result alone.
+    data = simulate_tomography(rho, 40_000, seed=seed, settings=settings)
+    new_log = _solve_log(monkeypatch, tomography)
+    old_log = _solve_log(monkeypatch, newton_oracle)
+    rec = ml_reconstruct(data)
+    want = newton_oracle.ml_reconstruct(data)
+    assert np.abs(rec - want).max() <= 1e-8
+    lam_min, slack = kkt_residuals(rec, data)
+    assert lam_min >= -1e-8
+    assert slack <= 1e-8
+    undamped = [evaluations == 1 + steps for _, steps, evaluations in old_log]
+    if all(undamped):
+        assert len(new_log) == len(old_log)
+    for clean, (n_old, steps_old, _), (n_new, steps_new, _) in zip(undamped, old_log, new_log):
+        if not clean:
+            break
+        assert n_new == n_old
+        assert steps_new <= steps_old
 
 
 _NO_HV_GROUP = [  # informationally complete, without the HH/HV/VH/VV group
