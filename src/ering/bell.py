@@ -26,9 +26,11 @@ Counts-based runs use linear polarizers.  The measured-counts layer
 (``AnglePlan``, ``CountsTable``, the counts CSV and ``chsh_from_counts``)
 lives in the numpy-free ``ering.counts``; this module re-exports it.  A
 plan compiles once (``compile_plan``) into its setting labels and one
-read-only matrix of rows against the Pauli vector of rho, so the joint and
-marginal detection probabilities of all its settings are one matvec, which
-``source.expected_coincidences`` turns into the mean counts of a run.
+read-only matrix of rows against the Pauli vector of rho, built by
+``states.measurement_rows`` from the Bloch 4-vector (Theta, Phi) = (2 theta, 0)
+of each polarizer, so the joint and marginal detection probabilities of
+all its settings are one matvec, which ``source.expected_coincidences``
+turns into the mean counts of a run.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .counts import (  # re-exported: the counts layer is part of this module's 
     STANDARD_PLAN, AnglePlan, CountsTable, angle_label, chsh_from_counts,
     correlation_from_counts, counts_from_csv, counts_to_csv,
 )
-from .states import analyse, pauli_vector
+from .states import analyse, bloch_vector, measurement_rows
 
 TSIRELSON_BOUND = 2 * math.sqrt(2)
 
@@ -76,7 +78,8 @@ class BlochSetting:
             phi_n = math.atan2(y, x)
             if phi_n <= -math.pi:
                 phi_n = math.pi
-        unit = _unit_vector(theta_n, phi_n)
+        st_n = math.sin(theta_n)
+        unit = np.array([st_n * math.cos(phi_n), st_n * math.sin(phi_n), math.cos(theta_n)])
         unit.setflags(write=False)
         object.__setattr__(self, "theta", theta_n)
         object.__setattr__(self, "phi", phi_n)
@@ -84,11 +87,6 @@ class BlochSetting:
 
     def unit_vector(self) -> np.ndarray:
         return self._unit
-
-
-def _unit_vector(theta: float, phi: float) -> np.ndarray:
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
 
 
 @dataclass(frozen=True)
@@ -204,9 +202,9 @@ class CompiledPlan:
     """Distinct joint settings compiled once into labels and measurement rows.
 
     ``labels`` are the canonical (theta1, theta2) degree labels in plan
-    order; ``rows`` is the read-only ``(3 S, 16)`` stack of the S joint
-    rows, then the S arm-1 and the S arm-2 marginal rows: ``pauli_vector(E) / 4``
-    of E = P1 x P2, P1 x I and I x P2 for the polarizer projectors P1, P2.
+    order; ``rows`` is the read-only ``(3 S, 16)`` stack of the S joint, the
+    S arm-1 and the S arm-2 rows of ``states.measurement_rows`` for the
+    polarizers' Bloch 4-vectors b = (1, sin 2 theta, 0, cos 2 theta).
     The rows take the Pauli vector of a state, not the state:
     ``source.expected_coincidences`` passes the cached vector of rho
     (``analyse(rho).pauli_vector``) depolarized in Pauli coordinates.
@@ -243,11 +241,7 @@ def _compile(settings: tuple[tuple[float, float], ...]) -> CompiledPlan:
     labels = tuple((angle_label(t1), angle_label(t2)) for t1, t2 in settings)
     if len(set(labels)) != len(labels):
         raise ValueError("plan repeats a joint setting")
-    theta = np.array(settings, dtype=float).reshape(-1, 2)
-    kets = np.stack((np.cos(theta), np.sin(theta)), axis=-1)  # (S, arm, 2)
-    p1, p2 = np.moveaxis(kets[..., :, None] * kets[..., None, :], 1, 0)  # (S, 2, 2) per arm
-    eye = np.broadcast_to(np.eye(2), p1.shape)
-    ops = np.einsum("...ab,...cd->...acbd", np.stack((p1, p1, eye)), np.stack((p2, eye, p2)))
-    rows = pauli_vector(ops.reshape(-1, 4, 4)) / 4
+    b = bloch_vector(2 * np.array(settings, dtype=float).reshape(-1, 2), 0.0)  # (S, arm, 4)
+    rows = measurement_rows(b[:, 0], b[:, 1]).reshape(-1, 16)
     rows.setflags(write=False)
     return CompiledPlan(labels, rows)

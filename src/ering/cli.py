@@ -204,14 +204,8 @@ def cmd_state(args):
 
 def cmd_source(args):
     from .optics import (
-        coherence_time_from_bandwidth,
-        config_to_dict,
-        detected_pair_rate,
-        displacement_visibility,
-        ou_mandel_fwhm,
-        phase_from_displacement,
-        ring_diameter,
-        sector_area,
+        coherence_time_from_bandwidth, config_to_dict, detected_pair_rate, displacement_visibility,
+        ou_mandel_fwhm, phase_from_displacement, ring_diameter, sector_area,
     )
 
     config = _load_base_config(args)
@@ -289,7 +283,8 @@ def _fig3(args):
 
 
 def _fig4_point(r, duration, config, seed):
-    from .source import config_with_overrides, sector_area, simulate_coincidences
+    from .optics import config_with_overrides, sector_area
+    from .source import simulate_coincidences
     from .states import bell_state, projector
 
     full = sector_area(config.mask_diameter, config)
@@ -340,7 +335,7 @@ def _fig_tomo(family, args):
 
 
 def _fig12_point(p, duration, config, seed):
-    from .bell import chsh_from_counts
+    from .counts import chsh_from_counts
     from .source import simulate_bell_test
     from .states import werner
 
@@ -386,18 +381,11 @@ def cmd_tomo_reconstruct(args):
     from .entanglement import linear_entropy, tangle
     from .states import check_density_matrix, density_matrix_to_dict, load_density_matrix
     from .tomography import (
-        design_condition_number,
-        fidelity,
-        linear_reconstruct,
-        ml_reconstruct,
-        tomo_data_from_csv,
+        design_condition_number, fidelity, linear_reconstruct, ml_reconstruct, tomo_data_from_csv,
     )
 
     data = tomo_data_from_csv(args.data)
-    if args.method == "linear":
-        rho = linear_reconstruct(data)
-    else:
-        rho = ml_reconstruct(data)
+    rho = (linear_reconstruct if args.method == "linear" else ml_reconstruct)(data)
     min_eig = float(np.linalg.eigvalsh(rho).min())
     physical = min_eig >= -1e-10
     report = {
@@ -409,11 +397,7 @@ def cmd_tomo_reconstruct(args):
     }
     if physical:
         s_max, _ = chsh_optimize(rho)
-        report.update(
-            tangle=tangle(rho),
-            linear_entropy=linear_entropy(rho),
-            s_max_abs=s_max,
-        )
+        report.update(tangle=tangle(rho), linear_entropy=linear_entropy(rho), s_max_abs=s_max)
     if args.target:
         target = check_density_matrix(load_density_matrix(args.target))
         if physical:
@@ -430,7 +414,7 @@ def _plan_from_args(args):
 
 
 def cmd_bell_simulate(args):
-    from .bell import counts_to_csv
+    from .counts import counts_to_csv
     from .source import simulate_bell_test
 
     config = _load_base_config(args)
@@ -487,6 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="base polarizer angles in degrees (default 0 45 22.5 67.5)",
     )
     out = _flag("--out", help="also write the JSON report to this file")
+    simulated = argparse.ArgumentParser(add_help=False)  # the state of tomo and bell simulate
+    simulated.add_argument("--family", choices=["werner", "mems", "singlet", "file"], required=True)
+    simulated.add_argument("--p", type=finite_float, help="singlet weight in [0, 1] (werner, mems; 1)")
+    simulated.add_argument("--state", help="density-matrix JSON (with --family file)")
     phi = _flag("--phi", type=finite_float, default=0.0, help="pair phase in radians")
 
     p_state = sub.add_parser("state", help="build a state family member and print its measures")
@@ -550,10 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tomo = sub.add_parser("tomo", help="simulate or reconstruct tomography data")
     tomo_sub = p_tomo.add_subparsers(dest="tomo_command", required=True, parser_class=parser_class)
-    p_sim = tomo_sub.add_parser("simulate", help="write simulated 16-setting counts")
-    p_sim.add_argument("--family", choices=["werner", "mems", "singlet", "file"], required=True)
-    p_sim.add_argument("--p", type=finite_float, help="singlet weight in [0, 1] (werner, mems; 1)")
-    p_sim.add_argument("--state", help="density-matrix JSON (with --family file)")
+    p_sim = tomo_sub.add_parser(
+        "simulate", parents=[simulated], help="write simulated 16-setting counts"
+    )
     p_sim.add_argument("--counts", type=int, default=10000, help="mean counts per setting")
     p_sim.add_argument("--seed", type=nonnegative_int, required=True)
     p_sim.add_argument("--out", required=True, help="output counts CSV")
@@ -575,12 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
     bell_sub = p_bell.add_subparsers(dest="bell_command", required=True, parser_class=parser_class)
     p_bsim = bell_sub.add_parser(
         "simulate",
-        parents=[angle_flags, config_flags],
+        parents=[angle_flags, config_flags, simulated],
         help="write a simulated 16-setting counts CSV",
     )
-    p_bsim.add_argument("--family", choices=["werner", "mems", "singlet", "file"], required=True)
-    p_bsim.add_argument("--p", type=finite_float, help="singlet weight in [0, 1] (werner, mems; 1)")
-    p_bsim.add_argument("--state", help="density-matrix JSON (with --family file)")
     p_bsim.add_argument(
         "--duration",
         type=finite_float,

@@ -96,7 +96,7 @@ def read(
     those keys must be exactly ``# key value``, at most once per key; other
     comment lines are skipped.  A value in the file must be finite and
     positive, or equal its default (0 stands for unknown).  The file must be
-    UTF-8 text; a leading byte-order mark is skipped.
+    UTF-8 text with no NUL character; a leading byte-order mark is skipped.
     """
     values = dict(comments)
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -104,6 +104,9 @@ def read(
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for number, text in enumerate(lines, 1):
+        if "\0" in text:  # csv.reader on Python 3.10 refuses such a line with its own error
+            raise error(path, number, "line contains a NUL character")
     start = 0
     seen = set()
     while start < len(lines) and lines[start].startswith("#"):

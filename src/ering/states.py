@@ -10,7 +10,8 @@ Hermitian, has unit trace and is positive semidefinite; ``check_density_matrix``
 enforces those three invariants at the tolerances used throughout.  A matrix
 that passes gets one ``Analysis`` record (``analyse``), cached by its content,
 and every per-state number in this package is read from that record.  Every
-probability Tr(rho E) is a row ``pauli_vector(E) / 4`` against the state's ``pauli_vector``.
+probability Tr(rho E) is a row against the state's ``pauli_vector``, built by
+``measurement_rows`` from the Bloch 4-vectors b = (1, n) of the analyzers.
 
 The state families provided here are the phase-tunable Bell pairs, the
 non-maximally entangled pairs produced by unbalancing the pump, Werner
@@ -42,7 +43,8 @@ WEIGHT_SUM_ATOL = 1e-9
 
 def _pauli_pairs() -> np.ndarray:
     paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-    pairs = np.array([np.kron(a, b) for a in paulis for b in paulis])
+    # pairs[4 i + j][(a, c), (b, d)] = paulis[i][a, b] paulis[j][c, d]
+    pairs = (paulis[:, None, :, None, :, None] * paulis[None, :, None, :, None, :]).reshape(16, 4, 4)
     pairs.setflags(write=False)
     return pairs
 
@@ -59,6 +61,26 @@ def pauli_vector(ops: np.ndarray) -> np.ndarray:
     Each trace is summed over the diagonal of the product in row order, as ``np.trace`` rounds.
     """
     return np.einsum("...ab,kba->...ka", ops, PAULI_PAIRS).sum(-1).real
+
+
+def bloch_vector(theta, phi) -> np.ndarray:
+    """Bloch 4-vectors (1, sin T cos P, sin T sin P, cos T), ``(..., 4)``, of broadcast angles.
+
+    The analyzer's projector is (b . sigma) / 2; a polarizer at theta is (2 theta, 0).
+    """
+    st = np.sin(theta)
+    return np.stack(np.broadcast_arrays(1.0, st * np.cos(phi), st * np.sin(phi), np.cos(theta)), -1)
+
+
+def measurement_rows(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """``(3, K, 16)`` joint, arm-1 and arm-2 rows of the ``(K, 4)`` Bloch 4-vector pairs b1, b2.
+
+    b1 x b2 / 4, b1 x e0 / 2 and e0 x b2 / 2 are the ``pauli_vector(E) / 4`` of
+    E = P1 x P2, P1 x I and I x P2: a row's dot with the Pauli vector of rho is Tr(rho E).
+    """
+    two_e0 = np.broadcast_to([2.0, 0.0, 0.0, 0.0], np.shape(b1))  # twice the identity coordinate
+    first, second = np.stack((b1, b1, two_e0)), np.stack((b2, two_e0, b2))
+    return (first[..., :, None] * second[..., None, :]).reshape(3, -1, 16) / 4
 
 
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:

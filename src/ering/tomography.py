@@ -1,17 +1,14 @@
 """Simulated 16-setting polarization tomography and state reconstruction.
 
-Measurement settings are pairs of single-photon projectors drawn from
-the standard polarization alphabet
-
-    H = (1, 0)            V = (0, 1)
-    D = (H + V)/sqrt(2)   A = (H - V)/sqrt(2)
-    L = (H + iV)/sqrt(2)  R = (H - iV)/sqrt(2)
-
-or a general elliptical projector ``E(Theta,Phi)`` with ket
-cos(Theta/2)|H> + e^{i Phi} sin(Theta/2)|V> (finite Bloch angles, radians).
+Measurement settings are pairs of single-photon projectors, each held as
+its Bloch 4-vector b = (1, n): the letters H, V = (1, +-z), D, A = (1, +-x)
+(H +- V over sqrt(2)) and L, R = (1, +-y) (H +- iV over sqrt(2)) exactly, and
+``E(Theta,Phi)``, the projector onto cos(Theta/2)|H> + e^{i Phi} sin(Theta/2)|V>
+(finite angles, radians), as ``states.bloch_vector(Theta, Phi)``.  The design
+matrix is the joint block of ``states.measurement_rows``, against the Pauli
+vector of rho, and the pair projectors are P_k = sum_ij design_kij sigma_i x sigma_j.
 ``simulate_tomography`` draws Poisson counts about the noise-free means
-flux * Tr(rho P_k) of ``exact_tomography_counts``.  Row k of the design
-matrix is ``states.pauli_vector(P_k) / 4``, against the Pauli vector of rho.
+flux * Tr(rho P_k) of ``exact_tomography_counts``.
 
 Reconstruction is offered two ways: linear inversion of the design matrix
 (fast, but unphysical under noise) and the maximum-likelihood state of
@@ -58,45 +55,45 @@ from . import csvfile
 from .errors import ConvergenceError, InputFormatError
 from .sampling import poisson
 # fidelity lives in states, next to the square root it reads; it is re-exported here
-from .states import PAULI_PAIRS, check_density_matrix, fidelity, pauli_vector, repaired_spectrum
+from .states import (
+    PAULI_PAIRS, bloch_vector, check_density_matrix, fidelity, measurement_rows, repaired_spectrum,
+)
 
-_KETS = {
-    "H": np.array([1, 0], dtype=complex),
-    "V": np.array([0, 1], dtype=complex),
-    "D": np.array([1, 1], dtype=complex) / math.sqrt(2),
-    "A": np.array([1, -1], dtype=complex) / math.sqrt(2),
-    "L": np.array([1, 1j], dtype=complex) / math.sqrt(2),
-    "R": np.array([1, -1j], dtype=complex) / math.sqrt(2),
-}
+_ALPHABET = np.array(
+    [[1, 0, 0, 1], [1, 0, 0, -1], [1, 1, 0, 0], [1, -1, 0, 0], [1, 0, 1, 0], [1, 0, -1, 0]],
+    dtype=float,
+)
+_ALPHABET.setflags(write=False)
+
+#: The exact Bloch 4-vectors (1, n) of the polarization alphabet, read-only rows.
+_LETTERS = dict(zip("HVDALR", _ALPHABET))
 
 _ELLIPTICAL = re.compile(r"^E\(\s*([-+0-9.eE]+)\s*,\s*([-+0-9.eE]+)\s*\)$")
 
 
-def projector_ket(label: str) -> np.ndarray:
-    """Single-qubit ket for a projector label (H/V/D/A/L/R or E(Theta,Phi), angles finite)."""
-    if label in _KETS:
-        return _KETS[label]
+def projector_bloch(label: str) -> np.ndarray:
+    """Bloch 4-vector (1, n) of a projector label (H/V/D/A/L/R or E(Theta,Phi), angles finite)."""
+    if label in _LETTERS:
+        return _LETTERS[label]
     match = _ELLIPTICAL.match(label)
     if match:
         theta, phi = float(match.group(1)), float(match.group(2))
         if not (math.isfinite(theta) and math.isfinite(phi)):
             raise ValueError(f"projector label {label!r} has a non-finite angle")
-        return np.array(
-            [math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)], dtype=complex
-        )
+        return bloch_vector(theta, phi)
     raise ValueError(f"unknown projector label {label!r}")
 
 
 @dataclass(frozen=True)
 class TomoSetting:
-    """One joint measurement: a rank-1 projector on each photon."""
+    """One joint measurement: a rank-1 projector on each photon; a bad label raises ValueError."""
 
     proj1: str
     proj2: str
 
-    def pair_projector(self) -> np.ndarray:
-        ket = np.kron(projector_ket(self.proj1), projector_ket(self.proj2))
-        return np.outer(ket, ket.conj())
+    def __post_init__(self):
+        projector_bloch(self.proj1)
+        projector_bloch(self.proj2)
 
 
 _STANDARD_ORDER = [
@@ -156,8 +153,8 @@ def _quadratic_forms(projectors: np.ndarray, vecs: np.ndarray, rank: int) -> np.
     """Q[k] with Tr(A A^dag P_k) = x^T Q[k] x for the factor A = vecs T(x) of a rank.
 
     T(x) = sum_j x_j _TRAPEZOID_BASES[rank][j].  One matmul takes every P_k
-    to the eigenbasis, V^dag P_k V (row-major, vec(V^dag P V) = vec(P)
-    kron(conj V, V)); a second applies the cached real map of the rank.
+    to the eigenbasis, V^dag P_k V (row-major, (V^dag P V)_cd = sum_ab
+    P_ab conj(V_ac) V_bd); a second applies the cached real map of the rank.
     """
     k = len(projectors)
     rotation = (vecs.conj()[:, None, :, None] * vecs[None, :, None, :]).reshape(16, 16)
@@ -178,9 +175,9 @@ class _SettingsTable:
 
 @functools.lru_cache(maxsize=64)
 def _table_for_labels(labels: tuple[tuple[str, str], ...]) -> _SettingsTable:
-    projectors = np.array([TomoSetting(a, b).pair_projector() for a, b in labels])
-    projectors = projectors.reshape(len(labels), 4, 4)
-    design = pauli_vector(projectors) / 4
+    b = np.array([[projector_bloch(label) for label in pair] for pair in labels]).reshape(-1, 2, 4)
+    design = measurement_rows(b[:, 0], b[:, 1])[0]
+    projectors = (design @ PAULI_PAIRS.reshape(16, 16)).reshape(len(labels), 4, 4)
     rank = int(np.linalg.matrix_rank(design))
     table = _SettingsTable(projectors, design, rank, np.linalg.pinv(design))
     for array in (table.projectors, table.design, table.inverse):
@@ -510,9 +507,7 @@ def tomo_data_from_csv(path) -> TomoData:
             raise csvfile.error(path, line, f"setting_index must be {position}, got {index!r}")
         counts.append(csvfile.count(path, line, n))
         try:
-            projector_ket(proj1)
-            projector_ket(proj2)
+            settings.append(TomoSetting(proj1, proj2))
         except ValueError as exc:
-            raise csvfile.error(path, line, str(exc))
-        settings.append(TomoSetting(proj1, proj2))
+            raise csvfile.error(path, line, str(exc)) from None
     return TomoData(settings, np.array(counts), comments["total_flux_estimate"])

@@ -528,6 +528,14 @@ def test_non_utf8_csv_exit_2(command, tmp_path, capsys):
     assert f"{path}: not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [("tomo", "reconstruct", "--data"), ("bell", "eval", "--counts")])
+def test_nul_in_csv_exit_2(command, tmp_path, capsys):
+    path = tmp_path / "nul.csv"
+    path.write_bytes(b"# duration_s 1\ntheta1_deg,theta2_deg,counts\n0,0,5\n0,4\x005,5\n")
+    assert run_cli(*command, str(path)) == 2
+    assert f"error: {path}:4: line contains a NUL character" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-5", "x", "11.25 s", ""])
 def test_tomo_reconstruct_bad_flux_header_exit_2(value, tmp_path, capsys):
     path = tmp_path / "flux.csv"

@@ -122,12 +122,24 @@ def _no_nul(value):
     return not (isinstance(value, str) and "\0" in value)
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [("a,b\nx\0y,1\n", 2), ("# note \0\na,b\nx,1\n", 1), ('a,b\n"x\ny",1\n2,\0\n', 4)],
+)
+def test_a_nul_is_refused_at_its_line(tmp_path, text, line):
+    # on every Python version: csv.reader on 3.10 raises its own error instead
+    path = tmp_path / "nul.csv"
+    path.write_text(text)
+    with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:{line}: line contains a NUL"):
+        csvfile.read(path, ["a", "b"], {})
+
+
 @settings(max_examples=200, deadline=None)
 @given(width=st.integers(1, 4), data=st.data())
 def test_any_rows_read_back_whole(tmp_path_factory, width, data):
     # cells holding a comma, a quote, \n or a lone \r come back as written, up
-    # to the strip of every field; a NUL is left out, since csv.reader on
-    # Python 3.10 refuses a line holding one ("line contains NUL")
+    # to the strip of every field; a NUL is left out, since the reader refuses
+    # a line holding one (test_a_nul_is_refused_at_its_line)
     header = data.draw(st.lists(_QUOTABLE.filter(_no_nul), min_size=width, max_size=width))
     assume(not header[0].startswith(("#", "\ufeff")))  # a comment line, a byte-order mark
     row = st.lists(_ANY_CELL.filter(_no_nul), min_size=width, max_size=width)

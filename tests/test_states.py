@@ -508,3 +508,33 @@ def test_deserialization_rejects_wrong_basis():
 def test_mixtures_of_family_states_stay_physical(p, q, lam):
     rho = mix([(lam, werner(p)), (1 - lam, mems(q))])
     check_density_matrix(rho)
+
+
+_SINGLE_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def test_pauli_pairs_are_the_kron_products():
+    want = [np.kron(a, b) for a in _SINGLE_PAULIS for b in _SINGLE_PAULIS]
+    assert states.PAULI_PAIRS.tobytes() == np.array(want).tobytes()
+
+
+def test_polarizer_bloch_vectors():
+    theta = np.linspace(-math.pi, math.pi, 37)
+    b = states.bloch_vector(2 * theta, 0.0)
+    assert b.shape == (37, 4)
+    want = np.stack([np.ones_like(theta), np.sin(2 * theta), 0 * theta, np.cos(2 * theta)], -1)
+    assert np.array_equal(b, want)
+    for t, row in zip(theta, b):
+        ket = np.array([math.cos(t), math.sin(t)])
+        assert np.abs(np.einsum("i,iab->ab", row, _SINGLE_PAULIS) / 2 - np.outer(ket, ket)).max() <= 3e-16
+
+
+def test_measurement_rows_are_the_pauli_rows_of_the_projectors(rng):
+    b = states.bloch_vector(rng.uniform(0, math.pi, (50, 2)), rng.uniform(-math.pi, math.pi, (50, 2)))
+    p1, p2 = np.moveaxis(np.einsum("kwi,iab->kwab", b, _SINGLE_PAULIS) / 2, 1, 0)
+    eye = np.broadcast_to(np.eye(2), p1.shape)
+    ops = [[np.kron(x, y) for x, y in zip(*pair)] for pair in ((p1, p2), (p1, eye), (eye, p2))]
+    want = states.pauli_vector(np.array(ops)) / 4
+    got = states.measurement_rows(b[:, 0], b[:, 1])
+    assert got.shape == (3, 50, 16)
+    assert np.abs(got - want).max() <= 2.3e-16

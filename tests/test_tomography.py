@@ -30,7 +30,7 @@ from ering.tomography import (
     fidelity,
     linear_reconstruct,
     ml_reconstruct,
-    projector_ket,
+    projector_bloch,
     simulate_tomography,
     standard_settings,
     tomo_data_from_csv,
@@ -52,23 +52,53 @@ def test_design_matrix_complete():
     assert design_condition_number(standard_settings()) == pytest.approx(9.749, rel=1e-3)
 
 
-def test_projector_kets():
-    assert np.allclose(projector_ket("H"), [1, 0])
-    assert np.allclose(projector_ket("D"), np.array([1, 1]) / math.sqrt(2))
-    assert np.allclose(projector_ket("L"), np.array([1, 1j]) / math.sqrt(2))
+_KETS = {
+    "H": np.array([1, 0], dtype=complex),
+    "V": np.array([0, 1], dtype=complex),
+    "D": np.array([1, 1], dtype=complex) / math.sqrt(2),
+    "A": np.array([1, -1], dtype=complex) / math.sqrt(2),
+    "L": np.array([1, 1j], dtype=complex) / math.sqrt(2),
+    "R": np.array([1, -1j], dtype=complex) / math.sqrt(2),
+}
+
+
+def oracle_ket(label):
+    """Single-qubit ket of a projector label: the ket route the Bloch vectors replaced."""
+    if label in _KETS:
+        return _KETS[label]
+    theta, phi = map(float, label[2:-1].split(","))
+    return np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)], dtype=complex)
+
+
+def ket_projector(setting):
+    """The pair projector |k><k| of k = ket1 x ket2: the oracle of the cached projector stack."""
+    ket = np.kron(oracle_ket(setting.proj1), oracle_ket(setting.proj2))
+    return np.outer(ket, ket.conj())
+
+
+def test_projector_bloch_vectors():
+    assert np.array_equal(projector_bloch("H"), [1, 0, 0, 1])
+    assert np.array_equal(projector_bloch("D"), [1, 1, 0, 0])
+    assert np.array_equal(projector_bloch("L"), [1, 0, 1, 0])
     # elliptical general form covers the alphabet
-    assert np.allclose(projector_ket("E(1.5707963267948966,0)"), projector_ket("D"))
+    assert np.allclose(projector_bloch("E(1.5707963267948966,0)"), projector_bloch("D"))
     assert np.allclose(
-        projector_ket("E(1.5707963267948966,1.5707963267948966)"), projector_ket("L")
+        projector_bloch("E(1.5707963267948966,1.5707963267948966)"), projector_bloch("L")
     )
-    with pytest.raises(ValueError):
-        projector_ket("Q")
+    with pytest.raises(ValueError, match="^unknown projector label 'Q'$"):
+        projector_bloch("Q")
 
 
 @pytest.mark.parametrize("label", ["E(1e400,0)", "E(0,1e400)", "E(-1e400,0)", "E(0,-1e400)"])
-def test_projector_ket_rejects_non_finite_angles(label):
+def test_projector_bloch_rejects_non_finite_angles(label):
     with pytest.raises(ValueError, match=f"^projector label {re.escape(repr(label))} has a non-finite angle$"):
-        projector_ket(label)
+        projector_bloch(label)
+
+
+@pytest.mark.parametrize("labels", [("Q", "H"), ("H", "E(1e400,0)"), ("h", "V")])
+def test_tomo_setting_rejects_a_bad_label_when_built(labels):
+    with pytest.raises(ValueError, match="projector label"):
+        TomoSetting(*labels)
 
 
 def test_simulate_orthogonal_setting_gives_zero():
@@ -222,7 +252,7 @@ def lbfgs_ml_oracle(data, n_starts=3, seed=0):
     """Best of n_starts L-BFGS-B runs from the repaired linear estimate and
     seeded perturbations of it; the failure flags are ignored, the best
     likelihood wins."""
-    projs = np.array([s.pair_projector() for s in data.settings])
+    projs = np.array([ket_projector(s) for s in data.settings])
     counts = np.asarray(data.counts, dtype=float)
     flux = float(counts[:4].sum())
     rho_init = repair_density_matrix(linear_reconstruct(data))
@@ -258,7 +288,7 @@ def kkt_residuals(rho, data):
     p = expected_probabilities(rho, data.settings)
     mu = data.counts.sum() / p.sum() * p
     weights = 1 - np.divide(data.counts, mu, out=np.zeros_like(mu), where=data.counts > 0)
-    g = sum(w * s.pair_projector() for w, s in zip(weights, data.settings))
+    g = sum(w * ket_projector(s) for w, s in zip(weights, data.settings))
     return float(np.linalg.eigvalsh(g)[0]), float(np.abs(g @ rho).max())
 
 
@@ -305,7 +335,7 @@ def einsum_quadratic_forms(projectors, basis):
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_quadratic_forms_match_einsum_oracle(rank, rng):
-    projectors = np.array([s.pair_projector() for s in standard_settings()])
+    projectors = np.array([ket_projector(s) for s in standard_settings()])
     for _ in range(3):
         unitary, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         basis = unitary @ tomography._TRAPEZOID_BASES[rank]
@@ -488,22 +518,61 @@ def trace_loop_design(labels):
     """Tr(P_k sigma_i x sigma_j) / 4 by np.trace over ket projectors: the design's oracle."""
     rows = []
     for a, b in labels:
-        ket = np.kron(projector_ket(a), projector_ket(b))
-        p = np.outer(ket, ket.conj())
+        p = ket_projector(TomoSetting(a, b))
         rows.append([np.trace(p @ np.kron(si, sj)).real / 4 for si in _PAULIS for sj in _PAULIS])
     return np.array(rows)
 
 
+_LETTER_PAIRS = [(a, b) for a in "HVDALR" for b in "HVDALR"]
+
+
+def random_elliptical_labels(rng, k=16):
+    theta = rng.uniform(0, math.pi, (k, 2)).tolist()
+    phi = rng.uniform(-math.pi, math.pi, (k, 2)).tolist()
+    return [tuple(f"E({t!r},{f!r})" for t, f in zip(*pair)) for pair in zip(theta, phi)]
+
+
+def mpmath_design(labels):
+    """The joint rows b1 x b2 / 4 of E(Theta,Phi) labels at 40 digits, rounded once."""
+    import mpmath
+
+    def bloch(label):
+        theta, phi = (mpmath.mpf(float(v)) for v in label[2:-1].split(","))  # the doubles, exactly
+        st = mpmath.sin(theta)
+        return [1, st * mpmath.cos(phi), st * mpmath.sin(phi), mpmath.cos(theta)]
+
+    with mpmath.workdps(40):
+        return np.array(
+            [[float(x * y / 4) for x in bloch(a) for y in bloch(b)] for a, b in labels]
+        )
+
+
 def test_design_matrix_is_the_trace_loop(rng):
-    labels = [(a, b) for a in "HVDALR" for b in "HVDALR"]
-    design = design_matrix([TomoSetting(a, b) for a, b in labels])
-    assert np.array_equal(design, trace_loop_design(labels))
+    # the letter rows are exact, and the oracle's 1/sqrt(2) kets round in the
+    # last bits; on E labels the oracle's own rounding reaches 1.7e-16, so the
+    # rows are held to 1e-16 of the 40-digit value and to 2.3e-16 of the oracle
+    design = design_matrix([TomoSetting(a, b) for a, b in _LETTER_PAIRS])
+    assert np.abs(design - trace_loop_design(_LETTER_PAIRS)).max() <= 2.3e-16
     for _ in range(50):
-        theta = rng.uniform(0, math.pi, (16, 2)).tolist()
-        phi = rng.uniform(-math.pi, math.pi, (16, 2)).tolist()
-        labels = [tuple(f"E({t!r},{f!r})" for t, f in zip(*pair)) for pair in zip(theta, phi)]
+        labels = random_elliptical_labels(rng)
         design = design_matrix([TomoSetting(a, b) for a, b in labels])
-        assert np.abs(design - trace_loop_design(labels)).max() <= 1e-16
+        assert np.abs(design - trace_loop_design(labels)).max() <= 2.3e-16
+        assert np.abs(design - mpmath_design(labels)).max() <= 1e-16
+
+
+def test_letter_design_rows_are_exact():
+    design = design_matrix([TomoSetting(a, b) for a, b in _LETTER_PAIRS])
+    assert set(design.ravel().tolist()) <= {0.0, 0.25, -0.25}
+    for row, (a, b) in zip(design, _LETTER_PAIRS):
+        assert np.array_equal(row, np.kron(projector_bloch(a), projector_bloch(b)) / 4)
+
+
+def test_projectors_from_the_design_match_ket_projectors(rng):
+    for labels in [_LETTER_PAIRS] + [random_elliptical_labels(rng) for _ in range(20)]:
+        settings = [TomoSetting(a, b) for a, b in labels]
+        projectors = tomography._settings_table(settings).projectors
+        oracle = np.array([ket_projector(s) for s in settings])
+        assert np.abs(projectors - oracle).max() <= 1e-15
 
 
 def test_design_matrix_is_cached_read_only():
