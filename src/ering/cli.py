@@ -1,4 +1,5 @@
-"""Command-line interface.
+"""Command-line interface: the argparse parser, the config loading and ``_finish``, the
+one output step that checks every path, writes the files, then the manifest, then stdout.
 
 Units on every flag: polarizer and waveplate angles in degrees, pair
 phases in radians, displacements in micrometers, durations in seconds.
@@ -7,25 +8,20 @@ labels of tomography CSV files, in radians.
 
 Each ``state`` family and ``figure`` id parses only the flags it reads,
 given after it (``state werner --out r.json``); no flag may be abbreviated.
+Every ``--family`` value is built by the registry ``STATES`` (``state
+werner|mems --via patchwork`` builds from sector weights instead), and
+every figure id, with its flags and rows, by the table ``ering.figures.FIGURES``.
 
-Every stochastic subcommand requires an explicit ``--seed``; rerunning
-with the same arguments, config and seed reproduces byte-identical
-output files.  Every file-writing run, ``state`` and ``source`` included,
-leaves a ``*.manifest.json`` of the command line, config snapshot (null
-for ``state`` and ``tomo``), seed (null without ``--seed``), version and
-outputs.  All output paths are checked before any write, and files are
-written before stdout.
-``tomo reconstruct`` is deterministic; its optional ``--seed`` is only recorded.
+Every stochastic subcommand requires an explicit ``--seed``, and a rerun
+with the same arguments, config and seed writes byte-identical files.
+Every file-writing run leaves a ``*.manifest.json`` of the command line,
+config snapshot (null for ``state`` and ``tomo``), seed (null without
+``--seed``), version and outputs.  ``tomo reconstruct`` is deterministic;
+its optional ``--seed`` is only recorded.
 
-Each command imports the numerical modules it runs, and only those; the
-parser imports none, so ``--version``, ``--help`` and every usage error
-finish without loading numpy, and so do ``bell eval``, ``source`` and a
-noise-free ``figure 3``, which run only the numpy-free ``ering.counts``
-and ``ering.optics``.
-
-Every ``--family`` value of every subcommand is built by the one registry
-``STATES``; ``state werner|mems --via patchwork`` builds from sector
-weights instead.  All CSV files share the layout of ``ering.csvfile``.
+Each command imports the numerical modules it runs, and only those, so
+``--version``, ``--help``, every usage error, ``bell eval``, ``source`` and
+a noise-free ``figure 3`` finish without loading numpy.
 
 Exit codes: 0 success, 1 domain error (including informationally
 incomplete tomography settings), 2 usage or input-format error (an unread
@@ -50,6 +46,7 @@ from pathlib import Path
 
 from . import __version__, csvfile
 from .errors import ConvergenceError, InputFormatError, PoissonLimitError
+from .figures import FIGURES, default_config, figure_rows
 
 CONFIG_ENV_VAR = "ERING_CONFIG"
 
@@ -73,16 +70,6 @@ def _load_base_config(args):
         except ValueError:
             raise InputFormatError(f"config key {key!r} needs a number, got {value!r}") from None
     return config_with_overrides(config, overrides)
-
-
-def _grid_rows(point, grid, master_seed: int, *fixed) -> list:
-    """``point(x, *fixed, seed=...)`` at each grid value, seeded from ``[master_seed, index]``."""
-    import numpy as np
-
-    return [
-        point(x, *fixed, seed=int(np.random.SeedSequence([master_seed, i]).generate_state(1)[0]))
-        for i, x in enumerate(grid)
-    ]
 
 
 def _manifest_path(first) -> Path:
@@ -231,135 +218,17 @@ def cmd_source(args):
     return config, *_report(report, args.out)
 
 
-def _bell_test_config(args):
-    """Config of figures 2, 4 and 12 (measured visibility 0.94 unless given); checks --duration."""
-    from .optics import config_with_overrides
-
-    config = _load_base_config(args)
-    if args.duration <= 0:
-        raise ValueError("--duration must be positive")
-    if not _config_path(args) and not args.set:
-        config = config_with_overrides(config, {"visibility": 0.94})
-    return config
-
-
-def _fig2_point(theta1_deg, duration, config, seed):
-    from .source import simulate_coincidences
-    from .states import bell_state, projector
-
-    setting = (math.radians(theta1_deg), math.radians(45.0))
-    rho = projector(bell_state("phi", math.pi))
-    table = simulate_coincidences(rho, [setting], duration, config, seed)
-    return theta1_deg, table.get(*setting)
-
-
-def _fig2(args):
-    import numpy as np
-
-    config = _bell_test_config(args)
-    grid = np.arange(45.0, 135.0 + 1e-9, 2.5)
-    rows = _grid_rows(_fig2_point, grid, args.seed, args.duration, config)
-    return config, ["theta1_deg", "coincidences"], rows
-
-
-def _fig3(args):
-    """The Ou-Mandel scan; numpy is loaded only for shot noise."""
-    from .optics import ou_mandel_scan
-
-    config = _load_base_config(args)
-    if args.counts_per_point < 0:
-        raise ValueError("--counts-per-point must be nonnegative")
-    # 101 points from -100 um to 100 um, rounded as np.linspace rounds them
-    start, stop = -100e-6, 100e-6
-    step = (stop - start) / 100
-    curve = ou_mandel_scan(args.phi, [start + i * step for i in range(100)] + [stop], config)
-    if args.counts_per_point > 0:
-        from .sampling import poisson
-
-        means = [args.counts_per_point * c for _, c in curve]
-        noisy = poisson(means, args.seed, "--counts-per-point") / args.counts_per_point
-        curve = [(x, c) for (x, _), c in zip(curve, noisy.tolist())]
-    return config, ["x_um", "normalized_coincidence"], [(x * 1e6, c) for x, c in curve]
-
-
-def _fig4_point(r, duration, config, seed):
-    from .optics import config_with_overrides, sector_area
-    from .source import simulate_coincidences
-    from .states import bell_state, projector
-
-    full = sector_area(config.mask_diameter, config)
-    fraction = sector_area(r, config) / full
-    scaled = config_with_overrides(config, {"pair_rate": config.pair_rate * fraction})
-    rho = projector(bell_state("phi", math.pi))
-    # the phi = pi pair coincides as cos^2(theta1 + theta2):
-    # maximum at theta1 + theta2 = 180 deg, minimum at 90 deg
-    t_max = (math.radians(135.0), math.radians(45.0))
-    t_min = (math.radians(45.0), math.radians(45.0))
-    table = simulate_coincidences(rho, [t_max, t_min], duration, scaled, seed)
-    n_max = table.get(*t_max)
-    n_min = table.get(*t_min)
-    if n_max + n_min == 0:
-        return r * 1e3, 0.0, 0.0
-    visibility = (n_max - n_min) / (n_max + n_min)
-    return r * 1e3, visibility, n_max / duration
-
-
-def _fig4(args):
-    import numpy as np
-
-    config = _bell_test_config(args)
-    grid = np.linspace(0.5e-3, config.mask_diameter, 20)
-    rows = _grid_rows(_fig4_point, grid, args.seed, args.duration, config)
-    return config, ["r_mm", "visibility", "rate_hz"], rows
-
-
-def _fig_tomo_point(p, family, counts, seed):
-    from . import states
-    from .entanglement import linear_entropy, tangle, tangle_curve
-    from .tomography import ml_reconstruct, simulate_tomography
-
-    rho = STATES[family](states, argparse.Namespace(p=p))
-    rec = ml_reconstruct(simulate_tomography(rho, counts, seed))
-    s_l = linear_entropy(rec)
-    return s_l, tangle(rec), family, p, tangle_curve(family, s_l)
-
-
-def _fig_tomo(family, args):
-    """Figures 8 (werner) and 11 (mems); the config is only recorded."""
-    import numpy as np
-
-    config = _load_base_config(args)
-    grid = np.linspace(0.05, 0.95, 13)
-    rows = _grid_rows(_fig_tomo_point, grid, args.seed, family, args.counts_per_setting)
-    return config, ["S_L", "T", "family", "p", "T_curve"], rows
-
-
-def _fig12_point(p, duration, config, seed):
-    from .counts import chsh_from_counts
-    from .source import simulate_bell_test
-    from .states import werner
-
-    table, plan = simulate_bell_test(werner(p), duration, config, seed)
-    s, sigma = chsh_from_counts(table, plan)
-    return p, abs(s), sigma
-
-
-def _fig12(args):
-    import numpy as np
-
-    config = _bell_test_config(args)
-    rows = _grid_rows(_fig12_point, np.linspace(0.05, 1.0, 20), args.seed, args.duration, config)
-    return config, ["p", "abs_S", "sigma_S"], rows
-
-
 def cmd_figure(args):
-    """Creates ``--out-dir``; a new directory is empty, so no output check can fail in it."""
-    config, header, rows = args.figure(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"fig{args.id}.csv"
-    text = f"wrote {out_path} and {_manifest_path(out_path)}\n"
-    return config, text, [(out_path, functools.partial(csvfile.write, header=header, rows=rows))]
+    """Draws the rows before it creates ``--out-dir``, in which no output check can then fail."""
+    figure = FIGURES[args.id]
+    given = _config_path(args) or getattr(args, "set", None)
+    config = _load_base_config(args) if given else default_config(args.id)
+    params = {name: getattr(args, name) for name in figure.params}
+    rows = figure_rows(args.id, config, args.seed, **params)
+    out_path = Path(args.out_dir) / f"fig{args.id}.csv"
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    write = functools.partial(csvfile.write, header=figure.header, rows=rows)
+    return config, f"wrote {out_path} and {_manifest_path(out_path)}\n", [(out_path, write)]
 
 
 def cmd_tomo_simulate(args):
@@ -367,6 +236,8 @@ def cmd_tomo_simulate(args):
     from .tomography import simulate_tomography, tomo_data_to_csv
 
     rho = _build_state(args)
+    if args.counts <= 0:
+        raise ValueError("--counts must be positive")
     data = simulate_tomography(rho, args.counts, args.seed)
     outputs = [(args.out, functools.partial(tomo_data_to_csv, data))]
     if args.target_out:
@@ -475,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulated.add_argument("--family", choices=["werner", "mems", "singlet", "file"], required=True)
     simulated.add_argument("--p", type=finite_float, help="singlet weight in [0, 1] (werner, mems; 1)")
     simulated.add_argument("--state", help="density-matrix JSON (with --family file)")
-    phi = _flag("--phi", type=finite_float, default=0.0, help="pair phase in radians")
 
     p_state = sub.add_parser("state", help="build a state family member and print its measures")
     p_state.set_defaults(func=cmd_state)
@@ -485,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--via", choices=["formula", "patchwork"], default="formula", help="how to build the state"
     )
     kind = _flag("--kind", choices=["phi", "psi"], default="phi")
+    phi = _flag("--phi", type=finite_float, default=0.0, help="pair phase in radians")
     theta_p = _flag(
         "--theta-p", type=finite_float, default=0.0, help="pump waveplate angle in degrees [0, 45]"
     )
@@ -521,20 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=nonnegative_int, required=True, help="master seed (required)"
     )
     fig_flags.add_argument("--out-dir", default="figures", help="output directory")
-    per_point = _flag("--duration", type=finite_float, default=1.0, help="seconds per grid point")
-    per_run = _flag("--duration", type=finite_float, default=180.0, help="seconds per run")
-    noise = _flag("--counts-per-point", type=int, default=0, help="shot-noise count level (0: off)")
-    flux = _flag("--counts-per-setting", type=int, default=40000, help="pair flux per setting")
-    for fig_id, handler, parents, means in (
-        ("2", _fig2, [config_flags, per_point], "--duration or --set pair_rate="),
-        ("3", _fig3, [config_flags, phi, noise], "--counts-per-point"),
-        ("4", _fig4, [config_flags, per_point], "--duration or --set pair_rate="),
-        ("8", functools.partial(_fig_tomo, "werner"), [flux], "--counts-per-setting"),
-        ("11", functools.partial(_fig_tomo, "mems"), [flux], "--counts-per-setting"),
-        ("12", _fig12, [config_flags, per_run], "--duration or --set pair_rate="),
-    ):
-        figure = figures.add_parser(fig_id, parents=[fig_flags, *parents])
-        figure.set_defaults(figure=handler, means_flag=means)
+    for fig_id, figure in FIGURES.items():
+        p_id = figures.add_parser(
+            fig_id, parents=[fig_flags, config_flags] if figure.config else [fig_flags]
+        )
+        for name, (default, help_, _) in figure.params.items():
+            number = finite_float if isinstance(default, float) else int
+            flag = "--" + name.replace("_", "-")
+            p_id.add_argument(flag, type=number, default=default, help=help_)
+        p_id.set_defaults(means_flag=figure.means_flag)
 
     p_tomo = sub.add_parser("tomo", help="simulate or reconstruct tomography data")
     tomo_sub = p_tomo.add_subparsers(dest="tomo_command", required=True, parser_class=parser_class)
@@ -599,17 +465,13 @@ def main(argv=None) -> int:
     try:
         _finish(args, t0, *args.func(args))
         return 0
-    except (InputFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         if isinstance(exc, PoissonLimitError):  # name the flag that sets the mean counts
             exc.args = (exc.args[0], args.means_flag)
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, (InputFormatError, OSError)):
+            return 2
+        return 3 if isinstance(exc, ConvergenceError) else 1
 
 
 if __name__ == "__main__":

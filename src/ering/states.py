@@ -305,17 +305,6 @@ def werner(p: float) -> np.ndarray:
     return rho
 
 
-def werner_from_fidelity(fidelity: float) -> np.ndarray:
-    """Werner state parameterized by its overlap F with the singlet.
-
-    F = (3p + 1)/4, so this returns werner((4F - 1)/3).  Requires
-    1/4 <= F <= 1.
-    """
-    if not 0.25 <= fidelity <= 1.0:
-        raise ValueError(f"singlet fidelity must be in [1/4, 1], got {fidelity}")
-    return werner((4 * fidelity - 1) / 3)
-
-
 def mems_weight(p: float) -> float:
     """Diagonal weight g(p) of the MEMS family: p/2 for p >= 2/3, else 1/3."""
     if not 0.0 <= p <= 1.0:
@@ -341,9 +330,11 @@ def tune_entanglement(fidelity: float, a: float) -> np.ndarray:
     """Werner mixture with its entangled eigenvector rotated to sqrt(a)|HH> + sqrt(1-a)|VV>.
 
     Returns ((1-F)/3) I + ((4F-1)/3) |psi><psi| where
-    |psi> = sqrt(a)|HH> + sqrt(1-a)|VV>.  At a = 1/2 the spectrum matches
-    werner_from_fidelity(F); raising a toward 1 removes the entanglement
-    without changing the eigenvalues.  Requires F in [1/4, 1], a in [1/2, 1].
+    |psi> = sqrt(a)|HH> + sqrt(1-a)|VV>.  At a = 1/2 this is the Werner
+    state of singlet fidelity F, werner((4F - 1)/3), up to a local rotation;
+    raising a toward 1 removes the entanglement without changing the
+    eigenvalues: the state is entangled exactly when F > 1/2 and
+    a < (1 + sqrt(3(4F^2 - 1))/(4F - 1))/2.  Requires F in [1/4, 1], a in [1/2, 1].
     """
     if not 0.25 <= fidelity <= 1.0:
         raise ValueError(f"fidelity must be in [1/4, 1], got {fidelity}")
@@ -353,21 +344,6 @@ def tune_entanglement(fidelity: float, a: float) -> np.ndarray:
     return ((1 - fidelity) / 3) * np.eye(4, dtype=complex) + (
         (4 * fidelity - 1) / 3
     ) * np.outer(psi, psi.conj())
-
-
-def tuning_entanglement_bound(fidelity: float) -> float:
-    """Largest a below which ``tune_entanglement(F, a)`` is still entangled.
-
-    a_max = (1 + sqrt(3(4F^2 - 1)) / (4F - 1)) / 2, clamped to 1.  States
-    with F <= 1/2 are never entangled; the empty interval is signalled by
-    returning 1/2.
-    """
-    if not 0.25 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity must be in [1/4, 1], got {fidelity}")
-    if fidelity <= 0.5:
-        return 0.5
-    a_max = 0.5 * (1 + math.sqrt(3 * (4 * fidelity**2 - 1)) / (4 * fidelity - 1))
-    return min(a_max, 1.0)
 
 
 def mix(components: list[tuple[float, np.ndarray]]) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ering import cli
+from ering import cli, figures
 from ering.cli import main
 from ering.states import (
     density_matrix_from_dict,
@@ -260,6 +260,7 @@ def test_negative_counts_per_point_exit_1(tmp_path, capsys):
         (("figure", "3", "--counts-per-point", "-5"), "--counts-per-point must be nonnegative"),
         (("figure", "2", "--duration", "0"), "--duration must be positive"),
         (("figure", "12", "--duration", "-1"), "--duration must be positive"),
+        (("figure", "8", "--counts-per-setting", "0"), "error: --counts-per-setting must be positive\n"),
     ],
 )
 def test_rejected_figure_run_creates_no_directory(argv, message, tmp_path, capsys):
@@ -267,6 +268,42 @@ def test_rejected_figure_run_creates_no_directory(argv, message, tmp_path, capsy
     assert run_cli(*argv, "--seed", "1", "--out-dir", str(out_dir)) == 1
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("counts", ["0", "-3"])
+def test_tomo_simulate_non_positive_counts_names_the_flag(counts, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    argv = ["tomo", "simulate", "--family", "singlet", "--counts", counts, "--seed", "1"]
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: --counts must be positive\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_figure_rows_are_the_rows_the_cli_writes(tmp_path, capsys, monkeypatch):
+    """The library call, without argparse, gives the rows of the CLI's CSV, byte for byte."""
+    from ering import csvfile
+    from ering.figures import FIGURES, default_config, figure_rows
+
+    monkeypatch.delenv("ERING_CONFIG", raising=False)
+    for argv, fig_id, params in (
+        (["--duration", "2"], "12", {"duration": 2.0}),
+        ([], "3", {}),
+        (["--phi", "1.2", "--counts-per-point", "500"], "3", {"phi": 1.2, "counts_per_point": 500}),
+    ):
+        out_dir = tmp_path / "cli"
+        assert run_cli("figure", fig_id, "--seed", "4", *argv, "--out-dir", str(out_dir)) == 0
+        capsys.readouterr()
+        library = tmp_path / f"lib{fig_id}.csv"
+        rows = figure_rows(fig_id, default_config(fig_id), 4, **params)
+        csvfile.write(library, FIGURES[fig_id].header, rows)
+        assert library.read_bytes() == (out_dir / f"fig{fig_id}.csv").read_bytes(), argv
+
+
+def test_figure_help_lists_the_table(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("figure", "--help")
+    (ids,) = re.findall(r"\{([^}]*)\}", capsys.readouterr().out.split("\n\n")[0])
+    assert ids.split(",") == list(figures.FIGURES)
 
 
 def test_state_has_no_seed_flag():
@@ -878,26 +915,36 @@ def _called(call: ast.Call) -> str | None:
     return getattr(func, "id", getattr(func, "attr", None))
 
 
+def _writes(called) -> bool:
+    # a writer called by its name or through its module (bell.counts_to_csv)
+    writers = ("print", "tomo_data_to_csv", "counts_to_csv", "save_density_matrix")
+    return str(called).rpartition(".")[2] in writers or str(called).startswith("csvfile.write")
+
+
 def test_commands_leave_printing_and_writing_to_the_output_step():
-    """No command or figure, nor a cli helper it calls, prints or writes a file itself."""
+    """No command, nor a cli helper it calls, nor any code of ``ering.figures`` (every point
+    function, grid and table entry) prints or writes a file itself."""
     tree = ast.parse(Path(cli.__file__).read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    writers = ("print", "tomo_data_to_csv", "counts_to_csv", "save_density_matrix")
     found = []
     for name in functions:
-        if not name.startswith(("cmd_", "_fig")):
+        if not name.startswith("cmd_"):
             continue
         todo, seen = [name], {name}
         while todo:
             for node in ast.walk(functions[todo.pop()]):
                 called = _called(node) if isinstance(node, ast.Call) else None
-                # a writer called by its name or through its module (bell.counts_to_csv)
-                writes = str(called).rpartition(".")[2] in writers
-                if writes or str(called).startswith("csvfile.write"):
+                if _writes(called):
                     found.append(f"{name}: {called}")
                 elif called in functions and called not in seen:
                     seen.add(called)
                     todo.append(called)
+    for figure in figures.FIGURES.values():  # every point function is code of the module walked
+        assert getattr(figure.point, "func", figure.point).__module__ == "ering.figures"
+    module = ast.parse(Path(figures.__file__).read_text())
+    for node in ast.walk(module):
+        if isinstance(node, ast.Call) and _writes(_called(node)):
+            found.append(f"ering.figures: {_called(node)}")
     assert found == []
 
 

@@ -15,7 +15,7 @@ from ering.entanglement import (
     tangle_curve,
 )
 from ering.sampling import random_density_matrix, random_pure_state
-from ering.states import PAULI_PAIRS, mems, projector, singlet, werner, werner_from_fidelity
+from ering.states import PAULI_PAIRS, mems, projector, singlet, werner
 
 INV_SQ2 = 1 / math.sqrt(2)
 
@@ -136,7 +136,7 @@ def test_mems_curve_dominates_werner_curve():
 def test_tangle_from_fidelity_form():
     for fid in np.linspace(0.25, 1, 101):
         expected = max(0.0, 2 * fid - 1) ** 2
-        assert tangle(werner_from_fidelity(fid)) == pytest.approx(expected, abs=1e-10)
+        assert tangle(werner((4 * fid - 1) / 3)) == pytest.approx(expected, abs=1e-10)
 
 
 def test_tangle_iff_npt_on_random_mixtures(rng):

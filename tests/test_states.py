@@ -24,15 +24,24 @@ from ering.states import (
     projector,
     singlet,
     tune_entanglement,
-    tuning_entanglement_bound,
     werner,
-    werner_from_fidelity,
 )
 from ering.tomography import fidelity
 from test_bell import kron_correlation_matrix
 from test_entanglement import eigvals_concurrence
 
 SQ2 = math.sqrt(2)
+
+
+def tuning_entanglement_bound(fid: float) -> float:
+    """Oracle: the largest a below which ``tune_entanglement(F, a)`` is entangled.
+
+    a_max = (1 + sqrt(3(4F^2 - 1)) / (4F - 1)) / 2, clamped to 1; states with
+    F <= 1/2 are never entangled, signalled by 1/2.
+    """
+    if fid <= 0.5:
+        return 0.5
+    return min(0.5 * (1 + math.sqrt(3 * (4 * fid**2 - 1)) / (4 * fid - 1)), 1.0)
 
 
 def test_bell_state_phi_zero():
@@ -114,20 +123,24 @@ def test_werner_matches_explicit_mixture():
 
 
 def test_werner_from_fidelity_limits():
-    assert np.allclose(werner_from_fidelity(1.0), projector(singlet()), atol=1e-15)
-    assert np.allclose(werner_from_fidelity(0.25), np.eye(4) / 4)
-    assert np.allclose(werner_from_fidelity(0.625), werner(0.5))
+    # the Werner state of singlet fidelity F is werner((4F - 1)/3)
+    assert np.allclose(werner((4 * 1.0 - 1) / 3), projector(singlet()), atol=1e-15)
+    assert np.allclose(werner((4 * 0.25 - 1) / 3), np.eye(4) / 4)
+    assert np.allclose(werner((4 * 0.625 - 1) / 3), werner(0.5))
 
 
 def test_werner_fidelity_round_trip():
     for p in np.linspace(0, 1, 101):
-        assert np.allclose(werner_from_fidelity((3 * p + 1) / 4), werner(p), atol=1e-12)
+        fid = (3 * p + 1) / 4
+        assert np.trace(werner(p) @ projector(singlet())).real == pytest.approx(fid, abs=1e-12)
+        assert np.allclose(werner((4 * fid - 1) / 3), werner(p), atol=1e-12)
 
 
 def test_werner_from_fidelity_range():
+    # a fidelity outside [1/4, 1] is a singlet weight outside [0, 1]
     for bad in (0.2, 1.1):
         with pytest.raises(ValueError):
-            werner_from_fidelity(bad)
+            werner((4 * bad - 1) / 3)
 
 
 def test_mems_weight_branches():
@@ -226,7 +239,7 @@ def test_tune_entanglement_inside_bound_is_entangled():
 def test_tune_entanglement_spectrum_matches_werner():
     for fid in np.linspace(0.25, 1.0, 21):
         tuned = np.linalg.eigvalsh(tune_entanglement(fid, 0.5))
-        reference = np.linalg.eigvalsh(werner_from_fidelity(fid))
+        reference = np.linalg.eigvalsh(werner((4 * fid - 1) / 3))
         assert np.allclose(np.sort(tuned), np.sort(reference), atol=1e-12)
 
 
@@ -237,6 +250,11 @@ def test_tuning_bound_values():
     expected = 0.5 * (1 + math.sqrt(3 * (4 * 0.75**2 - 1)) / (4 * 0.75 - 1))
     assert expected == pytest.approx(0.9841229182759271)
     assert tuning_entanglement_bound(0.75) == pytest.approx(expected)
+    # the oracle is the edge of the entangled region: no tangle at a_max, some just below it
+    for fid in (0.6, 0.75, 0.9):
+        a_max = tuning_entanglement_bound(fid)
+        assert tangle(tune_entanglement(fid, a_max)) == pytest.approx(0.0, abs=1e-12)
+        assert tangle(tune_entanglement(fid, a_max - 0.01)) > 1e-6
 
 
 def test_tuning_bound_separates_entangled_region():
