@@ -5,10 +5,10 @@ its Bloch 4-vector b = (1, n): the letters H, V = (1, +-z), D, A = (1, +-x)
 (H +- V over sqrt(2)) and L, R = (1, +-y) (H +- iV over sqrt(2)) exactly, and
 ``E(Theta,Phi)``, the projector onto cos(Theta/2)|H> + e^{i Phi} sin(Theta/2)|V>
 (finite angles, radians), as ``states.bloch_vector(Theta, Phi)``.  The design
-matrix is the joint block of ``states.measurement_rows``, against the Pauli
-vector of rho, and the pair projectors are P_k = sum_ij design_kij sigma_i x sigma_j.
+matrix is the joint block of ``states.measurement_rows``: Tr(rho P_k) = design_k . r
+for the Pauli vector r of rho and the pair projector P_k = sum_i design_ki sigma_i.
 ``simulate_tomography`` draws Poisson counts about the noise-free means
-flux * Tr(rho P_k) of ``exact_tomography_counts``.
+flux * design @ r of ``exact_tomography_counts``.
 
 Reconstruction is offered two ways: linear inversion of the design matrix
 (fast, but unphysical under noise) and the maximum-likelihood state of
@@ -19,27 +19,28 @@ likelihood needs no separate normalization parameter, and neither method
 reads the ``total_flux_estimate`` of the data: it is informational.
 
 The likelihood is convex in M = T T^dag, and each mean count
-mu_k = Tr(M P_k) is a quadratic form x^T Q_k x in the real parameters x
-of T.  Every fit is one damped Newton solve with the exact Hessian over a
-4 x r lower-trapezoidal T in the eigenbasis V of a starting M, started at
-the square roots of its r largest eigenvalues.  Q_k is V^dag P_k V times
-a real map cached per rank.  A Newton step is one solve against the
+mu_k = Tr(M P_k) = design_k . r(M) is a quadratic form x^T Q_k x in the real
+parameters x of T.  Every fit is one damped Newton solve with the exact
+Hessian over a 4 x r lower-trapezoidal T in the eigenbasis V of a starting
+M, started at the square roots of its r largest eigenvalues.  Q_k is the
+design row against the Pauli pairs rotated to that basis, V^dag sigma_i V,
+times a real map cached per rank.  A Newton step is one solve against the
 Hessian once its Cholesky factorization shows it positive definite; only
 an indefinite Hessian or a rejected step falls back to a damped
 (Levenberg-Marquardt) step in the Hessian's eigenbasis.  The first start
 is the linear estimate rho_0 (repaired to be positive) at the data's own
-scale M_0 = rho_0 sum_k n_k / sum_k Tr(rho_0 P_k), the likelihood-optimal
+scale M_0 = rho_0 sum_k n_k / sum_k design_k . r(rho_0), the likelihood-optimal
 flux for that shape; one eigendecomposition of rho_0 gives its positivity,
 its repair and the start basis.  With exactly 16 settings a positive
 definite linear estimate fits every count (mu_k = n_k) and is returned as
 soon as the certificate below accepts it.  Otherwise the solve runs at
-r = 4 from M_0.  A result is accepted only if it passes the KKT
-certificate lambda_min(sum_k (1 - n_k/mu_k) P_k) >= -tol: by convexity it
-is then the global optimum.  An optimum on the rank boundary of the
+r = 4 from M_0.  A result is accepted only if it passes the KKT certificate
+lambda_min(G) >= -tol, G = sum_k (1 - n_k/mu_k) P_k = ((1 - n/mu) @ design) . sigma:
+by convexity it is then the global optimum.  An optimum on the rank boundary of the
 positive cone can fail it at r = 4; the solve then runs at r = 1..4 in the
 eigenbasis of the r = 4 result, and the first certified one is returned.
-The per-settings tables (projectors, design matrix, its rank and
-pseudo-inverse) are built once per settings tuple and cached read-only.
+The per-settings tables (design matrix, its rank and pseudo-inverse) are
+built once per settings tuple and cached read-only.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .errors import ConvergenceError, InputFormatError
 from .sampling import poisson
 # fidelity lives in states, next to the square root it reads; it is re-exported here
 from .states import (
-    PAULI_PAIRS, bloch_vector, check_density_matrix, fidelity, measurement_rows, repaired_spectrum,
+    PAULI_PAIRS, analyse, bloch_vector, fidelity, measurement_rows, repaired_spectrum,
 )
 
 _ALPHABET = np.array(
@@ -133,11 +134,11 @@ _TRAPEZOID_BASES = {rank: _trapezoid_basis(rank) for rank in range(1, 5)}
 
 @functools.cache
 def _form_map(rank: int) -> np.ndarray:
-    """The real (32, n^2) map W of a rank: x^T Q_k x = Tr(T T^dag P'_k) for Q_k = P'_k W.
+    """The real (32, n^2) map W of a rank: x^T Q x = Re Tr(T T^dag S) for Q = S W.
 
-    T = sum_i x_i basis[i] over the rank's trapezoid basis, and P'_k is a
-    projector in the eigenbasis, its 16 complex entries viewed as 32 real
-    ones.  Q_k[i, j] = Re sum_{c,a} P'_k[c, a] w[(c, a), (i, j)] with
+    T = sum_i x_i basis[i] over the rank's trapezoid basis, and S is a
+    Pauli pair in the eigenbasis, its 16 complex entries viewed as 32 real
+    ones.  Q[i, j] = Re sum_{c,a} S[c, a] w[(c, a), (i, j)] with
     w = sum_b basis[i, a, b] conj(basis[j, c, b]): the real part of an entry
     pairs with Re w, the imaginary part with -Im w.
     """
@@ -149,25 +150,28 @@ def _form_map(rank: int) -> np.ndarray:
     return form_map
 
 
-def _quadratic_forms(projectors: np.ndarray, vecs: np.ndarray, rank: int) -> np.ndarray:
+#: Row i is the Pauli pair sigma_i, row-major; Re(_PAULI_ROWS @ m.T.ravel()) is r(m).
+_PAULI_ROWS = PAULI_PAIRS.reshape(16, 16)
+
+
+def _quadratic_forms(design: np.ndarray, vecs: np.ndarray, rank: int) -> np.ndarray:
     """Q[k] with Tr(A A^dag P_k) = x^T Q[k] x for the factor A = vecs T(x) of a rank.
 
-    T(x) = sum_j x_j _TRAPEZOID_BASES[rank][j].  One matmul takes every P_k
-    to the eigenbasis, V^dag P_k V (row-major, (V^dag P V)_cd = sum_ab
-    P_ab conj(V_ac) V_bd); a second applies the cached real map of the rank.
+    T(x) = sum_j x_j _TRAPEZOID_BASES[rank][j].  One matmul takes the 16
+    Pauli pairs to the eigenbasis, V^dag sigma_i V (row-major, (V^dag S V)_cd
+    = sum_ab S_ab conj(V_ac) V_bd), and a second applies the cached real map
+    of the rank; the design rows then weigh the 16 forms.
     """
-    k = len(projectors)
     rotation = (vecs.conj()[:, None, :, None] * vecs[None, :, None, :]).reshape(16, 16)
-    rotated = projectors.reshape(k, 16) @ rotation
     n = 8 * rank - rank * rank
-    return (rotated.view(float) @ _form_map(rank)).reshape(k, n, n)
+    pauli_forms = (_PAULI_ROWS @ rotation).view(float) @ _form_map(rank)
+    return (design @ pauli_forms).reshape(len(design), n, n)
 
 
 @dataclass(frozen=True)
 class _SettingsTable:
     """Everything reconstruction needs from a settings list; arrays are read-only."""
 
-    projectors: np.ndarray  # (K, 4, 4)
     design: np.ndarray  # (K, 16), see design_matrix
     rank: int  # of the design matrix
     inverse: np.ndarray  # (16, K) pseudo-inverse of the design: least squares when K > 16
@@ -177,10 +181,8 @@ class _SettingsTable:
 def _table_for_labels(labels: tuple[tuple[str, str], ...]) -> _SettingsTable:
     b = np.array([[projector_bloch(label) for label in pair] for pair in labels]).reshape(-1, 2, 4)
     design = measurement_rows(b[:, 0], b[:, 1])[0]
-    projectors = (design @ PAULI_PAIRS.reshape(16, 16)).reshape(len(labels), 4, 4)
-    rank = int(np.linalg.matrix_rank(design))
-    table = _SettingsTable(projectors, design, rank, np.linalg.pinv(design))
-    for array in (table.projectors, table.design, table.inverse):
+    table = _SettingsTable(design, int(np.linalg.matrix_rank(design)), np.linalg.pinv(design))
+    for array in (table.design, table.inverse):
         array.setflags(write=False)
     return table
 
@@ -226,8 +228,9 @@ class TomoData:
 
 
 def expected_probabilities(rho: np.ndarray, settings: list[TomoSetting]) -> np.ndarray:
-    """Tr(rho P_k) for every setting, against the cached pair projectors."""
-    return np.einsum("kab,ba->k", _settings_table(settings).projectors, rho).real
+    """Tr(rho P_k) for every setting: the design rows against the Pauli vector
+    cached in ``states.analyse(rho)``, so rho must be a valid density matrix."""
+    return _settings_table(settings).design @ analyse(rho).pauli_vector
 
 
 def exact_tomography_counts(
@@ -241,7 +244,6 @@ def exact_tomography_counts(
         raise ValueError(f"counts_per_setting must be finite, got {counts_per_setting}")
     if counts_per_setting <= 0:
         raise ValueError("counts_per_setting must be positive")
-    rho = check_density_matrix(rho)
     if settings is None:
         settings = standard_settings()
     probs = np.clip(expected_probabilities(rho, settings), 0.0, None)
@@ -282,7 +284,7 @@ def linear_reconstruct(data: TomoData) -> np.ndarray:
     table = _settings_table(data.settings)
     if table.rank < 16:
         raise ValueError(_RANK_DEFICIENT)
-    rho = ((table.inverse @ data.counts) @ PAULI_PAIRS.reshape(16, 16)).reshape(4, 4) / 4
+    rho = ((table.inverse @ data.counts) @ _PAULI_ROWS).reshape(4, 4) / 4
     rho = (rho + rho.conj().T) / 2
     trace = np.trace(rho).real
     if trace <= 0:
@@ -291,7 +293,7 @@ def linear_reconstruct(data: TomoData) -> np.ndarray:
 
 
 _FULL_RANK_STEPS = 30  # Newton steps at rank 4 before the rank-boundary finish
-_BOUNDARY_STEPS = 50  # Newton steps per rank of the finish
+_BOUNDARY_STEPS = 200  # Newton steps per rank of the finish; a near-pure rank 3 can take 115
 _DECREMENT_TOL = 1e-10  # Newton decrement g^T H^-1 g, in log-likelihood units
 _KKT_TOL = 1e-8  # allowed negative eigenvalue of the likelihood gradient
 
@@ -392,22 +394,22 @@ def _last_step(
     return x if _deviance(final, quad, counts, pos)[0] == math.inf else final
 
 
-def _kkt_certified(m: np.ndarray, projectors: np.ndarray, counts: np.ndarray) -> bool:
+def _kkt_certified(m: np.ndarray, design: np.ndarray, counts: np.ndarray) -> bool:
     """Whether the likelihood gradient G = sum_k (1 - n_k/mu_k) P_k at m is >= 0.
 
+    mu = design @ r(m), and G is the Pauli pairs weighed by (1 - n/mu) @ design.
     At a stationary point of a factor of m (G m = 0), G >= 0 (within
     _KKT_TOL) is the KKT condition of the convex problem over m >= 0, so m
     is the global optimum.
     """
-    flat = projectors.reshape(len(projectors), 16)
-    mu = (flat @ m.T.ravel()).real
+    mu = design @ (_PAULI_ROWS @ m.T.ravel()).real
     weights = 1 - np.divide(counts, mu, out=np.zeros_like(mu), where=counts > 0)
-    gradient = (weights @ flat).reshape(4, 4)
+    gradient = ((weights @ design) @ _PAULI_ROWS).reshape(4, 4)
     return bool(np.linalg.eigvalsh(gradient)[0] >= -_KKT_TOL)
 
 
 def _factor_solve(
-    eigs: np.ndarray, vecs: np.ndarray, projectors: np.ndarray, counts: np.ndarray,
+    eigs: np.ndarray, vecs: np.ndarray, design: np.ndarray, counts: np.ndarray,
     rank: int, steps: int,
 ) -> tuple[np.ndarray, bool]:
     """Newton on a 4 x rank factor spanned by the top-rank eigenvectors of a start m.
@@ -421,9 +423,9 @@ def _factor_solve(
     eigs, vecs = eigs[::-1], vecs[:, ::-1]
     x = np.zeros(8 * rank - rank * rank)
     x[:rank] = np.sqrt(np.maximum(eigs[:rank], 1e-9 * eigs[0]))
-    x, converged = _newton(x, _quadratic_forms(projectors, vecs, rank), counts, steps)
+    x, converged = _newton(x, _quadratic_forms(design, vecs, rank), counts, steps)
     m_rank = _gram(x, vecs, rank)
-    return m_rank, converged and _kkt_certified(m_rank, projectors, counts)
+    return m_rank, converged and _kkt_certified(m_rank, design, counts)
 
 
 def ml_reconstruct(data: TomoData, seed: int = 0) -> np.ndarray:
@@ -431,12 +433,9 @@ def ml_reconstruct(data: TomoData, seed: int = 0) -> np.ndarray:
 
     Minimizes the Poisson negative log-likelihood sum_k mu_k - n_k log mu_k,
     mu_k = Tr(T T^dag P_k) (T a 4 x r lower-trapezoidal factor in an
-    eigenbasis; its trace is the joint flux estimate), by one damped Newton
-    solve at rank 4 from the positivity-repaired linear estimate at the
-    data's own flux scale, then, when that is not certified, at ranks 1..4
-    from its result (see the module docstring).
-    With exactly 16 settings a positive definite linear estimate fits every
-    count and is returned once certified.
+    eigenbasis; its trace is the joint flux estimate), by the certified
+    Newton solves of the module docstring: a certified positive linear
+    estimate of 16 settings, else rank 4 from it, else the rank finish.
     The solve is deterministic and reads neither ``seed`` (accepted for
     compatibility) nor ``total_flux_estimate``.  The result always satisfies
     every density-matrix invariant.
@@ -447,7 +446,7 @@ def ml_reconstruct(data: TomoData, seed: int = 0) -> np.ndarray:
     table = _settings_table(data.settings)
     if table.rank < 16:
         raise ValueError(_RANK_DEFICIENT)
-    counts = data.counts
+    design, counts = table.design, data.counts
     if not counts.any():
         raise ValueError("all counts are zero; there is no likelihood to maximize")
     try:
@@ -461,18 +460,16 @@ def ml_reconstruct(data: TomoData, seed: int = 0) -> np.ndarray:
     if not positive:
         rho_init = (vecs * eigs) @ vecs.conj().T
     # the likelihood-optimal flux for this shape: sum_k mu_k = sum_k n_k
-    flux = counts.sum() / np.einsum("kab,ba->", table.projectors, rho_init).real
+    flux = counts.sum() / (design @ (_PAULI_ROWS @ rho_init.T.ravel()).real).sum()
     # a square design fits every count (mu_k = n_k), so a positive estimate is the optimum
     exact_fit = positive and len(counts) == 16
-    if exact_fit and _kkt_certified(flux * rho_init, table.projectors, counts):
+    if exact_fit and _kkt_certified(flux * rho_init, design, counts):
         return rho_init
-    m, certified = _factor_solve(flux * eigs, vecs, table.projectors, counts, 4, _FULL_RANK_STEPS)
+    m, certified = _factor_solve(flux * eigs, vecs, design, counts, 4, _FULL_RANK_STEPS)
     if not certified:  # the rank-boundary finish, in the eigenbasis of the rank-4 result
         eigs, vecs = np.linalg.eigh(m)
         for rank in range(1, 5):
-            m, certified = _factor_solve(
-                eigs, vecs, table.projectors, counts, rank, _BOUNDARY_STEPS
-            )
+            m, certified = _factor_solve(eigs, vecs, design, counts, rank, _BOUNDARY_STEPS)
             if certified:
                 break
     if not certified:

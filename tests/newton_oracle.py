@@ -4,8 +4,10 @@ of its fast path.
 The same damped Newton over the same factors, ranks and certificate, with
 every step taken in the eigenbasis of the Hessian, the quadratic forms
 built by two matmuls over the rotated trapezoid basis, the deviance formed
-from the outer product of x, and the start decomposed three times (the
-positivity test, the repair and the start basis).  ``_newton`` is looked
+from the outer product of x, the start decomposed three times (the
+positivity test, the repair and the start basis), and the means, the start
+flux and the KKT certificate read from the ``(K, 4, 4)`` stack of pair
+projectors built from the design rows.  ``_newton`` is looked
 up at call time, so a test can wrap it as it wraps ``tomography._newton``.
 """
 
@@ -15,7 +17,22 @@ import numpy as np
 
 from ering import tomography
 from ering.errors import ConvergenceError
-from ering.states import repair_density_matrix
+from ering.states import PAULI_PAIRS, repair_density_matrix
+
+
+def projector_stack(settings):
+    """The ``(K, 4, 4)`` pair projectors P_k = sum_i design_ki sigma_i of a settings list."""
+    design = tomography.design_matrix(settings)
+    return (design @ PAULI_PAIRS.reshape(16, 16)).reshape(len(design), 4, 4)
+
+
+def kkt_certified(m, projectors, counts):
+    """lambda_min(sum_k (1 - n_k/mu_k) P_k) >= -_KKT_TOL with mu_k = Tr(m P_k)."""
+    flat = projectors.reshape(len(projectors), 16)
+    mu = (flat @ m.T.ravel()).real
+    weights = 1 - np.divide(counts, mu, out=np.zeros_like(mu), where=counts > 0)
+    gradient = (weights @ flat).reshape(4, 4)
+    return bool(np.linalg.eigvalsh(gradient)[0] >= -tomography._KKT_TOL)
 
 
 def quadratic_forms(projectors, basis):
@@ -80,12 +97,12 @@ def _factor_solve(m, projectors, counts, rank, steps):
     x[:rank] = np.sqrt(np.maximum(eigs[:rank], 1e-9 * eigs[0]))
     x, converged = _newton(x, quadratic_forms(projectors, basis), counts, steps)
     m_rank = _gram(x, basis)
-    return m_rank, converged and tomography._kkt_certified(m_rank, projectors, counts)
+    return m_rank, converged and kkt_certified(m_rank, projectors, counts)
 
 
 def ml_reconstruct(data):
     """The certified ML state of ``data``; raises ConvergenceError when no rank certifies."""
-    projectors = tomography._settings_table(data.settings).projectors
+    projectors = projector_stack(data.settings)
     counts = data.counts
     try:
         rho_init = tomography.linear_reconstruct(data)
@@ -96,7 +113,7 @@ def ml_reconstruct(data):
         rho_init = repair_density_matrix(rho_init)
     flux = counts.sum() / np.einsum("kab,ba->", projectors, rho_init).real
     exact_fit = positive and len(counts) == 16
-    if exact_fit and tomography._kkt_certified(flux * rho_init, projectors, counts):
+    if exact_fit and kkt_certified(flux * rho_init, projectors, counts):
         return rho_init
     full, certified = _factor_solve(
         flux * rho_init, projectors, counts, 4, tomography._FULL_RANK_STEPS

@@ -730,6 +730,15 @@ def test_tomo_reconstruct_singlet_converges(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_tomo_reconstruct_near_pure_werner_converges(tmp_path, capsys):
+    # exit 3 while the rank finish allowed 50 Newton steps: its rank-3 solve needs 115
+    data = tmp_path / "near_pure.csv"
+    args = ["--family", "werner", "--p", "0.9995", "--counts", "40000", "--seed", "198"]
+    assert run_cli("tomo", "simulate", *args, "--out", str(data)) == 0
+    assert run_cli("tomo", "reconstruct", "--data", str(data)) == 0
+    capsys.readouterr()
+
+
 def test_bell_eval_duplicate_row_exit_2(tmp_path, capsys):
     counts = tmp_path / "counts.csv"
     assert (

@@ -414,11 +414,15 @@ def record_corpus():
     return corpus
 
 
+def rounding_floor(eigs):
+    """Ascending eigenvalues, each at most 16 eps times the largest one set to 0."""
+    return np.where(eigs > 16 * np.finfo(float).eps * abs(eigs[-1]), eigs, 0.0)
+
+
 def sqrtm_psd(rho):
     """sqrt(rho) from its own eigh: the oracle of ``Analysis.square_root``."""
     eigs, vecs = np.linalg.eigh(rho)
-    eigs = np.clip(eigs, 0.0, None)
-    return (vecs * np.sqrt(eigs)) @ vecs.conj().T
+    return (vecs * np.sqrt(rounding_floor(eigs))) @ vecs.conj().T
 
 
 def explicit_partial_transpose(rho):

@@ -37,7 +37,7 @@ from ering.tomography import (
     tomo_data_to_csv,
 )
 import newton_oracle
-from test_states import record_corpus, sqrtm_psd
+from test_states import record_corpus, rounding_floor, sqrtm_psd
 
 
 def test_standard_settings_shape():
@@ -296,7 +296,7 @@ _HH = projector(np.array([1, 0, 0, 0], dtype=complex))
 # Werner datasets at 40k flux whose rank-4 solve is not certified, with the
 # parameter counts of the Newton solves that ml_reconstruct runs on them: the
 # rank-4 solve (16), then the rank finish at r = 1 (7), 2 (12) and 3 (15)
-RANK_FINISH = {(0.998, 1): [16, 7, 12], (0.999, 1): [16, 7, 12], (0.999, 38): [16, 7, 12, 15],
+RANK_FINISH = {(0.998, 1): [16, 7, 12], (0.999, 0): [16, 7, 12], (0.995, 57): [16, 7, 12, 15],
                (0.9999, 10): [16, 7, 12]}
 ORACLE_CORPUS = (
     [(f"werner({p:.2f})", werner(p), 1) for p in np.linspace(0.05, 0.85, 5)]
@@ -335,12 +335,15 @@ def einsum_quadratic_forms(projectors, basis):
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_quadratic_forms_match_einsum_oracle(rank, rng):
-    projectors = np.array([ket_projector(s) for s in standard_settings()])
-    for _ in range(3):
-        unitary, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        basis = unitary @ tomography._TRAPEZOID_BASES[rank]
-        got = tomography._quadratic_forms(projectors, unitary, rank)
-        assert np.abs(got - einsum_quadratic_forms(projectors, basis)).max() < 1e-13
+    # the forms read the design rows; the oracle reads projectors built from kets
+    for settings in (standard_settings(), _OVERCOMPLETE):
+        design = design_matrix(settings)
+        projectors = np.array([ket_projector(s) for s in settings])
+        for _ in range(3):
+            unitary, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            basis = unitary @ tomography._TRAPEZOID_BASES[rank]
+            got = tomography._quadratic_forms(design, unitary, rank)
+            assert np.abs(got - einsum_quadratic_forms(projectors, basis)).max() < 1e-13
 
 
 def _count_newton_calls(monkeypatch):
@@ -375,6 +378,21 @@ def test_ml_rank_finish_runs_where_rank_4_is_not_certified(p, seed, monkeypatch)
     calls = _count_newton_calls(monkeypatch)
     rec = ml_reconstruct(data)
     assert calls == RANK_FINISH[p, seed]
+    lam_min, slack = kkt_residuals(rec, data)
+    assert lam_min >= -1e-8
+    assert slack <= 1e-8
+
+
+def test_ml_rank_3_finish_takes_more_than_50_newton_steps(monkeypatch):
+    # the rank-3 solve of this near-pure dataset converges in 115 steps; the
+    # finish once stopped each rank at 50 and raised ConvergenceError
+    data = simulate_tomography(werner(0.9995), 40_000, seed=198)
+    log = _solve_log(monkeypatch, tomography)
+    rec = ml_reconstruct(data)
+    assert [n for n, _, _ in log] == [16, 7, 12, 15]
+    assert log[-1][1] > 50
+    eigs = np.linalg.eigvalsh(check_density_matrix(rec))
+    assert eigs[0] < 1e-12 and 1e-10 < eigs[1] < 1e-6
     lam_min, slack = kkt_residuals(rec, data)
     assert lam_min >= -1e-8
     assert slack <= 1e-8
@@ -570,9 +588,24 @@ def test_letter_design_rows_are_exact():
 def test_projectors_from_the_design_match_ket_projectors(rng):
     for labels in [_LETTER_PAIRS] + [random_elliptical_labels(rng) for _ in range(20)]:
         settings = [TomoSetting(a, b) for a, b in labels]
-        projectors = tomography._settings_table(settings).projectors
+        projectors = newton_oracle.projector_stack(settings)
         oracle = np.array([ket_projector(s) for s in settings])
         assert np.abs(projectors - oracle).max() <= 1e-15
+
+
+def test_design_row_means_are_the_projector_traces(rng):
+    # expected_probabilities reads design @ r(rho); the oracle is Tr(rho P_k)
+    # over the projector stack, on the 36 letter pairs and on random E labels
+    label_sets = [_LETTER_PAIRS] + [random_elliptical_labels(rng, 36) for _ in range(4)]
+    stacks = []
+    for labels in label_sets:
+        settings = [TomoSetting(a, b) for a, b in labels]
+        stacks.append((settings, newton_oracle.projector_stack(settings)))
+    for i in range(1000):
+        rho = random_density_matrix(rng)
+        settings, projectors = stacks[i % len(stacks)]
+        oracle = np.einsum("kab,ba->k", projectors, rho).real
+        assert np.abs(expected_probabilities(rho, settings) - oracle).max() <= 1e-15
 
 
 def test_design_matrix_is_cached_read_only():
@@ -598,8 +631,7 @@ def eigh_fidelity(rho1, rho2):
     rho2 = check_density_matrix(rho2)
     sq = sqrtm_psd(rho1)
     inner = sq @ rho2 @ sq
-    eigs = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    value = float(np.sum(np.sqrt(eigs)) ** 2)
+    value = float(np.sum(np.sqrt(rounding_floor(np.linalg.eigvalsh(inner)))) ** 2)
     return min(1.0, max(0.0, value))
 
 
@@ -638,6 +670,24 @@ def test_fidelity_werner_to_singlet_closed_form():
     target = projector(singlet())
     for p in np.linspace(0, 1, 51):
         assert fidelity(werner(p), target) == pytest.approx((3 * p + 1) / 4, abs=1e-7)
+
+
+def test_fidelity_with_a_pure_argument_is_exact_in_either_order(rng):
+    # a pure argument leaves rounding-level eigenvalues whose square roots
+    # (1e-17 gives 3e-9) once cost about 8 digits: Werner 0.14 gave 0.3550000044
+    target = projector(singlet())
+    for p in np.linspace(0, 1, 101):
+        for rho, exact in ((werner(p), (3 * p + 1) / 4), (mems(p), states.mems_weight(p) + p / 2)):
+            assert abs(fidelity(rho, target) - exact) <= 8e-16
+            assert abs(fidelity(target, rho) - exact) <= 8e-16
+    for _ in range(1000):
+        rho = random_density_matrix(rng)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        pure = projector(psi)
+        exact = np.vdot(psi, rho @ psi).real
+        assert abs(fidelity(rho, pure) - exact) <= 2e-15
+        assert abs(fidelity(pure, rho) - exact) <= 2e-15
 
 
 def test_tomo_csv_round_trip(tmp_path):
