@@ -1,12 +1,13 @@
 """CHSH correlation functions, Bell-parameter evaluation and its maximum.
 
-Analyzer directions live on the Bloch sphere as (Theta, Phi) with unit
-vector u(Theta, Phi); the corresponding polarization-analyzer angle is
-theta = Theta/2.  Every correlation comes from one 3x3 correlation matrix
-t_ij = Tr(rho sigma_i x sigma_j), i, j in (x, y, z): the dichotomic
-observable of a direction is u . sigma, so
+An analyzer direction is a unit vector n on the Bloch sphere; the one at
+angles (Theta, Phi) is ``states.bloch_vector(Theta, Phi)[1:]``, and a
+linear polarizer at theta is (Theta, Phi) = (2 theta, 0).  A CHSH setting
+is one ``(4, 3)`` array of the rows a1, a1', a2, a2'.  Every correlation
+comes from one 3x3 correlation matrix t_ij = Tr(rho sigma_i x sigma_j),
+i, j in (x, y, z): the dichotomic observable of a direction is n . sigma, so
 
-    P(u1, u2) = Tr(rho (u1 . sigma) x (u2 . sigma)) = u1^T T u2.
+    P(n1, n2) = Tr(rho (n1 . sigma) x (n2 . sigma)) = n1^T T n2.
 
 The CHSH combination is S = P(a1,a2) - P(a1,a2') + P(a1',a2) + P(a1',a2');
 |S| <= 2 for local realism and <= 2 sqrt(2) always.
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,60 +51,6 @@ from .states import analyse, bloch_vector, measurement_rows
 TSIRELSON_BOUND = 2 * math.sqrt(2)
 
 
-@dataclass(frozen=True)
-class BlochSetting:
-    """One analyzer direction (Theta, Phi) on the Bloch sphere.
-
-    Normalized on construction to Theta in [0, pi], Phi in (-pi, pi]
-    (Phi = 0 at the poles); a non-finite angle raises ValueError.  The
-    polarization-analyzer angle is theta = Theta / 2.  The unit vector is
-    built once, read-only, and ``unit_vector`` returns that same array.
-    """
-
-    theta: float
-    phi: float
-    _unit: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name, angle in (("theta", self.theta), ("phi", self.phi)):
-            if not math.isfinite(angle):
-                raise ValueError(f"Bloch angle {name} must be finite, got {angle}")
-        st = math.sin(self.theta)
-        x, y, z = st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)
-        r_xy = math.hypot(x, y)
-        theta_n = math.atan2(r_xy, z)
-        if r_xy == 0.0:
-            phi_n = 0.0
-        else:
-            phi_n = math.atan2(y, x)
-            if phi_n <= -math.pi:
-                phi_n = math.pi
-        st_n = math.sin(theta_n)
-        unit = np.array([st_n * math.cos(phi_n), st_n * math.sin(phi_n), math.cos(theta_n)])
-        unit.setflags(write=False)
-        object.__setattr__(self, "theta", theta_n)
-        object.__setattr__(self, "phi", phi_n)
-        object.__setattr__(self, "_unit", unit)
-
-    def unit_vector(self) -> np.ndarray:
-        return self._unit
-
-
-@dataclass(frozen=True)
-class ChshSettings:
-    """The four analyzer directions of a CHSH measurement."""
-
-    a1: BlochSetting
-    a1p: BlochSetting
-    a2: BlochSetting
-    a2p: BlochSetting
-
-
-def correlation(rho: np.ndarray, s1: BlochSetting, s2: BlochSetting) -> float:
-    """Correlation function P = u1^T T u2 = Tr(rho (u1 . sigma) x (u2 . sigma)), in [-1, 1]."""
-    return float(s1.unit_vector() @ analyse(rho).correlation_matrix @ s2.unit_vector())
-
-
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     """The read-only 3x3 matrix t_ij = Tr(rho sigma_i x sigma_j): the xyz block of its Pauli vector.
 
@@ -112,16 +59,21 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     return analyse(rho).correlation_matrix
 
 
-def chsh(rho: np.ndarray, settings: ChshSettings) -> float:
-    """Signed CHSH parameter S: the state is validated once, then four correlations of one T.
+def chsh(rho: np.ndarray, settings) -> float:
+    """Signed CHSH parameter S of the ``(4, 3)`` unit vectors a1, a1', a2, a2' in ``settings``.
 
-    Each correlation is (u1^T T) u2, as in ``correlation``; the row u1^T T
-    of each first-photon setting serves both of its correlations.
+    The state is validated once; the four correlations are the 2x2 matrix
+    ``n[:2] @ T @ n[2:].T``.  Raises ValueError for a wrong shape or a row
+    whose squared norm is not within 1e-12 of 1 (a NaN row too).
     """
-    t = analyse(rho).correlation_matrix
-    r1, r1p = settings.a1.unit_vector() @ t, settings.a1p.unit_vector() @ t
-    u2, u2p = settings.a2.unit_vector(), settings.a2p.unit_vector()
-    s = float(r1 @ u2) - float(r1 @ u2p) + float(r1p @ u2) + float(r1p @ u2p)
+    n = np.asarray(settings, dtype=float)
+    if n.shape != (4, 3):
+        raise ValueError(f"CHSH settings must have shape (4, 3), got {n.shape}")
+    norms = [x * x + y * y + z * z for x, y, z in n.tolist()]
+    if not all(abs(q - 1.0) <= 1e-12 for q in norms):  # NaN fails too
+        raise ValueError(f"CHSH settings must be unit vectors, got squared norms {norms}")
+    (p11, p12), (p21, p22) = (n[:2] @ analyse(rho).correlation_matrix @ n[2:].T).tolist()
+    s = p11 - p12 + p21 + p22
     if not abs(s) <= TSIRELSON_BOUND + 1e-9:  # NaN fails too
         raise ValueError(f"CHSH value {s} exceeds the quantum bound 2*sqrt(2)")
     return s
@@ -139,8 +91,8 @@ def chsh_max_from_correlation_matrix(rho: np.ndarray) -> float:
     return 2 * math.sqrt(max(0.0, first + second))
 
 
-def chsh_optimal_family(p: float, b_diag: float | None = None) -> tuple[float, ChshSettings]:
-    """Extremal |S| = 2 sqrt(2) p of the singlet-coupled diagonal family.
+def chsh_optimal_family(p: float, b_diag: float | None = None) -> tuple[float, np.ndarray]:
+    """Extremal |S| = 2 sqrt(2) p of the singlet-coupled diagonal family, and its settings.
 
     For any density matrix that is diagonal (A, B, B, D) with a real
     coupling -p/2 between |HV> and |VH>, the stationary equatorial
@@ -154,41 +106,28 @@ def chsh_optimal_family(p: float, b_diag: float | None = None) -> tuple[float, C
         raise ValueError(
             f"diagonal entry B={b_diag} incompatible with coupling p/2={p / 2}"
         )
-    settings = ChshSettings(
-        a1=BlochSetting(-math.pi / 2, math.pi / 4),
-        a1p=BlochSetting(math.pi / 2, -math.pi / 4),
-        a2=BlochSetting(math.pi / 2, math.pi / 2),
-        a2p=BlochSetting(-math.pi / 2, 0.0),
-    )
+    h, q = math.pi / 2, math.pi / 4
+    settings = bloch_vector(np.array([-h, h, h, -h]), np.array([q, -q, h, 0.0]))[:, 1:]
+    settings.setflags(write=False)
     return TSIRELSON_BOUND * p, settings
 
 
-def chsh_optimize(rho: np.ndarray) -> tuple[float, ChshSettings]:
+def chsh_optimize(rho: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximum |S| over all analyzer directions and settings that reach it.
 
     Closed form of Horodecki, Horodecki and Horodecki, Phys. Lett. A 200,
     340 (1995): with the correlation matrix T = U diag(s1, s2, s3) V^T,
     the settings a1' = u1, a1 = u2 and a2, a2' = cos t v1 +- sin t v2 with
     t = atan2(s2, s1) give S = 2 sqrt(s1^2 + s2^2), the maximum.
-    Returns (max |S|, extremal settings).
+    Returns (max |S|, the read-only ``(4, 3)`` settings a1, a1', a2, a2').
     """
     u, sv, vt = analyse(rho).correlation_svd
     s1, s2, _ = sv.tolist()
     angle = math.atan2(s2, s1)
     c, s = math.cos(angle), math.sin(angle)
-    (x1, y1, z1), (x2, y2, z2), _ = vt.tolist()
-    u1, u2, _ = u.T.tolist()
-    settings = ChshSettings(
-        a1=_setting_from_vector(*u2),
-        a1p=_setting_from_vector(*u1),
-        a2=_setting_from_vector(c * x1 + s * x2, c * y1 + s * y2, c * z1 + s * z2),
-        a2p=_setting_from_vector(c * x1 - s * x2, c * y1 - s * y2, c * z1 - s * z2),
-    )
+    settings = np.concatenate((u.T[1::-1], [[c, s], [c, -s]] @ vt[:2]))
+    settings.setflags(write=False)
     return 2 * math.hypot(s1, s2), settings
-
-
-def _setting_from_vector(x: float, y: float, z: float) -> BlochSetting:
-    return BlochSetting(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
 
 
 # ---------------------------------------------------------------------------

@@ -62,18 +62,15 @@ class AnglePlan:
         return tuple(dict.fromkeys(key for keys in self.base_pair_keys for key in keys))
 
     @functools.cached_property
-    def _bloch_settings(self):
-        from .bell import BlochSetting, ChshSettings
+    def _bloch_settings(self) -> tuple[tuple[float, float, float], ...]:
+        angles = (self.theta1, self.theta1p, self.theta2, self.theta2p)
+        if not all(map(math.isfinite, angles)):
+            raise ValueError(f"plan angles must be finite, got {angles}")
+        return tuple((math.sin(2 * t), 0.0, math.cos(2 * t)) for t in angles)
 
-        return ChshSettings(
-            a1=BlochSetting(2 * self.theta1, 0.0),
-            a1p=BlochSetting(2 * self.theta1p, 0.0),
-            a2=BlochSetting(2 * self.theta2, 0.0),
-            a2p=BlochSetting(2 * self.theta2p, 0.0),
-        )
-
-    def bloch_settings(self):
-        """The ``bell.ChshSettings`` of the plan: Theta = 2 theta, Phi = 0, built once."""
+    def bloch_settings(self) -> tuple[tuple[float, float, float], ...]:
+        """The CHSH settings of the plan for ``bell.chsh``: the unit vectors
+        (sin 2 theta, 0, cos 2 theta) of a1, a1', a2, a2', built once."""
         return self._bloch_settings
 
 

@@ -127,7 +127,7 @@ def figure_rows(fig_id: str, config, seed: int, **params) -> list:
     figure = FIGURES[fig_id]
     for name, (default, _, sign) in figure.params.items():
         value = params.setdefault(name, default)
-        if sign == "positive" and value <= 0 or sign == "nonnegative" and value < 0:
+        if sign == "positive" and not value > 0 or sign == "nonnegative" and not value >= 0:
             raise ValueError(f"--{name.replace('_', '-')} must be {sign}")
     if figure.grid is None:
         return figure.point(config, seed, **params)

@@ -112,8 +112,10 @@ def synthesize(partition: SectorPartition, phi: float) -> np.ndarray:
     """Detection-conditioned state of a patchwork partition at pair phase phi.
 
     Mixture of per-sector states weighted by angular fraction,
-    renormalized over the non-blocked sectors.
+    renormalized over the non-blocked sectors.  A non-finite phi raises ValueError.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"pair phase phi must be finite, got {phi}")
     total = 0.0
     rho = np.zeros((4, 4), dtype=complex)
     for sector in partition.sectors:

@@ -229,11 +229,13 @@ def repair_density_matrix(rho: np.ndarray) -> np.ndarray:
 
 
 def check_pure_state(psi: np.ndarray) -> np.ndarray:
-    """Validate a 4-component state vector (unit norm within 1e-12)."""
+    """Validate a 4-component state vector (finite, unit norm within 1e-12)."""
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (4,):
         raise ValueError(f"pure state must have 4 amplitudes, got shape {psi.shape}")
-    if abs(np.vdot(psi, psi).real - 1.0) > 1e-12:
+    if not abs(np.vdot(psi, psi).real - 1.0) <= 1e-12:  # a NaN or infinite amplitude fails too
+        if not np.isfinite(psi).all():
+            raise ValueError(f"pure state amplitudes must be finite, got {psi.tolist()}")
         raise ValueError("pure state is not normalized within 1e-12")
     return psi
 
@@ -256,6 +258,8 @@ def bell_state(kind: str, phase: float = 0.0) -> np.ndarray:
         Relative phase in radians.  phase = 0 and pi recover the four
         standard Bell states; ("psi", pi) is the singlet.
     """
+    if not math.isfinite(phase):
+        raise ValueError(f"Bell-pair phase must be finite, got {phase}")
     amp = np.exp(1j * float(phase)) / math.sqrt(2)
     if kind == "phi":
         return np.array([1 / math.sqrt(2), 0, 0, amp], dtype=complex)

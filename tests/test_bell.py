@@ -10,8 +10,6 @@ from scipy.optimize import minimize
 
 from ering.bell import (
     AnglePlan,
-    BlochSetting,
-    ChshSettings,
     CountsTable,
     STANDARD_PLAN,
     angle_label,
@@ -21,7 +19,6 @@ from ering.bell import (
     chsh_optimal_family,
     chsh_optimize,
     compile_plan,
-    correlation,
     correlation_from_counts,
     counts_from_csv,
     counts_to_csv,
@@ -31,7 +28,7 @@ from ering.errors import InputFormatError
 from ering.entanglement import tangle
 from ering.sampling import random_density_matrix, random_pure_state
 from ering.source import SourceConfig, expected_coincidences
-from ering.states import analyse, mems, pauli_vector, projector, singlet, werner
+from ering.states import analyse, bloch_vector, mems, pauli_vector, projector, singlet, werner
 
 SQ2 = math.sqrt(2)
 
@@ -55,32 +52,19 @@ def random_family_state(rng):
     return rho, p, b
 
 
-# Independent trace leg: the observable O(Theta, Phi) of a direction as a
-# 2x2 matrix and P = Tr(rho O1 x O2) by an explicit Kronecker product.
+def unit(theta, phi):
+    """The unit vector of the Bloch angles (Theta, Phi)."""
+    return bloch_vector(theta, phi)[..., 1:]
 
 
-def observable(setting: BlochSetting) -> np.ndarray:
-    """2x2 Hermitian, traceless, unit-square observable of a direction."""
-    t, f = setting.theta, setting.phi
-    return np.array(
-        [
-            [math.cos(t), np.exp(-1j * f) * math.sin(t)],
-            [np.exp(1j * f) * math.sin(t), -math.cos(t)],
-        ]
-    )
+def random_settings(rng):
+    """Four random directions a1, a1', a2, a2' as a (4, 3) array."""
+    return unit(rng.uniform(0, math.pi, 4), rng.uniform(-math.pi, math.pi, 4))
 
 
-def kron_correlation(rho, s1, s2):
-    return float(np.trace(rho @ np.kron(observable(s1), observable(s2))).real)
-
-
-def kron_chsh(rho, settings):
-    return (
-        kron_correlation(rho, settings.a1, settings.a2)
-        - kron_correlation(rho, settings.a1, settings.a2p)
-        + kron_correlation(rho, settings.a1p, settings.a2)
-        + kron_correlation(rho, settings.a1p, settings.a2p)
-    )
+def correlation(rho, n1, n2):
+    """P = n1^T T n2 = Tr(rho (n1 . sigma) x (n2 . sigma))."""
+    return float(n1 @ correlation_matrix(rho) @ n2)
 
 
 _PAULI_XYZ = (
@@ -98,6 +82,29 @@ def kron_correlation_matrix(rho):
     )
 
 
+# Independent trace leg: the observable n . sigma of a direction as a
+# 2x2 matrix and P = Tr(rho O1 x O2) by an explicit Kronecker product.
+
+
+def observable(n) -> np.ndarray:
+    """2x2 Hermitian, traceless, unit-square observable n . sigma of a unit vector."""
+    return sum(c * sigma for c, sigma in zip(n, _PAULI_XYZ))
+
+
+def kron_correlation(rho, n1, n2):
+    return float(np.trace(rho @ np.kron(observable(n1), observable(n2))).real)
+
+
+def kron_chsh(rho, settings):
+    a1, a1p, a2, a2p = settings
+    return (
+        kron_correlation(rho, a1, a2)
+        - kron_correlation(rho, a1, a2p)
+        + kron_correlation(rho, a1p, a2)
+        + kron_correlation(rho, a1p, a2p)
+    )
+
+
 def oracle_states(rng, n):
     states = [random_density_matrix(rng) for _ in range(n)]
     states += [werner(p) for p in np.linspace(0, 1, 51)]
@@ -106,12 +113,12 @@ def oracle_states(rng, n):
 
 
 def test_observable_pauli_limits():
-    assert np.allclose(observable(BlochSetting(0.0, 0.0)), np.diag([1, -1]))
+    assert np.allclose(observable(unit(0.0, 0.0)), np.diag([1, -1]))
     assert np.allclose(
-        observable(BlochSetting(math.pi / 2, 0.0)), np.array([[0, 1], [1, 0]]), atol=1e-15
+        observable(unit(math.pi / 2, 0.0)), np.array([[0, 1], [1, 0]]), atol=1e-15
     )
     assert np.allclose(
-        observable(BlochSetting(math.pi / 2, math.pi / 2)),
+        observable(unit(math.pi / 2, math.pi / 2)),
         np.array([[0, -1j], [1j, 0]]),
         atol=1e-15,
     )
@@ -119,8 +126,7 @@ def test_observable_pauli_limits():
 
 def test_observable_algebra(rng):
     for _ in range(50):
-        s = BlochSetting(rng.uniform(-6, 6), rng.uniform(-6, 6))
-        o = observable(s)
+        o = observable(unit(rng.uniform(-6, 6), rng.uniform(-6, 6)))
         assert np.allclose(o, o.conj().T)
         assert abs(np.trace(o)) < 1e-12
         assert np.allclose(o @ o, np.eye(2), atol=1e-12)
@@ -128,9 +134,8 @@ def test_observable_algebra(rng):
 
 @given(theta=st.floats(-10, 10), phi=st.floats(-10, 10))
 def test_bloch_setting_normalization_preserves_direction(theta, phi):
-    s = BlochSetting(theta, phi)
-    assert 0.0 <= s.theta <= math.pi
-    assert -math.pi < s.phi <= math.pi
+    # any finite (Theta, Phi) gives a row that passes chsh's unit-norm check
+    n = unit(theta, phi)
     raw = np.array(
         [
             math.sin(theta) * math.cos(phi),
@@ -138,20 +143,21 @@ def test_bloch_setting_normalization_preserves_direction(theta, phi):
             math.cos(theta),
         ]
     )
-    assert np.allclose(s.unit_vector(), raw, atol=1e-9)
+    assert np.allclose(n, raw, atol=1e-9)
+    assert abs(chsh(np.eye(4) / 4, np.stack([n] * 4))) <= 1e-15
 
 
 def test_correlation_singlet_anticorrelated(rng):
     rho = projector(singlet())
     for _ in range(20):
-        s = BlochSetting(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
-        assert correlation(rho, s, s) == pytest.approx(-1.0, abs=1e-12)
+        n = unit(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
+        assert correlation(rho, n, n) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_correlation_werner_equatorial():
-    s = BlochSetting(math.pi / 2, 0.0)
+    n = unit(math.pi / 2, 0.0)
     for p in (0.0, 0.3, 0.7, 1.0):
-        assert correlation(werner(p), s, s) == pytest.approx(-p, abs=1e-12)
+        assert correlation(werner(p), n, n) == pytest.approx(-p, abs=1e-12)
 
 
 def test_correlation_closed_form_for_family(rng):
@@ -161,7 +167,7 @@ def test_correlation_closed_form_for_family(rng):
         rho, p, b = random_family_state(rng)
         t1, t2 = rng.uniform(0, math.pi, 2)
         f1, f2 = rng.uniform(-math.pi, math.pi, 2)
-        got = correlation(rho, BlochSetting(t1, f1), BlochSetting(t2, f2))
+        got = correlation(rho, unit(t1, f1), unit(t2, f2))
         want = (1 - 4 * b) * math.cos(t1) * math.cos(t2) - p * math.cos(
             f1 - f2
         ) * math.sin(t1) * math.sin(t2)
@@ -169,12 +175,7 @@ def test_correlation_closed_form_for_family(rng):
 
 
 def section_v_settings():
-    return ChshSettings(
-        a1=BlochSetting(0.0, 0.0),
-        a1p=BlochSetting(math.pi / 2, 0.0),
-        a2=BlochSetting(math.pi / 4, 0.0),
-        a2p=BlochSetting(3 * math.pi / 4, 0.0),
-    )
+    return unit(np.array([0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4]), 0.0)
 
 
 def test_chsh_singlet_known_settings():
@@ -187,10 +188,7 @@ def test_chsh_singlet_known_settings():
 def test_chsh_maximally_mixed_vanishes(rng):
     rho = np.eye(4, dtype=complex) / 4
     for _ in range(10):
-        settings = ChshSettings(
-            *(BlochSetting(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi)) for _ in range(4))
-        )
-        assert chsh(rho, settings) == pytest.approx(0.0, abs=1e-12)
+        assert chsh(rho, random_settings(rng)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_chsh_at_family_optimal_settings():
@@ -238,10 +236,7 @@ def test_chsh_optimize_beats_random_settings(rng):
     rho = random_density_matrix(rng)
     s_max, _ = chsh_optimize(rho)
     for _ in range(10_000):
-        settings = ChshSettings(
-            *(BlochSetting(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi)) for _ in range(4))
-        )
-        assert abs(chsh(rho, settings)) <= s_max + 1e-9
+        assert abs(chsh(rho, random_settings(rng))) <= s_max + 1e-9
 
 
 def test_chsh_optimize_matches_oracle_random(rng):
@@ -252,44 +247,25 @@ def test_chsh_optimize_matches_oracle_random(rng):
 
 
 def test_chsh_optimize_stationary(rng):
-    # central finite differences at the optimum must vanish
+    # central finite differences at the optimum must vanish along every tangent direction
     rho = werner(0.8)
     _, settings = chsh_optimize(rho)
-    x = []
-    for s in (settings.a1, settings.a1p, settings.a2, settings.a2p):
-        x.extend([s.theta, s.phi])
     step = 1e-5
-
-    def s_of(vec):
-        st = ChshSettings(
-            BlochSetting(vec[0], vec[1]),
-            BlochSetting(vec[2], vec[3]),
-            BlochSetting(vec[4], vec[5]),
-            BlochSetting(vec[6], vec[7]),
-        )
-        return chsh(rho, st)
-
-    for k in (0, 2, 4, 6):  # the four Theta angles
-        up = list(x)
-        dn = list(x)
-        up[k] += step
-        dn[k] -= step
-        deriv = (s_of(up) - s_of(dn)) / (2 * step)
-        assert abs(deriv) <= 1e-4
+    for k in range(4):
+        for tangent in np.linalg.svd(settings[k][None, :])[2][1:]:  # the plane normal to row k
+            up, dn = settings.copy(), settings.copy()
+            up[k] = math.cos(step) * settings[k] + math.sin(step) * tangent
+            dn[k] = math.cos(step) * settings[k] - math.sin(step) * tangent
+            deriv = (chsh(rho, up) - chsh(rho, dn)) / (2 * step)
+            assert abs(deriv) <= 1e-4
 
 
 # Independent variational leg: multi-start L-BFGS over the 8 Bloch angles,
 # on a correlation matrix assembled from the Kronecker-trace oracle along x, y, z.
 
-_AXES = (
-    BlochSetting(math.pi / 2, 0.0),
-    BlochSetting(math.pi / 2, math.pi / 2),
-    BlochSetting(0.0, 0.0),
-)
-
-
 def correlation_matrix_from_axes(rho):
-    return np.array([[kron_correlation(rho, si, sj) for sj in _AXES] for si in _AXES])
+    axes = np.eye(3)
+    return np.array([[kron_correlation(rho, si, sj) for sj in axes] for si in axes])
 
 
 def _neg_s_squared(x, t):
@@ -364,19 +340,25 @@ def test_chsh_optimize_settings_reach_oracle():
         assert abs(abs(chsh(rho, settings)) - s_max) <= 1e-12
 
 
+def test_chsh_optimize_settings_reach_its_value_by_the_kron_leg():
+    rng = np.random.default_rng(20240012)
+    for rho in oracle_states(rng, 300):
+        s_max, settings = chsh_optimize(rho)
+        assert abs(abs(kron_chsh(rho, settings)) - s_max) <= 1e-12
+
+
 def test_chsh_equals_sum_of_four_correlations(rng):
     for _ in range(50):
         rho = random_density_matrix(rng)
-        a1, a1p, a2, a2p = (
-            BlochSetting(*rng.uniform(-math.pi, math.pi, 2)) for _ in range(4)
-        )
+        settings = unit(rng.uniform(-math.pi, math.pi, 4), rng.uniform(-math.pi, math.pi, 4))
+        a1, a1p, a2, a2p = settings
         expected = (
             correlation(rho, a1, a2)
             - correlation(rho, a1, a2p)
             + correlation(rho, a1p, a2)
             + correlation(rho, a1p, a2p)
         )
-        assert chsh(rho, ChshSettings(a1, a1p, a2, a2p)) == expected
+        assert abs(chsh(rho, settings) - expected) <= 1e-15
 
 
 def test_correlation_matrix_is_bitwise_the_kron_loop():
@@ -388,11 +370,8 @@ def test_correlation_matrix_is_bitwise_the_kron_loop():
 def test_correlation_and_chsh_match_kron_oracle():
     rng = np.random.default_rng(20240008)
     for rho in oracle_states(rng, 300):
-        a1, a1p, a2, a2p = (
-            BlochSetting(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
-            for _ in range(4)
-        )
-        settings = ChshSettings(a1, a1p, a2, a2p)
+        settings = random_settings(rng)
+        a1, _, a2, _ = settings
         assert abs(correlation(rho, a1, a2) - kron_correlation(rho, a1, a2)) <= 1e-12
         assert abs(chsh(rho, settings) - kron_chsh(rho, settings)) <= 1e-12
 
@@ -411,64 +390,6 @@ def test_tsirelson_never_exceeded(rng):
         assert s_max <= 2 * SQ2 + 1e-9
 
 
-def array_normalized(theta, phi):
-    """(Theta, Phi) and unit vector by the array-based normalization: oracle of BlochSetting."""
-    st = math.sin(theta)
-    u = np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-    r_xy = math.hypot(u[0], u[1])
-    theta_n = math.atan2(r_xy, u[2])
-    if r_xy == 0.0:
-        phi_n = 0.0
-    else:
-        phi_n = math.atan2(u[1], u[0])
-        if phi_n <= -math.pi:
-            phi_n = math.pi
-    st = math.sin(theta_n)
-    unit = np.array([st * math.cos(phi_n), st * math.sin(phi_n), math.cos(theta_n)])
-    return theta_n, phi_n, unit
-
-
-def array_chsh_optimize(rho):
-    """chsh_optimize with array arithmetic on U, S, V^T: oracle of its scalar form."""
-    u, sv, vt = np.linalg.svd(correlation_matrix(rho))
-    angle = math.atan2(sv[1], sv[0])
-    a2 = math.cos(angle) * vt[0] + math.sin(angle) * vt[1]
-    a2p = math.cos(angle) * vt[0] - math.sin(angle) * vt[1]
-    angles = [
-        array_normalized(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
-        for x, y, z in (u[:, 1], u[:, 0], a2, a2p)
-    ]
-    return 2 * math.hypot(sv[0], sv[1]), angles
-
-
-def _bitwise_same(setting, expected):
-    theta, phi, unit = expected
-    return (setting.theta, setting.phi) == (theta, phi) and (
-        setting.unit_vector().tobytes() == unit.tobytes()
-    )
-
-
-def test_bloch_setting_is_bitwise_the_array_normalization():
-    rng = np.random.default_rng(20240011)
-    angles = [tuple(rng.uniform(-10, 10, 2)) for _ in range(2000)]
-    # the poles and the branch cut Phi = -pi
-    poles = (0.0, math.pi, -math.pi, 2 * math.pi)
-    angles += [(t, f) for t in poles for f in (math.pi, -math.pi, 0.0)]
-    angles += [(t, -math.pi) for t in rng.uniform(0, math.pi, 50)]
-    for theta, phi in angles:
-        assert _bitwise_same(BlochSetting(theta, phi), array_normalized(theta, phi)), (theta, phi)
-
-
-def test_chsh_optimize_is_bitwise_the_array_route():
-    rng = np.random.default_rng(20240012)
-    for rho in oracle_states(rng, 1000):
-        s_max, settings = chsh_optimize(rho)
-        expected_s, expected = array_chsh_optimize(rho)
-        assert s_max == expected_s
-        got = (settings.a1, settings.a1p, settings.a2, settings.a2p)
-        assert all(_bitwise_same(g, e) for g, e in zip(got, expected))
-
-
 def test_chsh_max_is_bitwise_the_sorted_eigenvalue_route():
     rng = np.random.default_rng(20240015)
     for rho in oracle_states(rng, 500):
@@ -478,19 +399,36 @@ def test_chsh_max_is_bitwise_the_sorted_eigenvalue_route():
         assert chsh_max_from_correlation_matrix(rho) == expected
 
 
-def test_unit_vector_is_built_once_read_only():
-    s = BlochSetting(1.0, 2.0)
-    assert s.unit_vector() is s.unit_vector()
-    with pytest.raises(ValueError):
-        s.unit_vector()[0] = 0.0
-    assert s == BlochSetting(1.0, 2.0) and "unit" not in repr(s)
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("angle", ["theta", "phi"])
 def test_bloch_setting_rejects_non_finite_angle(angle, value):
-    with pytest.raises(ValueError, match=f"Bloch angle {angle} must be finite"):
-        BlochSetting(**{"theta": 0.5, "phi": 0.5, angle: value})
+    # a setting built from a non-finite Bloch angle is a NaN row, which chsh refuses
+    settings = unit(np.full(4, 0.5), np.full(4, 0.5))
+    with np.errstate(invalid="ignore"):  # sin and cos of an infinite angle are NaN
+        settings[1] = unit(**{"theta": 0.5, "phi": 0.5, angle: value})
+    with pytest.raises(ValueError, match="must be unit vectors"):
+        chsh(werner(0.8), settings)
+
+
+@pytest.mark.parametrize(
+    "settings, match",
+    [
+        (np.eye(3), r"must have shape \(4, 3\), got \(3, 3\)"),
+        (np.vstack([np.eye(3), [[np.nan, 0.0, 1.0]]]), "must be unit vectors"),
+        (np.vstack([np.eye(3), [[0.0, 0.0, 1.01]]]), "must be unit vectors"),
+    ],
+    ids=["shape-3x3", "nan-row", "norm-1.01"],
+)
+def test_chsh_rejects_settings_that_are_not_four_unit_vectors(settings, match):
+    with pytest.raises(ValueError, match=match):
+        chsh(werner(0.8), settings)
+
+
+def test_chsh_settings_are_read_only_unit_vectors():
+    rng = np.random.default_rng(20240012)
+    for settings in (chsh_optimize(random_density_matrix(rng))[1], chsh_optimal_family(0.5)[1]):
+        assert settings.shape == (4, 3) and not settings.flags.writeable
+        assert np.all(np.abs(np.einsum("ij,ij->i", settings, settings) - 1.0) <= 1e-12)
 
 
 def test_angle_plan_with_nan_has_no_bloch_settings():
@@ -632,8 +570,7 @@ def test_plan_caches_are_read_only():
     assert isinstance(plan.settings, tuple) and isinstance(compiled.labels, tuple)
     settings = plan.bloch_settings()
     assert plan.bloch_settings() is settings
-    for s in (settings.a1, settings.a1p, settings.a2, settings.a2p):
-        assert not s.unit_vector().flags.writeable
+    assert isinstance(settings, tuple) and all(isinstance(n, tuple) for n in settings)
 
 
 def test_compiled_rows_give_joint_and_marginal_probabilities(rng):
@@ -815,4 +752,3 @@ def test_bell_re_exports_the_counts_layer():
     for name in ("angle_label", "AnglePlan", "STANDARD_PLAN", "CountsTable", "counts_to_csv",
                  "counts_from_csv", "correlation_from_counts", "chsh_from_counts"):
         assert getattr(bell, name) is getattr(counts, name)
-    assert STANDARD_PLAN.bloch_settings().a1p == bell.BlochSetting(math.pi / 2, 0.0)

@@ -299,6 +299,15 @@ def test_figure_rows_are_the_rows_the_cli_writes(tmp_path, capsys, monkeypatch):
         assert library.read_bytes() == (out_dir / f"fig{fig_id}.csv").read_bytes(), argv
 
 
+def test_figure_rows_reject_nan_in_every_parameter():
+    from ering.figures import FIGURES, default_config, figure_rows
+
+    for fig_id, figure in FIGURES.items():
+        for name in figure.params:
+            with pytest.raises(ValueError, match="must be"):
+                figure_rows(fig_id, default_config(fig_id), 0, **{name: math.nan})
+
+
 def test_figure_help_lists_the_table(capsys):
     with pytest.raises(SystemExit):
         run_cli("figure", "--help")
@@ -1036,6 +1045,14 @@ def test_import_loads_no_scipy(tmp_path):
                      "--out", str(tmp_path / "tomo.csv"))
     assert "ering.tomography" in tomo
     assert not tomo & {"ering.source", "ering.bell"}
+
+
+def test_plan_settings_load_no_numpy():
+    """The counts layer builds a plan's CHSH settings without ``bell`` and without numpy."""
+    code = ("import sys, ering.counts; ering.counts.STANDARD_PLAN.bloch_settings(); "
+            "assert 'numpy' not in sys.modules and 'ering.bell' not in sys.modules")
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
 
 
 def test_numpy_free_commands_import_no_numpy(tmp_path):

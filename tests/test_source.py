@@ -14,6 +14,7 @@ from ering.bell import (
     compile_plan,
     chsh_from_counts,
     correlation_from_counts,
+    correlation_matrix,
 )
 from ering.errors import InputFormatError, PoissonLimitError
 from ering.sampling import random_density_matrix
@@ -46,7 +47,7 @@ from ering.source import (
     werner_partition,
 )
 from ering.states import (
-    bell_state, check_density_matrix, mems, pauli_vector, projector, singlet, werner,
+    bell_state, bloch_vector, check_density_matrix, mems, pauli_vector, projector, singlet, werner,
 )
 from ering.tomography import exact_tomography_counts, simulate_tomography, standard_settings
 
@@ -222,6 +223,14 @@ def test_synthesize_all_blocked_errors():
     part = SectorPartition([Sector("dark", 1.0, "blocked")])
     with pytest.raises(ValueError, match="blocked"):
         synthesize(part, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("partition", [werner_partition(0.5), mems_partition(0.5),
+                                       SectorPartition([Sector("C", 1.0, "decohered")])])
+def test_synthesize_rejects_a_non_finite_phi(partition, value):
+    with pytest.raises(ValueError, match=f"phi must be finite, got {value}"):
+        synthesize(partition, value)
 
 
 def test_partition_validation():
@@ -418,11 +427,8 @@ def test_monte_carlo_converges_like_sqrt_duration():
     rho = werner(0.7)
     reference = {}
     for pair in STANDARD_PLAN.base_pairs():
-        from ering.bell import BlochSetting, correlation
-
-        reference[pair] = correlation(
-            rho, BlochSetting(2 * pair[0], 0.0), BlochSetting(2 * pair[1], 0.0)
-        )
+        n1, n2 = bloch_vector(2 * np.array(pair), 0.0)[:, 1:]
+        reference[pair] = n1 @ correlation_matrix(rho) @ n2
     errors = []
     for duration in (1.0, 100.0, 10_000.0):
         table = simulate_coincidences(

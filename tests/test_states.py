@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,20 @@ def test_bell_state_recovers_four_bell_states():
 def test_bell_state_bad_kind():
     with pytest.raises(ValueError):
         bell_state("chi", 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["phi", "psi"])
+def test_bell_state_rejects_a_non_finite_phase(kind, value):
+    with pytest.raises(ValueError, match=f"phase must be finite, got {value}"):
+        projector(bell_state(kind, value))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_pure_state_rejects_non_finite_amplitudes(value):
+    psi = np.array([value, 0.0, 0.0, 1.0], dtype=complex)
+    with pytest.raises(ValueError, match=re.escape(f"finite, got {psi.tolist()}")):
+        projector(psi)
 
 
 def test_nonmax_endpoints():
