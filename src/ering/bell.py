@@ -25,28 +25,18 @@ the value.  T and its SVD are read from the state's cached analysis record
 
 Counts-based runs use linear polarizers.  The measured-counts layer
 (``AnglePlan``, ``CountsTable``, the counts CSV and ``chsh_from_counts``)
-lives in the numpy-free ``ering.counts``; this module re-exports it.  A
-plan compiles once (``compile_plan``) into its setting labels and one
-read-only matrix of rows against the Pauli vector of rho, built by
-``states.measurement_rows`` from the Bloch 4-vector (Theta, Phi) = (2 theta, 0)
-of each polarizer, so the joint and marginal detection probabilities of
-all its settings are one matvec, which ``source.expected_coincidences``
-turns into the mean counts of a run.
+lives in the numpy-free ``ering.counts``, and the coincidence model of a
+run in ``ering.source``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import (  # re-exported: the counts layer is part of this module's API
-    STANDARD_PLAN, AnglePlan, CountsTable, angle_label, chsh_from_counts,
-    correlation_from_counts, counts_from_csv, counts_to_csv,
-)
-from .states import analyse, bloch_vector, measurement_rows
+from .counts import chsh_from_counts, counts_from_csv, counts_to_csv  # perfbench reads them here
+from .states import analyse, bloch_vector
 
 TSIRELSON_BOUND = 2 * math.sqrt(2)
 
@@ -128,59 +118,3 @@ def chsh_optimize(rho: np.ndarray) -> tuple[float, np.ndarray]:
     settings = np.concatenate((u.T[1::-1], [[c, s], [c, -s]] @ vt[:2]))
     settings.setflags(write=False)
     return 2 * math.hypot(s1, s2), settings
-
-
-# ---------------------------------------------------------------------------
-# Compiled plans.  Polarizer angles are radians in the library and degrees
-# in every file and CLI surface.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class CompiledPlan:
-    """Distinct joint settings compiled once into labels and measurement rows.
-
-    ``labels`` are the canonical (theta1, theta2) degree labels in plan
-    order; ``rows`` is the read-only ``(3 S, 16)`` stack of the S joint, the
-    S arm-1 and the S arm-2 rows of ``states.measurement_rows`` for the
-    polarizers' Bloch 4-vectors b = (1, sin 2 theta, 0, cos 2 theta).
-    The rows take the Pauli vector of a state, not the state:
-    ``source.expected_coincidences`` passes the cached vector of rho
-    (``analyse(rho).pauli_vector``) depolarized in Pauli coordinates.
-    """
-
-    labels: tuple[tuple[str, str], ...]
-    rows: np.ndarray
-
-    def probabilities(self, pauli: np.ndarray) -> np.ndarray:
-        """``(3, S)`` joint, arm-1 and arm-2 detection probabilities of the state whose
-        16-component Pauli vector is ``pauli``, from one matvec."""
-        return (self.rows @ pauli).reshape(3, -1)
-
-
-#: Distinct settings tuples ``compile_plan`` remembers; figure 2 runs 37 one-setting plans.
-_COMPILED_PLAN_CACHE_SIZE = 128
-
-
-def compile_plan(plan: AnglePlan | list[tuple[float, float]]) -> CompiledPlan:
-    """The compiled form of an AnglePlan's settings or of a list of (theta1, theta2) pairs.
-
-    Raises ValueError if an angle is not finite or two settings share a label.
-    """
-    if isinstance(plan, AnglePlan):
-        return _compile(plan.settings)
-    return _compile(tuple((float(t1), float(t2)) for t1, t2 in plan))
-
-
-@functools.lru_cache(maxsize=_COMPILED_PLAN_CACHE_SIZE)
-def _compile(settings: tuple[tuple[float, float], ...]) -> CompiledPlan:
-    for setting in settings:
-        if not all(map(math.isfinite, setting)):
-            raise ValueError(f"plan angles must be finite, got {setting}")
-    labels = tuple((angle_label(t1), angle_label(t2)) for t1, t2 in settings)
-    if len(set(labels)) != len(labels):
-        raise ValueError("plan repeats a joint setting")
-    b = bloch_vector(2 * np.array(settings, dtype=float).reshape(-1, 2), 0.0)  # (S, arm, 4)
-    rows = measurement_rows(b[:, 0], b[:, 1]).reshape(-1, 16)
-    rows.setflags(write=False)
-    return CompiledPlan(labels, rows)

@@ -3,7 +3,7 @@
 Polarizer angles are radians in the library and degrees in every file and
 CLI surface; a joint setting is keyed by the canonical degree labels of
 its two angles (``angle_label``).  This module imports no numpy, so
-``ering bell eval`` starts without it; ``ering.bell`` re-exports every name.
+``ering bell eval`` starts without it.
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ and ``displacement_visibility`` models the spatial decoherence caused by
 the lateral walk of the retroreflected cone on the crystal.
 
 Everything here is ``math``, without numpy, so ``ering source`` and a
-noise-free ``ering figure 3`` start without it; ``ering.source``
-re-exports every name.
+noise-free ``ering figure 3`` start without it.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ _BOUNDS = {
     "nonnegative": lambda v: v >= 0,
     "in (0, 1]": lambda v: 0 < v <= 1,
     "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in [0, pi/2)": lambda v: 0 <= v < math.pi / 2,
 }
 
 
@@ -55,7 +55,7 @@ class SourceConfig:
     ==================  ===================  ================================
     pump_wavelength     lambda_pump          pump wavelength (363.8 nm)
     wavelength          lambda               pair wavelength (727.6 nm)
-    cone_aperture       alpha                cone aperture, rad (2.9 deg;
+    cone_aperture       alpha                cone half-angle, rad (2.9 deg;
                                              1.4 deg for MEMS runs)
     mirror_radius       R                    mirror curvature radius (15 cm)
     focal_length        f                    lens focal length (15 cm)
@@ -82,7 +82,7 @@ class SourceConfig:
 
     pump_wavelength: float = _quantity(363.8e-9, "lambda_pump", "positive")
     wavelength: float = _quantity(727.6e-9, "lambda", "positive")
-    cone_aperture: float = _quantity(math.radians(2.9), "alpha", "nonnegative")
+    cone_aperture: float = _quantity(math.radians(2.9), "alpha", "in [0, pi/2)")
     mirror_radius: float = _quantity(0.15, "R", "positive")
     focal_length: float = _quantity(0.15, "f", "positive")
     mask_diameter: float = _quantity(1.5e-2, "mask_D", "positive")
@@ -247,13 +247,17 @@ def displacement_visibility(delta_d: float, config: SourceConfig) -> float:
     Gaussian overlap of the retroreflected annulus (radius OC, from the
     ray trace) with the active pump region; the width is calibrated to
     pump_waist/4 so that coherence is gone (V <= 0.25) by the observed
-    600 um displacement while 100 um still gives V > 0.9.
+    600 um displacement while 100 um still gives V > 0.9.  Like
+    ``phase_from_displacement``, raises for |delta_d| >= R/10.
     """
     if not math.isfinite(delta_d):
         raise ValueError(f"mirror displacement must be finite, got {delta_d}")
+    r = config.mirror_radius
+    if not abs(delta_d) < r / 10:
+        raise ValueError(f"delta_d = {delta_d} outside modeled regime |delta_d| < R/10 = {r / 10}")
     if delta_d == 0.0:
         return 1.0
-    _, _, lateral = _trace_reflected_ray(abs(delta_d), config.mirror_radius, config.cone_aperture)
+    _, _, lateral = _trace_reflected_ray(abs(delta_d), r, config.cone_aperture)
     width = config.pump_waist / 4
     return float(math.exp(-((lateral / width) ** 2)))
 

@@ -24,7 +24,7 @@ angular-fraction-weighted mixture over non-blocked sectors, renormalized.
 
 The configuration (``SourceConfig``) and the closed-form optics, the
 mirror-displacement phase control among them, live in the numpy-free
-``ering.optics``; this module re-exports them.
+``ering.optics``.
 
 Coincidence counting is batched: a plan compiles once (``compile_plan``)
 into its labels and one matrix of rows against the Pauli vector of rho, so
@@ -39,22 +39,20 @@ array in one Poisson draw.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import CompiledPlan, compile_plan
-from .counts import STANDARD_PLAN, AnglePlan, CountsTable
-from .optics import (  # re-exported: the configuration and optics are part of this module's API
-    COHERENCE_TIME_SCALE, CONFIG_KEYS, OU_MANDEL_VISIBILITY, SPEED_OF_LIGHT, PhaseGeometry,
-    SourceConfig, coherence_time_from_bandwidth, config_from_dict, config_to_dict,
-    config_with_overrides, detected_pair_rate, displacement_visibility, load_config,
-    ou_mandel_fwhm, ou_mandel_scan, phase_from_displacement, ring_diameter, sector_area,
+from .counts import STANDARD_PLAN, AnglePlan, CountsTable, angle_label
+from .optics import (  # perfbench reads all but detected_pair_rate here
+    SourceConfig, detected_pair_rate, displacement_visibility, ou_mandel_scan,
+    phase_from_displacement,
 )
 from .errors import PoissonLimitError
 from .sampling import poisson
-from .states import analyse, bell_state, mems_weight, projector
+from .states import analyse, bell_state, bloch_vector, measurement_rows, mems_weight, projector
 
 # ---------------------------------------------------------------------------
 # Sector patchwork
@@ -193,13 +191,41 @@ def _check_duration(name: str, duration: float) -> None:
         raise ValueError(f"{name} must be positive")
 
 
-def _mean_counts(
-    rho, plan, duration: float, config: SourceConfig
-) -> tuple[CompiledPlan, np.ndarray]:
-    """The compiled plan and the noise-free mean counts of its settings, in plan order."""
+def compile_plan(plan: AnglePlan | list[tuple[float, float]]) -> tuple[tuple, np.ndarray]:
+    """``(labels, rows)`` of an AnglePlan or of a list of (theta1, theta2) radian pairs.
+
+    ``labels`` are the canonical (theta1, theta2) degree labels in plan
+    order; ``rows`` is the read-only ``(3 S, 16)`` stack of the S joint, the
+    S arm-1 and the S arm-2 rows of ``states.measurement_rows`` for the
+    polarizers' Bloch 4-vectors b = (1, sin 2 theta, 0, cos 2 theta), so
+    ``(rows @ r).reshape(3, -1)`` are the joint, arm-1 and arm-2 detection
+    probabilities of the Pauli vector r.  Raises ValueError if an angle is not
+    finite or two settings share a label.
+    """
+    if isinstance(plan, AnglePlan):
+        return _compile(plan.settings)
+    return _compile(tuple((float(t1), float(t2)) for t1, t2 in plan))
+
+
+@functools.lru_cache(maxsize=128)  # distinct settings tuples; figure 2 runs 37 one-setting plans
+def _compile(settings: tuple[tuple[float, float], ...]):
+    for setting in settings:
+        if not all(map(math.isfinite, setting)):
+            raise ValueError(f"plan angles must be finite, got {setting}")
+    labels = tuple((angle_label(t1), angle_label(t2)) for t1, t2 in settings)
+    if len(set(labels)) != len(labels):
+        raise ValueError("plan repeats a joint setting")
+    b = bloch_vector(2 * np.array(settings, dtype=float).reshape(-1, 2), 0.0)  # (S, arm, 4)
+    rows = measurement_rows(b[:, 0], b[:, 1]).reshape(-1, 16)
+    rows.setflags(write=False)
+    return labels, rows
+
+
+def _mean_counts(rho, plan, duration: float, config: SourceConfig) -> tuple[tuple, np.ndarray]:
+    """The setting labels and the noise-free mean counts of a plan, in plan order."""
     r = analyse(rho).pauli_vector
     _check_duration("duration", duration)
-    compiled = compile_plan(plan)
+    labels, rows = compile_plan(plan)
     # the singles rate of an arm: pair_rate * QE * sqrt(transmission) * marginal + dark_rate
     arm_rate = config.pair_rate * config.detector_qe * math.sqrt(config.transmission)
     pair_rate = detected_pair_rate(config)
@@ -211,11 +237,11 @@ def _mean_counts(
         raise PoissonLimitError("the mean counts overflow a float", "the duration or the pair rate")
     r_v = config.visibility * r
     r_v[0] += 1 - config.visibility
-    probabilities = compiled.probabilities(r_v)
+    probabilities = (rows @ r_v).reshape(3, -1)
     singles1, singles2 = arm_rate * probabilities[1:] + config.dark_rate
     rates = pair_rate * probabilities[0] + singles1 * singles2 * config.coincidence_window
     # a null setting of a noiseless config can round to a rate of -1e-17
-    return compiled, np.maximum(rates, 0.0) * duration
+    return labels, np.maximum(rates, 0.0) * duration
 
 
 def expected_coincidences(
@@ -236,8 +262,8 @@ def expected_coincidences(
     singles2 * coincidence_window) * duration.  Means that would overflow a
     float raise a ValueError (a ``PoissonLimitError``).
     """
-    compiled, means = _mean_counts(rho, plan, duration, config)
-    return CountsTable(dict(zip(compiled.labels, means.tolist())), duration)
+    labels, means = _mean_counts(rho, plan, duration, config)
+    return CountsTable(dict(zip(labels, means.tolist())), duration)
 
 
 def simulate_coincidences(
@@ -248,9 +274,9 @@ def simulate_coincidences(
     seed: int,
 ) -> CountsTable:
     """One seeded Poisson draw about the means of ``expected_coincidences``."""
-    compiled, means = _mean_counts(rho, plan, duration, config)
+    labels, means = _mean_counts(rho, plan, duration, config)
     counts = poisson(means, seed, "the duration or the pair rate")
-    return CountsTable(dict(zip(compiled.labels, counts.tolist())), duration)
+    return CountsTable(dict(zip(labels, counts.tolist())), duration)
 
 
 def simulate_bell_test(

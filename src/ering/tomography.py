@@ -55,7 +55,7 @@ import numpy as np
 from . import csvfile
 from .errors import ConvergenceError, InputFormatError
 from .sampling import poisson
-# fidelity lives in states, next to the square root it reads; it is re-exported here
+# fidelity lives in states, next to the square root it reads; perfbench reads it here
 from .states import (
     PAULI_PAIRS, analyse, bloch_vector, fidelity, measurement_rows, repaired_spectrum,
 )

@@ -8,13 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from ering.bell import (
-    STANDARD_PLAN,
-    chsh_from_counts,
-    chsh_max_from_correlation_matrix,
-    chsh_optimal_family,
-    chsh_optimize,
-)
+from ering.bell import chsh_max_from_correlation_matrix, chsh_optimal_family, chsh_optimize
+from ering.counts import STANDARD_PLAN, chsh_from_counts
 from ering.entanglement import (
     MEMS,
     WERNER,
@@ -24,15 +19,17 @@ from ering.entanglement import (
     tangle_curve,
 )
 from ering.sampling import random_density_matrix
-from ering.source import (
-    Sector,
-    SectorPartition,
+from ering.optics import (
     SourceConfig,
     displacement_visibility,
-    mems_partition,
     ou_mandel_fwhm,
     ou_mandel_scan,
     phase_from_displacement,
+)
+from ering.source import (
+    Sector,
+    SectorPartition,
+    mems_partition,
     simulate_bell_test,
     synthesize,
     werner_partition,

@@ -1,6 +1,7 @@
 import math
 import re
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -9,25 +10,26 @@ from hypothesis import given, strategies as st
 from scipy.optimize import minimize
 
 from ering.bell import (
+    chsh,
+    chsh_max_from_correlation_matrix,
+    chsh_optimal_family,
+    chsh_optimize,
+    correlation_matrix,
+)
+from ering.counts import (
     AnglePlan,
     CountsTable,
     STANDARD_PLAN,
     angle_label,
-    chsh,
     chsh_from_counts,
-    chsh_max_from_correlation_matrix,
-    chsh_optimal_family,
-    chsh_optimize,
-    compile_plan,
     correlation_from_counts,
     counts_from_csv,
     counts_to_csv,
-    correlation_matrix,
 )
 from ering.errors import InputFormatError
 from ering.entanglement import tangle
 from ering.sampling import random_density_matrix, random_pure_state
-from ering.source import SourceConfig, expected_coincidences
+from ering.source import SourceConfig, compile_plan, expected_coincidences
 from ering.states import analyse, bloch_vector, mems, pauli_vector, projector, singlet, werner
 
 SQ2 = math.sqrt(2)
@@ -563,11 +565,11 @@ def test_degenerate_plan_has_four_settings():
 
 def test_plan_caches_are_read_only():
     plan = AnglePlan(0.1, 0.2, 0.3, 0.4)
-    compiled = compile_plan(plan)
-    assert not compiled.rows.flags.writeable
+    labels, rows = compile_plan(plan)
+    assert not rows.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        compiled.rows[0, 0] = 1.0
-    assert isinstance(plan.settings, tuple) and isinstance(compiled.labels, tuple)
+        rows[0, 0] = 1.0
+    assert isinstance(plan.settings, tuple) and isinstance(labels, tuple)
     settings = plan.bloch_settings()
     assert plan.bloch_settings() is settings
     assert isinstance(settings, tuple) and all(isinstance(n, tuple) for n in settings)
@@ -577,7 +579,8 @@ def test_compiled_rows_give_joint_and_marginal_probabilities(rng):
     for _ in range(20):
         rho = random_density_matrix(rng)
         plan = AnglePlan(*rng.uniform(0, math.pi, 4))
-        joint, arm1, arm2 = compile_plan(plan).probabilities(pauli_vector(rho))
+        _, rows = compile_plan(plan)
+        joint, arm1, arm2 = (rows @ pauli_vector(rho)).reshape(3, -1)
         for k, (t1, t2) in enumerate(plan.settings):
             k1 = np.array([math.cos(t1), math.sin(t1)])
             k2 = np.array([math.cos(t2), math.sin(t2)])
@@ -609,7 +612,7 @@ def test_compiled_rows_match_the_real_ravel_route(rng):
     for i in range(300):
         rho = random_density_matrix(rng)
         plan = STANDARD_PLAN if i % 3 == 0 else AnglePlan(*rng.uniform(0, math.pi, 4))
-        got = compile_plan(plan).probabilities(pauli_vector(rho))
+        got = (compile_plan(plan)[1] @ pauli_vector(rho)).reshape(3, -1)
         assert np.abs(got - real_ravel_probabilities(plan.settings, rho)).max() <= 1e-15
 
 
@@ -656,8 +659,8 @@ def test_counts_csv_parse_errors(tmp_path):
 
 
 def test_joint_detection_probability_singlet():
-    compiled = compile_plan([(0.3, 0.3), (0.0, math.pi / 2)])
-    joint, _, _ = compiled.probabilities(pauli_vector(projector(singlet())))
+    _, rows = compile_plan([(0.3, 0.3), (0.0, math.pi / 2)])
+    joint, _, _ = (rows @ pauli_vector(projector(singlet()))).reshape(3, -1)
     assert joint[0] == pytest.approx(0.0, abs=1e-12)
     assert joint[1] == pytest.approx(0.5)
 
@@ -743,12 +746,18 @@ def test_counts_csv_never_accepts_non_finite(counts, bad_row, value):
     "plan", [STANDARD_PLAN, AnglePlan(0.1, 0.9, 0.3, 1.2), AnglePlan(0.0, 0.0, 0.0, 0.0)]
 )
 def test_plan_labels_are_the_compiled_labels(plan):
-    assert plan.labels == compile_plan(plan).labels
+    assert plan.labels == compile_plan(plan)[0]
+
+
+def re_exported(module, home) -> set[str]:
+    """Public names defined in ``home`` that ``module`` binds to the same object."""
+    own = {name: value for name, value in vars(home).items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)
+           and getattr(value, "__module__", home.__name__) == home.__name__}
+    return {name for name, value in own.items() if vars(module).get(name) is value}
 
 
 def test_bell_re_exports_the_counts_layer():
     from ering import bell, counts
 
-    for name in ("angle_label", "AnglePlan", "STANDARD_PLAN", "CountsTable", "counts_to_csv",
-                 "counts_from_csv", "correlation_from_counts", "chsh_from_counts"):
-        assert getattr(bell, name) is getattr(counts, name)
+    assert re_exported(bell, counts) == {"chsh_from_counts", "counts_from_csv", "counts_to_csv"}

@@ -1035,9 +1035,15 @@ def test_import_loads_no_scipy(tmp_path):
     for argv, returncode in ((["--version"], 0), (["state", "werner", "--bogus"], 2)):
         modules = _imported("-m", "ering", *argv, returncode=returncode)
         assert "ering.cli" in modules and "numpy" not in modules
+    code = "import sys, ering.source; assert 'ering.bell' not in sys.modules"
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
     counts = tmp_path / "counts.csv"
     simulate = ["bell", "simulate", "--family", "singlet", "--seed", "5", "--out", str(counts)]
-    assert run_cli(*simulate) == 0
+    figure12 = ["figure", "12", "--seed", "1", "--duration", "2", "--out-dir", str(tmp_path)]
+    for argv in (simulate, figure12):  # the coincidence model runs without the CHSH module
+        modules = _imported("-m", "ering", *argv)
+        assert "ering.source" in modules and "ering.bell" not in modules, argv
     bell_eval = _imported("-m", "ering", "bell", "eval", "--counts", str(counts))
     assert "ering.counts" in bell_eval
     assert not bell_eval & {"ering.tomography", "ering.source", "ering.entanglement"}

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ering import csvfile
-from ering.bell import CountsTable, STANDARD_PLAN, angle_label, counts_from_csv, counts_to_csv
+from ering.counts import CountsTable, STANDARD_PLAN, angle_label, counts_from_csv, counts_to_csv
 from ering.cli import main
 from ering.errors import InputFormatError
 from ering.states import density_matrix_to_dict, save_density_matrix, werner

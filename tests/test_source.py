@@ -7,40 +7,42 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ering.bell import (
+from ering.bell import correlation_matrix
+from ering.counts import (
     STANDARD_PLAN,
     AnglePlan,
     angle_label,
-    compile_plan,
     chsh_from_counts,
     correlation_from_counts,
-    correlation_matrix,
 )
 from ering.errors import InputFormatError, PoissonLimitError
 from ering.sampling import random_density_matrix
-from ering.source import (
+from ering.optics import (
     COHERENCE_TIME_SCALE,
     CONFIG_KEYS,
     OU_MANDEL_VISIBILITY,
-    Sector,
-    SectorPartition,
     SourceConfig,
-    TREATMENTS,
-    apply_effective_visibility,
     coherence_time_from_bandwidth,
     config_from_dict,
     config_to_dict,
     config_with_overrides,
     detected_pair_rate,
     displacement_visibility,
-    expected_coincidences,
     load_config,
-    mems_partition,
     ou_mandel_fwhm,
     ou_mandel_scan,
     phase_from_displacement,
     ring_diameter,
     sector_area,
+)
+from ering.source import (
+    Sector,
+    SectorPartition,
+    TREATMENTS,
+    apply_effective_visibility,
+    compile_plan,
+    expected_coincidences,
+    mems_partition,
     simulate_bell_test,
     simulate_coincidences,
     synthesize,
@@ -88,7 +90,7 @@ def test_config_validation_checks_bound_kinds_in_order():
 OUT_OF_RANGE = {
     "pump_wavelength": (0.0, "pump_wavelength must be positive"),
     "wavelength": (-1e-9, "wavelength must be positive"),
-    "cone_aperture": (-1e-3, "cone_aperture must be nonnegative"),
+    "cone_aperture": (-1e-3, "cone_aperture must be in [0, pi/2)"),
     "mirror_radius": (0.0, "mirror_radius must be positive"),
     "focal_length": (-0.15, "focal_length must be positive"),
     "mask_diameter": (0.0, "mask_diameter must be positive"),
@@ -111,6 +113,12 @@ def test_config_bound_message_per_field(name):
     value, message = OUT_OF_RANGE[name]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SourceConfig(**{name: value})
+
+
+@pytest.mark.parametrize("alpha", [100.0, math.pi / 2])
+def test_cone_aperture_is_a_half_angle(alpha):
+    with pytest.raises(ValueError, match=r"^cone_aperture must be in \[0, pi/2\)$"):
+        SourceConfig(cone_aperture=alpha)
 
 
 def test_config_keys_documented():
@@ -346,6 +354,13 @@ def test_phase_lateral_offset_scale():
 def test_phase_rejects_large_displacement():
     with pytest.raises(ValueError):
         phase_from_displacement(CFG.mirror_radius / 10, CFG)
+
+
+@pytest.mark.parametrize("delta_d", [0.05, -0.05, 1e6])
+def test_visibility_rejects_displacement_outside_the_modeled_regime(delta_d):
+    # 0.05 used to give 0.0 and 1e6 a bare "math domain error"
+    with pytest.raises(ValueError, match=f"^delta_d = {re.escape(str(delta_d))} outside modeled regime"):
+        displacement_visibility(delta_d, CFG)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -597,7 +612,7 @@ def test_compiled_plan_rates_match_per_setting_oracle(rng, monkeypatch):
             table, _ = simulate_bell_test(rho, duration * len(settings), cfg, 0, plan)
         else:
             table = simulate_coincidences(rho, plan, duration, cfg, 0)
-        assert list(table.entries) == list(compile_plan(plan).labels)
+        assert list(table.entries) == list(compile_plan(plan)[0])
         assert table.duration == pytest.approx(duration, rel=1e-15)
         for t1, t2 in settings:
             oracle = oracle_coincidence_rate(rho_v, t1, t2, cfg)
@@ -635,7 +650,8 @@ def test_simulators_draw_about_the_noise_free_means(rng, monkeypatch):
 def depolarized_matrix_means(rho, plan, duration, config):
     """Mean counts through ``apply_effective_visibility`` and ``pauli_vector`` of its result."""
     rho_v = apply_effective_visibility(rho, config.visibility)
-    joint, marginal1, marginal2 = compile_plan(plan).probabilities(pauli_vector(rho_v))
+    _, rows = compile_plan(plan)
+    joint, marginal1, marginal2 = (rows @ pauli_vector(rho_v)).reshape(3, -1)
     arm_rate = config.pair_rate * config.detector_qe * math.sqrt(config.transmission)
     singles1 = arm_rate * marginal1 + config.dark_rate
     singles2 = arm_rate * marginal2 + config.dark_rate
@@ -657,7 +673,7 @@ def test_means_match_the_depolarized_matrix_route(rng):
             duration = float(rng.uniform(0.1, 100.0))
             means = expected_coincidences(rho, plan, duration, cfg)
             oracle = depolarized_matrix_means(rho, plan, duration, cfg)
-            assert list(means.entries) == list(compile_plan(plan).labels)
+            assert list(means.entries) == list(compile_plan(plan)[0])
             got = np.array(list(means.entries.values()))
             assert np.abs(got - oracle).max() <= 1e-15 * oracle.max()
 
@@ -670,8 +686,8 @@ def test_bell_runs_draw_about_the_depolarized_matrix_means(rng):
         table, plan = simulate_bell_test(rho, total, cfg, seed)
         oracle = depolarized_matrix_means(rho, plan, total / len(plan.settings), cfg)
         draws = np.random.default_rng(seed).poisson(oracle).tolist()
-        assert table.entries == dict(zip(compile_plan(plan).labels, draws))
-        assert list(table.entries) == list(compile_plan(plan).labels)
+        assert table.entries == dict(zip(compile_plan(plan)[0], draws))
+        assert list(table.entries) == list(compile_plan(plan)[0])
 
 
 @pytest.mark.parametrize(
@@ -693,8 +709,9 @@ def test_compiled_plan_is_shared_by_equal_settings():
     compiled = compile_plan(STANDARD_PLAN)
     assert compile_plan(list(STANDARD_PLAN.settings)) is compiled
     assert compile_plan(AnglePlan(0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)) is compiled
-    assert len(compiled.labels) == 16
-    assert compiled.rows.shape == (48, 16)
+    labels, rows = compiled
+    assert len(labels) == 16
+    assert rows.shape == (48, 16)
 
 
 def test_plan_repeating_a_setting_raises_on_every_call():
