@@ -26,7 +26,9 @@ the value.  T and its SVD are read from the state's cached analysis record
 Counts-based runs use linear polarizers.  The measured-counts layer
 (``AnglePlan``, ``CountsTable``, the counts CSV and ``chsh_from_counts``)
 lives in the numpy-free ``ering.counts``, and the coincidence model of a
-run in ``ering.source``.
+run in ``ering.source``.  ``chsh_from_counts``, ``counts_from_csv`` and
+``counts_to_csv`` are aliases here for the benchmark harness, resolved on
+first use, so importing this module does not load ``ering.counts``.
 """
 
 from __future__ import annotations
@@ -35,10 +37,22 @@ import math
 
 import numpy as np
 
-from .counts import chsh_from_counts, counts_from_csv, counts_to_csv  # perfbench reads them here
 from .states import analyse, bloch_vector
 
 TSIRELSON_BOUND = 2 * math.sqrt(2)
+
+#: The ``ering.counts`` names perfbench reads here.
+_COUNTS_ALIASES = ("chsh_from_counts", "counts_from_csv", "counts_to_csv")
+
+
+def __getattr__(name: str):
+    """A counts alias, imported on first use and then kept in this module (PEP 562)."""
+    if name not in _COUNTS_ALIASES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import counts
+
+    value = globals()[name] = getattr(counts, name)
+    return value
 
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:

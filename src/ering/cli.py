@@ -1,4 +1,33 @@
-"""Command-line interface: the argparse parser, the config loading and ``_finish``, the
+"""Command-line interface: the parser, the config loading and ``_finish``, the one
+output step that checks every path, writes the files, then the manifest, then stdout.
+
+``SUBCOMMANDS`` is the one table of subcommands: each maps to its help line and
+to the function that adds its arguments and its own subcommands.
+``build_parser()`` builds all of them.  ``main`` builds
+``build_parser(command)`` for the command it runs, in which the other
+subcommands are listed with their help line but get no arguments, so a run
+builds only its own parser and imports only what it runs: ``ering.figures``
+only for ``figure``, ``ering.csvfile`` and ``json`` only to read or write a
+file.  Each subcommand's parser, and every help text, is the same either way.  ``DESCRIPTION`` is the text of ``ering --help``:
+units, seeds and manifests, the numpy-free commands and the exit codes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import math
+import os
+import sys
+import time
+from pathlib import Path
+
+from . import __version__
+from .errors import ConvergenceError, InputFormatError, PoissonLimitError
+
+CONFIG_ENV_VAR = "ERING_CONFIG"
+
+DESCRIPTION = """Command-line interface: the argparse parser, the config loading and ``_finish``, the
 one output step that checks every path, writes the files, then the manifest, then stdout.
 
 Units on every flag: polarizer and waveplate angles in degrees, pair
@@ -32,23 +61,6 @@ path that cannot be opened, two outputs of one run on the same file), 3
 no rank of the maximum-likelihood reconstruction passed its optimality
 certificate.
 """
-
-from __future__ import annotations
-
-import argparse
-import functools
-import json
-import math
-import os
-import sys
-import time
-from pathlib import Path
-
-from . import __version__, csvfile
-from .errors import ConvergenceError, InputFormatError, PoissonLimitError
-from .figures import FIGURES, default_config, figure_rows
-
-CONFIG_ENV_VAR = "ERING_CONFIG"
 
 
 def _config_path(args) -> str | None:
@@ -103,6 +115,10 @@ def _finish(args, t0: float, config, text: str, outputs: list) -> None:
     for path, (_, write) in zip(paths, outputs):
         write(path)
     if paths:
+        import json
+
+        from . import csvfile
+
         if config is not None:  # only a command that has already loaded ering.optics
             from .optics import config_to_dict
 
@@ -121,6 +137,10 @@ def _finish(args, t0: float, config, text: str, outputs: list) -> None:
 
 def _report(report: dict, out) -> tuple[str, list]:
     """The stdout text of a JSON report and, with ``out``, the same text as a file."""
+    import json
+
+    from . import csvfile
+
     text = json.dumps(report, indent=2) + "\n"
     return text, [(out, functools.partial(csvfile.write_text, text=text))] if out else []
 
@@ -156,7 +176,7 @@ STATES = {
 
 def _build_state(args):
     if getattr(args, "via", "formula") == "patchwork":
-        from .source import mems_partition, synthesize, werner_partition
+        from .patchwork import mems_partition, synthesize, werner_partition
 
         partition = {"werner": werner_partition, "mems": mems_partition}[args.family]
         return synthesize(partition(args.p), math.pi)
@@ -220,6 +240,9 @@ def cmd_source(args):
 
 def cmd_figure(args):
     """Draws the rows before it creates ``--out-dir``, in which no output check can then fail."""
+    from . import csvfile
+    from .figures import FIGURES, default_config, figure_rows
+
     figure = FIGURES[args.id]
     given = _config_path(args) or getattr(args, "set", None)
     config = _load_base_config(args) if given else default_config(args.id)
@@ -250,9 +273,9 @@ def cmd_tomo_reconstruct(args):
 
     from .bell import chsh_optimize
     from .entanglement import linear_entropy, tangle
-    from .states import check_density_matrix, density_matrix_to_dict, load_density_matrix
+    from .states import check_density_matrix, density_matrix_to_dict, fidelity, load_density_matrix
     from .tomography import (
-        design_condition_number, fidelity, linear_reconstruct, ml_reconstruct, tomo_data_from_csv,
+        design_condition_number, linear_reconstruct, ml_reconstruct, tomo_data_from_csv,
     )
 
     data = tomo_data_from_csv(args.data)
@@ -310,46 +333,46 @@ def cmd_bell_eval(args):
     return None, text + f"violation_sigmas = {violation:.2f}\n", []
 
 
-def _flag(*names, **options) -> argparse.ArgumentParser:
-    """A parent parser that gives one flag to every parser built from it."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(*names, **options)
-    return parent
+def _flag(*names, **options):
+    """A function that gives one flag to the parser it is called with."""
+    return lambda parser: parser.add_argument(*names, **options)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser_class = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
-    parser = parser_class(
-        prog="ering",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("--version", action="version", version=f"ering {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
-    config_flags = argparse.ArgumentParser(add_help=False)
-    config_flags.add_argument("--config", help="JSON source-config file (or $ERING_CONFIG)")
-    config_flags.add_argument(
+def _config_flags(parser) -> None:
+    parser.add_argument("--config", help="JSON source-config file (or $ERING_CONFIG)")
+    parser.add_argument(
         "--set",
         action="append",
         metavar="KEY=VALUE",
         help="override one config key (file notation, e.g. alpha=0.0506)",
     )
-    angle_flags = _flag(
-        "--angles",
-        type=finite_float,
-        nargs=4,
-        metavar=("T1", "T1P", "T2", "T2P"),
-        help="base polarizer angles in degrees (default 0 45 22.5 67.5)",
-    )
-    out = _flag("--out", help="also write the JSON report to this file")
-    simulated = argparse.ArgumentParser(add_help=False)  # the state of tomo and bell simulate
-    simulated.add_argument("--family", choices=["werner", "mems", "singlet", "file"], required=True)
-    simulated.add_argument("--p", type=finite_float, help="singlet weight in [0, 1] (werner, mems; 1)")
-    simulated.add_argument("--state", help="density-matrix JSON (with --family file)")
 
-    p_state = sub.add_parser("state", help="build a state family member and print its measures")
+
+def _simulated_flags(parser) -> None:
+    """The state of tomo and bell simulate."""
+    parser.add_argument("--family", choices=["werner", "mems", "singlet", "file"], required=True)
+    parser.add_argument("--p", type=finite_float, help="singlet weight in [0, 1] (werner, mems; 1)")
+    parser.add_argument("--state", help="density-matrix JSON (with --family file)")
+
+
+_angle_flags = _flag(
+    "--angles",
+    type=finite_float,
+    nargs=4,
+    metavar=("T1", "T1P", "T2", "T2P"),
+    help="base polarizer angles in degrees (default 0 45 22.5 67.5)",
+)
+_out = _flag("--out", help="also write the JSON report to this file")
+_parser_class = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+
+
+def _subcommands(parser, dest: str):
+    return parser.add_subparsers(dest=dest, required=True, parser_class=_parser_class)
+
+
+def _state_arguments(p_state) -> None:
     p_state.set_defaults(func=cmd_state)
-    families = p_state.add_subparsers(dest="family", required=True, parser_class=parser_class)
+    families = _subcommands(p_state, "family")
     weight = _flag("--p", type=finite_float, default=1.0, help="singlet weight in [0, 1]")
     via = _flag(
         "--via", choices=["formula", "patchwork"], default="formula", help="how to build the state"
@@ -361,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fid = _flag("--fidelity", type=finite_float, default=1.0, help="singlet fidelity in [1/4, 1]")
     a = _flag("--a", type=finite_float, default=0.5, help="eigenvector weight in [1/2, 1]")
-    for family, parents in (
+    for family, flags in (
         ("werner", [weight, via]),
         ("mems", [weight, via]),
         ("bell", [kind, phi]),
@@ -369,13 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("nonmax", [theta_p]),
         ("tuned", [fid, a]),
     ):
-        families.add_parser(family, parents=[*parents, out])
+        p_family = families.add_parser(family)
+        for add in [*flags, _out]:
+            add(p_family)
 
-    p_src = sub.add_parser(
-        "source",
-        parents=[config_flags, out],
-        help="geometry and rate report for a source configuration",
-    )
+
+def _source_arguments(p_src) -> None:
+    _config_flags(p_src)
+    _out(p_src)
     p_src.add_argument(
         "--displacement-um",
         type=finite_float,
@@ -384,29 +408,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_src.set_defaults(func=cmd_source)
 
-    p_fig = sub.add_parser("figure", help="regenerate the data behind a figure as CSV")
+
+def _figure_arguments(p_fig) -> None:
+    from .figures import FIGURES
+
     p_fig.set_defaults(func=cmd_figure)
-    figures = p_fig.add_subparsers(dest="id", required=True, parser_class=parser_class)
-    fig_flags = argparse.ArgumentParser(add_help=False)
-    fig_flags.add_argument(
-        "--seed", type=nonnegative_int, required=True, help="master seed (required)"
-    )
-    fig_flags.add_argument("--out-dir", default="figures", help="output directory")
+    figures = _subcommands(p_fig, "id")
     for fig_id, figure in FIGURES.items():
-        p_id = figures.add_parser(
-            fig_id, parents=[fig_flags, config_flags] if figure.config else [fig_flags]
+        p_id = figures.add_parser(fig_id)
+        p_id.add_argument(
+            "--seed", type=nonnegative_int, required=True, help="master seed (required)"
         )
+        p_id.add_argument("--out-dir", default="figures", help="output directory")
+        if figure.config:
+            _config_flags(p_id)
         for name, (default, help_, _) in figure.params.items():
             number = finite_float if isinstance(default, float) else int
             flag = "--" + name.replace("_", "-")
             p_id.add_argument(flag, type=number, default=default, help=help_)
         p_id.set_defaults(means_flag=figure.means_flag)
 
-    p_tomo = sub.add_parser("tomo", help="simulate or reconstruct tomography data")
-    tomo_sub = p_tomo.add_subparsers(dest="tomo_command", required=True, parser_class=parser_class)
-    p_sim = tomo_sub.add_parser(
-        "simulate", parents=[simulated], help="write simulated 16-setting counts"
-    )
+
+def _tomo_arguments(p_tomo) -> None:
+    tomo_sub = _subcommands(p_tomo, "tomo_command")
+    p_sim = tomo_sub.add_parser("simulate", help="write simulated 16-setting counts")
+    _simulated_flags(p_sim)
     p_sim.add_argument("--counts", type=int, default=10000, help="mean counts per setting")
     p_sim.add_argument("--seed", type=nonnegative_int, required=True)
     p_sim.add_argument("--out", required=True, help="output counts CSV")
@@ -424,13 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--out", help="write the JSON report here")
     p_rec.set_defaults(func=cmd_tomo_reconstruct)
 
-    p_bell = sub.add_parser("bell", help="simulate or evaluate a CHSH coincidence run")
-    bell_sub = p_bell.add_subparsers(dest="bell_command", required=True, parser_class=parser_class)
-    p_bsim = bell_sub.add_parser(
-        "simulate",
-        parents=[angle_flags, config_flags, simulated],
-        help="write a simulated 16-setting counts CSV",
-    )
+
+def _bell_arguments(p_bell) -> None:
+    bell_sub = _subcommands(p_bell, "bell_command")
+    p_bsim = bell_sub.add_parser("simulate", help="write a simulated 16-setting counts CSV")
+    _angle_flags(p_bsim)
+    _config_flags(p_bsim)
+    _simulated_flags(p_bsim)
     p_bsim.add_argument(
         "--duration",
         type=finite_float,
@@ -440,18 +466,42 @@ def build_parser() -> argparse.ArgumentParser:
     p_bsim.add_argument("--seed", type=nonnegative_int, required=True)
     p_bsim.add_argument("--out", required=True)
     p_bsim.set_defaults(func=cmd_bell_simulate, means_flag="--duration or --set pair_rate=")
-    p_beval = bell_sub.add_parser(
-        "eval", parents=[angle_flags], help="CHSH parameter and Poisson error from counts"
-    )
+    p_beval = bell_sub.add_parser("eval", help="CHSH parameter and Poisson error from counts")
+    _angle_flags(p_beval)
     p_beval.add_argument("--counts", required=True, help="counts CSV")
     p_beval.set_defaults(func=cmd_bell_eval)
 
+
+#: Every subcommand -> its help line and the function that adds its arguments and subcommands.
+SUBCOMMANDS = {
+    "state": ("build a state family member and print its measures", _state_arguments),
+    "source": ("geometry and rate report for a source configuration", _source_arguments),
+    "figure": ("regenerate the data behind a figure as CSV", _figure_arguments),
+    "tomo": ("simulate or reconstruct tomography data", _tomo_arguments),
+    "bell": ("simulate or evaluate a CHSH coincidence run", _bell_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``ering`` parser.  With ``command``, only that subcommand gets its arguments;
+    the others are listed with their help line and parse nothing."""
+    parser = _parser_class(
+        prog="ering", description=DESCRIPTION, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--version", action="version", version=f"ering {__version__}")
+    sub = _subcommands(parser, "command")
+    for name, (help_, add_arguments) in SUBCOMMANDS.items():
+        p_command = sub.add_parser(name, help=help_)
+        if command is None or command == name:
+            add_arguments(p_command)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    # the top level has no option that takes a value, so its first positional is the command;
+    # without one (--version, --help, a usage error) no subcommand gets its arguments
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), ""))
     args = parser.parse_args(argv)
     args.argv = argv  # recorded in manifests
     family = getattr(args, "family", None)

@@ -119,16 +119,12 @@ class CountsTable:
         self.entries[(angle_label(theta1), angle_label(theta2))] = counts
 
 
-def correlation_from_counts(counts: CountsTable, theta1: float, theta2: float) -> tuple[float, float]:
-    """Polarization correlation P(theta1, theta2) and its Poisson variance.
+def _correlation(counts: CountsTable, keys: tuple[tuple[str, str], ...]) -> tuple[float, float]:
+    """Polarization correlation P of the base pair whose orthogonal-combo keys are ``keys``,
+    and its Poisson variance.
 
     P = (C(t1,t2) + C(t1+90,t2+90) - C(t1,t2+90) - C(t1+90,t2)) / (sum of the four).
     """
-    return _correlation(counts, _orthogonal_keys(theta1, theta2))
-
-
-def _correlation(counts: CountsTable, keys: tuple[tuple[str, str], ...]) -> tuple[float, float]:
-    """``correlation_from_counts`` of the base pair whose orthogonal-combo keys are ``keys``."""
     a, b, c, d = map(counts.get_key, keys)
     total = a + b + c + d
     if total == 0:

@@ -15,7 +15,6 @@ otherwise); both read back whole.  Read errors name
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -98,6 +97,8 @@ def read(
     positive, or equal its default (0 stands for unknown).  The file must be
     UTF-8 text with no NUL character; a leading byte-order mark is skipped.
     """
+    import csv  # only a command that reads a CSV file pays for it
+
     values = dict(comments)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:

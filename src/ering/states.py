@@ -38,7 +38,6 @@ BASIS = ("HH", "HV", "VH", "VV")
 HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
-WEIGHT_SUM_ATOL = 1e-9
 
 
 def _pauli_pairs() -> np.ndarray:
@@ -351,27 +350,6 @@ def tune_entanglement(fidelity: float, a: float) -> np.ndarray:
     return ((1 - fidelity) / 3) * np.eye(4, dtype=complex) + (
         (4 * fidelity - 1) / 3
     ) * np.outer(psi, psi.conj())
-
-
-def mix(components: list[tuple[float, np.ndarray]]) -> np.ndarray:
-    """Convex mixture of density matrices.
-
-    ``components`` is a list of (weight, rho) with nonnegative weights
-    summing to 1 within 1e-9.  The result passes all density-matrix
-    invariants.
-    """
-    if not components:
-        raise ValueError("mix() requires at least one component")
-    weights = [w for w, _ in components]
-    if not all(0 <= w < math.inf for w in weights):  # NaN fails too
-        raise ValueError(f"mixture weights must be finite and nonnegative, got {weights}")
-    total = sum(weights)
-    if abs(total - 1.0) > WEIGHT_SUM_ATOL:
-        raise ValueError(f"mixture weights sum to {total}, expected 1 within 1e-9")
-    out = np.zeros((4, 4), dtype=complex)
-    for w, rho in components:
-        out += w * check_density_matrix(rho)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ fresh temporary directory (so later commands read what earlier ones wrote),
 without ``ERING_CONFIG``, and writes ``tests/golden/cli.json``: per command
 its argv, exit code, stdout and the text of every file it created or
 changed.  ``tests/test_golden.py`` replays the same commands in process and
-requires every byte to match.  Manifests are stored without their
+requires every byte to match.  It also writes ``tests/golden/usage.json``:
+the exit code, stdout and stderr of the ``USAGE`` runs, which end in the
+top-level parser, replayed by ``tests/test_cli.py``.  Manifests are stored without their
 ``wall_clock_s`` entry, the one value that differs between runs.
 
 Before writing, it prints a drift report against the golden it replaces:
@@ -27,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+USAGE_GOLDEN = Path(__file__).parent / "golden" / "usage.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 COMMANDS = (
@@ -80,6 +83,9 @@ COMMANDS = (
      "--out counts_d.csv"),
     ("bell_eval_degenerate", "bell eval --counts counts_d.csv --angles 0 0 0 0"),
 )
+
+#: Runs that end in the top-level parser: its help, its version, no command and an unknown one.
+USAGE = (["--help"], ["--version"], [], ["foo"])
 
 _WALL_CLOCK = re.compile(r',\n  "wall_clock_s": [-+0-9.eE]+')
 
@@ -145,9 +151,31 @@ def drift_report(old: list[dict], new: list[dict]) -> list[str]:
     return lines
 
 
-def record() -> list[dict]:
+def _env() -> dict:
     env = {k: v for k, v in os.environ.items() if k != "ERING_CONFIG"}
     env["PYTHONPATH"] = str(SRC)
+    return env
+
+
+def record_usage() -> dict:
+    """Exit code, stdout and stderr of each ``USAGE`` run of ``python -m ering`` at 80 columns,
+    and the Python version they were read on (argparse words its messages per version)."""
+    runs = []
+    for argv in USAGE:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ering", *argv],
+            env=dict(_env(), COLUMNS="80"),
+            capture_output=True,
+            text=True,
+        )
+        runs.append(
+            {"argv": argv, "exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+        )
+    return {"python": "%d.%d" % sys.version_info[:2], "runs": runs}
+
+
+def record() -> list[dict]:
+    env = _env()
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         work_dir = Path(tmp)
@@ -178,4 +206,5 @@ if __name__ == "__main__":
         print("\n".join(report) if report else f"no drift against {GOLDEN}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(results, indent=1) + "\n")
-    print(f"wrote {GOLDEN}")
+    USAGE_GOLDEN.write_text(json.dumps(record_usage(), indent=1) + "\n")
+    print(f"wrote {GOLDEN} and {USAGE_GOLDEN}")

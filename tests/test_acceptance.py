@@ -26,14 +26,8 @@ from ering.optics import (
     ou_mandel_scan,
     phase_from_displacement,
 )
-from ering.source import (
-    Sector,
-    SectorPartition,
-    mems_partition,
-    simulate_bell_test,
-    synthesize,
-    werner_partition,
-)
+from ering.patchwork import Sector, SectorPartition, mems_partition, synthesize, werner_partition
+from ering.source import simulate_bell_test
 from ering.states import mems, projector, singlet, werner
 from ering.tomography import fidelity, ml_reconstruct, simulate_tomography
 

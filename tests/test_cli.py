@@ -31,10 +31,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_python(*args):
+def run_python(*args, cwd=None):
     """Run a fresh interpreter that imports ering from this checkout's ``src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    env.pop("ERING_CONFIG", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, cwd=cwd)
 
 
 def test_state_werner_report(capsys):
@@ -319,6 +320,77 @@ def test_state_has_no_seed_flag():
     with pytest.raises(SystemExit) as exc:
         run_cli("state", "werner", "--p", "0.5", "--seed", "1")
     assert exc.value.code == 2
+
+
+def _parsers(parser, path=()):
+    """``(path, parser)`` of ``parser`` and of every subcommand below it, depth first."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, (*path, name))
+
+
+def _options(parser) -> list[tuple]:
+    return [
+        (a.option_strings, a.dest, a.default, a.type, a.nargs, a.required, a.metavar, a.help,
+         list(a.choices) if a.choices is not None else None)
+        for a in parser._actions
+    ]
+
+
+def test_each_command_builds_the_parser_of_the_full_table():
+    """``main`` builds only the invoked subcommand; that parser, every parser below it and the
+    top level are the full parser's: help text, options, defaults and choices."""
+    full = dict(_parsers(cli.build_parser()))
+    assert list(cli.SUBCOMMANDS) == [path[0] for path in full if len(path) == 1]
+    assert {path[1] for path in full if path[:1] == ("figure",) and len(path) == 2} == set(
+        figures.FIGURES
+    )
+    assert len(full) == 1 + 5 + 6 + 6 + 2 + 2
+    for command in ("", *cli.SUBCOMMANDS):
+        built = dict(_parsers(cli.build_parser(command)))
+        for path, parser in built.items():
+            if path[:1] in ((), (command,)):
+                assert parser.format_help() == full[path].format_help(), path
+                assert _options(parser) == _options(full[path]), path
+            else:  # another subcommand: listed, with no arguments
+                assert [a.dest for a in parser._actions] == ["help"], path
+        assert {path for path in built if path[:1] in ((), (command,))} == {
+            path for path in full if path[:1] in ((), (command,))
+        }
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [(["state", "werner", "--help"], "state"), (["--bogus", "figure", "3"], "figure"),
+     (["--version"], ""), ([], ""), (["foo"], "foo")],
+)
+def test_main_builds_the_parser_of_its_first_positional(argv, command, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda name: built.append(name) or real(name))
+    with pytest.raises(SystemExit):
+        run_cli(*argv)
+    assert built == [command]
+
+
+def test_top_level_runs_match_the_full_parser_and_the_golden(monkeypatch, capsys):
+    """``ering --help``, ``--version``, no command and an unknown command print and exit as the
+    full parser does; on the Python version ``tests/golden/usage.json`` was read on, byte for
+    byte as recorded there."""
+    from record_golden import USAGE_GOLDEN, record_usage
+
+    monkeypatch.setenv("COLUMNS", "80")
+    got = record_usage()
+    for run in got["runs"]:
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(run["argv"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out, err) == (run["exit"], run["stdout"], run["stderr"])
+    golden = json.loads(USAGE_GOLDEN.read_text())
+    if got["python"] == golden["python"]:
+        assert got == golden
 
 
 NEGATIVE_SEEDS = [
@@ -1016,15 +1088,55 @@ def test_console_script_installed():
     assert "ering" in out.stdout
 
 
-def _imported(*args, returncode: int = 0) -> set[str]:
+def _imported(*args, returncode: int = 0, cwd=None) -> set[str]:
     """Modules a fresh interpreter imports, read from its ``-X importtime`` report."""
-    out = run_python("-X", "importtime", *args)
+    out = run_python("-X", "importtime", *args, cwd=cwd)
     assert out.returncode == returncode, out.stderr[-2000:]
     lines = [line for line in out.stderr.splitlines() if line.startswith("import time:")]
     return {line.rsplit("|", 1)[1].strip() for line in lines}
 
 
-def test_import_loads_no_scipy(tmp_path):
+# The ering commands of the benchmark's cli workload (perfbench/cli_workload.py), in an order
+# in which each input file is written before it is read, and the ering modules each loads
+# besides ering, ering.cli and ering.errors, and besides ering.csvfile, which every command
+# but --version loads to write or read its files.
+_ANALYSIS = {"ering.states", "ering.entanglement", "ering.bell"}
+_COINCIDENCES = {"ering.figures", "ering.optics", "ering.counts", "ering.source", "ering.sampling",
+                 "ering.states"}
+BENCH_COMMANDS = {
+    "version": (["--version"], set()),
+    "state_werner": (["state", "werner", "--p", "0.82"], _ANALYSIS),
+    "state_mems_patchwork": (["state", "mems", "--p", "0.45", "--via", "patchwork"],
+                             _ANALYSIS | {"ering.patchwork"}),
+    "source": (["source", "--displacement-um", "60"], {"ering.optics"}),
+    "figure3": (["figure", "3", "--seed", "1", "--out-dir", "figures"],
+                {"ering.figures", "ering.optics"}),
+    "figure12": (["figure", "12", "--seed", "7", "--out-dir", "figures"], _COINCIDENCES),
+    "figure8": (["figure", "8", "--seed", "7", "--out-dir", "figures"],
+                {"ering.figures", "ering.optics", "ering.tomography", "ering.sampling",
+                 "ering.states", "ering.entanglement"}),
+    "tomo_simulate": (["tomo", "simulate", "--family", "werner", "--p", "0.47", "--counts",
+                       "40000", "--seed", "3", "--out", "tomo.csv", "--target-out", "target.json"],
+                      {"ering.tomography", "ering.sampling", "ering.states"}),
+    "tomo_reconstruct": (["tomo", "reconstruct", "--data", "tomo.csv", "--seed", "0", "--target",
+                          "target.json", "--out", "report.json"],
+                         _ANALYSIS | {"ering.tomography", "ering.sampling"}),
+    "bell_simulate": (["bell", "simulate", "--family", "singlet", "--duration", "180", "--seed",
+                       "5", "--out", "counts.csv"], _COINCIDENCES - {"ering.figures"}),
+    "bell_eval": (["bell", "eval", "--counts", "counts.csv"], {"ering.counts"}),
+}
+_CSV_READERS = {"tomo_reconstruct", "bell_eval"}
+
+
+@pytest.fixture(scope="module")
+def bench_imports(tmp_path_factory) -> dict[str, set[str]]:
+    """Command name -> the modules its fresh interpreter imports."""
+    work = tmp_path_factory.mktemp("bench_commands")
+    return {name: _imported("-m", "ering", *argv, cwd=work)
+            for name, (argv, _) in BENCH_COMMANDS.items()}
+
+
+def test_import_loads_no_scipy(bench_imports):
     """``import ering`` loads no numpy, and each command only the modules it runs."""
     code = "import ering, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
     out = run_python("-c", code)
@@ -1032,25 +1144,17 @@ def test_import_loads_no_scipy(tmp_path):
     root = _imported("-c", "import ering")
     assert "ering" in root
     assert not [m for m in root if m.startswith(("numpy", "scipy", "ering."))]
-    for argv, returncode in ((["--version"], 0), (["state", "werner", "--bogus"], 2)):
-        modules = _imported("-m", "ering", *argv, returncode=returncode)
-        assert "ering.cli" in modules and "numpy" not in modules
+    base = {"ering", "ering.cli", "ering.errors"}
+    for name, (_, own) in BENCH_COMMANDS.items():
+        modules = bench_imports[name]
+        files = {"ering.csvfile"} if name != "version" else set()
+        assert {m for m in modules if m.split(".")[0] == "ering"} == base | files | own, name
+        assert not [m for m in modules if m.split(".")[0] == "scipy"], name
+    usage_error = _imported("-m", "ering", "state", "werner", "--bogus", returncode=2)
+    assert {m for m in usage_error if m.split(".")[0] in ("ering", "numpy")} == base
     code = "import sys, ering.source; assert 'ering.bell' not in sys.modules"
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
-    counts = tmp_path / "counts.csv"
-    simulate = ["bell", "simulate", "--family", "singlet", "--seed", "5", "--out", str(counts)]
-    figure12 = ["figure", "12", "--seed", "1", "--duration", "2", "--out-dir", str(tmp_path)]
-    for argv in (simulate, figure12):  # the coincidence model runs without the CHSH module
-        modules = _imported("-m", "ering", *argv)
-        assert "ering.source" in modules and "ering.bell" not in modules, argv
-    bell_eval = _imported("-m", "ering", "bell", "eval", "--counts", str(counts))
-    assert "ering.counts" in bell_eval
-    assert not bell_eval & {"ering.tomography", "ering.source", "ering.entanglement"}
-    tomo = _imported("-m", "ering", "tomo", "simulate", "--family", "singlet", "--seed", "1",
-                     "--out", str(tmp_path / "tomo.csv"))
-    assert "ering.tomography" in tomo
-    assert not tomo & {"ering.source", "ering.bell"}
 
 
 def test_plan_settings_load_no_numpy():
@@ -1061,25 +1165,18 @@ def test_plan_settings_load_no_numpy():
     assert out.returncode == 0, out.stderr
 
 
-def test_numpy_free_commands_import_no_numpy(tmp_path):
-    """``bell eval``, ``source`` and a noise-free ``figure 3`` load no numpy; ``state`` no tomography."""
+def test_numpy_free_commands_import_no_numpy(tmp_path, bench_imports):
+    """``--version``, ``bell eval``, ``source`` and a noise-free ``figure 3`` load no numpy, only
+    the commands that read a CSV file load ``csv``, and ``--version`` loads no ``json``."""
     code = "import sys, ering.counts, ering.optics; assert 'numpy' not in sys.modules"
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
-    counts = tmp_path / "counts.csv"
-    simulate = ["bell", "simulate", "--family", "singlet", "--seed", "5", "--out", str(counts)]
-    assert run_cli(*simulate) == 0
+    for name, modules in bench_imports.items():
+        numpy_free = name in ("version", "source", "figure3", "bell_eval")
+        assert ("numpy" not in modules) == numpy_free, name
+        assert ("csv" in modules) == (name in _CSV_READERS), name
+    assert "json" not in bench_imports["version"]
     figures = str(tmp_path / "figures")
-    for argv in (
-        ["bell", "eval", "--counts", str(counts)],
-        ["source", "--displacement-um", "60"],
-        ["figure", "3", "--seed", "1", "--out-dir", figures],
-    ):
-        modules = _imported("-m", "ering", *argv)
-        assert "ering.cli" in modules
-        assert not [m for m in modules if m.split(".")[0] == "numpy"], argv
     noisy = _imported("-m", "ering", "figure", "3", "--seed", "1", "--counts-per-point", "500",
                       "--out-dir", figures)
     assert "numpy" in noisy
-    state = _imported("-m", "ering", "state", "werner")
-    assert "ering.states" in state and "ering.tomography" not in state

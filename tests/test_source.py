@@ -13,7 +13,6 @@ from ering.counts import (
     AnglePlan,
     angle_label,
     chsh_from_counts,
-    correlation_from_counts,
 )
 from ering.errors import InputFormatError, PoissonLimitError
 from ering.sampling import random_density_matrix
@@ -35,23 +34,21 @@ from ering.optics import (
     ring_diameter,
     sector_area,
 )
+from ering.patchwork import (
+    Sector, SectorPartition, TREATMENTS, mems_partition, synthesize, werner_partition,
+)
 from ering.source import (
-    Sector,
-    SectorPartition,
-    TREATMENTS,
     apply_effective_visibility,
     compile_plan,
     expected_coincidences,
-    mems_partition,
     simulate_bell_test,
     simulate_coincidences,
-    synthesize,
-    werner_partition,
 )
 from ering.states import (
     bell_state, bloch_vector, check_density_matrix, mems, pauli_vector, projector, singlet, werner,
 )
 from ering.tomography import exact_tomography_counts, simulate_tomography, standard_settings
+from test_bell import correlation_from_counts
 
 CFG = SourceConfig()
 MEMS_CFG = SourceConfig(cone_aperture=math.radians(1.4))
@@ -304,6 +301,25 @@ def test_synthesize_random_partitions_stay_physical(rng):
         )
         rho = synthesize(part, rng.uniform(0, 2 * math.pi))
         check_density_matrix(rho)
+
+
+def test_source_aliases_the_patchwork_on_first_use():
+    """perfbench reads three patchwork names through ``source``; patchwork reads only ``states``,
+    and ``import ering.source`` alone does not load it."""
+    from ering import patchwork, source
+    from test_cli import run_python
+
+    names = ("mems_partition", "synthesize", "werner_partition")
+    for code in ("import sys, ering.patchwork; assert not {'ering.source', 'ering.optics', "
+                 "'ering.counts', 'ering.sampling'} & set(sys.modules)",
+                 "import sys, ering.source; assert 'ering.patchwork' not in sys.modules; "
+                 f"from ering.source import {', '.join(names)}; assert 'ering.patchwork' in sys.modules"):
+        out = run_python("-c", code)
+        assert out.returncode == 0, out.stderr
+    for name in names:
+        assert getattr(source, name) is getattr(patchwork, name)
+    with pytest.raises(AttributeError, match="has no attribute 'SectorPartition'"):
+        source.SectorPartition
 
 
 # ---------------------------------------------------------------------------

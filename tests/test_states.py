@@ -19,19 +19,39 @@ from ering.states import (
     density_matrix_to_dict,
     mems,
     mems_weight,
-    mix,
     nonmax_state,
     partial_transpose,
     projector,
     singlet,
     tune_entanglement,
+    fidelity,
     werner,
 )
-from ering.tomography import fidelity
 from test_bell import kron_correlation_matrix
 from test_entanglement import eigvals_concurrence
 
 SQ2 = math.sqrt(2)
+
+
+def mix(components: list[tuple[float, np.ndarray]]) -> np.ndarray:
+    """Convex mixture of density matrices.
+
+    ``components`` is a list of (weight, rho) with nonnegative weights
+    summing to 1 within 1e-9.  The result passes all density-matrix
+    invariants.
+    """
+    if not components:
+        raise ValueError("mix() requires at least one component")
+    weights = [w for w, _ in components]
+    if not all(0 <= w < math.inf for w in weights):  # NaN fails too
+        raise ValueError(f"mixture weights must be finite and nonnegative, got {weights}")
+    total = sum(weights)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"mixture weights sum to {total}, expected 1 within 1e-9")
+    out = np.zeros((4, 4), dtype=complex)
+    for w, rho in components:
+        out += w * check_density_matrix(rho)
+    return out
 
 
 def tuning_entanglement_bound(fid: float) -> float:

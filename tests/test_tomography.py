@@ -511,6 +511,52 @@ def test_ml_converges_on_singlet_data(seed):
     assert fidelity(ml_reconstruct(data), projector(singlet())) > 0.99
 
 
+# The ML estimate is a function of the data, not of how it is laid out: the order of the CSV
+# rows, which photon is called 1, and the frame of the E(Theta,Phi) labels.
+_INVARIANCE_STATES = {"werner_0.8": werner(0.8), "mems_0.8": mems(0.8), "werner_0.99": werner(0.99)}
+_PAULI_XYZ = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def _ml_via_csv(tmp_path, settings, counts, flux):
+    path = tmp_path / "tomo.csv"
+    tomo_data_to_csv(TomoData(settings, counts, flux), path)
+    return ml_reconstruct(tomo_data_from_csv(path))
+
+
+def _random_su2(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def _rotated_label(label, u):
+    """The ``E(Theta,Phi)`` label of U P U^dag for the projector P of ``label``."""
+    r = np.einsum("iab,bc,jcd,da->ij", _PAULI_XYZ, u, _PAULI_XYZ, u.conj().T).real / 2
+    x, y, z = r @ projector_bloch(label)[1:]
+    return f"E({math.atan2(math.hypot(x, y), z)!r},{math.atan2(y, x)!r})"
+
+
+@pytest.mark.parametrize("name", _INVARIANCE_STATES)
+def test_ml_is_invariant_to_row_order_qubit_swap_and_local_frame(name, tmp_path):
+    rng = np.random.default_rng(14)
+    for seed in range(5):
+        data = simulate_tomography(_INVARIANCE_STATES[name], 40_000, seed)
+        flux = data.total_flux_estimate
+        rho = _ml_via_csv(tmp_path, data.settings, data.counts, flux)
+        perm = rng.permutation(len(data.settings))
+        permuted = _ml_via_csv(tmp_path, [data.settings[i] for i in perm], data.counts[perm], flux)
+        assert np.abs(permuted - rho).max() <= 1e-12, seed
+        swapped = [TomoSetting(s.proj2, s.proj1) for s in data.settings]
+        assert np.abs(_ml_via_csv(tmp_path, swapped, data.counts, flux)
+                      - _SWAP @ rho @ _SWAP).max() <= 1e-12, seed
+        u1, u2 = _random_su2(rng), _random_su2(rng)
+        rotated = [TomoSetting(_rotated_label(s.proj1, u1), _rotated_label(s.proj2, u2))
+                   for s in data.settings]
+        u = np.kron(u1, u2)
+        assert np.abs(_ml_via_csv(tmp_path, rotated, data.counts, flux)
+                      - u @ rho @ u.conj().T).max() <= 1e-12, seed
+
+
 def test_ml_rejects_incomplete_settings():
     data = TomoData([TomoSetting("H", "H")], [5.0], 20.0)
     with pytest.raises(ValueError, match="not complete"):
