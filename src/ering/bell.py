@@ -95,21 +95,16 @@ def chsh_max_from_correlation_matrix(rho: np.ndarray) -> float:
     return 2 * math.sqrt(max(0.0, first + second))
 
 
-def chsh_optimal_family(p: float, b_diag: float | None = None) -> tuple[float, np.ndarray]:
+def chsh_optimal_family(p: float) -> tuple[float, np.ndarray]:
     """Extremal |S| = 2 sqrt(2) p of the singlet-coupled diagonal family, and its settings.
 
     For any density matrix that is diagonal (A, B, B, D) with a real
     coupling -p/2 between |HV> and |VH>, the stationary equatorial
     settings below give |S| = 2 sqrt(2) p independently of the diagonal
-    entries A, B, D.  The optional ``b_diag`` is validated against the
-    family's positivity constraints (p/2 <= B <= 1/2).
+    entries A, B, D.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"singlet weight p must be in [0, 1], got {p}")
-    if b_diag is not None and not (p / 2 - 1e-12 <= b_diag <= 0.5 + 1e-12):
-        raise ValueError(
-            f"diagonal entry B={b_diag} incompatible with coupling p/2={p / 2}"
-        )
     h, q = math.pi / 2, math.pi / 4
     settings = bloch_vector(np.array([-h, h, h, -h]), np.array([q, -q, h, 0.0]))[:, 1:]
     settings.setflags(write=False)

@@ -27,8 +27,9 @@ from .errors import ConvergenceError, InputFormatError, PoissonLimitError
 
 CONFIG_ENV_VAR = "ERING_CONFIG"
 
-DESCRIPTION = """Command-line interface: the argparse parser, the config loading and ``_finish``, the
-one output step that checks every path, writes the files, then the manifest, then stdout.
+DESCRIPTION = """Build, characterize, measure and reconstruct the two-qubit polarization
+states of an E-ring entangled-photon source, and regenerate the data
+behind the paper's figures.
 
 Units on every flag: polarizer and waveplate angles in degrees, pair
 phases in radians, displacements in micrometers, durations in seconds.
@@ -239,12 +240,15 @@ def cmd_source(args):
 
 
 def cmd_figure(args):
-    """Draws the rows before it creates ``--out-dir``, in which no output check can then fail."""
+    """Draws the rows before it creates ``--out-dir``, in which no output check can then fail.
+
+    A figure that reads no config (8, 11) records ``default_config`` and consults no config file.
+    """
     from . import csvfile
     from .figures import FIGURES, default_config, figure_rows
 
     figure = FIGURES[args.id]
-    given = _config_path(args) or getattr(args, "set", None)
+    given = figure.config is not None and (_config_path(args) or args.set)
     config = _load_base_config(args) if given else default_config(args.id)
     params = {name: getattr(args, name) for name in figure.params}
     rows = figure_rows(args.id, config, args.seed, **params)

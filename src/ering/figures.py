@@ -9,8 +9,9 @@ Point i of a grid draws from ``SeedSequence([seed, i]).generate_state(1)[0]``;
 figure 3 is one curve, whose optional shot noise is one draw from ``seed``.
 ``default_config`` is the default ``SourceConfig``, at the measured
 visibility 0.94 for the Bell-test figures 2, 4 and 12.  Figures 8 and 11,
-the Werner and MEMS tomographies, read no config; the CLI only records one
-in their manifest.  Importing this module loads no numpy.
+the Werner and MEMS tomographies, read no config; the CLI reads no config
+file for them and records the default one in their manifest.  Importing
+this module loads no numpy.
 """
 
 from __future__ import annotations

@@ -19,8 +19,14 @@ treatment                          optics over the sector        sector state at
 ``blocked``                        opaque screen                 none: contributes nothing
 =================================  ============================  ==============================
 
-Sector weights are detection-conditioned: the synthesized state is the
-angular-fraction-weighted mixture over non-blocked sectors, renormalized.
+A sector's ``fraction`` is its detected weight: its share of the pairs
+that reach the detectors, not its share of the ring's angle.  The
+synthesized state is the mixture of the sector states weighted by their
+fractions, renormalized over the non-blocked sectors.  The two shares
+agree for the two-cone treatments; a one-cone treatment
+(``reflected_blocked``, ``flipped_and_reflected_blocked``) passes about
+half the pair flux per unit angle, so it needs about twice the angle for
+the same detected weight.
 ``werner_partition`` and ``mems_partition`` are the sector recipes of the
 two families, to be synthesized at phi = pi.
 
@@ -88,8 +94,9 @@ class SectorPartition:
 def synthesize(partition: SectorPartition, phi: float) -> np.ndarray:
     """Detection-conditioned state of a patchwork partition at pair phase phi.
 
-    Mixture of per-sector states weighted by angular fraction,
-    renormalized over the non-blocked sectors.  A non-finite phi raises ValueError.
+    Mixture of the per-sector states weighted by their detected weights
+    ``Sector.fraction``, renormalized over the non-blocked sectors.  A
+    non-finite phi raises ValueError.
     """
     if not math.isfinite(phi):
         raise ValueError(f"pair phase phi must be finite, got {phi}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PoissonLimitError
-from .states import repair_density_matrix
+from .states import repaired_spectrum
 
 #: The largest Poisson mean numpy's generator accepts (its POISSON_LAM_MAX).
 POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
@@ -28,21 +28,19 @@ def random_pure_state(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density_matrix(
-    rng: np.random.Generator,
-    perturbation: float = 0.2,
-    pure_admixture: float | None = None,
-) -> np.ndarray:
+def random_density_matrix(rng: np.random.Generator, perturbation: float = 0.2) -> np.ndarray:
     """Random two-qubit mixture around the maximally mixed state.
 
     A Gaussian random Hermitian perturbation of I/4 is projected to the
-    physical cone (eigenvalue clip + renormalize) and mixed with a
-    random pure state; the admixture weight defaults to uniform in
-    [0, 1), which covers near-pure and near-maximally-mixed corners.
+    physical cone (``states.repaired_spectrum``: eigenvalue clip and
+    renormalize) and mixed with a random pure state; the admixture weight
+    is uniform in [0, 1), which covers near-pure and near-maximally-mixed
+    corners.
     """
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h = (h + h.conj().T) / 2
-    base = repair_density_matrix(np.eye(4, dtype=complex) / 4 + perturbation * h)
+    eigs, vecs = repaired_spectrum(np.eye(4, dtype=complex) / 4 + perturbation * h)
+    base = (vecs * eigs) @ vecs.conj().T
     psi = random_pure_state(rng)
-    w = rng.uniform() if pure_admixture is None else pure_admixture
+    w = rng.uniform()
     return (1 - w) * base + w * np.outer(psi, psi.conj())

@@ -220,13 +220,6 @@ def repaired_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigs / total, vecs
 
 
-def repair_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """The density matrix of ``repaired_spectrum``: negative eigenvalues
-    clipped to zero and the trace renormalized."""
-    eigs, vecs = repaired_spectrum(rho)
-    return (vecs * eigs) @ vecs.conj().T
-
-
 def check_pure_state(psi: np.ndarray) -> np.ndarray:
     """Validate a 4-component state vector (finite, unit norm within 1e-12)."""
     psi = np.asarray(psi, dtype=complex)

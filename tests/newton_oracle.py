@@ -17,7 +17,13 @@ import numpy as np
 
 from ering import tomography
 from ering.errors import ConvergenceError
-from ering.states import PAULI_PAIRS, repair_density_matrix
+from ering.states import PAULI_PAIRS, repaired_spectrum
+
+
+def repair_density_matrix(rho):
+    """The density matrix of ``repaired_spectrum``: negative eigenvalues clipped, trace renormalized."""
+    eigs, vecs = repaired_spectrum(rho)
+    return (vecs * eigs) @ vecs.conj().T
 
 
 def projector_stack(settings):

@@ -518,6 +518,25 @@ def test_readme_commands_parse():
         build_parser().parse_args(argv)
 
 
+def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
+    # every ``python`` block runs; the figures block's rows are the CSV rows of the command it names
+    import csv
+
+    monkeypatch.delenv("ERING_CONFIG", raising=False)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert blocks
+    namespace = {}
+    for block in blocks:  # in order, in one namespace, as a reader would run them
+        exec(compile(block, "README.md", "exec"), namespace)
+    rows = namespace["rows"]
+    assert run_cli("figure", "12", "--seed", "7", "--duration", "2", "--out-dir", str(tmp_path)) == 0
+    capsys.readouterr()
+    with open(tmp_path / "fig12.csv", newline="") as f:
+        written = list(csv.reader(f))[1:]
+    assert written == [[format(x, ".10g") for x in row] for row in rows]  # the file's 10 digits
+
+
 def test_readme_flag_table_matches_parser():
     from ering.cli import build_parser
 
@@ -680,6 +699,21 @@ def test_tomography_figures_reject_config_flags(argv, tmp_path, monkeypatch, cap
     assert exc.value.code == 2
     assert f"unrecognized arguments: {argv[4]}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("config", ["{not json", None], ids=["malformed", "missing"])
+def test_tomography_figures_ignore_the_config_env_var(config, tmp_path, monkeypatch, capsys):
+    from ering.optics import SourceConfig, config_to_dict
+
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(config)
+    monkeypatch.setenv("ERING_CONFIG", str(path))
+    argv = ("figure", "8", "--seed", "1", "--counts-per-setting", "40", "--out-dir", str(tmp_path))
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "fig8.manifest.json").read_text())
+    assert manifest["config"] == config_to_dict(SourceConfig())
 
 
 def test_figure8_low_counts_rank_one_reconstruction(tmp_path):

@@ -19,6 +19,8 @@ from ering.errors import InputFormatError
 from ering.states import density_matrix_to_dict, save_density_matrix, werner
 from ering.tomography import TomoData, TomoSetting, tomo_data_from_csv, tomo_data_to_csv
 
+from test_bell import counts_table
+
 
 def rowwise_write(path, header, rows, comments=None, digits=10):
     """The row-by-row writer that ``csvfile.write`` replaced: the byte oracle.
@@ -47,10 +49,8 @@ def oracle_bytes(monkeypatch, tmp_path, write_file):
 
 
 def test_counts_file_matches_the_rowwise_bytes(tmp_path, monkeypatch):
-    table = CountsTable(duration=11.25)
-    for k, (t1, t2) in enumerate(STANDARD_PLAN.settings):
-        table.set(t1, t2, 1000 + 37 * k)
-    table.set(0.0, math.pi / 8, 12.5)  # a non-integer count
+    counts = {setting: 1000 + 37 * k for k, setting in enumerate(STANDARD_PLAN.settings)}
+    table = counts_table({**counts, (0.0, math.pi / 8): 12.5}, duration=11.25)  # a non-integer count
     path = tmp_path / "counts.csv"
     counts_to_csv(table, path)
     assert path.read_bytes() == oracle_bytes(monkeypatch, tmp_path, lambda p: counts_to_csv(table, p))
@@ -153,7 +153,7 @@ def test_any_rows_read_back_whole(tmp_path_factory, width, data):
 
 
 def rowwise_counts_from_csv(path):
-    """The reader that ``counts_from_csv`` replaced: each angle text parsed on every row."""
+    """A row-by-row counts reader written out step by step, the reference for ``counts_from_csv``."""
     comments, rows = csvfile.read(path, ["theta1_deg", "theta2_deg", "counts"], {"duration_s": None})
     entries = {}
     for line, (t1, t2, n) in rows:
@@ -193,7 +193,7 @@ def test_counts_reader_matches_the_rowwise_reader(tmp_path, body):
     path = tmp_path / "counts.csv"
     path.write_text("# duration_s 2\ntheta1_deg,theta2_deg,counts\n" + "\n".join(body) + "\n")
     expected = _outcome(rowwise_counts_from_csv, path)
-    for _ in range(2):  # the second read finds every text that parsed already known
+    for _ in range(2):  # the second read finds every angle in angle_label's cache
         assert _outcome(counts_from_csv, path) == expected
 
 
@@ -218,6 +218,7 @@ def test_malformed_counts_row_reports_its_line(tmp_path, blank_lines, bad):
         ("0,nan,3", "non-finite angle 'nan'"),
         ("0,-inf,3", "non-finite angle '-inf'"),
         ("0,22.5,-3", "negative counts -3"),
+        ("0,22.5,nan", "non-finite counts 'nan'"),
         ("180,22.5,3", r"duplicate setting \('0', '22.5'\)"),
     ],
 )
@@ -373,9 +374,7 @@ def test_every_reader_takes_a_leading_byte_order_mark(prefix, tmp_path):
     from ering.optics import SourceConfig, config_to_dict, load_config
     from ering.states import load_density_matrix
 
-    table = CountsTable(duration=2.5)
-    for k, (t1, t2) in enumerate(STANDARD_PLAN.settings):
-        table.set(t1, t2, 100 + k)
+    table = counts_table({setting: 100 + k for k, setting in enumerate(STANDARD_PLAN.settings)}, 2.5)
     counts_to_csv(table, tmp_path / "counts.csv")
     back = counts_from_csv(_with_prefix(tmp_path / "counts.csv", prefix))
     assert (back.entries, back.duration) == (table.entries, table.duration)

@@ -533,11 +533,30 @@ def test_invalid_matrix_raises_on_every_call():
             check_density_matrix(bad)
 
 
-def test_repair_density_matrix_clips_and_renormalizes():
+def test_repaired_spectrum_clips_and_renormalizes():
     dirty = np.diag([0.7, 0.4, -0.1, 0.0]).astype(complex)
-    repaired = states.repair_density_matrix(dirty)
+    eigs, vecs = states.repaired_spectrum(dirty)
+    assert eigs.tolist() == pytest.approx([0, 0, 0.4 / 1.1, 0.7 / 1.1], abs=1e-15)
+    repaired = (vecs * eigs) @ vecs.conj().T
     check_density_matrix(repaired)
     assert np.allclose(np.diag(repaired).real, [0.7 / 1.1, 0.4 / 1.1, 0, 0])
+
+
+def test_random_density_matrix_is_the_repaired_perturbation_mixed_with_a_pure_state():
+    # the characterize benchmark's corpus stream (default_rng([3, 1])): every draw is bit-identical
+    # to the route written out step by step
+    from ering.sampling import random_pure_state
+
+    drawn, rebuilt = np.random.default_rng([3, 1]), np.random.default_rng([3, 1])
+    for _ in range(200):
+        h = rebuilt.normal(size=(4, 4)) + 1j * rebuilt.normal(size=(4, 4))
+        h = (h + h.conj().T) / 2
+        eigs, vecs = states.repaired_spectrum(np.eye(4, dtype=complex) / 4 + 0.2 * h)
+        base = (vecs * eigs) @ vecs.conj().T
+        psi = random_pure_state(rebuilt)
+        w = rebuilt.uniform()
+        expected = (1 - w) * base + w * np.outer(psi, psi.conj())
+        assert np.array_equal(random_density_matrix(drawn), expected)
 
 
 def test_serialization_round_trip(tmp_path):

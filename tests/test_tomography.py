@@ -16,7 +16,6 @@ from ering.states import (
     check_density_matrix,
     mems,
     projector,
-    repair_density_matrix,
     singlet,
     werner,
 )
@@ -185,7 +184,7 @@ def test_ml_beats_projected_linear_start():
     # optimum likelihood must not be worse than the repaired linear start
     data = simulate_tomography(projector(singlet()), 200, seed=4)
     rec = ml_reconstruct(data, seed=0)
-    start = repair_density_matrix(linear_reconstruct(data))
+    start = newton_oracle.repair_density_matrix(linear_reconstruct(data))
     flux = data.counts[:4].sum()  # HH, HV, VV, VH form a complete basis
 
     def loglike(rho):
@@ -255,7 +254,7 @@ def lbfgs_ml_oracle(data, n_starts=3, seed=0):
     projs = np.array([ket_projector(s) for s in data.settings])
     counts = np.asarray(data.counts, dtype=float)
     flux = float(counts[:4].sum())
-    rho_init = repair_density_matrix(linear_reconstruct(data))
+    rho_init = newton_oracle.repair_density_matrix(linear_reconstruct(data))
     t0 = _params_from_factor(np.linalg.cholesky(flux * (rho_init + 1e-12 * np.eye(4)) / (1 + 4e-12)))
     rng = np.random.default_rng(seed)
     best = None
