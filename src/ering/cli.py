@@ -179,8 +179,8 @@ def _build_state(args):
     if getattr(args, "via", "formula") == "patchwork":
         from .patchwork import mems_partition, synthesize, werner_partition
 
-        partition = {"werner": werner_partition, "mems": mems_partition}[args.family]
-        return synthesize(partition(args.p), math.pi)
+        recipe = {"werner": werner_partition, "mems": mems_partition}[args.family]
+        return synthesize(recipe(args.p), math.pi)
     from . import states
 
     return STATES[args.family](states, args)
@@ -204,9 +204,9 @@ def cmd_state(args):
         "s_max_abs": s_max,
     }
     if args.family in ("werner", "mems"):
-        cls = classify(args.family, args.p)
-        report["region"] = cls.region.value
-        report["s_l_interval"] = list(cls.s_l_interval)
+        region, s_l_interval = classify(args.family, args.p)
+        report["region"] = region
+        report["s_l_interval"] = list(s_l_interval)
     return None, *_report(report, args.out)
 
 

@@ -3,16 +3,14 @@
 Implements the Wootters concurrence/tangle, the linear entropy
 S_L = (4/3)(1 - Tr rho^2), the positive-partial-transpose separability
 test (exact for two qubits), the analytic tangle-vs-entropy frontier
-curves of the Werner and MEMS families, and the nonlocality region
-classification of both families.  The per-state measures are views of
-the state's cached analysis record (``states.analyse``).
+curves of the Werner and MEMS families, and ``classify``: the name of a
+member's nonlocality region and its S_L interval.  The per-state
+measures are views of the state's cached analysis record (``states.analyse``).
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +18,11 @@ from .states import analyse
 
 WERNER = "werner"
 MEMS = "mems"
+
+#: The nonlocality regions of the Werner/MEMS families, as ``classify`` names them.
+VIOLATES_LOCAL_REALISM = "violates_local_realism"
+NONSEPARABLE_NO_CHSH_VIOLATION = "nonseparable_no_CHSH_violation"
+SEPARABLE_LOCAL = "separable_local"
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -83,23 +86,6 @@ def tangle_curve(family: str, s_l: float) -> float:
     raise ValueError(f"family must be {WERNER!r} or {MEMS!r}, got {family!r}")
 
 
-class Region(enum.Enum):
-    """Nonlocality regions of the Werner/MEMS families."""
-
-    VIOLATES_LOCAL_REALISM = "violates_local_realism"
-    NONSEPARABLE_NO_CHSH_VIOLATION = "nonseparable_no_CHSH_violation"
-    SEPARABLE_LOCAL = "separable_local"
-
-
-@dataclass(frozen=True)
-class NonlocalityClass:
-    """Region assignment for a family member, with its S_L interval."""
-
-    family: str
-    region: Region
-    s_l_interval: tuple[float, float]
-
-
 # linear entropy of the MEMS with p = 1/sqrt(2): (8/3) p (1 - p)
 _S_L_CHSH_BOUNDARY_MEMS = (8 / 3) * (1 / math.sqrt(2)) * (1 - 1 / math.sqrt(2))
 
@@ -107,20 +93,20 @@ _S_L_CHSH_BOUNDARY_MEMS = (8 / 3) * (1 / math.sqrt(2)) * (1 - 1 / math.sqrt(2))
 #: a member lies in the first row whose threshold its p exceeds.
 _REGIONS = {
     WERNER: (
-        (1 / math.sqrt(2), Region.VIOLATES_LOCAL_REALISM, (0.0, 0.5)),
-        (1 / 3, Region.NONSEPARABLE_NO_CHSH_VIOLATION, (0.5, 8 / 9)),
-        (-math.inf, Region.SEPARABLE_LOCAL, (8 / 9, 1.0)),
+        (1 / math.sqrt(2), VIOLATES_LOCAL_REALISM, (0.0, 0.5)),
+        (1 / 3, NONSEPARABLE_NO_CHSH_VIOLATION, (0.5, 8 / 9)),
+        (-math.inf, SEPARABLE_LOCAL, (8 / 9, 1.0)),
     ),
     MEMS: (
-        (1 / math.sqrt(2), Region.VIOLATES_LOCAL_REALISM, (0.0, _S_L_CHSH_BOUNDARY_MEMS)),
-        (0.0, Region.NONSEPARABLE_NO_CHSH_VIOLATION, (_S_L_CHSH_BOUNDARY_MEMS, 8 / 9)),
-        (-math.inf, Region.SEPARABLE_LOCAL, (8 / 9, 8 / 9)),
+        (1 / math.sqrt(2), VIOLATES_LOCAL_REALISM, (0.0, _S_L_CHSH_BOUNDARY_MEMS)),
+        (0.0, NONSEPARABLE_NO_CHSH_VIOLATION, (_S_L_CHSH_BOUNDARY_MEMS, 8 / 9)),
+        (-math.inf, SEPARABLE_LOCAL, (8 / 9, 8 / 9)),
     ),
 }
 
 
-def classify(family: str, p: float) -> NonlocalityClass:
-    """Nonlocality region of werner(p) or mems(p).
+def classify(family: str, p: float) -> tuple[str, tuple[float, float]]:
+    """(region, S_L interval) of werner(p) or mems(p).
 
     Werner: CHSH violation for p > 1/sqrt(2) (S_L < 1/2), nonseparable
     without violation for 1/3 < p <= 1/sqrt(2) (1/2 <= S_L < 8/9),
@@ -136,4 +122,4 @@ def classify(family: str, p: float) -> NonlocalityClass:
         raise ValueError(f"family must be {WERNER!r} or {MEMS!r}, got {family!r}")
     for threshold, region, s_l_interval in _REGIONS[family]:
         if p > threshold:
-            return NonlocalityClass(family, region, s_l_interval)
+            return region, s_l_interval

@@ -27,7 +27,7 @@ COHERENCE_TIME_SCALE = 140e-15 * SPEED_OF_LIGHT * 6e-9 / 727.6e-9**2
 OU_MANDEL_VISIBILITY = 0.88
 
 #: Bound kind of a config field -> its test, checked in this order after
-#: the finite check; a failure reads "<field> must be <kind>".
+#: the finite check; a failure reads "<key> (<field>) must be <kind>".
 _BOUNDS = {
     "positive": lambda v: v > 0,
     "nonnegative": lambda v: v >= 0,
@@ -42,13 +42,19 @@ def _quantity(default: float, key: str, bound: str):
     return field(default=default, metadata={"key": key, "bound": bound})
 
 
+def _named(key: str, name: str) -> str:
+    """How an error names a quantity: the key users type, then the field if it differs."""
+    return key if key == name else f"{key} ({name})"
+
+
 @dataclass(frozen=True)
 class SourceConfig:
     """Physical parameters of the source, SI units throughout.
 
     Each field carries its config-file key (lab notation) and its bound;
-    every value must also be finite.  Defaults describe the degenerate
-    727.6 nm configuration:
+    every value must also be finite.  An error names the key, then the
+    field in parentheses where the two differ.  Defaults describe the
+    degenerate 727.6 nm configuration:
 
     ==================  ===================  ================================
     field               key                  quantity (default)
@@ -102,11 +108,11 @@ class SourceConfig:
         quantities = fields(self)
         for f in quantities:
             if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+                raise ValueError(f"{_named(f.metadata['key'], f.name)} must be finite")
         for bound, holds in _BOUNDS.items():
             for f in quantities:
                 if f.metadata["bound"] == bound and not holds(getattr(self, f.name)):
-                    raise ValueError(f"{f.name} must be {bound}")
+                    raise ValueError(f"{_named(f.metadata['key'], f.name)} must be {bound}")
 
 
 #: Config-file key -> dataclass field, in field order.
@@ -143,7 +149,7 @@ def config_with_overrides(config: SourceConfig, overrides: dict) -> SourceConfig
         try:
             kwargs[CONFIG_KEYS[key]] = float(value)
         except OverflowError:
-            raise ValueError(f"{CONFIG_KEYS[key]} must be finite") from None
+            raise ValueError(f"{_named(key, CONFIG_KEYS[key])} must be finite") from None
     return replace(config, **kwargs)
 
 

@@ -19,16 +19,17 @@ treatment                          optics over the sector        sector state at
 ``blocked``                        opaque screen                 none: contributes nothing
 =================================  ============================  ==============================
 
-A sector's ``fraction`` is its detected weight: its share of the pairs
-that reach the detectors, not its share of the ring's angle.  The
+A recipe is a ``{treatment: weight}`` dict.  A weight is the detected
+weight of the sectors given that treatment: their share of the pairs
+that reach the detectors, not their share of the ring's angle.  The
 synthesized state is the mixture of the sector states weighted by their
-fractions, renormalized over the non-blocked sectors.  The two shares
+weights, renormalized over the non-blocked treatments.  The two shares
 agree for the two-cone treatments; a one-cone treatment
 (``reflected_blocked``, ``flipped_and_reflected_blocked``) passes about
 half the pair flux per unit angle, so it needs about twice the angle for
 the same detected weight.
-``werner_partition`` and ``mems_partition`` are the sector recipes of the
-two families, to be synthesized at phi = pi.
+``werner_partition`` and ``mems_partition`` are the recipes of the two
+families, to be synthesized at phi = pi.
 
 This module reads only ``ering.states``, so ``ering state werner|mems --via
 patchwork`` loads none of the source's optics or counts.
@@ -37,7 +38,6 @@ patchwork`` loads none of the source's optics or counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,88 +63,60 @@ _SECTOR_STATES = {
 TREATMENTS = tuple(_SECTOR_STATES)
 
 
-@dataclass(frozen=True)
-class Sector:
-    label: str
-    fraction: float
-    treatment: str
+def synthesize(recipe: dict[str, float], phi: float) -> np.ndarray:
+    """Detection-conditioned state of a ``{treatment: weight}`` recipe at pair phase phi.
 
-
-@dataclass(frozen=True)
-class SectorPartition:
-    """Angular sectors of the E-ring with their optical treatments."""
-
-    sectors: tuple[Sector, ...]
-
-    def __init__(self, sectors):
-        object.__setattr__(self, "sectors", tuple(sectors))
-        labels = [s.label for s in self.sectors]
-        if len(set(labels)) != len(labels):
-            raise ValueError("sector labels must be unique")
-        for s in self.sectors:
-            if not s.fraction >= 0:  # NaN fails too
-                raise ValueError(f"sector {s.label!r} has negative or NaN fraction {s.fraction}")
-            if s.treatment not in TREATMENTS:
-                raise ValueError(f"unknown treatment {s.treatment!r}")
-        total = sum(s.fraction for s in self.sectors)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"sector fractions sum to {total}, expected 1")
-
-
-def synthesize(partition: SectorPartition, phi: float) -> np.ndarray:
-    """Detection-conditioned state of a patchwork partition at pair phase phi.
-
-    Mixture of the per-sector states weighted by their detected weights
-    ``Sector.fraction``, renormalized over the non-blocked sectors.  A
-    non-finite phi raises ValueError.
+    Mixture of the sector states weighted by their detected weights, summed
+    in the recipe's order and renormalized over the non-blocked treatments.
+    Raises ValueError for a non-finite phi, an unknown treatment, a
+    negative or NaN weight, weights that do not sum to 1 within 1e-9, or a
+    recipe that blocks everything.
     """
     if not math.isfinite(phi):
         raise ValueError(f"pair phase phi must be finite, got {phi}")
-    total = 0.0
-    rho = np.zeros((4, 4), dtype=complex)
-    for sector in partition.sectors:
-        state = _SECTOR_STATES[sector.treatment]
-        if state is None:
-            continue
-        rho += sector.fraction * state(phi)
-        total += sector.fraction
+    for treatment, weight in recipe.items():
+        if treatment not in _SECTOR_STATES:
+            raise ValueError(f"unknown treatment {treatment!r}")
+        if not weight >= 0:  # NaN fails too
+            raise ValueError(f"treatment {treatment!r} has negative or NaN weight {weight}")
+    weights = sum(recipe.values())
+    if abs(weights - 1.0) > 1e-9:
+        raise ValueError(f"recipe weights sum to {weights}, expected 1")
+    detected = {t: weight for t, weight in recipe.items() if _SECTOR_STATES[t] is not None}
+    total = sum(detected.values())
     if total <= 0.0:
         raise ValueError("all sectors are blocked; no state reaches the detectors")
-    return rho / total
+    return sum(weight * _SECTOR_STATES[t](phi) for t, weight in detected.items()) / total
 
 
-def werner_partition(p: float) -> SectorPartition:
+def werner_partition(p: float) -> dict[str, float]:
     """Three-sector recipe for werner(p), to be synthesized at phi = pi.
 
-    Sector A (fraction p) stays coherent with the arm-2 flip (singlet);
-    sectors B and C (each (1-p)/2) are time-delay decohered, B with and
-    C without the flip, erasing all off-diagonal elements there.
+    Weight p stays coherent with the arm-2 flip (singlet); two weights of
+    (1-p)/2 are time-delay decohered, one with and one without the flip,
+    erasing all off-diagonal elements there.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"singlet weight p must be in [0, 1], got {p}")
-    return SectorPartition(
-        [
-            Sector("A", p, "flipped_and_coherent"),
-            Sector("B", (1 - p) / 2, "flipped_and_decohered"),
-            Sector("C", (1 - p) / 2, "decohered"),
-        ]
-    )
+    return {
+        "flipped_and_coherent": p,
+        "flipped_and_decohered": (1 - p) / 2,
+        "decohered": (1 - p) / 2,
+    }
 
 
-def mems_partition(p: float) -> SectorPartition:
+def mems_partition(p: float) -> dict[str, float]:
     """Sector recipe for mems(p), to be synthesized at phi = pi.
 
     The |VV> channel is removed everywhere by blocking the retroreflected
     cone outside the singlet sector.  Weights are solved from the target
-    matrix: singlet fraction p, a direct-cone-only |HH> sector of weight
+    matrix: singlet weight p, a direct-cone-only |HH> sector of weight
     1 - 2 g(p), and (for p < 2/3 only) a flipped decohered sector of
     weight 2/3 - p supplying the equal |HV>, |VH> diagonal terms.
     """
     g = mems_weight(p)
-    return SectorPartition(
-        [
-            Sector("singlet", p, "flipped_and_coherent"),
-            Sector("hh_product", 1 - 2 * g, "reflected_blocked"),
-            Sector("hv_vh_decohered", 2 * (g - p / 2), "flipped_and_decohered"),
-        ]
-    )
+    return {
+        "flipped_and_coherent": p,
+        "reflected_blocked": 1 - 2 * g,
+        "flipped_and_decohered": 2 * (g - p / 2),
+    }

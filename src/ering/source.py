@@ -3,10 +3,11 @@
 The source overlaps two SPDC emission cones (a direct cone carrying
 |HH> and a mirror-retroreflected cone carrying |VV>) into a single
 entanglement ring (E-ring).  Sector synthesis of engineered mixtures
-("patchwork", its seven sector treatments and the Werner and MEMS
-recipes) lives in ``ering.patchwork``, which reads only ``ering.states``;
-``synthesize``, ``werner_partition`` and ``mems_partition`` are aliases
-here, resolved on first use, for the benchmark harness.
+("patchwork": its seven sector treatments, and the Werner and MEMS
+recipes as ``{treatment: weight}`` dicts) lives in ``ering.patchwork``,
+which reads only ``ering.states``; ``synthesize``, ``werner_partition``
+and ``mems_partition`` are aliases here, resolved on first use, for the
+benchmark harness.
 
 The configuration (``SourceConfig``) and the closed-form optics, the
 mirror-displacement phase control among them, live in the numpy-free

@@ -168,26 +168,20 @@ def _quadratic_forms(design: np.ndarray, vecs: np.ndarray, rank: int) -> np.ndar
     return (design @ pauli_forms).reshape(len(design), n, n)
 
 
-@dataclass(frozen=True)
-class _SettingsTable:
-    """Everything reconstruction needs from a settings list; arrays are read-only."""
-
-    design: np.ndarray  # (K, 16), see design_matrix
-    rank: int  # of the design matrix
-    inverse: np.ndarray  # (16, K) pseudo-inverse of the design: least squares when K > 16
-
-
 @functools.lru_cache(maxsize=64)
-def _table_for_labels(labels: tuple[tuple[str, str], ...]) -> _SettingsTable:
+def _table_for_labels(labels: tuple[tuple[str, str], ...]) -> tuple[np.ndarray, int, np.ndarray]:
+    """(design, rank, inverse) of a settings list: the (K, 16) design matrix,
+    its rank and its (16, K) pseudo-inverse (least squares when K > 16).
+    Both arrays are read-only."""
     b = np.array([[projector_bloch(label) for label in pair] for pair in labels]).reshape(-1, 2, 4)
     design = measurement_rows(b[:, 0], b[:, 1])[0]
-    table = _SettingsTable(design, int(np.linalg.matrix_rank(design)), np.linalg.pinv(design))
-    for array in (table.design, table.inverse):
+    inverse = np.linalg.pinv(design)
+    for array in (design, inverse):
         array.setflags(write=False)
-    return table
+    return design, int(np.linalg.matrix_rank(design)), inverse
 
 
-def _settings_table(settings: list[TomoSetting]) -> _SettingsTable:
+def _settings_table(settings: list[TomoSetting]) -> tuple[np.ndarray, int, np.ndarray]:
     return _table_for_labels(tuple((s.proj1, s.proj2) for s in settings))
 
 
@@ -198,7 +192,7 @@ def design_matrix(settings: list[TomoSetting]) -> np.ndarray:
     column rank 16 means the settings are informationally complete.  The
     array is cached per settings tuple and read-only.
     """
-    return _settings_table(settings).design
+    return _settings_table(settings)[0]
 
 
 def design_condition_number(settings: list[TomoSetting]) -> float:
@@ -230,7 +224,7 @@ class TomoData:
 def expected_probabilities(rho: np.ndarray, settings: list[TomoSetting]) -> np.ndarray:
     """Tr(rho P_k) for every setting: the design rows against the Pauli vector
     cached in ``states.analyse(rho)``, so rho must be a valid density matrix."""
-    return _settings_table(settings).design @ analyse(rho).pauli_vector
+    return _settings_table(settings)[0] @ analyse(rho).pauli_vector
 
 
 def exact_tomography_counts(
@@ -281,10 +275,10 @@ def linear_reconstruct(data: TomoData) -> np.ndarray:
     before treating it as a state).  The flux cancels in the trace
     normalization, so ``total_flux_estimate`` is not read.
     """
-    table = _settings_table(data.settings)
-    if table.rank < 16:
+    _, rank, inverse = _settings_table(data.settings)
+    if rank < 16:
         raise ValueError(_RANK_DEFICIENT)
-    rho = ((table.inverse @ data.counts) @ _PAULI_ROWS).reshape(4, 4) / 4
+    rho = ((inverse @ data.counts) @ _PAULI_ROWS).reshape(4, 4) / 4
     rho = (rho + rho.conj().T) / 2
     trace = np.trace(rho).real
     if trace <= 0:
@@ -443,10 +437,10 @@ def ml_reconstruct(data: TomoData, seed: int = 0) -> np.ndarray:
     Raises ValueError for informationally incomplete settings or all-zero
     counts, and ConvergenceError when no rank passes the KKT certificate.
     """
-    table = _settings_table(data.settings)
-    if table.rank < 16:
+    design, rank, _ = _settings_table(data.settings)
+    if rank < 16:
         raise ValueError(_RANK_DEFICIENT)
-    design, counts = table.design, data.counts
+    counts = data.counts
     if not counts.any():
         raise ValueError("all counts are zero; there is no likelihood to maximize")
     try:

@@ -26,7 +26,7 @@ from ering.optics import (
     ou_mandel_scan,
     phase_from_displacement,
 )
-from ering.patchwork import Sector, SectorPartition, mems_partition, synthesize, werner_partition
+from ering.patchwork import mems_partition, synthesize, werner_partition
 from ering.source import simulate_bell_test
 from ering.states import mems, projector, singlet, werner
 from ering.tomography import fidelity, ml_reconstruct, simulate_tomography
@@ -108,14 +108,10 @@ def test_criterion_4_patchwork_equivalence():
         worst = max(worst, dw, dm)
         assert dw < 1e-12 and dm < 1e-12
     # two-step identity recipe: flip half the pairs, then decohere everything
-    step1 = SectorPartition(
-        [Sector("flipped", 0.5, "flipped_and_coherent"), Sector("plain", 0.5, "coherent")]
-    )
+    step1 = {"flipped_and_coherent": 0.5, "coherent": 0.5}
     mixture = synthesize(step1, math.pi)
     assert mixture[0, 3] == pytest.approx(-0.25)  # the Bell-pair mixture
-    step2 = SectorPartition(
-        [Sector("flipped", 0.5, "flipped_and_decohered"), Sector("plain", 0.5, "decohered")]
-    )
+    step2 = {"flipped_and_decohered": 0.5, "decohered": 0.5}
     identity = synthesize(step2, math.pi)
     assert np.array_equal(identity, np.eye(4, dtype=complex) / 4)
     elapsed = time.monotonic() - t0

@@ -246,7 +246,17 @@ def test_figure_visibility_default_without_config(tmp_path, capsys, monkeypatch)
 
 def test_non_finite_config_value_exit_1(capsys):
     assert run_cli("source", "--set", "pair_rate=nan") == 1
-    assert "pair_rate must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: pair_rate must be finite\n"
+
+
+@pytest.mark.parametrize("override, message", [
+    ("alpha=2", "alpha (cone_aperture) must be in [0, pi/2)"),
+    ("R=-1", "R (mirror_radius) must be positive"),
+    ("R=1e400", "R (mirror_radius) must be finite"),
+])
+def test_config_error_names_the_key_the_user_typed(override, message, capsys):
+    assert run_cli("source", "--set", override) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_negative_counts_per_point_exit_1(tmp_path, capsys):

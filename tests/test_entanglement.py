@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from ering.bell import chsh_optimize
 from ering.entanglement import (
     MEMS,
-    Region,
+    NONSEPARABLE_NO_CHSH_VIOLATION,
+    SEPARABLE_LOCAL,
+    VIOLATES_LOCAL_REALISM,
     WERNER,
     classify,
     concurrence,
@@ -148,24 +151,21 @@ def test_tangle_iff_npt_on_random_mixtures(rng):
 
 
 def test_classify_werner():
-    cls = classify(WERNER, 0.9)
-    assert cls.region is Region.VIOLATES_LOCAL_REALISM
-    assert cls.s_l_interval == (0.0, 0.5)
-    assert classify(WERNER, 0.5).region is Region.NONSEPARABLE_NO_CHSH_VIOLATION
-    assert classify(WERNER, 0.2).region is Region.SEPARABLE_LOCAL
-    assert classify(WERNER, 0.2).s_l_interval == (8 / 9, 1.0)
+    assert classify(WERNER, 0.9) == (VIOLATES_LOCAL_REALISM, (0.0, 0.5))
+    assert classify(WERNER, 0.5)[0] == NONSEPARABLE_NO_CHSH_VIOLATION
+    assert classify(WERNER, 0.2) == (SEPARABLE_LOCAL, (8 / 9, 1.0))
 
 
 def test_classify_boundary_is_strict():
     # exactly p = 1/sqrt(2) sits on the non-violating side
-    assert classify(WERNER, INV_SQ2).region is Region.NONSEPARABLE_NO_CHSH_VIOLATION
-    assert classify(MEMS, INV_SQ2).region is Region.NONSEPARABLE_NO_CHSH_VIOLATION
-    assert classify(MEMS, INV_SQ2 + 1e-9).region is Region.VIOLATES_LOCAL_REALISM
+    assert classify(WERNER, INV_SQ2)[0] == NONSEPARABLE_NO_CHSH_VIOLATION
+    assert classify(MEMS, INV_SQ2)[0] == NONSEPARABLE_NO_CHSH_VIOLATION
+    assert classify(MEMS, INV_SQ2 + 1e-9)[0] == VIOLATES_LOCAL_REALISM
 
 
 def test_classify_mems_has_no_separable_region():
     for p in np.linspace(0, 1, 101)[1:]:
-        assert classify(MEMS, p).region is not Region.SEPARABLE_LOCAL
+        assert classify(MEMS, p)[0] != SEPARABLE_LOCAL
 
 
 def test_classify_mems_at_zero_is_separable():
@@ -173,16 +173,29 @@ def test_classify_mems_at_zero_is_separable():
     rho = mems(0.0)
     assert tangle(rho) == pytest.approx(0.0, abs=1e-12)
     assert is_separable_ppt(rho)[0]
-    cls = classify(MEMS, 0.0)
-    assert cls.region is Region.SEPARABLE_LOCAL
-    assert cls.s_l_interval == (8 / 9, 8 / 9)
+    assert classify(MEMS, 0.0) == (SEPARABLE_LOCAL, (8 / 9, 8 / 9))
     assert linear_entropy(rho) == pytest.approx(8 / 9, abs=1e-12)
 
 
 def test_classify_mems_interval():
-    cls = classify(MEMS, 0.9)
-    assert cls.s_l_interval[0] == 0.0
-    assert round(cls.s_l_interval[1], 3) == 0.552
+    _, s_l_interval = classify(MEMS, 0.9)
+    assert s_l_interval[0] == 0.0
+    assert round(s_l_interval[1], 3) == 0.552
+
+
+@pytest.mark.parametrize("family, build", [(WERNER, werner), (MEMS, mems)])
+def test_classify_agrees_with_the_states_own_physics(family, build):
+    """The region follows the state's CHSH optimum and PPT test, and its S_L
+    lies in the returned interval, on a 201-point grid of each family."""
+    for p in np.linspace(0, 1, 201):
+        rho = build(p)
+        region, (s_l_low, s_l_high) = classify(family, p)
+        violates = chsh_optimize(rho)[0] > 2
+        separable = is_separable_ppt(rho)[0]
+        assert (region == VIOLATES_LOCAL_REALISM) == violates, p
+        assert (region == SEPARABLE_LOCAL) == separable, p
+        assert (region == NONSEPARABLE_NO_CHSH_VIOLATION) == (not violates and not separable), p
+        assert s_l_low - 1e-12 <= linear_entropy(rho) <= s_l_high + 1e-12, p
 
 
 def test_classify_range_errors():

@@ -34,9 +34,7 @@ from ering.optics import (
     ring_diameter,
     sector_area,
 )
-from ering.patchwork import (
-    Sector, SectorPartition, TREATMENTS, mems_partition, synthesize, werner_partition,
-)
+from ering.patchwork import TREATMENTS, mems_partition, synthesize, werner_partition
 from ering.source import (
     apply_effective_visibility,
     compile_plan,
@@ -83,21 +81,22 @@ def test_config_validation_checks_bound_kinds_in_order():
         SourceConfig(visibility=2.0, transmission=2.0)
 
 
-#: One out-of-range value per SourceConfig field and the message it raises.
+#: One out-of-range value per SourceConfig field and the message it raises: the
+#: config key first, then the field in parentheses where the two differ.
 OUT_OF_RANGE = {
-    "pump_wavelength": (0.0, "pump_wavelength must be positive"),
-    "wavelength": (-1e-9, "wavelength must be positive"),
-    "cone_aperture": (-1e-3, "cone_aperture must be in [0, pi/2)"),
-    "mirror_radius": (0.0, "mirror_radius must be positive"),
-    "focal_length": (-0.15, "focal_length must be positive"),
-    "mask_diameter": (0.0, "mask_diameter must be positive"),
-    "mask_width": (-1e-4, "mask_width must be positive"),
-    "iris_radius": (-1e-3, "iris_radius must be nonnegative"),
+    "pump_wavelength": (0.0, "lambda_pump (pump_wavelength) must be positive"),
+    "wavelength": (-1e-9, "lambda (wavelength) must be positive"),
+    "cone_aperture": (-1e-3, "alpha (cone_aperture) must be in [0, pi/2)"),
+    "mirror_radius": (0.0, "R (mirror_radius) must be positive"),
+    "focal_length": (-0.15, "f (focal_length) must be positive"),
+    "mask_diameter": (0.0, "mask_D (mask_diameter) must be positive"),
+    "mask_width": (-1e-4, "mask_delta (mask_width) must be positive"),
+    "iris_radius": (-1e-3, "iris_r (iris_radius) must be nonnegative"),
     "pair_rate": (0.0, "pair_rate must be positive"),
     "detector_qe": (0.0, "detector_qe must be in (0, 1]"),
     "dark_rate": (-1.0, "dark_rate must be nonnegative"),
     "filter_bandwidth": (0.0, "filter_bandwidth must be positive"),
-    "coherence_time": (-1e-15, "coherence_time must be positive"),
+    "coherence_time": (-1e-15, "tau_coh (coherence_time) must be positive"),
     "pump_waist": (0.0, "pump_waist must be positive"),
     "transmission": (1.01, "transmission must be in (0, 1]"),
     "coincidence_window": (-1e-9, "coincidence_window must be nonnegative"),
@@ -114,7 +113,7 @@ def test_config_bound_message_per_field(name):
 
 @pytest.mark.parametrize("alpha", [100.0, math.pi / 2])
 def test_cone_aperture_is_a_half_angle(alpha):
-    with pytest.raises(ValueError, match=r"^cone_aperture must be in \[0, pi/2\)$"):
+    with pytest.raises(ValueError, match=r"^alpha \(cone_aperture\) must be in \[0, pi/2\)$"):
         SourceConfig(cone_aperture=alpha)
 
 
@@ -127,10 +126,13 @@ def test_config_keys_documented():
 
 
 def test_config_rejects_non_finite():
-    for name in (f.name for f in fields(SourceConfig)):
+    for key, name in CONFIG_KEYS.items():
+        named = key if key == name else f"{key} ({name})"
         for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
+            with pytest.raises(ValueError, match=f"^{re.escape(named)} must be finite$"):
                 SourceConfig(**{name: value})
+    with pytest.raises(ValueError, match=r"^R \(mirror_radius\) must be finite$"):
+        config_from_dict({"R": 10**400})
 
 
 def test_config_from_dict_applies_keys_over_defaults():
@@ -138,7 +140,7 @@ def test_config_from_dict_applies_keys_over_defaults():
     assert cfg == config_with_overrides(CFG, {"alpha": math.radians(1.4), "pair_rate": 3e5})
     with pytest.raises(ValueError, match="pair_rate must be finite"):
         config_from_dict({"pair_rate": math.nan})
-    with pytest.raises(ValueError, match="pair_rate must be finite"):
+    with pytest.raises(ValueError, match="^pair_rate must be finite$"):
         config_from_dict({"pair_rate": 10**400})
     for value in ("3e5", True):
         with pytest.raises(InputFormatError, match="'pair_rate' needs a number"):
@@ -193,60 +195,46 @@ def test_sector_area():
 
 
 def test_synthesize_single_coherent_sector():
-    part = SectorPartition([Sector("all", 1.0, "coherent")])
-    assert np.allclose(synthesize(part, math.pi), projector(bell_state("phi", math.pi)), atol=1e-15)
+    got = synthesize({"coherent": 1.0}, math.pi)
+    assert np.allclose(got, projector(bell_state("phi", math.pi)), atol=1e-15)
 
 
 def test_synthesize_half_flipped_mixture():
-    part = SectorPartition(
-        [Sector("flipped", 0.5, "flipped_and_coherent"), Sector("plain", 0.5, "coherent")]
-    )
-    got = synthesize(part, math.pi)
+    got = synthesize({"flipped_and_coherent": 0.5, "coherent": 0.5}, math.pi)
     want = 0.5 * projector(bell_state("phi", math.pi)) + 0.5 * projector(singlet())
     assert np.allclose(got, want, atol=1e-15)
 
 
 def test_synthesize_identity_recipe():
     # step two of the identity recipe: decohere everything
-    part = SectorPartition(
-        [
-            Sector("flipped", 0.5, "flipped_and_decohered"),
-            Sector("plain", 0.5, "decohered"),
-        ]
-    )
-    assert np.array_equal(synthesize(part, math.pi), np.eye(4, dtype=complex) / 4)
+    recipe = {"flipped_and_decohered": 0.5, "decohered": 0.5}
+    assert np.array_equal(synthesize(recipe, math.pi), np.eye(4, dtype=complex) / 4)
 
 
 def test_synthesize_renormalizes_over_blocked():
-    part = SectorPartition(
-        [Sector("open", 0.25, "flipped_and_coherent"), Sector("dark", 0.75, "blocked")]
-    )
-    assert np.allclose(synthesize(part, math.pi), projector(singlet()), atol=1e-15)
+    recipe = {"flipped_and_coherent": 0.25, "blocked": 0.75}
+    assert np.allclose(synthesize(recipe, math.pi), projector(singlet()), atol=1e-15)
 
 
 def test_synthesize_all_blocked_errors():
-    part = SectorPartition([Sector("dark", 1.0, "blocked")])
     with pytest.raises(ValueError, match="blocked"):
-        synthesize(part, 0.0)
+        synthesize({"blocked": 1.0}, 0.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("partition", [werner_partition(0.5), mems_partition(0.5),
-                                       SectorPartition([Sector("C", 1.0, "decohered")])])
+@pytest.mark.parametrize("partition", [werner_partition(0.5), mems_partition(0.5), {"decohered": 1.0}])
 def test_synthesize_rejects_a_non_finite_phi(partition, value):
     with pytest.raises(ValueError, match=f"phi must be finite, got {value}"):
         synthesize(partition, value)
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError, match="unique"):
-        SectorPartition([Sector("x", 0.5, "coherent"), Sector("x", 0.5, "decohered")])
-    with pytest.raises(ValueError, match="sum"):
-        SectorPartition([Sector("x", 0.5, "coherent")])
-    with pytest.raises(ValueError, match="treatment"):
-        SectorPartition([Sector("x", 1.0, "sideways")])
-    with pytest.raises(ValueError, match="negative"):
-        SectorPartition([Sector("x", -0.5, "coherent"), Sector("y", 1.5, "coherent")])
+    with pytest.raises(ValueError, match="sum to 0.5, expected 1"):
+        synthesize({"coherent": 0.5}, math.pi)
+    with pytest.raises(ValueError, match="unknown treatment 'sideways'"):
+        synthesize({"sideways": 1.0}, math.pi)
+    with pytest.raises(ValueError, match="'coherent' has negative or NaN weight -0.5"):
+        synthesize({"coherent": -0.5, "decohered": 1.5}, math.pi)
 
 
 def test_werner_partition_grid():
@@ -256,11 +244,9 @@ def test_werner_partition_grid():
 
 
 def test_werner_partition_structure():
-    part = werner_partition(0.47)
-    by_label = {s.label: s for s in part.sectors}
-    assert by_label["A"].fraction == pytest.approx(0.47)
-    assert by_label["B"].fraction == by_label["C"].fraction
-    assert by_label["A"].treatment == "flipped_and_coherent"
+    recipe = werner_partition(0.47)
+    assert recipe["flipped_and_coherent"] == pytest.approx(0.47)
+    assert recipe["flipped_and_decohered"] == recipe["decohered"]
 
 
 def test_werner_partition_limits():
@@ -278,16 +264,14 @@ def test_mems_partition_structure():
     # no sector may feed the |VV> channel, and the decohering plate is
     # only present below the g-branch point
     for p in (0.2, 0.45, 0.77, 0.9, 1.0):
-        part = mems_partition(p)
-        treatments = {s.treatment for s in part.sectors if s.fraction > 1e-12}
+        recipe = mems_partition(p)
+        treatments = {t for t, weight in recipe.items() if weight > 1e-12}
         assert "coherent" not in treatments and "decohered" not in treatments
-        decohered_fraction = sum(
-            s.fraction for s in part.sectors if s.treatment == "flipped_and_decohered"
-        )
+        decohered_weight = recipe.get("flipped_and_decohered", 0.0)
         if p >= 2 / 3:
-            assert decohered_fraction == pytest.approx(0.0, abs=1e-12)
+            assert decohered_weight == pytest.approx(0.0, abs=1e-12)
         else:
-            assert decohered_fraction == pytest.approx(2 / 3 - p)
+            assert decohered_weight == pytest.approx(2 / 3 - p)
 
 
 def test_synthesize_random_partitions_stay_physical(rng):
@@ -296,10 +280,10 @@ def test_synthesize_random_partitions_stay_physical(rng):
         n = rng.integers(1, 6)
         fractions = rng.dirichlet(np.ones(n))
         treatments = rng.choice(active, size=n)
-        part = SectorPartition(
-            [Sector(f"s{i}", fractions[i], treatments[i]) for i in range(n)]
-        )
-        rho = synthesize(part, rng.uniform(0, 2 * math.pi))
+        recipe = {}  # a treatment drawn twice carries the sum of its weights
+        for treatment, fraction in zip(treatments, fractions):
+            recipe[str(treatment)] = recipe.get(str(treatment), 0.0) + fraction
+        rho = synthesize(recipe, rng.uniform(0, 2 * math.pi))
         check_density_matrix(rho)
 
 
@@ -318,8 +302,8 @@ def test_source_aliases_the_patchwork_on_first_use():
         assert out.returncode == 0, out.stderr
     for name in names:
         assert getattr(source, name) is getattr(patchwork, name)
-    with pytest.raises(AttributeError, match="has no attribute 'SectorPartition'"):
-        source.SectorPartition
+    with pytest.raises(AttributeError, match="has no attribute 'TREATMENTS'"):
+        source.TREATMENTS
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +366,8 @@ def test_visibility_rejects_displacement_outside_the_modeled_regime(delta_d):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_geometry_inputs_are_named(value):
     # inf passes the sign check and is named by the sum check
-    with pytest.raises(ValueError, match=f"(fraction|sum to) {value}\\b"):
-        SectorPartition([Sector("x", value, "coherent"), Sector("y", 0.5, "coherent")])
+    with pytest.raises(ValueError, match=f"(weight|sum to) {value}\\b"):
+        synthesize({"coherent": value, "decohered": 0.5}, math.pi)
     with pytest.raises(ValueError, match=f"got {value}$"):
         sector_area(value, CFG)
     with pytest.raises(ValueError, match=f"must be finite, got {value}$"):
