@@ -116,14 +116,21 @@ def chsh_optimize(rho: np.ndarray) -> tuple[float, np.ndarray]:
 
     Closed form of Horodecki, Horodecki and Horodecki, Phys. Lett. A 200,
     340 (1995): with the correlation matrix T = U diag(s1, s2, s3) V^T,
-    the settings a1' = u1, a1 = u2 and a2, a2' = cos t v1 +- sin t v2 with
-    t = atan2(s2, s1) give S = 2 sqrt(s1^2 + s2^2), the maximum.
+    the settings a1' = u1, a1 = u2 and a2, a2' = c v1 +- s v2 with
+    (c, s) = (s1, s2) / sqrt(s1^2 + s2^2) give S = 2 sqrt(s1^2 + s2^2), the maximum.
     Returns (max |S|, the read-only ``(4, 3)`` settings a1, a1', a2, a2').
     """
     u, sv, vt = analyse(rho).correlation_svd
     s1, s2, _ = sv.tolist()
-    angle = math.atan2(s2, s1)
-    c, s = math.cos(angle), math.sin(angle)
-    settings = np.concatenate((u.T[1::-1], [[c, s], [c, -s]] @ vt[:2]))
+    norm = math.hypot(s1, s2)
+    c, s = (s1 / norm, s2 / norm) if norm else (1.0, 0.0)
+    (u11, u12, _), (u21, u22, _), (u31, u32, _) = u.tolist()
+    (x1, y1, z1), (x2, y2, z2), _ = vt.tolist()
+    settings = np.array([
+        [u12, u22, u32],
+        [u11, u21, u31],
+        [c * x1 + s * x2, c * y1 + s * y2, c * z1 + s * z2],
+        [c * x1 - s * x2, c * y1 - s * y2, c * z1 - s * z2],
+    ])
     settings.setflags(write=False)
-    return 2 * math.hypot(s1, s2), settings
+    return 2 * norm, settings

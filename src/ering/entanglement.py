@@ -30,7 +30,8 @@ def concurrence(rho: np.ndarray) -> float:
 
     C = max(0, l1 - l2 - l3 - l4) where the l_i are the decreasing singular
     values of sqrt(rho) (sy x sy) sqrt(rho)*, the square roots of the
-    eigenvalues of rho (sy x sy) rho* (sy x sy).
+    eigenvalues of rho (sy x sy) rho* (sy x sy).  They are taken from the
+    record's spectrum (``states.Analysis.concurrence``), with no sqrt(rho) formed.
     """
     return analyse(rho).concurrence
 
@@ -43,7 +44,8 @@ def tangle(rho: np.ndarray) -> float:
 def linear_entropy(rho: np.ndarray) -> float:
     """Linear entropy S_L = (4/3)(1 - Tr rho^2), clamped to [0, 1].
 
-    Round-off puts Tr rho^2 of a rank-1 state a few ulps above 1.
+    The purity Tr rho^2 is the sum of the squared eigenvalues of the state's
+    analysis record; round-off puts it a few ulps above 1 for a rank-1 state.
     """
     return analyse(rho).linear_entropy
 

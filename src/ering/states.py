@@ -38,6 +38,8 @@ BASIS = ("HH", "HV", "VH", "VV")
 HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
+#: Eigenvalues at most this share of the largest are rounding level, taken as 0.
+_RANK_FLOOR = 16 * np.finfo(float).eps
 
 
 def _pauli_pairs() -> np.ndarray:
@@ -53,13 +55,25 @@ def _pauli_pairs() -> np.ndarray:
 PAULI_PAIRS = _pauli_pairs()
 
 
+#: ``(16, 16)`` matrix whose column 4 i + j is (sigma_i x sigma_j)^T flattened: a
+#: flattened op times it gives the traces Tr(op sigma_i x sigma_j).
+_PAULI_TRACES = PAULI_PAIRS.transpose(0, 2, 1).reshape(16, 16).T.copy()
+_PAULI_TRACES.setflags(write=False)
+
+#: (sy x sy) X is the row-reversed X times these row signs.
+_SY_SY_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
+
+
 def pauli_vector(ops: np.ndarray) -> np.ndarray:
     """Real Tr(op sigma_i x sigma_j), ``(..., 16)`` as in PAULI_PAIRS, of ``(..., 4, 4)`` ops.
 
     For Hermitian rho and E, Tr(rho E) = pauli_vector(E) . pauli_vector(rho) / 4.
-    Each trace is summed over the diagonal of the product in row order, as ``np.trace`` rounds.
+    The traces are one matmul of the flattened ops against a constant ``(16, 16)``
+    matrix of 0, +-1 and +-i: each sums four exact products, in the order the
+    matmul picks, so it may differ from ``np.trace(op @ P)`` in the last bit.
     """
-    return np.einsum("...ab,kba->...ka", ops, PAULI_PAIRS).sum(-1).real
+    ops = np.asarray(ops)
+    return (ops.reshape(*ops.shape[:-2], 16) @ _PAULI_TRACES).real
 
 
 def bloch_vector(theta, phi) -> np.ndarray:
@@ -120,9 +134,12 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
 class Analysis:
     """The analysis of one valid density matrix, shared by every measure of it.
 
-    ``eigenvalues``/``eigenvectors`` are the ``np.linalg.eigh`` pair of the
-    positivity test.  The other values are computed on first use and are
-    documented at their public views.  Every array here is read-only.
+    ``eigenvalues``/``eigenvectors`` are the ``np.linalg.eigh`` pair lambda, V
+    of the positivity test.  Every other value is computed on first use and
+    documented at its public view; each costs at most one LAPACK call.  The
+    linear entropy reads lambda, and the concurrence and ``fidelity`` read
+    sqrt(rho) as the factor V sqrt(lambda), lambda floored once; no sqrt(rho)
+    is formed.  Every array here is read-only.
     """
 
     rho: np.ndarray
@@ -130,20 +147,26 @@ class Analysis:
     eigenvectors: np.ndarray
 
     @functools.cached_property
-    def square_root(self) -> np.ndarray:
-        vecs = self.eigenvectors
-        return _read_only((vecs * np.sqrt(_floored(self.eigenvalues))) @ vecs.conj().T)
+    def _root_factor(self) -> np.ndarray:
+        """F = V diag(sqrt(lambda)), so sqrt(rho) = F V^dagger; rounding-level eigenvalues as 0."""
+        eigs = self.eigenvalues.tolist()
+        floor = _RANK_FLOOR * eigs[3]
+        return _read_only(self.eigenvectors * [math.sqrt(x) if x > floor else 0.0 for x in eigs])
 
     @functools.cached_property
     def concurrence(self) -> float:
-        sq = self.square_root
-        lams = np.linalg.svd(sq @ PAULI_PAIRS[10] @ sq.conj(), compute_uv=False)  # sy x sy
-        return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+        # sqrt(rho) (sy x sy) sqrt(rho)* = V (F^T (sy x sy) F)* V^T with F = V sqrt(lambda):
+        # the singular values are those of F^T (sy x sy) F, and sy x sy flips the rows with signs
+        factor = self._root_factor
+        w = factor.T @ (_SY_SY_SIGNS * factor[::-1])
+        l1, l2, l3, l4 = np.linalg.svd(w, compute_uv=False).tolist()
+        return max(0.0, l1 - l2 - l3 - l4)
 
     @functools.cached_property
     def linear_entropy(self) -> float:
-        purity = np.trace(self.rho @ self.rho).real
-        return float(min(1.0, max(0.0, (4 / 3) * (1 - purity))))
+        eigs = self.eigenvalues
+        purity = float(eigs @ eigs)
+        return min(1.0, max(0.0, (4 / 3) * (1 - purity)))
 
     @functools.cached_property
     def min_partial_transpose_eigenvalue(self) -> float:
@@ -159,7 +182,8 @@ class Analysis:
 
     @functools.cached_property
     def correlation_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(map(_read_only, np.linalg.svd(self.correlation_matrix)))
+        u, s, vt = np.linalg.svd(self.correlation_matrix)
+        return _read_only(u), _read_only(s), _read_only(vt)
 
 
 #: Distinct valid matrices whose record ``analyse`` remembers.  The repeats
@@ -184,22 +208,23 @@ def _check_entries(data: bytes) -> Analysis:
     return Analysis(rho, _read_only(eigs), _read_only(vecs))
 
 
-def _floored(eigs: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues, those at rounding level (<= 16 eps of the largest) set to 0."""
-    return np.where(eigs > 16 * np.finfo(float).eps * abs(eigs[-1]), eigs, 0.0)
-
-
 def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2, in [0, 1].
 
-    sqrt(rho1) is read from rho1's analysis record
-    (``Analysis.square_root``), so a state that was already checked
-    is not decomposed again.  Both square roots read ``_floored`` spectra, so
-    a pure argument does not cost digits (sqrt(1e-17) would add 3e-9).
+    Both states are read from their analysis records, so a state that was
+    already checked is not decomposed again.  If either is rank 1 (its three
+    smaller eigenvalues at most 16 eps of the largest), F = Tr(rho1 rho2)
+    (Jozsa 1994), with no decomposition.  Otherwise F is the squared sum of
+    the singular values of sqrt(rho1) sqrt(rho2), taken as those of
+    F1^dagger F2 with F = V sqrt(lambda) from each record, so F(rho, rho) is
+    1 to rounding.
     """
-    sq = analyse(rho1).square_root
-    inner = sq @ check_density_matrix(rho2) @ sq
-    return min(1.0, float(np.sum(np.sqrt(_floored(np.linalg.eigvalsh(inner)))) ** 2))
+    first, second = analyse(rho1), analyse(rho2)
+    eigs1, eigs2 = first.eigenvalues, second.eigenvalues
+    if eigs1[2] <= _RANK_FLOOR * eigs1[3] or eigs2[2] <= _RANK_FLOOR * eigs2[3]:
+        return min(1.0, max(0.0, float(np.vdot(first.rho, second.rho).real)))
+    sv = np.linalg.svd(first._root_factor.conj().T @ second._root_factor, compute_uv=False)
+    return min(1.0, sum(sv.tolist()) ** 2)
 
 
 def repaired_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

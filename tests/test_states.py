@@ -369,7 +369,7 @@ def test_analysis_holds_the_read_only_eigh_of_a_valid_matrix():
     eigs, vecs = record.eigenvalues, record.eigenvectors
     expected_eigs, expected_vecs = np.linalg.eigh(rho)
     assert np.array_equal(eigs, expected_eigs) and np.array_equal(vecs, expected_vecs)
-    arrays = [record.rho, eigs, vecs, record.square_root, record.correlation_matrix]
+    arrays = [record.rho, eigs, vecs, record._root_factor, record.correlation_matrix]
     for array in arrays + list(record.correlation_svd):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
@@ -383,8 +383,13 @@ def test_analysis_holds_the_read_only_eigh_of_a_valid_matrix():
 
 
 def test_analysis_square_root_squares_back_to_the_state(rng):
+    # the record holds sqrt(rho) as the factor F = V sqrt(lambda): F F^dagger = rho and
+    # sqrt(rho) = F V^dagger
     for rho in [random_density_matrix(rng) for _ in range(50)] + [projector(singlet()), mems(0.2)]:
-        root = analyse(rho).square_root
+        record = analyse(rho)
+        factor = record._root_factor
+        assert np.allclose(factor @ factor.conj().T, rho, atol=1e-13)
+        root = factor @ record.eigenvectors.conj().T
         assert np.allclose(root, root.conj().T, atol=1e-14)
         assert np.allclose(root @ root, rho, atol=1e-13)
         assert np.linalg.eigvalsh(root).min() > -1e-7
@@ -455,7 +460,7 @@ def rounding_floor(eigs):
 
 
 def sqrtm_psd(rho):
-    """sqrt(rho) from its own eigh: the oracle of ``Analysis.square_root``."""
+    """sqrt(rho) from its own eigh: the oracle of the root ``Analysis._root_factor`` holds."""
     eigs, vecs = np.linalg.eigh(rho)
     return (vecs * np.sqrt(rounding_floor(eigs))) @ vecs.conj().T
 
@@ -474,56 +479,79 @@ def test_partial_transpose_involution(rng):
     assert np.array_equal(partial_transpose(rho), explicit_partial_transpose(rho))
 
 
-def test_analysis_is_bitwise_the_formulas_it_holds():
+def sqrt_concurrence(rho):
+    """Wootters' singular values of sqrt(rho) (sy x sy) sqrt(rho)*: the oracle of ``Analysis.concurrence``."""
+    sq = sqrtm_psd(rho)
+    lams = np.linalg.svd(sq @ states.PAULI_PAIRS[10] @ sq.conj(), compute_uv=False)
+    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+
+
+def test_analysis_agrees_with_the_formulas_it_replaced():
+    # Within 1e-14 of sqrtm_psd, Tr(rho rho), the Kronecker trace loop and sqrt_concurrence.
+    # The purity Sum lambda^2 reads the triangle eigh reads, Tr(rho rho) both: where they
+    # differ by d (validation passes d up to 1e-12) the entropies may differ by
+    # (4/3) 2 sqrt(6) d < 7 d more.  T's SVD is its own np.linalg.svd, bit for bit.
     corpus = record_corpus()
     assert len(corpus) > 900
     for rho in corpus:
         record = analyse(rho)
         rho = np.asarray(rho, dtype=complex)
-        assert np.array_equal(record.square_root, sqrtm_psd(rho))
+        defect = np.abs(rho - rho.conj().T).max()
+        root = record._root_factor @ record.eigenvectors.conj().T
+        assert np.abs(root - sqrtm_psd(rho)).max() <= 1e-14
         purity = np.trace(rho @ rho).real
-        assert record.linear_entropy == float(min(1.0, max(0.0, (4 / 3) * (1 - purity))))
+        trace_route = min(1.0, max(0.0, (4 / 3) * (1 - purity)))
+        assert abs(record.linear_entropy - trace_route) <= 1e-14 + 7 * defect
         min_eig = float(np.linalg.eigvalsh(explicit_partial_transpose(rho)).min())
         assert record.min_partial_transpose_eigenvalue == min_eig
-        t = kron_correlation_matrix(rho)
-        assert np.array_equal(record.correlation_matrix, t)
-        for got, expected in zip(record.correlation_svd, np.linalg.svd(t), strict=True):
+        assert np.abs(record.correlation_matrix - kron_correlation_matrix(rho)).max() <= 1e-14
+        svd = np.linalg.svd(record.correlation_matrix)
+        for got, expected in zip(record.correlation_svd, svd, strict=True):
             assert np.array_equal(got, expected)
+        assert abs(record.concurrence - sqrt_concurrence(rho)) <= 1e-14
         assert record.concurrence == pytest.approx(eigvals_concurrence(rho), abs=1e-7)
 
 
 def test_one_record_serves_every_measure_of_a_state(monkeypatch):
-    """rho is decomposed once and T built and decomposed once across every measure.
+    """Every np.linalg call over the benchmark's ``characterize`` item, in its order.
 
-    The calls are those of the benchmark's ``characterize`` item, in its order.
+    rho is decomposed once (eigh); the concurrence and T take one SVD each, the
+    PPT test and the CHSH oracle one eigvalsh each; nothing calls einsum, and a
+    fidelity with a pure argument makes no np.linalg call at all.
     """
     x = random_density_matrix(np.random.default_rng(20240017))
     target = projector(singlet())
     states._check_entries.cache_clear()
-    calls = {"eigh": [], "einsum": [], "svd": []}
+    check_density_matrix(target)
+    calls = []
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
-            calls[name].append(args)
+            calls.append((name, args[0]))
             return real(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    for name in np.linalg.__all__:
+        real = getattr(np.linalg, name)
+        if callable(real) and not isinstance(real, type):
+            monkeypatch.setattr(np.linalg, name, counting(name, real))
     monkeypatch.setattr(np, "einsum", counting("einsum", np.einsum))
-    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
     check_density_matrix(x)
     tangle(x)
     linear_entropy(x)
     is_separable_ppt(x)
+    before = len(calls)
     fidelity(x, target)
+    fidelity(target, x)
+    assert len(calls) == before
     _, settings = chsh_optimize(x)
     t = correlation_matrix(x)
     chsh_max_from_correlation_matrix(x)
     chsh(x, settings)
-    assert sum(np.array_equal(args[0], x) for args in calls["eigh"]) == 1
-    assert sum(np.array_equal(args[1], x) for args in calls["einsum"]) == 1
-    assert sum(np.array_equal(args[0], t) for args in calls["svd"]) == 1
+    assert [name for name, _ in calls] == ["eigh", "svd", "eigvalsh", "svd", "eigvalsh"]
+    assert np.array_equal(calls[0][1], x)
+    assert np.array_equal(calls[3][1], t)
 
 
 def test_invalid_matrix_raises_on_every_call():

@@ -10,11 +10,12 @@ from scipy.optimize import minimize
 
 from ering import states, tomography
 from ering.errors import InputFormatError
-from ering.sampling import random_density_matrix
+from ering.sampling import random_density_matrix, random_pure_state
 from ering.states import (
     bell_state,
     check_density_matrix,
     mems,
+    nonmax_state,
     projector,
     singlet,
     werner,
@@ -680,14 +681,68 @@ def eigh_fidelity(rho1, rho2):
     return min(1.0, max(0.0, value))
 
 
-def test_fidelity_is_bitwise_the_eigh_oracle():
+def mpmath_fidelity(rho1, rho2):
+    """(Sum of the singular values of sqrt(rho1) sqrt(rho2))^2 at 30 digits.
+
+    Each root is built from the double eigh of its state with the spectrum
+    floored as ``rounding_floor`` does, so this is the definition ``fidelity``
+    evaluates, without its rounding.
+    """
+    import mpmath
+
+    def root(rho):
+        eigs, vecs = np.linalg.eigh(rho)
+        v = mpmath.matrix(vecs.tolist())
+        return v * mpmath.diag([mpmath.sqrt(x) for x in rounding_floor(eigs).tolist()]) * v.H
+
+    with mpmath.workdps(30):
+        return float(sum(mpmath.svd_c(root(rho1) * root(rho2), compute_uv=False)) ** 2)
+
+
+def test_fidelity_agrees_with_the_eigh_oracle():
+    # The eigh route takes sqrt(rho1) rho2 sqrt(rho1) to eigvalsh, which squares the small
+    # eigenvalues before its floor can cut them: beside a rank-deficient state it is itself
+    # off by up to 1.4e-7 here.  Each pair is within 1e-14 of it, or else within 1e-14 of
+    # the 30-digit value that the eigh route misses by more.  A matrix whose triangles
+    # differ by d (validation passes d up to 1e-12) widens both bounds by 2 d per argument:
+    # Tr(rho1 rho2) reads both triangles, eigh only one.
     corpus = record_corpus()
     assert len(corpus) > 900
     target = projector(singlet())
+    decided = 0
     for i, rho in enumerate(corpus):
         other = corpus[(7 * i + 3) % len(corpus)]
         for a, b in ((rho, target), (target, rho), (rho, other)):
-            assert fidelity(a, b) == eigh_fidelity(a, b)
+            defects = [np.abs(m - np.conj(m).T).max() for m in (a, b)]
+            tol = 1e-14 + 2 * sum(defects)
+            got, oracle = fidelity(a, b), eigh_fidelity(a, b)
+            if abs(got - oracle) > tol:
+                exact = mpmath_fidelity(a, b)
+                assert abs(got - exact) <= tol < abs(oracle - exact)
+                decided += 1
+    assert decided <= 20
+
+
+def test_fidelity_of_a_state_with_itself_is_one():
+    # the eigh route reached 1 - 9e-12 on these states, and 1 - 1.5e-13 on Werner 0.9999
+    rng = np.random.default_rng(5)
+    for rho in [random_density_matrix(rng) for _ in range(2000)]:
+        assert abs(fidelity(rho, rho) - 1) <= 1e-13
+    for p in (0.99, 0.999, 0.9999):
+        assert abs(fidelity(werner(p), werner(p)) - 1) <= 1e-13
+
+
+def test_fidelity_just_above_the_rank_floor_takes_the_mixed_route():
+    # werner(1 - e) has three eigenvalues e/4, twice the floor at e = 256 eps; its fidelity
+    # to werner(q) carries 3 sqrt(e (1 - q)) / 4 (about 3e-7), which Tr(rho1 rho2) lacks
+    e = 256 * np.finfo(float).eps
+    near_pure = werner(1 - e)
+    eigs = np.linalg.eigvalsh(near_pure)
+    assert eigs[2] > 16 * np.finfo(float).eps * eigs[3]
+    for q in (0.0, 0.3, 0.8):
+        exact = (math.sqrt((1 + 3 * (1 - e)) * (1 + 3 * q)) + 3 * math.sqrt(e * (1 - q))) ** 2 / 16
+        assert abs(fidelity(near_pure, werner(q)) - exact) <= 1e-14
+        assert abs(fidelity(werner(q), near_pure) - exact) <= 1e-14
 
 
 def test_fidelity_reuses_the_validation_eigendecomposition(monkeypatch):
@@ -709,6 +764,13 @@ def test_fidelity_reuses_the_validation_eigendecomposition(monkeypatch):
     first = fidelity(x, target)
     assert fidelity(x, target) == first
     assert sum(np.array_equal(m, x) for m in decomposed) == 1
+    # a mixed pair adds the validation of the new state and one SVD, of F1^dagger F2
+    decomposed.clear()
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
+    mixed = werner(0.5)
+    fidelity(x, mixed)
+    assert len(decomposed) == 2 and np.array_equal(decomposed[0], mixed)
+    assert decomposed[1].shape == (4, 4) and not np.array_equal(decomposed[1], mixed)
 
 
 def test_fidelity_werner_to_singlet_closed_form():
@@ -717,22 +779,37 @@ def test_fidelity_werner_to_singlet_closed_form():
         assert fidelity(werner(p), target) == pytest.approx((3 * p + 1) / 4, abs=1e-7)
 
 
-def test_fidelity_with_a_pure_argument_is_exact_in_either_order(rng):
+def test_fidelity_with_a_pure_argument_is_exact_in_either_order(rng, monkeypatch):
     # a pure argument leaves rounding-level eigenvalues whose square roots
-    # (1e-17 gives 3e-9) once cost about 8 digits: Werner 0.14 gave 0.3550000044
+    # (1e-17 gives 3e-9) once cost about 8 digits: Werner 0.14 gave 0.3550000044.
+    # F is Tr(rho1 rho2), with no decomposition beyond the validation's own.
     target = projector(singlet())
     for p in np.linspace(0, 1, 101):
         for rho, exact in ((werner(p), (3 * p + 1) / 4), (mems(p), states.mems_weight(p) + p / 2)):
             assert abs(fidelity(rho, target) - exact) <= 8e-16
             assert abs(fidelity(target, rho) - exact) <= 8e-16
-    for _ in range(1000):
+    nonmax = nonmax_state(math.pi / 12)  # its three small eigenvalues are rounding, not 0
+    assert 0 < np.abs(np.linalg.eigvalsh(projector(nonmax))[:3]).max() <= 1e-16
+    called = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _real=real, **k: called.append(a) or _real(*a, **k))
+    for i in range(1000):
         rho = random_density_matrix(rng)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
-        pure = projector(psi)
+        phi = nonmax if i == 0 else random_pure_state(rng)
+        pure, other = projector(psi), projector(phi)
+        for m in (rho, pure, other):
+            check_density_matrix(m)
+        validated = len(called)
         exact = np.vdot(psi, rho @ psi).real
-        assert abs(fidelity(rho, pure) - exact) <= 2e-15
-        assert abs(fidelity(pure, rho) - exact) <= 2e-15
+        assert abs(fidelity(rho, pure) - exact) <= 1e-15
+        assert abs(fidelity(pure, rho) - exact) <= 1e-15
+        overlap = abs(np.vdot(psi, phi)) ** 2
+        assert abs(fidelity(pure, other) - overlap) <= 1e-15
+        assert abs(fidelity(other, rho) - np.vdot(phi, rho @ phi).real) <= 1e-15
+        assert len(called) == validated
 
 
 def test_tomo_csv_round_trip(tmp_path):
