@@ -11,10 +11,16 @@ cell holding a lone ``\\r`` is quoted too (the reader splits lines there
 otherwise); both read back whole.  Read errors name
 ``path:line``.  Every JSON file the package reads goes through
 ``read_json``, and every file it writes, CSV or JSON, through ``write_text``.
+
+Files are small (a few hundred bytes to a few kB), so neither side builds a
+text or buffered file object: a read is one unbuffered ``readall`` and one
+``bytes.decode``, a write one ``os.open``, ``os.write`` until every byte is
+out, and one ``os.ftruncate``.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -58,31 +64,58 @@ def _quoted_line(cells: list[str]) -> str:
 def write_text(path, text: str) -> None:
     """Make ``path`` hold exactly ``text`` as UTF-8, rewriting it in place.
 
-    The file is opened without ``O_TRUNC`` and cut at the end of the new
-    bytes, so an existing file never passes through size zero (ext4 flushes
-    a file truncated to zero and rewritten when it is closed).  A new file
-    gets mode ``0o666 & ~umask``, an existing one keeps its inode and mode,
-    and a symlink is followed, as with ``open(path, "w")``.  A kill between
-    the write and the cut can leave the new text followed by the old tail.
+    The file is opened with ``os.open`` without ``O_TRUNC``, the bytes go out
+    through ``os.write`` (looping over short writes), and ``os.ftruncate``
+    cuts the file at their end, so an existing file never passes through
+    size zero (ext4 flushes a file truncated to zero and rewritten when it is
+    closed).  A new file gets mode ``0o666 & ~umask``, an existing one keeps
+    its inode and mode, and a symlink is followed, as with ``open(path,
+    "w")``.  A kill between the write and the cut can leave the new text
+    followed by the old tail.
     """
-    data = text.encode("utf-8")
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
-        fh.truncate()
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
+def _text(path) -> str:
+    """The UTF-8 text of ``path`` in one unbuffered read, a leading byte-order mark dropped."""
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _lines(path) -> list[str]:
+    """The lines of ``path``, split at ``\\n``, ``\\r\\n`` and ``\\r`` with their endings kept,
+    as ``open(path, newline="")`` splits them; a NUL character is refused at its line."""
+    text = _text(path)
+    lines = io.StringIO(text, newline="").readlines()
+    if "\0" in text:  # csv.reader on Python 3.10 refuses such a line with its own error
+        number = next(n for n, line in enumerate(lines, 1) if "\0" in line)
+        raise error(path, number, "line contains a NUL character")
+    return lines
 
 
 def read_json(path, parse):
     """``parse`` of a UTF-8 JSON file, byte-order mark or not; bad JSON or text or a parse
-    error names the path."""
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            return parse(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: bad JSON: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except InputFormatError as exc:
-            raise InputFormatError(f"{path}: {exc}") from None
+    error names the path.  Line endings are read as universal newlines, as ``open(path)``
+    reads them, so a JSON error counts a ``\\r\\n`` as one character."""
+    text = _text(path).replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return parse(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{path}: bad JSON: {exc}") from None
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
 
 
 def read(
@@ -96,18 +129,13 @@ def read(
     comment lines are skipped.  A value in the file must be finite and
     positive, or equal its default (0 stands for unknown).  The file must be
     UTF-8 text with no NUL character; a leading byte-order mark is skipped.
+    The file is taken in one unbuffered read and one decode, and split into
+    lines as ``open(path, newline="")`` splits it.
     """
     import csv  # only a command that reads a CSV file pays for it
 
     values = dict(comments)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    for number, text in enumerate(lines, 1):
-        if "\0" in text:  # csv.reader on Python 3.10 refuses such a line with its own error
-            raise error(path, number, "line contains a NUL character")
+    lines = _lines(path)
     start = 0
     seen = set()
     while start < len(lines) and lines[start].startswith("#"):

@@ -924,6 +924,38 @@ def test_tomo_reconstruct_missing_file_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+#: Every flag that names an input file, as the command around it with the path as {}.
+INPUT_FLAGS = {
+    "bell eval --counts": "bell eval --counts {}",
+    "tomo reconstruct --data": "tomo reconstruct --data {}",
+    "tomo reconstruct --target": "tomo reconstruct --data in.csv --target {}",
+    "source --config": "source --config {}",
+    "bell simulate --state": "bell simulate --family file --state {} --seed 1 --out c.csv",
+}
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "unreadable"])
+@pytest.mark.parametrize("flag", INPUT_FLAGS)
+def test_unopenable_input_exit_2_with_the_open_error(
+    flag, kind, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.delenv("ERING_CONFIG", raising=False)
+    monkeypatch.chdir(tmp_path)
+    tomo_data_to_csv(simulate_tomography(werner(0.5), 1000, 1), "in.csv")
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "unreadable":
+        path.write_text("{}\n")
+        path.chmod(0)
+        if os.access(path, os.R_OK):
+            pytest.skip("this user reads a file of mode 000")
+    with pytest.raises(OSError) as expected:  # the message a text-mode open gives
+        open(path, newline="", encoding="utf-8-sig")
+    assert main(INPUT_FLAGS[flag].format(path).split()) == 2
+    assert capsys.readouterr() == ("", f"error: {expected.value}\n")
+
+
 @pytest.mark.parametrize(
     "argv, target",
     [

@@ -152,6 +152,143 @@ def test_any_rows_read_back_whole(tmp_path_factory, width, data):
     assert [fields for _, fields in got] == want
 
 
+def textmode_lines(path):
+    """The lines read through a text-mode file object: the line oracle of ``csvfile.read``."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for number, text in enumerate(lines, 1):
+        if "\0" in text:
+            raise csvfile.error(path, number, "line contains a NUL character")
+    return lines
+
+
+def _read_outcome(path):
+    try:
+        return csvfile.read(path, ["a", "b"], {"k": 0.0})
+    except InputFormatError as exc:
+        return "error", str(exc)
+
+
+def assert_reads_as_the_text_mode_oracle(path):
+    """``csvfile.read`` gives the rows, line numbers or error it gives on the oracle's lines."""
+    ours = _read_outcome(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csvfile, "_lines", textmode_lines)
+        assert ours == _read_outcome(path)
+
+
+#: characters that str.splitlines would split at but a CSV reader must not
+_NOT_LINE_ENDS = "\x0b\x0c\x1c\x85\u2028\u2029"
+_PLAIN_CELL = st.text(alphabet=st.sampled_from(list("ab 1.-éΘΦ中" + _NOT_LINE_ENDS)), max_size=5)
+#: a quoted cell may hold commas, doubled quotes and every line ending, a lone \r among them
+_QUOTED_CELL = st.lists(
+    st.sampled_from(["a", "é", "中", ",", '""', "\n", "\r\n", "\r", " ", "\u2028"]), max_size=6
+).map(lambda parts: '"' + "".join(parts) + '"')
+_LINE = st.tuples(
+    st.lists(st.one_of(_PLAIN_CELL, _QUOTED_CELL), min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["\n", "\r\n", "\r", ""]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bom=st.booleans(),
+    comments=st.lists(st.sampled_from(["# k 3", "# k 0", "# note é", "#", "# k x"]), max_size=2),
+    header=st.sampled_from(["a,b", " a , b ", "a", "é,b"]),
+    lines=st.lists(_LINE, max_size=8),
+    ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=2, max_size=2),
+    # a NUL or bad UTF-8 somewhere, a partial BOM among them
+    damage=st.one_of(
+        st.none(),
+        st.tuples(
+            st.integers(0, 10**6), st.sampled_from([b"\0", b"\xff", b"\xe4\xb8", b"\xef\xbb", b"\x80"])
+        ),
+    ),
+)
+def test_read_matches_the_text_mode_oracle(
+    tmp_path_factory, bom, comments, header, lines, ends, damage
+):
+    text = "".join(line + ends[0] for line in comments) + header + ends[1]
+    text += "".join(cells + end for cells, end in lines)
+    data = (_BOM if bom else b"") + text.encode("utf-8")
+    if damage is not None:
+        at, junk = damage
+        at %= len(data) + 1
+        data = data[:at] + junk + data[at:]
+    path = tmp_path_factory.mktemp("oracle") / "in.csv"
+    path.write_bytes(data)
+    assert_reads_as_the_text_mode_oracle(path)
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r", "é\n".encode(), b"\xff\n", b"\0\n"])
+@pytest.mark.parametrize("pad", range(8185, 8195))
+def test_read_matches_the_text_mode_oracle_at_its_chunk_edge(tmp_path, pad, end):
+    # the text-mode reader decodes 8192 bytes at a time: a line ending, a
+    # two-byte character, bad UTF-8 or a NUL across that edge splits as in one read
+    path = tmp_path / "edge.csv"
+    path.write_bytes(b"# " + b"x" * pad + end + b"a,b\r\n\"p\rq\",1\r2,\xc3\xa9\n")
+    assert_reads_as_the_text_mode_oracle(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=40), bom=st.booleans())
+def test_json_text_errors_match_the_text_mode_reader(tmp_path_factory, data, bom):
+    assume(bom or data not in _PARTIAL_BOMS)  # see test_a_partial_byte_order_mark_is_not_utf8
+    path = tmp_path_factory.mktemp("json") / "in.json"
+    path.write_bytes((_BOM if bom else b"") + data)
+
+    def outcome(load):
+        try:
+            return repr(load())  # repr: a NaN read twice compares equal
+        except InputFormatError as exc:
+            return str(exc)
+        except json.JSONDecodeError as exc:
+            return f"{path}: bad JSON: {exc}"
+        except UnicodeDecodeError as exc:
+            return f"{path}: not UTF-8 text ({exc.reason})"
+
+    ours = outcome(lambda: csvfile.read_json(path, lambda value: value))
+    with open(path, encoding="utf-8-sig") as fh:
+        assert ours == outcome(lambda: json.load(fh))
+
+
+_PARTIAL_BOMS = (b"\xef", b"\xef\xbb")
+
+
+@pytest.mark.parametrize("data", _PARTIAL_BOMS)
+def test_a_partial_byte_order_mark_is_not_utf8(tmp_path, data):
+    # the one input on which the text-mode reader differs: its decoder
+    # drops a partial mark at the end of the file and reads it as empty
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8-sig") as fh:
+        assert fh.read() == ""
+    for read in (lambda: csvfile.read(path, ["a"], {}), lambda: csvfile.read_json(path, dict)):
+        with pytest.raises(InputFormatError, match=r": not UTF-8 text \(unexpected end of data\)$"):
+            read()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "unreadable"])
+def test_unopenable_input_raises_what_a_text_mode_open_raises(tmp_path, kind):
+    path = tmp_path / "in.csv"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "unreadable":
+        path.write_text("a,b\n")
+        path.chmod(0)
+        if os.access(path, os.R_OK):
+            pytest.skip("this user reads a file of mode 000")
+    with pytest.raises(OSError) as expected:
+        open(path, newline="", encoding="utf-8-sig")
+    for read in (lambda: csvfile.read(path, ["a", "b"], {}), lambda: csvfile.read_json(path, dict)):
+        with pytest.raises(OSError) as got:
+            read()
+        assert type(got.value) is type(expected.value) and str(got.value) == str(expected.value)
+
+
 def rowwise_counts_from_csv(path):
     """A row-by-row counts reader written out step by step, the reference for ``counts_from_csv``."""
     comments, rows = csvfile.read(path, ["theta1_deg", "theta2_deg", "counts"], {"duration_s": None})
@@ -261,6 +398,25 @@ def test_rewrite_leaves_exactly_the_new_bytes(tmp_path, old):
         csvfile.write_text(path, text)
         assert path.read_bytes() == text.encode("utf-8")
         assert path.stat().st_ino == inode
+
+
+def test_short_writes_still_leave_exactly_the_new_bytes(tmp_path, monkeypatch):
+    # os.write may take fewer bytes than given; only the loop in write_text writes the rest
+    path = tmp_path / "out.csv"
+    path.write_text("an old and much longer text\n" * 40)
+    taken = []
+    real_write = os.write
+
+    def short_write(fd, data):
+        taken.append(real_write(fd, bytes(data[:5])))
+        return taken[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    text = "h\u00e9ader,\"q\"\n1,2\n" * 3
+    csvfile.write_text(path, text)
+    monkeypatch.undo()
+    assert path.read_bytes() == text.encode("utf-8")
+    assert sum(taken) == len(text.encode("utf-8")) and max(taken) == 5 and len(taken) > 1
 
 
 def test_new_file_mode_follows_the_umask(tmp_path):
