@@ -124,10 +124,14 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+#: Entry k of the flattened partial transpose is entry ``_PT_INDEX.flat[k]`` of the
+#: flattened matrix: <ij|rho^T2|kl> = <il|rho|kj>.
+_PT_INDEX = _read_only(np.arange(16).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4))
+
+
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
     """Partial transpose over the second qubit."""
-    rho = np.asarray(rho, dtype=complex)
-    return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return np.asarray(rho, dtype=complex).ravel()[_PT_INDEX]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +174,7 @@ class Analysis:
 
     @functools.cached_property
     def min_partial_transpose_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(partial_transpose(self.rho)).min())
+        return np.linalg.eigvalsh(partial_transpose(self.rho)).item(0)  # ascending
 
     @functools.cached_property
     def pauli_vector(self) -> np.ndarray:
@@ -192,16 +196,35 @@ class Analysis:
 _VERDICT_CACHE_SIZE = 32
 
 
+#: Flat indices (4 i + j, 4 j + i) of each entry on or above the diagonal and of its mirror.
+_MIRROR_PAIRS = tuple((4 * i + j, 4 * j + i) for i in range(4) for j in range(i, 4))
+
+
 @functools.lru_cache(maxsize=_VERDICT_CACHE_SIZE)
 def _check_entries(data: bytes) -> Analysis:
-    """The content checks of ``check_density_matrix`` on a 4x4 complex matrix's bytes."""
-    rho = np.frombuffer(data, dtype=complex).reshape(4, 4)
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix has non-finite entries")
-    if np.abs(rho - rho.conj().T).max() > HERMITIAN_ATOL:
+    """The content checks of ``check_density_matrix`` on a 4x4 complex matrix's bytes.
+
+    The finite, Hermitian and trace checks read the 16 entries as Python
+    complex numbers, so ``eigh`` is the one numpy computation.  A failure
+    names the first check it fails in that order.  A non-finite entry makes
+    the Hermitian defect |rho_ij - rho_ji*| of its pair inf or nan, which is
+    not <= 1e-12, so the entries are tested for finiteness only once that
+    test fails.
+    """
+    flat = np.frombuffer(data, dtype=complex)
+    z = flat.tolist()
+    try:
+        hermitian = all([abs(z[i] - z[j].conjugate()) <= HERMITIAN_ATOL for i, j in _MIRROR_PAIRS])
+    except OverflowError:  # a finite defect whose modulus is past the float range
+        hermitian = False
+    if not hermitian:
+        if not all([math.isfinite(x.real) and math.isfinite(x.imag) for x in z]):
+            raise ValueError("density matrix has non-finite entries")
         raise ValueError("density matrix is not Hermitian within 1e-12")
-    if abs(np.trace(rho) - 1.0) > TRACE_ATOL:
-        raise ValueError(f"density matrix trace {np.trace(rho):.3e} is not 1 within 1e-12")
+    trace = 0j + ((z[0] + z[5]) + (z[10] + z[15]))  # np.trace's order: 0 + pairwise sum
+    if abs(trace - 1.0) > TRACE_ATOL:
+        raise ValueError(f"density matrix trace {trace:.3e} is not 1 within 1e-12")
+    rho = flat.reshape(4, 4)
     eigs, vecs = np.linalg.eigh(rho)
     if eigs[0] < PSD_EIGENVALUE_FLOOR:
         raise ValueError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")

@@ -55,7 +55,8 @@ import numpy as np
 from . import csvfile
 from .errors import ConvergenceError, InputFormatError
 from .sampling import poisson
-# fidelity lives in states, next to the square root it reads; perfbench reads it here
+# fidelity lives in states, next to the analysis record whose root factor it reads;
+# it is imported here for perfbench, which times it as tomography.fidelity
 from .states import (
     PAULI_PAIRS, analyse, bloch_vector, fidelity, measurement_rows, repaired_spectrum,
 )

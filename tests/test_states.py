@@ -419,6 +419,62 @@ def _verdict_corpus(seed):
     return out + [m.T for m in out[:: 7]]
 
 
+def numpy_entry_checks(data):
+    """The content checks as whole-array numpy passes: the oracle of ``states._check_entries``.
+
+    Returns the ``eigh`` pair of a valid matrix; raises ValueError with the message of the
+    first check an invalid one fails.
+    """
+    rho = np.frombuffer(data, dtype=complex).reshape(4, 4)
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
+    if np.abs(rho - rho.conj().T).max() > states.HERMITIAN_ATOL:
+        raise ValueError("density matrix is not Hermitian within 1e-12")
+    if abs(np.trace(rho) - 1.0) > states.TRACE_ATOL:
+        raise ValueError(f"density matrix trace {np.trace(rho):.3e} is not 1 within 1e-12")
+    eigs, vecs = np.linalg.eigh(rho)
+    if eigs[0] < states.PSD_EIGENVALUE_FLOOR:
+        raise ValueError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
+    return eigs, vecs
+
+
+def _outcome(check, data):
+    """The message of ``check``'s ValueError, or the bytes of its eigenvalues and eigenvectors."""
+    try:
+        eigs, vecs = check(data)
+    except ValueError as exc:
+        return str(exc)
+    return eigs.tobytes(), vecs.tobytes()
+
+
+def test_entry_checks_match_the_numpy_oracle():
+    corpus = [np.array(m, dtype=complex, order="C").tobytes() for m in _verdict_corpus(5)]
+    expected = [_outcome(numpy_entry_checks, data) for data in corpus]
+    for kind in ("non-finite", "Hermitian", "trace", "negative"):
+        assert any(type(v) is str and kind in v for v in expected), kind
+    assert any(type(v) is tuple for v in expected)
+
+    def uncached(data):
+        record = states._check_entries.__wrapped__(data)
+        return record.eigenvalues, record.eigenvectors
+
+    assert [_outcome(uncached, data) for data in corpus] == expected
+
+
+def test_entry_checks_of_huge_and_signed_zero_entries():
+    # A defect past the float range is not Hermitian, and a non-finite entry is named
+    # before it; the trace message keeps np.trace's signed zeros.
+    huge = np.zeros((4, 4), dtype=complex)
+    huge[0, 1] = complex(1.5e308, 1.5e308)
+    zeros = np.diag([complex(-0.0, -0.0)] * 4)
+    for rho in (huge, huge + np.diag([np.nan, 0, 0, 0]), np.diag([0.5, 0.5, 1e300, -1e300]), zeros):
+        rho = rho.astype(complex)
+        data = rho.tobytes()
+        assert _outcome(states._check_entries.__wrapped__, data) == _outcome(numpy_entry_checks, data)
+    with pytest.raises(ValueError, match=re.escape("trace 0.000e+00+0.000e+00j")):
+        states._check_entries.__wrapped__(zeros.tobytes())
+
+
 def test_cached_verdicts_match_the_uncached_checks():
     oracle = states._check_entries.__wrapped__
     corpus = _verdict_corpus(5)
@@ -426,8 +482,6 @@ def test_cached_verdicts_match_the_uncached_checks():
     states._check_entries.cache_clear()
     expected = [_verdict(oracle, np.array(m, dtype=complex, order="C").tobytes()) for m in corpus]
     assert None in expected
-    for kind in ("non-finite", "Hermitian", "trace", "negative"):
-        assert any(v and kind in v for v in expected), kind
     # Each matrix twice in a row: first on a cache that has not seen it, then warm.
     got = [(_verdict(check_density_matrix, m), _verdict(check_density_matrix, m)) for m in corpus]
     assert got == [(v, v) for v in expected]
