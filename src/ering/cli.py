@@ -154,6 +154,13 @@ def finite_float(text: str) -> float:
     return value
 
 
+def finite_int(text: str) -> int:
+    """argparse type of every integer count flag: one past the float range is a usage error."""
+    value = int(text)
+    finite_float(text)
+    return value
+
+
 def nonnegative_int(text: str) -> int:
     """argparse type of every --seed: a negative seed is a usage error."""
     value = int(text)
@@ -427,7 +434,7 @@ def _figure_arguments(p_fig) -> None:
         if figure.config:
             _config_flags(p_id)
         for name, (default, help_, _) in figure.params.items():
-            number = finite_float if isinstance(default, float) else int
+            number = finite_float if isinstance(default, float) else finite_int
             flag = "--" + name.replace("_", "-")
             p_id.add_argument(flag, type=number, default=default, help=help_)
         p_id.set_defaults(means_flag=figure.means_flag)
@@ -437,7 +444,7 @@ def _tomo_arguments(p_tomo) -> None:
     tomo_sub = _subcommands(p_tomo, "tomo_command")
     p_sim = tomo_sub.add_parser("simulate", help="write simulated 16-setting counts")
     _simulated_flags(p_sim)
-    p_sim.add_argument("--counts", type=int, default=10000, help="mean counts per setting")
+    p_sim.add_argument("--counts", type=finite_int, default=10000, help="pair flux per setting")
     p_sim.add_argument("--seed", type=nonnegative_int, required=True)
     p_sim.add_argument("--out", required=True, help="output counts CSV")
     p_sim.add_argument("--target-out", help="also write the true state as JSON")

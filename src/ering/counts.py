@@ -144,10 +144,7 @@ def chsh_from_counts(counts: CountsTable, plan: AnglePlan) -> tuple[float, float
 
 def counts_to_csv(counts: CountsTable, path) -> None:
     """Write ``theta1_deg,theta2_deg,counts`` rows, one per joint setting."""
-    rows = [
-        (l1, l2, n if type(n) is int else int(n) if float(n).is_integer() else float(n))
-        for (l1, l2), n in sorted(counts.entries.items())
-    ]
+    rows = [(l1, l2, csvfile.count_cell(n)) for (l1, l2), n in sorted(counts.entries.items())]
     csvfile.write(path, _COUNTS_HEADER, rows, {"duration_s": counts.duration})
 
 

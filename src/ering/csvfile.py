@@ -199,3 +199,8 @@ def count(path, line: int, text: str) -> float:
     if value < 0:
         raise error(path, line, f"negative counts {value:g}")
     return value
+
+
+def count_cell(n) -> int | float:
+    """A count as ``write`` takes it: an int as it is, an integer-valued float as an int."""
+    return n if type(n) is int else int(n) if float(n).is_integer() else float(n)

@@ -1,12 +1,16 @@
-"""The E-ring source's configuration (``SourceConfig``) and its closed-form optics.
+"""The E-ring source's configuration (``SourceConfig``), its closed-form optics and
+its rate model.
+
+``mean_counts`` is the one noise-free mean model of every simulated count: a
+Bell run takes it at the configured source, and tomography at ``IDEAL_SOURCE``.
 
 Phase control: ``phase_from_displacement`` ray traces the single-arm
 interferometer of the retroreflecting mirror (see docs/phase_geometry.md),
 and ``displacement_visibility`` models the spatial decoherence caused by
 the lateral walk of the retroreflected cone on the crystal.
 
-Everything here is ``math``, without numpy, so ``ering source`` and a
-noise-free ``ering figure 3`` start without it.
+Everything here is ``math`` and array operators, without numpy, so ``ering
+source`` and a noise-free ``ering figure 3`` start without it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from . import csvfile
-from .errors import InputFormatError
+from .errors import InputFormatError, PoissonLimitError
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -169,6 +173,46 @@ def sector_area(r: float, config: SourceConfig) -> float:
 def detected_pair_rate(config: SourceConfig) -> float:
     """Coincidence rate before analyzers: pair_rate * QE^2 * transmission."""
     return config.pair_rate * config.detector_qe**2 * config.transmission
+
+
+#: Unit pair rate, perfect detectors, no background: over N seconds the means of
+#: ``mean_counts`` are N * max(Tr(rho P_k), 0), the flux-only model of tomography.
+IDEAL_SOURCE = SourceConfig(
+    pair_rate=1.0, detector_qe=1.0, transmission=1.0, dark_rate=0.0, coincidence_window=0.0
+)
+
+
+def check_duration(name: str, duration: float) -> None:
+    """The one scale check of the simulators: ``duration`` must be finite and positive."""
+    try:
+        finite = math.isfinite(duration)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} must be finite, got an integer past the float range") from None
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {duration}")
+    if duration <= 0:
+        raise ValueError(f"{name} must be positive")
+
+
+def mean_counts(r, rows, duration: float, config: SourceConfig):
+    """Noise-free mean counts of the ``(3 S, 16)`` joint, arm-1 and arm-2 rows of
+    ``states.measurement_rows`` against the Pauli vector r of rho: (true pairs of
+    r_v = v r + (1-v) e_0, the vector of v rho + (1-v) I/4, plus accidentals) * duration,
+    clipped at 0.  Means that would overflow a float raise a ``PoissonLimitError``."""
+    arm_rate = config.pair_rate * config.detector_qe * math.sqrt(config.transmission)
+    pair_rate = detected_pair_rate(config)
+    # the bound has every probability at 1 (times 2 for rounding above 1), in the order used below
+    peak_singles = arm_rate + config.dark_rate
+    largest = (pair_rate + peak_singles * peak_singles * config.coincidence_window) * duration
+    if not math.isfinite(2 * largest):
+        raise PoissonLimitError("the mean counts overflow a float", "the duration or the pair rate")
+    r_v = config.visibility * r
+    r_v[0] += 1 - config.visibility
+    probabilities = (rows @ r_v).reshape(3, -1)
+    singles1, singles2 = arm_rate * probabilities[1:] + config.dark_rate
+    rates = pair_rate * probabilities[0] + singles1 * singles2 * config.coincidence_window
+    # a null setting of a noiseless config can round to a rate of -1e-17
+    return rates.clip(0.0) * duration
 
 
 # ---------------------------------------------------------------------------

@@ -2,26 +2,16 @@
 
 The source overlaps two SPDC emission cones (a direct cone carrying
 |HH> and a mirror-retroreflected cone carrying |VV>) into a single
-entanglement ring (E-ring).  Sector synthesis of engineered mixtures
-("patchwork": its seven sector treatments, and the Werner and MEMS
-recipes as ``{treatment: weight}`` dicts) lives in ``ering.patchwork``,
-which reads only ``ering.states``; ``synthesize``, ``werner_partition``
-and ``mems_partition`` are aliases here, resolved on first use, for the
-benchmark harness.
+entanglement ring (E-ring).  Sector synthesis ("patchwork") lives in
+``ering.patchwork``; ``synthesize``, ``werner_partition`` and
+``mems_partition`` are aliases here, resolved on first use, for the
+benchmark harness.  The configuration, the closed-form optics and the rate
+model (``mean_counts``) live in the numpy-free ``ering.optics``.
 
-The configuration (``SourceConfig``) and the closed-form optics, the
-mirror-displacement phase control among them, live in the numpy-free
-``ering.optics``.
-
-Coincidence counting is batched: a plan compiles once (``compile_plan``)
-into its labels and one matrix of rows against the Pauli vector of rho, so
-the joint and partial-trace marginal probabilities of all its joint
-settings come from one matvec.  The vector is the one cached in rho's
-analysis record, depolarized in Pauli coordinates by the visibility v
-(r_v = v r + (1-v) e_0).  One private mean computation serves both
-simulators: ``expected_coincidences`` returns those noise-free mean counts
-of the plan, and ``simulate_coincidences`` draws all counts about the same
-array in one Poisson draw.
+A plan compiles once (``compile_plan``) into its labels and one matrix of
+rows; ``expected_coincidences`` returns their ``mean_counts`` against rho's
+cached Pauli vector, and ``simulate_coincidences`` draws all counts about
+those means in one Poisson draw.
 """
 
 from __future__ import annotations
@@ -32,11 +22,10 @@ import math
 import numpy as np
 
 from .counts import STANDARD_PLAN, AnglePlan, CountsTable, angle_label
-from .optics import (  # perfbench reads all but detected_pair_rate here
-    SourceConfig, detected_pair_rate, displacement_visibility, ou_mandel_scan,
+from .optics import (  # perfbench reads all but check_duration and mean_counts here
+    SourceConfig, check_duration, displacement_visibility, mean_counts, ou_mandel_scan,
     phase_from_displacement,
 )
-from .errors import PoissonLimitError
 from .sampling import poisson
 from .states import analyse, bloch_vector, measurement_rows
 
@@ -60,20 +49,12 @@ def apply_effective_visibility(rho: np.ndarray, visibility: float) -> np.ndarray
     Every correlation function scales by v, so both the coincidence
     fringe visibility and the CHSH parameter of the simulated state are
     exactly v times their ideal values (a singlet at v reproduces a
-    Werner state of weight v).  The mean counts apply the same map to the
-    state's Pauli vector instead: r_v = v r + (1-v) e_0.
+    Werner state of weight v).  ``optics.mean_counts`` applies it to r.
     """
     if not 0 <= visibility <= 1:
         raise ValueError("visibility must be in [0, 1]")
     rho = np.asarray(rho, dtype=complex)
     return visibility * rho + (1 - visibility) * np.eye(4, dtype=complex) / 4
-
-
-def _check_duration(name: str, duration: float) -> None:
-    if not math.isfinite(duration):
-        raise ValueError(f"{name} must be finite, got {duration}")
-    if duration <= 0:
-        raise ValueError(f"{name} must be positive")
 
 
 def compile_plan(plan: AnglePlan | list[tuple[float, float]]) -> tuple[tuple, np.ndarray]:
@@ -82,10 +63,8 @@ def compile_plan(plan: AnglePlan | list[tuple[float, float]]) -> tuple[tuple, np
     ``labels`` are the canonical (theta1, theta2) degree labels in plan
     order; ``rows`` is the read-only ``(3 S, 16)`` stack of the S joint, the
     S arm-1 and the S arm-2 rows of ``states.measurement_rows`` for the
-    polarizers' Bloch 4-vectors b = (1, sin 2 theta, 0, cos 2 theta), so
-    ``(rows @ r).reshape(3, -1)`` are the joint, arm-1 and arm-2 detection
-    probabilities of the Pauli vector r.  Raises ValueError if an angle is not
-    finite or two settings share a label.
+    polarizers' Bloch 4-vectors b = (1, sin 2 theta, 0, cos 2 theta).  Raises
+    ValueError if an angle is not finite or two settings share a label.
     """
     if isinstance(plan, AnglePlan):
         return _compile(plan.settings)
@@ -109,24 +88,9 @@ def _compile(settings: tuple[tuple[float, float], ...]):
 def _mean_counts(rho, plan, duration: float, config: SourceConfig) -> tuple[tuple, np.ndarray]:
     """The setting labels and the noise-free mean counts of a plan, in plan order."""
     r = analyse(rho).pauli_vector
-    _check_duration("duration", duration)
+    check_duration("duration", duration)
     labels, rows = compile_plan(plan)
-    # the singles rate of an arm: pair_rate * QE * sqrt(transmission) * marginal + dark_rate
-    arm_rate = config.pair_rate * config.detector_qe * math.sqrt(config.transmission)
-    pair_rate = detected_pair_rate(config)
-    # means that could overflow are refused before numpy warns: the bound has every
-    # probability at 1 (times 2 for rounding above 1), multiplied in the order used below
-    peak_singles = arm_rate + config.dark_rate
-    largest = (pair_rate + peak_singles * peak_singles * config.coincidence_window) * duration
-    if not math.isfinite(2 * largest):
-        raise PoissonLimitError("the mean counts overflow a float", "the duration or the pair rate")
-    r_v = config.visibility * r
-    r_v[0] += 1 - config.visibility
-    probabilities = (rows @ r_v).reshape(3, -1)
-    singles1, singles2 = arm_rate * probabilities[1:] + config.dark_rate
-    rates = pair_rate * probabilities[0] + singles1 * singles2 * config.coincidence_window
-    # a null setting of a noiseless config can round to a rate of -1e-17
-    return labels, np.maximum(rates, 0.0) * duration
+    return labels, mean_counts(r, rows, duration, config)
 
 
 def expected_coincidences(
@@ -139,13 +103,9 @@ def expected_coincidences(
 
     ``plan`` is a list of distinct (theta1, theta2) radian pairs (compared
     by canonical degree label) or an AnglePlan; ``duration`` is the
-    integration time per setting.  The plan compiles once (``compile_plan``);
-    the config's effective visibility v depolarizes the Pauli vector r of
-    rho cached in its analysis record, r_v = v r + (1-v) e_0 (the vector of
-    ``apply_effective_visibility(rho, v)``), and the probabilities are the
-    compiled rows against r_v.  Every mean is (true-pair rate + singles1 *
-    singles2 * coincidence_window) * duration.  Means that would overflow a
-    float raise a ValueError (a ``PoissonLimitError``).
+    integration time per setting.  The means are ``optics.mean_counts`` of the
+    compiled plan; means that would overflow a float raise a ValueError (a
+    ``PoissonLimitError``).
     """
     labels, means = _mean_counts(rho, plan, duration, config)
     return CountsTable(dict(zip(labels, means.tolist())), duration)
@@ -179,6 +139,6 @@ def simulate_bell_test(
     """
     if plan is None:
         plan = STANDARD_PLAN
-    _check_duration("total_duration", total_duration)
+    check_duration("total_duration", total_duration)
     per_setting = total_duration / len(plan.settings)
     return simulate_coincidences(rho, plan, per_setting, config, seed), plan

@@ -4,11 +4,11 @@ Measurement settings are pairs of single-photon projectors, each held as
 its Bloch 4-vector b = (1, n): the letters H, V = (1, +-z), D, A = (1, +-x)
 (H +- V over sqrt(2)) and L, R = (1, +-y) (H +- iV over sqrt(2)) exactly, and
 ``E(Theta,Phi)``, the projector onto cos(Theta/2)|H> + e^{i Phi} sin(Theta/2)|V>
-(finite angles, radians), as ``states.bloch_vector(Theta, Phi)``.  The design
-matrix is the joint block of ``states.measurement_rows``: Tr(rho P_k) = design_k . r
-for the Pauli vector r of rho and the pair projector P_k = sum_i design_ki sigma_i.
-``simulate_tomography`` draws Poisson counts about the noise-free means
-flux * design @ r of ``exact_tomography_counts``.
+(finite angles, radians), as ``states.bloch_vector(Theta, Phi)``.  Settings compile
+into ``(3 K, 16)`` rows of ``states.measurement_rows``, as a Bell plan does; the
+design matrix is their joint block: Tr(rho P_k) = design_k . r for the Pauli vector
+r of rho and P_k = sum_i design_ki sigma_i.  The noise-free means are the rate model
+``optics.mean_counts`` of ``optics.IDEAL_SOURCE`` over counts_per_setting seconds.
 
 Reconstruction is offered two ways: linear inversion of the design matrix
 (fast, but unphysical under noise) and the maximum-likelihood state of
@@ -24,11 +24,8 @@ parameters x of T.  Every fit is one damped Newton solve with the exact
 Hessian over a 4 x r lower-trapezoidal T in the eigenbasis V of a starting
 M, started at the square roots of its r largest eigenvalues.  Q_k is the
 design row against the Pauli pairs rotated to that basis, V^dag sigma_i V,
-times a real map cached per rank.  A Newton step is one solve against the
-Hessian once its Cholesky factorization shows it positive definite; only
-an indefinite Hessian or a rejected step falls back to a damped
-(Levenberg-Marquardt) step in the Hessian's eigenbasis.  The first start
-is the linear estimate rho_0 (repaired to be positive) at the data's own
+times a real map cached per rank (``_newton`` describes the steps).  The first
+start is the linear estimate rho_0 (repaired to be positive) at the data's own
 scale M_0 = rho_0 sum_k n_k / sum_k design_k . r(rho_0), the likelihood-optimal
 flux for that shape; one eigendecomposition of rho_0 gives its positivity,
 its repair and the start basis.  With exactly 16 settings a positive
@@ -39,8 +36,6 @@ lambda_min(G) >= -tol, G = sum_k (1 - n_k/mu_k) P_k = ((1 - n/mu) @ design) . si
 by convexity it is then the global optimum.  An optimum on the rank boundary of the
 positive cone can fail it at r = 4; the solve then runs at r = 1..4 in the
 eigenbasis of the r = 4 result, and the first certified one is returned.
-The per-settings tables (design matrix, its rank and pseudo-inverse) are
-built once per settings tuple and cached read-only.
 """
 
 from __future__ import annotations
@@ -170,19 +165,20 @@ def _quadratic_forms(design: np.ndarray, vecs: np.ndarray, rank: int) -> np.ndar
 
 
 @functools.lru_cache(maxsize=64)
-def _table_for_labels(labels: tuple[tuple[str, str], ...]) -> tuple[np.ndarray, int, np.ndarray]:
-    """(design, rank, inverse) of a settings list: the (K, 16) design matrix,
-    its rank and its (16, K) pseudo-inverse (least squares when K > 16).
-    Both arrays are read-only."""
+def _table_for_labels(labels: tuple[tuple[str, str], ...]):
+    """(design, rank, inverse, rows) of a settings list: the (K, 16) design matrix,
+    its rank, its (16, K) pseudo-inverse (least squares when K > 16) and the
+    (3 K, 16) rows whose joint block it is.  The arrays are read-only."""
     b = np.array([[projector_bloch(label) for label in pair] for pair in labels]).reshape(-1, 2, 4)
-    design = measurement_rows(b[:, 0], b[:, 1])[0]
+    rows = measurement_rows(b[:, 0], b[:, 1]).reshape(-1, 16)
+    design = rows[: len(labels)]
     inverse = np.linalg.pinv(design)
-    for array in (design, inverse):
+    for array in (rows, design, inverse):
         array.setflags(write=False)
-    return design, int(np.linalg.matrix_rank(design)), inverse
+    return design, int(np.linalg.matrix_rank(design)), inverse, rows
 
 
-def _settings_table(settings: list[TomoSetting]) -> tuple[np.ndarray, int, np.ndarray]:
+def _settings_table(settings: list[TomoSetting]):
     return _table_for_labels(tuple((s.proj1, s.proj2) for s in settings))
 
 
@@ -222,27 +218,22 @@ class TomoData:
             raise ValueError("counts must be nonnegative")
 
 
-def expected_probabilities(rho: np.ndarray, settings: list[TomoSetting]) -> np.ndarray:
-    """Tr(rho P_k) for every setting: the design rows against the Pauli vector
-    cached in ``states.analyse(rho)``, so rho must be a valid density matrix."""
-    return _settings_table(settings)[0] @ analyse(rho).pauli_vector
-
-
 def exact_tomography_counts(
     rho: np.ndarray, counts_per_setting: float, settings: list[TomoSetting] | None = None
 ) -> TomoData:
     """Noise-free mean counts counts_per_setting * Tr(rho P1 x P2), clipped at 0.
 
-    These are the means ``simulate_tomography`` draws about.
+    These are ``optics.mean_counts`` of ``IDEAL_SOURCE`` over counts_per_setting
+    seconds, the means ``simulate_tomography`` draws about.
     """
-    if not math.isfinite(counts_per_setting):
-        raise ValueError(f"counts_per_setting must be finite, got {counts_per_setting}")
-    if counts_per_setting <= 0:
-        raise ValueError("counts_per_setting must be positive")
+    from .optics import IDEAL_SOURCE, check_duration, mean_counts  # a reconstruction runs without it
+
+    check_duration("counts_per_setting", counts_per_setting)
     if settings is None:
         settings = standard_settings()
-    probs = np.clip(expected_probabilities(rho, settings), 0.0, None)
-    return TomoData(settings, counts_per_setting * probs, float(counts_per_setting))
+    rows = _settings_table(settings)[3]
+    means = mean_counts(analyse(rho).pauli_vector, rows, counts_per_setting, IDEAL_SOURCE)
+    return TomoData(settings, means, float(counts_per_setting))
 
 
 def simulate_tomography(
@@ -251,14 +242,9 @@ def simulate_tomography(
     seed: int,
     settings: list[TomoSetting] | None = None,
 ) -> TomoData:
-    """Poisson counts about the means of ``exact_tomography_counts``.
-
-    counts_per_setting is the incident pair flux per setting and is
-    recorded as the total_flux_estimate of the data.  The measured
-    counts average about a quarter of it over the standard settings
-    (rank-1 projectors transmit 1/4 of the flux on average), so target
-    a per-setting count level N by passing 4 N here.
-    """
+    """Poisson counts about the means of ``exact_tomography_counts``.  counts_per_setting,
+    the pair flux per setting, is recorded as the data's total_flux_estimate; over the
+    standard settings the counts average a quarter of it."""
     means = exact_tomography_counts(rho, counts_per_setting, settings)
     counts = poisson(means.counts, seed, "counts_per_setting")
     return TomoData(means.settings, counts, means.total_flux_estimate)
@@ -276,7 +262,7 @@ def linear_reconstruct(data: TomoData) -> np.ndarray:
     before treating it as a state).  The flux cancels in the trace
     normalization, so ``total_flux_estimate`` is not read.
     """
-    _, rank, inverse = _settings_table(data.settings)
+    _, rank, inverse, _ = _settings_table(data.settings)
     if rank < 16:
         raise ValueError(_RANK_DEFICIENT)
     rho = ((inverse @ data.counts) @ _PAULI_ROWS).reshape(4, 4) / 4
@@ -438,7 +424,7 @@ def ml_reconstruct(data: TomoData, seed: int = 0) -> np.ndarray:
     Raises ValueError for informationally incomplete settings or all-zero
     counts, and ConvergenceError when no rank passes the KKT certificate.
     """
-    design, rank, _ = _settings_table(data.settings)
+    design, rank, _, _ = _settings_table(data.settings)
     if rank < 16:
         raise ValueError(_RANK_DEFICIENT)
     counts = data.counts
@@ -479,8 +465,8 @@ _TOMO_HEADER = ["setting_index", "proj1", "proj2", "counts"]
 def tomo_data_to_csv(data: TomoData, path) -> None:
     """Write ``setting_index,proj1,proj2,counts`` rows."""
     rows = [
-        (i, setting.proj1, setting.proj2, int(n) if float(n).is_integer() else float(n))
-        for i, (setting, n) in enumerate(zip(data.settings, data.counts))
+        (i, setting.proj1, setting.proj2, csvfile.count_cell(n))
+        for i, (setting, n) in enumerate(zip(data.settings, data.counts.tolist()))
     ]
     comments = {"total_flux_estimate": data.total_flux_estimate}
     csvfile.write(path, _TOMO_HEADER, rows, comments, digits=17)

@@ -592,6 +592,39 @@ def test_non_finite_float_flag_exit_2(argv, tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+PAST_THE_FLOAT_RANGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tomo", "simulate", "--family", "werner", "--counts", PAST_THE_FLOAT_RANGE, "--seed", "1",
+         "--out", "t.csv"),
+        ("figure", "8", "--seed", "1", "--counts-per-setting", PAST_THE_FLOAT_RANGE),
+        ("figure", "11", "--seed", "1", "--counts-per-setting", PAST_THE_FLOAT_RANGE),
+        ("figure", "3", "--seed", "1", "--counts-per-point", PAST_THE_FLOAT_RANGE),
+    ],
+    ids=["tomo-simulate", "figure-8", "figure-11", "figure-3"],
+)
+def test_integer_flag_past_the_float_range_exit_2(argv, tmp_path, monkeypatch, capsys):
+    """An integer count flag that float() cannot hold is a usage error, as 1e400 is for a float flag."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "expected a finite number" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_tomo_simulate_counts_is_the_pair_flux(capsys):
+    """``--counts`` is the incident pair flux per setting: the counts average a quarter of it."""
+    with pytest.raises(SystemExit):
+        run_cli("tomo", "simulate", "--help")
+    assert re.search(r"\n  --counts COUNTS +pair flux per setting\n", capsys.readouterr().out)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -1193,7 +1226,7 @@ BENCH_COMMANDS = {
                  "ering.states", "ering.entanglement"}),
     "tomo_simulate": (["tomo", "simulate", "--family", "werner", "--p", "0.47", "--counts",
                        "40000", "--seed", "3", "--out", "tomo.csv", "--target-out", "target.json"],
-                      {"ering.tomography", "ering.sampling", "ering.states"}),
+                      {"ering.optics", "ering.tomography", "ering.sampling", "ering.states"}),
     "tomo_reconstruct": (["tomo", "reconstruct", "--data", "tomo.csv", "--seed", "0", "--target",
                           "target.json", "--out", "report.json"],
                          _ANALYSIS | {"ering.tomography", "ering.sampling"}),

@@ -68,6 +68,15 @@ def test_tomography_file_matches_the_rowwise_bytes(tmp_path, monkeypatch):
     assert tomo_data_from_csv(path).settings == settings
 
 
+def test_a_count_cell_is_an_int_where_its_value_is_integer():
+    """The one count-cell rule of both data files: an int as it is, an integer value as an int."""
+    cases = [(7, 7), (10**20, 10**20), (12.0, 12), (np.float64(3.0), 3), (-0.0, 0), (1e22, 10**22),
+             (12.5, 12.5), (np.float64(0.1 + 0.2), 0.30000000000000004)]
+    for n, cell in cases:
+        got = csvfile.count_cell(n)
+        assert type(got) is type(cell) and got == cell, n
+
+
 def test_comments_quotes_and_cell_types_match_the_rowwise_bytes(tmp_path):
     header = ["label", "x", "n", "note"]
     rows = [

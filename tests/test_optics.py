@@ -119,7 +119,7 @@ def test_phase_keeps_its_digits_against_a_50_digit_trace(config):
 
 def test_source_re_exports_the_optics():
     assert re_exported(source, optics) == {
-        "SourceConfig", "detected_pair_rate", "displacement_visibility", "ou_mandel_scan",
-        "phase_from_displacement",
+        "SourceConfig", "check_duration", "displacement_visibility", "mean_counts",
+        "ou_mandel_scan", "phase_from_displacement",
     }
 

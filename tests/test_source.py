@@ -761,6 +761,17 @@ def test_non_finite_simulation_inputs_are_named(no_draw, value):
         exact_tomography_counts(rho, value)
 
 
+def test_integer_scales_past_the_float_range_are_not_finite(no_draw):
+    # math.isfinite raises OverflowError for such an int; the scale check names it instead
+    rho, huge = werner(0.8), 10**400
+    with pytest.raises(ValueError, match="^duration must be finite, got an integer past"):
+        simulate_coincidences(rho, [(0.1, 0.2)], huge, CFG, 1)
+    with pytest.raises(ValueError, match="^total_duration must be finite, got an integer past"):
+        simulate_bell_test(rho, huge, CFG, 1)
+    with pytest.raises(ValueError, match="^counts_per_setting must be finite, got an integer past"):
+        simulate_tomography(rho, huge, 1)
+
+
 # ---------------------------------------------------------------------------
 # Ou-Mandel
 # ---------------------------------------------------------------------------

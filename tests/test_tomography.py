@@ -9,13 +9,17 @@ from hypothesis import given, strategies as st
 from scipy.optimize import minimize
 
 from ering import states, tomography
+from ering.counts import STANDARD_PLAN
 from ering.errors import InputFormatError
+from ering.optics import IDEAL_SOURCE
 from ering.sampling import random_density_matrix, random_pure_state
+from ering.source import expected_coincidences
 from ering.states import (
     bell_state,
     check_density_matrix,
     mems,
     nonmax_state,
+    pauli_vector,
     projector,
     singlet,
     werner,
@@ -26,7 +30,6 @@ from ering.tomography import (
     design_condition_number,
     design_matrix,
     exact_tomography_counts,
-    expected_probabilities,
     fidelity,
     linear_reconstruct,
     ml_reconstruct,
@@ -109,7 +112,7 @@ def test_simulate_orthogonal_setting_gives_zero():
 
 
 def test_simulate_maximally_mixed_quarter_probabilities():
-    probs = expected_probabilities(np.eye(4, dtype=complex) / 4, standard_settings())
+    probs = design_matrix(standard_settings()) @ pauli_vector(np.eye(4, dtype=complex) / 4)
     assert np.allclose(probs, 0.25)
 
 
@@ -189,7 +192,7 @@ def test_ml_beats_projected_linear_start():
     flux = data.counts[:4].sum()  # HH, HV, VV, VH form a complete basis
 
     def loglike(rho):
-        mu = np.clip(flux * expected_probabilities(rho, data.settings), 1e-12, None)
+        mu = np.clip(flux * (design_matrix(data.settings) @ pauli_vector(rho)), 1e-12, None)
         return float(np.sum(data.counts * np.log(mu) - mu))
 
     assert loglike(rec) >= loglike(start) - 1e-6
@@ -275,7 +278,7 @@ def lbfgs_ml_oracle(data, n_starts=3, seed=0):
 def profile_nll(rho, data):
     """Poisson NLL of the counts under rho with the flux at its optimum
     N = sum n / sum p (log n! dropped)."""
-    p = expected_probabilities(rho, data.settings)
+    p = design_matrix(data.settings) @ pauli_vector(rho)
     n = data.counts
     pos = n > 0
     return float(n.sum() - n[pos] @ np.log(n.sum() / p.sum() * p[pos]))
@@ -285,7 +288,7 @@ def kkt_residuals(rho, data):
     """(lambda_min(G), max |G rho|) for the likelihood gradient
     G = sum_k (1 - n_k/mu_k) P_k at the optimal flux: rho is the global ML
     state exactly when G >= 0 and G rho = 0."""
-    p = expected_probabilities(rho, data.settings)
+    p = design_matrix(data.settings) @ pauli_vector(rho)
     mu = data.counts.sum() / p.sum() * p
     weights = 1 - np.divide(data.counts, mu, out=np.zeros_like(mu), where=data.counts > 0)
     g = sum(w * ket_projector(s) for w, s in zip(weights, data.settings))
@@ -640,7 +643,7 @@ def test_projectors_from_the_design_match_ket_projectors(rng):
 
 
 def test_design_row_means_are_the_projector_traces(rng):
-    # expected_probabilities reads design @ r(rho); the oracle is Tr(rho P_k)
+    # the means read design @ r(rho); the oracle is Tr(rho P_k)
     # over the projector stack, on the 36 letter pairs and on random E labels
     label_sets = [_LETTER_PAIRS] + [random_elliptical_labels(rng, 36) for _ in range(4)]
     stacks = []
@@ -651,7 +654,7 @@ def test_design_row_means_are_the_projector_traces(rng):
         rho = random_density_matrix(rng)
         settings, projectors = stacks[i % len(stacks)]
         oracle = np.einsum("kab,ba->k", projectors, rho).real
-        assert np.abs(expected_probabilities(rho, settings) - oracle).max() <= 1e-15
+        assert np.abs(design_matrix(settings) @ pauli_vector(rho) - oracle).max() <= 1e-15
 
 
 def test_design_matrix_is_cached_read_only():
@@ -659,6 +662,55 @@ def test_design_matrix_is_cached_read_only():
     assert m is design_matrix(standard_settings())
     with pytest.raises(ValueError):
         m[0, 0] = 1.0
+
+
+def flux_only_counts(rho, flux, settings):
+    """The flux-only tomography means of James et al. (2001): flux * max(Tr(rho P_k), 0)."""
+    return flux * np.clip(design_matrix(settings) @ pauli_vector(rho), 0, None)
+
+
+def random_settings(rng, kind):
+    """A random settings list: a subset of the standard set, E(Theta,Phi) labels, or K > 16."""
+    if kind == 0:
+        chosen = rng.permutation(16)[: int(rng.integers(1, 17))]
+        return [standard_settings()[i] for i in chosen]
+    if kind == 1:
+        return [TomoSetting(*labels) for labels in random_elliptical_labels(rng, int(rng.integers(1, 41)))]
+    chosen = rng.permutation(len(_LETTER_PAIRS))[: int(rng.integers(17, len(_LETTER_PAIRS) + 1))]
+    return [TomoSetting(*_LETTER_PAIRS[i]) for i in chosen]
+
+
+def test_exact_counts_are_the_flux_only_formula(rng):
+    # the means are the source's rate model at the ideal source over (3 K, 16) rows: on the
+    # standard settings they are the flux-only formula bit for bit; on other sets the matvec
+    # over 3 K rows may round a probability's last bit differently from the one over K rows,
+    # so a probability (flux 1) is within one ulp of 1, and a mean within two ulps of the flux
+    standard = standard_settings()
+    for _ in range(300):
+        rho = random_density_matrix(rng)
+        flux = float(rng.uniform(1.0, 1e6))
+        got = exact_tomography_counts(rho, flux, standard).counts
+        assert got.tobytes() == flux_only_counts(rho, flux, standard).tobytes()
+    eps = np.finfo(float).eps
+    for i in range(900):
+        rho = random_density_matrix(rng)
+        settings = random_settings(rng, i % 3)
+        got = exact_tomography_counts(rho, 1.0, settings).counts
+        assert np.abs(got - flux_only_counts(rho, 1.0, settings)).max() <= eps
+        flux = float(rng.uniform(1.0, 1e6))
+        got = exact_tomography_counts(rho, flux, settings).counts
+        assert np.abs(got - flux_only_counts(rho, flux, settings)).max() <= 2 * eps * flux
+
+
+def test_the_standard_plan_as_tomography_settings_has_the_bell_means(rng):
+    # one model: a polarizer at theta is the projector E(2 theta, 0), and at the ideal source
+    # the Bell model's means of the standard plan are the tomography means of its 16 settings
+    settings = [TomoSetting(f"E({2 * t1!r},0)", f"E({2 * t2!r},0)") for t1, t2 in STANDARD_PLAN.settings]
+    for rho in [werner(0.7), mems(0.4), projector(singlet())] + [random_density_matrix(rng) for _ in range(100)]:
+        flux = float(rng.uniform(1.0, 1e6))
+        table = expected_coincidences(rho, STANDARD_PLAN, flux, IDEAL_SOURCE)
+        data = exact_tomography_counts(rho, flux, settings)
+        assert np.array(list(table.entries.values())).tobytes() == data.counts.tobytes()
 
 
 def test_fidelity_basics(rng):
