@@ -169,33 +169,54 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-#: Every --family value of every subcommand -> the state built from the flags,
-#: given the ``ering.states`` module.
+def _flag(*names, **options):
+    """A function that gives one flag to the parser it is called with."""
+    return lambda parser: parser.add_argument(*names, **options)
+
+
+_weight = _flag("--p", type=finite_float, default=1.0, help="singlet weight in [0, 1]")
+_via = _flag(
+    "--via", choices=["formula", "patchwork"], default="formula", help="how to build the state"
+)
+_kind = _flag("--kind", choices=["phi", "psi"], default="phi")
+_phi = _flag("--phi", type=finite_float, default=0.0, help="pair phase in radians")
+_theta_p = _flag(
+    "--theta-p", type=finite_float, default=0.0, help="pump waveplate angle in degrees [0, 45]"
+)
+_fidelity = _flag("--fidelity", type=finite_float, default=1.0, help="singlet fidelity in [1/4, 1]")
+_a = _flag("--a", type=finite_float, default=0.5, help="eigenvector weight in [1/2, 1]")
+
+#: Every --family value of every subcommand -> the flags ``state <family>`` reads
+#: besides ``--out`` (None: no ``state`` family) and the state built from them,
+#: given the ``ering.states`` module.  ``--via patchwork`` synthesizes the
+#: sector weights of ``ering.patchwork.<family>_partition`` instead.
 STATES = {
-    "werner": lambda st, args: st.werner(args.p),
-    "mems": lambda st, args: st.mems(args.p),
-    "bell": lambda st, args: st.projector(st.bell_state(args.kind, args.phi)),
-    "singlet": lambda st, args: st.projector(st.singlet()),
-    "nonmax": lambda st, args: st.projector(st.nonmax_state(math.radians(args.theta_p))),
-    "tuned": lambda st, args: st.tune_entanglement(args.fidelity, args.a),
-    "file": lambda st, args: st.load_density_matrix(args.state),
+    "werner": ([_weight, _via], lambda st, args: st.werner(args.p)),
+    "mems": ([_weight, _via], lambda st, args: st.mems(args.p)),
+    "bell": ([_kind, _phi], lambda st, args: st.projector(st.bell_state(args.kind, args.phi))),
+    "singlet": ([], lambda st, args: st.projector(st.singlet())),
+    "nonmax": (
+        [_theta_p], lambda st, args: st.projector(st.nonmax_state(math.radians(args.theta_p)))
+    ),
+    "tuned": ([_fidelity, _a], lambda st, args: st.tune_entanglement(args.fidelity, args.a)),
+    "file": (None, lambda st, args: st.load_density_matrix(args.state)),
 }
 
 
 def _build_state(args):
     if getattr(args, "via", "formula") == "patchwork":
-        from .patchwork import mems_partition, synthesize, werner_partition
+        from . import patchwork
 
-        recipe = {"werner": werner_partition, "mems": mems_partition}[args.family]
-        return synthesize(recipe(args.p), math.pi)
+        recipe = getattr(patchwork, f"{args.family}_partition")
+        return patchwork.synthesize(recipe(args.p), math.pi)
     from . import states
 
-    return STATES[args.family](states, args)
+    return STATES[args.family][1](states, args)
 
 
 def cmd_state(args):
     from .bell import chsh_optimize
-    from .entanglement import classify, is_separable_ppt, linear_entropy, tangle
+    from .entanglement import MEMS, WERNER, classify, is_separable_ppt, linear_entropy, tangle
     from .states import check_density_matrix, density_matrix_to_dict, fidelity, projector, singlet
 
     rho = check_density_matrix(_build_state(args))
@@ -210,7 +231,7 @@ def cmd_state(args):
         "separable": separable,
         "s_max_abs": s_max,
     }
-    if args.family in ("werner", "mems"):
+    if args.family in (WERNER, MEMS):
         region, s_l_interval = classify(args.family, args.p)
         report["region"] = region
         report["s_l_interval"] = list(s_l_interval)
@@ -344,11 +365,6 @@ def cmd_bell_eval(args):
     return None, text + f"violation_sigmas = {violation:.2f}\n", []
 
 
-def _flag(*names, **options):
-    """A function that gives one flag to the parser it is called with."""
-    return lambda parser: parser.add_argument(*names, **options)
-
-
 def _config_flags(parser) -> None:
     parser.add_argument("--config", help="JSON source-config file (or $ERING_CONFIG)")
     parser.add_argument(
@@ -384,28 +400,11 @@ def _subcommands(parser, dest: str):
 def _state_arguments(p_state) -> None:
     p_state.set_defaults(func=cmd_state)
     families = _subcommands(p_state, "family")
-    weight = _flag("--p", type=finite_float, default=1.0, help="singlet weight in [0, 1]")
-    via = _flag(
-        "--via", choices=["formula", "patchwork"], default="formula", help="how to build the state"
-    )
-    kind = _flag("--kind", choices=["phi", "psi"], default="phi")
-    phi = _flag("--phi", type=finite_float, default=0.0, help="pair phase in radians")
-    theta_p = _flag(
-        "--theta-p", type=finite_float, default=0.0, help="pump waveplate angle in degrees [0, 45]"
-    )
-    fid = _flag("--fidelity", type=finite_float, default=1.0, help="singlet fidelity in [1/4, 1]")
-    a = _flag("--a", type=finite_float, default=0.5, help="eigenvector weight in [1/2, 1]")
-    for family, flags in (
-        ("werner", [weight, via]),
-        ("mems", [weight, via]),
-        ("bell", [kind, phi]),
-        ("singlet", []),
-        ("nonmax", [theta_p]),
-        ("tuned", [fid, a]),
-    ):
-        p_family = families.add_parser(family)
-        for add in [*flags, _out]:
-            add(p_family)
+    for family, (flags, _) in STATES.items():
+        if flags is not None:
+            p_family = families.add_parser(family)
+            for add in [*flags, _out]:
+                add(p_family)
 
 
 def _source_arguments(p_src) -> None:

@@ -123,7 +123,15 @@ def _correlation(counts: CountsTable, keys: tuple[tuple[str, str], ...]) -> tupl
     if total == 0:
         raise ValueError(f"zero total counts for base pair ({keys[0][0]}, {keys[0][1]})")
     p = (a + b - c - d) / total
-    var = ((1 - p) ** 2 * (a + b) + (1 + p) ** 2 * (c + d)) / total**2
+    try:
+        var = ((1 - p) ** 2 * (a + b) + (1 + p) ** 2 * (c + d)) / total**2
+    except OverflowError:  # an int total, or its square, past the float range
+        var = math.inf
+    if not math.isfinite(var):
+        raise ValueError(
+            f"counts too large for base pair ({keys[0][0]}, {keys[0][1]}): "
+            "their total or its variance overflows a float"
+        )
     return p, var
 
 
@@ -132,7 +140,8 @@ def chsh_from_counts(counts: CountsTable, plan: AnglePlan) -> tuple[float, float
 
     Every count is treated as an independent Poisson variable with
     variance equal to its value; the error is propagated to first order.
-    The plan's counts keys are labelled once per plan, not per call.
+    The plan's counts keys are labelled once per plan, not per call.  A base
+    pair whose total is zero, or whose variance overflows a float, is a ValueError.
     """
     (p11, v11), (p12, v12), (p21, v21), (p22, v22) = (
         _correlation(counts, keys) for keys in plan.base_pair_keys

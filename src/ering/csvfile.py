@@ -10,7 +10,8 @@ written ``""``.  So an ``E(Theta,Phi)`` projector label is quoted, and a
 cell holding a lone ``\\r`` is quoted too (the reader splits lines there
 otherwise); both read back whole.  Read errors name
 ``path:line``.  Every JSON file the package reads goes through
-``read_json``, and every file it writes, CSV or JSON, through ``write_text``.
+``read_json``, every number in one through ``json_float``, and every file it
+writes, CSV or JSON, through ``write_text``.
 
 Files are small (a few hundred bytes to a few kB), so neither side builds a
 text or buffered file object: a read is one unbuffered ``readall`` and one
@@ -199,6 +200,14 @@ def count(path, line: int, text: str) -> float:
     if value < 0:
         raise error(path, line, f"negative counts {value:g}")
     return value
+
+
+def json_float(value) -> float:
+    """A JSON number as a float.  Only an int or a float is a number, not a bool:
+    any other value is a TypeError, and an int past the float range an OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def count_cell(n) -> int | float:

@@ -6,7 +6,7 @@ class InputFormatError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative optimizer failed to converge within its restart budget."""
+    """No rank of the maximum-likelihood reconstruction passed its KKT optimality certificate."""
 
 
 class PoissonLimitError(ValueError):

@@ -148,10 +148,10 @@ def config_with_overrides(config: SourceConfig, overrides: dict) -> SourceConfig
     for key, value in overrides.items():
         if key not in CONFIG_KEYS:
             raise InputFormatError(f"unknown config key {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InputFormatError(f"config key {key!r} needs a number, got {value!r}")
         try:
-            kwargs[CONFIG_KEYS[key]] = float(value)
+            kwargs[CONFIG_KEYS[key]] = csvfile.json_float(value)
+        except TypeError:
+            raise InputFormatError(f"config key {key!r} needs a number, got {value!r}") from None
         except OverflowError:
             raise ValueError(f"{_named(key, CONFIG_KEYS[key])} must be finite") from None
     return replace(config, **kwargs)
@@ -194,18 +194,19 @@ def check_duration(name: str, duration: float) -> None:
         raise ValueError(f"{name} must be positive")
 
 
-def mean_counts(r, rows, duration: float, config: SourceConfig):
+def mean_counts(r, rows, duration: float, config: SourceConfig, lower: str):
     """Noise-free mean counts of the ``(3 S, 16)`` joint, arm-1 and arm-2 rows of
     ``states.measurement_rows`` against the Pauli vector r of rho: (true pairs of
     r_v = v r + (1-v) e_0, the vector of v rho + (1-v) I/4, plus accidentals) * duration,
-    clipped at 0.  Means that would overflow a float raise a ``PoissonLimitError``."""
+    clipped at 0.  Means that would overflow a float raise a ``PoissonLimitError``
+    that names ``lower``, the caller's inputs that set them."""
     arm_rate = config.pair_rate * config.detector_qe * math.sqrt(config.transmission)
     pair_rate = detected_pair_rate(config)
     # the bound has every probability at 1 (times 2 for rounding above 1), in the order used below
     peak_singles = arm_rate + config.dark_rate
     largest = (pair_rate + peak_singles * peak_singles * config.coincidence_window) * duration
     if not math.isfinite(2 * largest):
-        raise PoissonLimitError("the mean counts overflow a float", "the duration or the pair rate")
+        raise PoissonLimitError("the mean counts overflow a float", lower)
     r_v = config.visibility * r
     r_v[0] += 1 - config.visibility
     probabilities = (rows @ r_v).reshape(3, -1)

@@ -85,12 +85,16 @@ def _compile(settings: tuple[tuple[float, float], ...]):
     return labels, rows
 
 
+#: The inputs a PoissonLimitError of a Bell run tells its caller to lower.
+_MEANS_INPUTS = "the duration or the pair rate"
+
+
 def _mean_counts(rho, plan, duration: float, config: SourceConfig) -> tuple[tuple, np.ndarray]:
     """The setting labels and the noise-free mean counts of a plan, in plan order."""
     r = analyse(rho).pauli_vector
     check_duration("duration", duration)
     labels, rows = compile_plan(plan)
-    return labels, mean_counts(r, rows, duration, config)
+    return labels, mean_counts(r, rows, duration, config, _MEANS_INPUTS)
 
 
 def expected_coincidences(
@@ -120,7 +124,7 @@ def simulate_coincidences(
 ) -> CountsTable:
     """One seeded Poisson draw about the means of ``expected_coincidences``."""
     labels, means = _mean_counts(rho, plan, duration, config)
-    counts = poisson(means, seed, "the duration or the pair rate")
+    counts = poisson(means, seed, _MEANS_INPUTS)
     return CountsTable(dict(zip(labels, counts.tolist())), duration)
 
 

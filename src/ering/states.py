@@ -415,14 +415,24 @@ def density_matrix_from_dict(obj: dict) -> np.ndarray:
     if obj.get("basis") != list(BASIS):
         raise InputFormatError(f"unexpected basis {obj.get('basis')}, want {list(BASIS)}")
     try:
-        re, im = (np.array(obj[key], dtype=float) for key in ("re", "im"))
+        re, im = (np.array(_json_floats(obj[key]), dtype=float) for key in ("re", "im"))
+        finite = re.shape == im.shape == (4, 4) and np.isfinite([re, im]).all()
     except KeyError as exc:
         raise InputFormatError(f"missing {exc.args[0]!r}") from None
     except (TypeError, ValueError):
         raise InputFormatError("re and im entries must be numbers") from None
-    if re.shape != (4, 4) or im.shape != (4, 4) or not np.isfinite([re, im]).all():
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
         raise InputFormatError("re and im must both be 4x4 arrays of finite numbers")
     return re + 1j * im
+
+
+def _json_floats(value):
+    """Nested JSON lists of numbers as floats, by the rule of ``csvfile.json_float``."""
+    if isinstance(value, list):
+        return [_json_floats(item) for item in value]
+    return csvfile.json_float(value)
 
 
 def save_density_matrix(rho: np.ndarray, path) -> None:

@@ -232,7 +232,8 @@ def exact_tomography_counts(
     if settings is None:
         settings = standard_settings()
     rows = _settings_table(settings)[3]
-    means = mean_counts(analyse(rho).pauli_vector, rows, counts_per_setting, IDEAL_SOURCE)
+    r = analyse(rho).pauli_vector
+    means = mean_counts(r, rows, counts_per_setting, IDEAL_SOURCE, "counts_per_setting")
     return TomoData(settings, means, float(counts_per_setting))
 
 

@@ -528,6 +528,18 @@ def test_chsh_from_counts_zero_denominator():
         chsh_from_counts(table, STANDARD_PLAN)
 
 
+def test_chsh_from_counts_too_large_for_a_float():
+    """A base pair whose total or variance overflows a float is a ValueError naming it,
+    as a zero total is; counts just below evaluate by the same expression as before."""
+    message = re.escape("counts too large for base pair (0, 22.5): ")
+    for n in (10**154, 10**200, 1.5e200, 1e308):
+        with pytest.raises(ValueError, match=message):
+            chsh_from_counts(counts_table(dict.fromkeys(STANDARD_PLAN.settings, n)), STANDARD_PLAN)
+    table = counts_table(dict.fromkeys(STANDARD_PLAN.settings, 10**150))
+    s, sigma = chsh_from_counts(table, STANDARD_PLAN)
+    assert s == 0.0 and sigma == pytest.approx(1e-75, rel=1e-12)
+
+
 _RANDOM_PLANS = [AnglePlan(*a) for a in np.random.default_rng(20240021).uniform(-math.pi, math.pi, (4, 4))]
 
 

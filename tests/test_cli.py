@@ -349,6 +349,22 @@ def _options(parser) -> list[tuple]:
     ]
 
 
+def test_state_families_are_the_states_table():
+    """``state``'s family subparsers are the ``STATES`` families that have flags, in table
+    order, each with the flags of its own entry and then ``--out``."""
+    parsers = dict(_parsers(cli.build_parser("state")))
+    families = [path[1] for path in parsers if path[:1] == ("state",) and len(path) == 2]
+    flagged = {family: flags for family, (flags, _) in cli.STATES.items() if flags is not None}
+    assert families == list(flagged) and "file" not in families
+    for family, flags in flagged.items():
+        built = parsers["state", family]
+        own = cli._parser_class(prog=built.prog)
+        for add in [*flags, cli._out]:
+            add(own)
+        assert _options(built) == _options(own)
+        assert built.format_help() == own.format_help()
+
+
 def test_each_command_builds_the_parser_of_the_full_table():
     """``main`` builds only the invoked subcommand; that parser, every parser below it and the
     top level are the full parser's: help text, options, defaults and choices."""
@@ -633,6 +649,16 @@ def test_tomo_simulate_counts_is_the_pair_flux(capsys):
         ('{"basis": ["HH", "HV", "VH", "VV"], "re": ' + json.dumps(np.eye(4).tolist()) + "}",
          "missing 'im'"),
         ('{"basis": ["HH", "HV", "VH", "VV"], "re": [[0.25, "x", 0, 0]], "im": []}', "numbers"),
+        *(pytest.param(
+            '{"basis": ["HH", "HV", "VH", "VV"], "re": '
+            + json.dumps(np.eye(4).tolist()).replace("1.0", entry, 1)
+            + ', "im": ' + json.dumps(np.zeros((4, 4)).tolist()) + "}", message, id=name)
+          for name, entry, message in [
+              ("string-entry", '"0.25"', "entries must be numbers"),
+              ("bool-entry", "true", "entries must be numbers"),
+              ("null-entry", "null", "entries must be numbers"),
+              ("int-past-the-float-range", "1" + "0" * 400, "4x4 arrays of finite numbers"),
+          ]),
         ('{"basis": ["HH", "HV", "VH", "VV"], "re": ' + json.dumps(np.eye(4).tolist())
          + ', "im": ' + json.dumps(np.full((4, 4), np.nan).tolist()) + "}", "finite"),
         ('{"basis": ["VV"], "re": [], "im": []}', "basis"),
@@ -950,6 +976,22 @@ def test_bell_eval_zero_total_base_pair_exit_1(tmp_path, capsys):
     counts.write_text("\n".join(lines) + "\n")
     assert run_cli("bell", "eval", "--counts", str(counts)) == 1
     assert "zero total counts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("counts", ["1e154", "1e200", "1" + "0" * 300])
+def test_bell_eval_counts_too_large_exit_1(counts, tmp_path, capsys):
+    """Counts whose base-pair variance overflows a float are a domain error, not a traceback."""
+    table = tmp_path / "counts.csv"
+    rows = [f"{t1},{t2},{counts}" for t1 in (0, 45, 90, 135) for t2 in (22.5, 67.5, 112.5, 157.5)]
+    table.write_text("\n".join(["# duration_s 180", "theta1_deg,theta2_deg,counts", *rows]) + "\n")
+    assert run_cli("bell", "eval", "--counts", str(table)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: counts too large for base pair (0, 22.5): " \
+        "their total or its variance overflows a float\n"
+    table.write_text(table.read_text().replace(counts, "1e150"))
+    assert run_cli("bell", "eval", "--counts", str(table)) == 0
+    assert capsys.readouterr().out.startswith("S = 0.000000\n")
 
 
 def test_tomo_reconstruct_missing_file_exit_2(tmp_path, capsys):

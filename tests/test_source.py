@@ -705,6 +705,14 @@ def test_overflowing_means_are_refused_before_the_draw(no_draw, config, duration
         simulate_bell_test(werner(0.8), 16 * duration, config, 1)
 
 
+def test_overflowing_tomography_means_name_counts_per_setting(no_draw):
+    message = "^the mean counts overflow a float; lower counts_per_setting$"
+    with pytest.raises(PoissonLimitError, match=message):
+        exact_tomography_counts(werner(0.5), 1e308)
+    with pytest.raises(PoissonLimitError, match=message):
+        simulate_tomography(werner(0.5), 1e308, 1)
+
+
 def test_compiled_plan_is_shared_by_equal_settings():
     compiled = compile_plan(STANDARD_PLAN)
     assert compile_plan(list(STANDARD_PLAN.settings)) is compiled

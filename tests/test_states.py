@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from ering import states
 from ering.bell import chsh, chsh_max_from_correlation_matrix, chsh_optimize, correlation_matrix
 from ering.entanglement import is_separable_ppt, linear_entropy, tangle
+from ering.errors import InputFormatError
 from ering.sampling import random_density_matrix
 from ering.states import (
     analyse,
@@ -656,6 +657,24 @@ def test_deserialization_rejects_wrong_basis():
     obj["basis"] = ["VV", "VH", "HV", "HH"]
     with pytest.raises(ValueError):
         density_matrix_from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [("0.25", "entries must be numbers"), (True, "entries must be numbers"),
+     (None, "entries must be numbers"), (10**400, "4x4 arrays of finite numbers")],
+    ids=["string", "bool", "null", "int-past-the-float-range"],
+)
+def test_density_matrix_entries_are_json_numbers(entry, message):
+    """An entry is a number as a config value is: an int or a float, not a bool or a
+    string, and an int past the float range is not finite."""
+    obj = density_matrix_to_dict(werner(0.3))
+    assert np.array_equal(density_matrix_from_dict(obj), werner(0.3))
+    obj["re"][0][0] = entry
+    with pytest.raises(InputFormatError, match=message):
+        density_matrix_from_dict(obj)
+    obj["re"][0][0] = 1  # an int that a float holds is a number
+    assert density_matrix_from_dict(obj)[0, 0] == 1.0
 
 
 @given(
