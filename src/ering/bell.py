@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .states import analyse, bloch_vector
+from .states import analyse, bloch_vector, check_singlet_weight
 
 TSIRELSON_BOUND = 2 * math.sqrt(2)
 
@@ -101,10 +101,9 @@ def chsh_optimal_family(p: float) -> tuple[float, np.ndarray]:
     For any density matrix that is diagonal (A, B, B, D) with a real
     coupling -p/2 between |HV> and |VH>, the stationary equatorial
     settings below give |S| = 2 sqrt(2) p independently of the diagonal
-    entries A, B, D.
+    entries A, B, D; ``states.check_singlet_weight`` checks p.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"singlet weight p must be in [0, 1], got {p}")
+    check_singlet_weight(p)
     h, q = math.pi / 2, math.pi / 4
     settings = bloch_vector(np.array([-h, h, h, -h]), np.array([q, -q, h, 0.0]))[:, 1:]
     settings.setflags(write=False)

@@ -345,6 +345,8 @@ def cmd_bell_simulate(args):
 
     config = _load_base_config(args)
     plan = _plan_from_args(args)
+    if args.duration <= 0:
+        raise ValueError("--duration must be positive")
     table, _ = simulate_bell_test(_build_state(args), args.duration, config, args.seed, plan)
     return config, f"wrote {Path(args.out)}\n", [(args.out, functools.partial(counts_to_csv, table))]
 
@@ -354,7 +356,7 @@ def cmd_bell_eval(args):
 
     table = counts_from_csv(args.counts)
     plan = _plan_from_args(args)
-    for l1, l2 in plan.labels:
+    for l1, l2 in (key for keys in plan.base_pair_keys for key in keys):
         if (l1, l2) not in table.entries:
             raise InputFormatError(
                 f"{args.counts}: no row for the joint setting theta1 = {l1} deg, theta2 = {l2} deg"

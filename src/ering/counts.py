@@ -57,11 +57,6 @@ class AnglePlan:
         return tuple(out.values())
 
     @functools.cached_property
-    def labels(self) -> tuple[tuple[str, str], ...]:
-        """The canonical labels of ``settings``, in the same order."""
-        return tuple(dict.fromkeys(key for keys in self.base_pair_keys for key in keys))
-
-    @functools.cached_property
     def _bloch_settings(self) -> tuple[tuple[float, float, float], ...]:
         angles = (self.theta1, self.theta1p, self.theta2, self.theta2p)
         if not all(map(math.isfinite, angles)):

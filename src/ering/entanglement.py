@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .states import analyse
+from .states import analyse, check_singlet_weight
 
 WERNER = "werner"
 MEMS = "mems"
@@ -116,10 +116,9 @@ def classify(family: str, p: float) -> tuple[str, tuple[float, float]]:
     p > 1/sqrt(2) (S_L < 0.552...), nonseparable without violation for
     0 < p <= 1/sqrt(2); only mems(0) = diag(1/3, 1/3, 1/3, 0) is separable,
     at the single point S_L = 8/9.  Both violation thresholds are strict:
-    p = 1/sqrt(2) does not violate.
+    p = 1/sqrt(2) does not violate; ``states.check_singlet_weight`` checks p.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    check_singlet_weight(p)
     if family not in _REGIONS:
         raise ValueError(f"family must be {WERNER!r} or {MEMS!r}, got {family!r}")
     for threshold, region, s_l_interval in _REGIONS[family]:

@@ -44,7 +44,7 @@ def _phi_pi_coincidences(settings_deg, duration, config, seed) -> list:
     settings = [(math.radians(t1), math.radians(t2)) for t1, t2 in settings_deg]
     pair = projector(bell_state("phi", math.pi))
     table = simulate_coincidences(pair, settings, duration, config, seed)
-    return [table.get(*setting) for setting in settings]
+    return list(table.entries.values())  # keyed in plan order
 
 
 def _ou_mandel_curve(config, seed, phi, counts_per_point):

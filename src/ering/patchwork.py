@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .states import bell_state, mems_weight, projector
+from .states import bell_state, check_singlet_weight, mems_weight, projector
 
 
 def _diagonal(*weights: float) -> np.ndarray:
@@ -94,10 +94,9 @@ def werner_partition(p: float) -> dict[str, float]:
 
     Weight p stays coherent with the arm-2 flip (singlet); two weights of
     (1-p)/2 are time-delay decohered, one with and one without the flip,
-    erasing all off-diagonal elements there.
+    erasing all off-diagonal elements there; ``states.check_singlet_weight`` checks p.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"singlet weight p must be in [0, 1], got {p}")
+    check_singlet_weight(p)
     return {
         "flipped_and_coherent": p,
         "flipped_and_decohered": (1 - p) / 2,

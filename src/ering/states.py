@@ -334,15 +334,20 @@ def nonmax_state(theta_p: float) -> np.ndarray:
     return np.array([gamma / norm, 0, 0, 1 / norm], dtype=complex)
 
 
+def check_singlet_weight(p: float) -> None:
+    """The one check of a singlet weight: a ValueError unless 0 <= p <= 1 (NaN too)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"singlet weight p must be in [0, 1], got {p}")
+
+
 def werner(p: float) -> np.ndarray:
     """Werner state: p * singlet projector + (1-p)/4 * identity.
 
     In the standard basis the matrix is diagonal (A, B, B, A) with
     A = (1-p)/4 and B = (1+p)/4, plus a real coupling C = -p/2 between
-    |HV> and |VH>.  Requires 0 <= p <= 1.
+    |HV> and |VH>.  Requires 0 <= p <= 1 (``check_singlet_weight``).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"singlet weight p must be in [0, 1], got {p}")
+    check_singlet_weight(p)
     a = (1 - p) / 4
     b = (1 + p) / 4
     c = -p / 2
@@ -354,8 +359,7 @@ def werner(p: float) -> np.ndarray:
 
 def mems_weight(p: float) -> float:
     """Diagonal weight g(p) of the MEMS family: p/2 for p >= 2/3, else 1/3."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"singlet weight p must be in [0, 1], got {p}")
+    check_singlet_weight(p)
     return p / 2 if p >= 2 / 3 else 1 / 3
 
 

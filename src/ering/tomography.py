@@ -65,14 +65,14 @@ _ALPHABET.setflags(write=False)
 #: The exact Bloch 4-vectors (1, n) of the polarization alphabet, read-only rows.
 _LETTERS = dict(zip("HVDALR", _ALPHABET))
 
-_ELLIPTICAL = re.compile(r"^E\(\s*([-+0-9.eE]+)\s*,\s*([-+0-9.eE]+)\s*\)$")
+_ELLIPTICAL = re.compile(r"E\(\s*([-+0-9.eE]+)\s*,\s*([-+0-9.eE]+)\s*\)")
 
 
 def projector_bloch(label: str) -> np.ndarray:
     """Bloch 4-vector (1, n) of a projector label (H/V/D/A/L/R or E(Theta,Phi), angles finite)."""
     if label in _LETTERS:
         return _LETTERS[label]
-    match = _ELLIPTICAL.match(label)
+    match = _ELLIPTICAL.fullmatch(label)
     if match:
         theta, phi = float(match.group(1)), float(match.group(2))
         if not (math.isfinite(theta) and math.isfinite(phi)):

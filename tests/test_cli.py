@@ -290,6 +290,15 @@ def test_tomo_simulate_non_positive_counts_names_the_flag(counts, tmp_path, caps
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("duration", ["0", "-1"])
+def test_bell_simulate_non_positive_duration_names_the_flag(duration, tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    argv = ["bell", "simulate", "--family", "singlet", "--duration", duration, "--seed", "1"]
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: --duration must be positive\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_figure_rows_are_the_rows_the_cli_writes(tmp_path, capsys, monkeypatch):
     """The library call, without argparse, gives the rows of the CLI's CSV, byte for byte."""
     from ering import csvfile
@@ -962,6 +971,16 @@ def test_bell_eval_missing_setting_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(counts) in err
     assert "theta1 = 0 deg, theta2 = 112.5 deg" in err
+
+
+def test_bell_eval_repeated_base_pair_keys_name_the_first_missing_setting(tmp_path, capsys):
+    """--angles 0 0 0 0 gives four equal base pairs; the first setting without a row is (90, 90)."""
+    counts = tmp_path / "counts.csv"
+    counts.write_text("# duration_s 4\ntheta1_deg,theta2_deg,counts\n0,0,5\n0,90,7\n90,0,6\n")
+    assert run_cli("bell", "eval", "--counts", str(counts), "--angles", "0", "0", "0", "0") == 2
+    assert capsys.readouterr().err == (
+        f"error: {counts}: no row for the joint setting theta1 = 90 deg, theta2 = 90 deg\n"
+    )
 
 
 def test_bell_eval_zero_total_base_pair_exit_1(tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ering import states
+from ering import bell, entanglement, patchwork, states
 from ering.bell import chsh, chsh_max_from_correlation_matrix, chsh_optimize, correlation_matrix
 from ering.entanglement import is_separable_ppt, linear_entropy, tangle
 from ering.errors import InputFormatError
@@ -149,6 +149,23 @@ def test_werner_out_of_range():
     for bad in (-0.01, 1.01):
         with pytest.raises(ValueError):
             werner(bad)
+
+
+SINGLET_WEIGHT_CALLERS = {
+    "states.check_singlet_weight": states.check_singlet_weight,
+    "states.werner": states.werner,
+    "states.mems_weight": states.mems_weight,
+    "patchwork.werner_partition": patchwork.werner_partition,
+    "bell.chsh_optimal_family": bell.chsh_optimal_family,
+    "entanglement.classify": lambda p: entanglement.classify(entanglement.WERNER, p),
+}
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.1, math.nan])
+@pytest.mark.parametrize("caller", SINGLET_WEIGHT_CALLERS)
+def test_every_singlet_weight_is_refused_by_the_one_check(caller, p):
+    with pytest.raises(ValueError, match=f"^singlet weight p must be in \\[0, 1\\], got {p}$"):
+        SINGLET_WEIGHT_CALLERS[caller](p)
 
 
 def test_werner_matches_explicit_mixture():

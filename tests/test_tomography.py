@@ -104,6 +104,19 @@ def test_tomo_setting_rejects_a_bad_label_when_built(labels):
         TomoSetting(*labels)
 
 
+@pytest.mark.parametrize("label", ["E(1,2)\n", "E(1,2)\r\n", "E( 1 , 2 )\n"])
+def test_projector_label_with_a_line_end_is_unknown(label):
+    with pytest.raises(ValueError, match=f"^unknown projector label {re.escape(repr(label))}$"):
+        TomoSetting(label, "V")
+
+
+@pytest.mark.parametrize("label", ["E(1,2)", "E( 1 , 2 )", "E(-1.5e-3,+2E1)"])
+def test_tomo_csv_keeps_an_elliptical_label_byte_for_byte(label, tmp_path):
+    path = tmp_path / "tomo.csv"
+    tomo_data_to_csv(TomoData([TomoSetting(label, "V")], [5.0], 0.0), path)
+    assert tomo_data_from_csv(path).settings == [TomoSetting(label, "V")]
+
+
 def test_simulate_orthogonal_setting_gives_zero():
     rho = projector(np.array([1, 0, 0, 0], dtype=complex))
     settings = [TomoSetting("V", "H"), TomoSetting("V", "V")]
